@@ -1,37 +1,84 @@
-//! LRU cache for kernel rows.
+//! Slot cache for kernel rows.
 //!
 //! SMO revisits the same working-set indices many times (points near the
 //! margin get selected repeatedly), so caching whole kernel rows — the
 //! technique Joachims introduced for SVMlight and LIBSVM adopted — removes
 //! a large fraction of the SMSV work. The cache is bounded by a byte budget
 //! and evicts least-recently-used rows.
+//!
+//! Rows live in *slots*: a dense `index → slot` table finds a row in one
+//! load, an intrusive doubly-linked list through the slots keeps the LRU
+//! order in O(1), and the slots' buffers are allocated only as rows are
+//! first fetched and recycled on eviction. A miss [`claim`]s a slot and the
+//! caller computes the row *into* it; a hit hands the slot out, and
+//! [`row`] reads it by reference — no row is ever copied or cloned.
+//!
+//! [`claim`]: KernelCache::claim
+//! [`row`]: KernelCache::row
 
 use dls_sparse::Scalar;
-use std::collections::HashMap;
+
+/// Byte budget `SmoParams::default()` and ε-SVR give the cache.
+pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
+
+/// "No slot" in the index table and the list links.
+const NONE: u32 = u32::MAX;
+
+/// Handle to one row buffer of a [`KernelCache`].
+///
+/// A slot stays readable until the *second* [`KernelCache::claim`] after
+/// its row stopped being resident: the buffer of an evicted row is recycled
+/// by the next claim, not by the one that evicted it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot(u32);
+
+#[derive(Debug)]
+struct Entry {
+    row: Vec<Scalar>,
+    /// The sample index whose row this is.
+    index: usize,
+    /// Neighbour towards the most recently used end.
+    prev: u32,
+    /// Neighbour towards the least recently used end.
+    next: u32,
+}
 
 /// A bounded LRU cache mapping sample index → kernel row.
 #[derive(Debug)]
 pub struct KernelCache {
-    /// Maximum number of cached rows (derived from the byte budget).
+    /// Maximum number of resident rows (derived from the byte budget).
     capacity: usize,
-    map: HashMap<usize, Vec<Scalar>>,
-    /// Access order, most recent last.
-    order: Vec<usize>,
+    /// `slot_of[index]` is the slot holding that row, or [`NONE`].
+    slot_of: Vec<u32>,
+    /// Grown on demand, to at most `capacity + 1` (the spare).
+    entries: Vec<Entry>,
+    /// Most recently used resident slot.
+    head: u32,
+    /// Least recently used resident slot.
+    tail: u32,
+    resident: usize,
+    /// Slot of the row evicted last, whose buffer the next claim takes.
+    spare: u32,
     hits: u64,
     misses: u64,
 }
 
 impl KernelCache {
-    /// Creates a cache that holds at most `budget_bytes` worth of rows of
-    /// length `row_len`. Always admits at least two rows (SMO needs the
-    /// `high` and `low` rows of the current iteration simultaneously).
-    pub fn with_budget(budget_bytes: usize, row_len: usize) -> Self {
-        let row_bytes = (row_len * std::mem::size_of::<Scalar>()).max(1);
-        let capacity = (budget_bytes / row_bytes).max(2);
+    /// Creates a cache for the `n × n` kernel matrix that holds at most
+    /// `budget_bytes` worth of rows, clamped to `[2, n]`: SMO needs the
+    /// `high` and `low` rows of the current iteration simultaneously, and
+    /// there are only `n` rows to hold.
+    pub fn with_budget(budget_bytes: usize, n: usize) -> Self {
+        assert!(n < NONE as usize, "slot ids are u32");
+        let row_bytes = (n * std::mem::size_of::<Scalar>()).max(1);
         Self {
-            capacity,
-            map: HashMap::with_capacity(capacity.min(1024)),
-            order: Vec::new(),
+            capacity: (budget_bytes / row_bytes).clamp(2, n.max(2)),
+            slot_of: vec![NONE; n],
+            entries: Vec::new(),
+            head: NONE,
+            tail: NONE,
+            resident: 0,
+            spare: NONE,
             hits: 0,
             misses: 0,
         }
@@ -46,13 +93,13 @@ impl KernelCache {
     /// Number of rows currently resident.
     #[inline]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.resident
     }
 
     /// True when no rows are resident.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.resident == 0
     }
 
     /// Cache hits so far.
@@ -67,84 +114,97 @@ impl KernelCache {
         self.misses
     }
 
-    /// Fetches the row for `index`, computing and inserting it on a miss.
-    pub fn get_or_insert_with(
-        &mut self,
-        index: usize,
-        compute: impl FnOnce() -> Vec<Scalar>,
-    ) -> &[Scalar] {
-        if self.map.contains_key(&index) {
-            self.hits += 1;
-            self.touch(index);
-        } else {
+    /// The slot of row `index` if resident, counting a hit (and making the
+    /// row the most recently used) or a miss. After a miss the caller
+    /// [`claim`](KernelCache::claim)s a slot and fills it — possibly
+    /// several, from one blocked SMSV sweep.
+    #[inline]
+    pub fn lookup(&mut self, index: usize) -> Option<Slot> {
+        let slot = self.slot_of[index];
+        if slot == NONE {
             self.misses += 1;
-            if self.map.len() >= self.capacity {
-                self.evict_lru();
-            }
-            self.map.insert(index, compute());
-            self.order.push(index);
+            return None;
         }
-        self.map.get(&index).expect("row just ensured").as_slice()
-    }
-
-    /// Fetches the row for `index` if resident, counting a hit (and
-    /// refreshing recency) or a miss. The caller computes and [`insert`]s
-    /// the row after a miss — splitting the miss path out of
-    /// [`get_or_insert_with`] lets it fill several rows per miss with one
-    /// blocked SMSV sweep.
-    ///
-    /// [`insert`]: KernelCache::insert
-    /// [`get_or_insert_with`]: KernelCache::get_or_insert_with
-    pub fn get(&mut self, index: usize) -> Option<&[Scalar]> {
-        if self.map.contains_key(&index) {
-            self.hits += 1;
-            self.touch(index);
-            self.map.get(&index).map(Vec::as_slice)
-        } else {
-            self.misses += 1;
-            None
-        }
+        self.hits += 1;
+        self.touch(slot);
+        Some(Slot(slot))
     }
 
     /// True when `index` is resident. Does not count toward hit/miss
     /// statistics and does not refresh recency.
     #[inline]
     pub fn contains(&self, index: usize) -> bool {
-        self.map.contains_key(&index)
+        self.slot_of[index] != NONE
     }
 
-    /// Inserts (or replaces) the row for `index`, evicting the LRU row if
-    /// at capacity. The inserted row becomes the most recently used.
-    pub fn insert(&mut self, index: usize, row: Vec<Scalar>) {
-        if self.map.contains_key(&index) {
-            self.touch(index);
+    /// Makes row `index` — not resident, i.e. just missed — resident and
+    /// most recently used, evicting the LRU row if over capacity, and
+    /// returns its slot for the caller to fill through
+    /// [`row_mut`](KernelCache::row_mut): the buffer holds `n` stale values
+    /// until then.
+    pub fn claim(&mut self, index: usize) -> Slot {
+        debug_assert!(!self.contains(index), "row {index} is resident: look it up");
+        let slot = if self.spare != NONE {
+            std::mem::replace(&mut self.spare, NONE)
         } else {
-            if self.map.len() >= self.capacity {
-                self.evict_lru();
-            }
-            self.order.push(index);
+            let n = self.slot_of.len();
+            self.entries.push(Entry { row: vec![0.0; n], index, prev: NONE, next: NONE });
+            (self.entries.len() - 1) as u32
+        };
+        self.entries[slot as usize].index = index;
+        self.slot_of[index] = slot;
+        self.push_front(slot);
+        self.resident += 1;
+        if self.resident > self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.slot_of[self.entries[victim as usize].index] = NONE;
+            self.resident -= 1;
+            self.spare = victim;
         }
-        self.map.insert(index, row);
+        Slot(slot)
     }
 
-    /// Drops every cached row (used when α changes invalidate nothing —
-    /// kernel rows depend only on X — so this exists for tests and resets).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
+    /// The row in `slot`.
+    #[inline]
+    pub fn row(&self, slot: Slot) -> &[Scalar] {
+        &self.entries[slot.0 as usize].row
     }
 
-    fn touch(&mut self, index: usize) {
-        if let Some(pos) = self.order.iter().position(|&i| i == index) {
-            self.order.remove(pos);
+    /// The row buffer of a slot just claimed, to compute the row into.
+    #[inline]
+    pub fn row_mut(&mut self, slot: Slot) -> &mut [Scalar] {
+        &mut self.entries[slot.0 as usize].row
+    }
+
+    #[inline]
+    fn touch(&mut self, slot: u32) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
         }
-        self.order.push(index);
     }
 
-    fn evict_lru(&mut self) {
-        if !self.order.is_empty() {
-            let victim = self.order.remove(0);
-            self.map.remove(&victim);
+    fn unlink(&mut self, slot: u32) {
+        let Entry { prev, next, .. } = self.entries[slot as usize];
+        match prev {
+            NONE => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NONE => self.tail = prev,
+            x => self.entries[x as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, slot: u32) {
+        let old = std::mem::replace(&mut self.head, slot);
+        let e = &mut self.entries[slot as usize];
+        e.prev = NONE;
+        e.next = old;
+        match old {
+            NONE => self.tail = slot,
+            o => self.entries[o as usize].prev = slot,
         }
     }
 }
@@ -153,78 +213,123 @@ impl KernelCache {
 mod tests {
     use super::*;
 
+    /// Fetches `index` the way SMO does: a hit hands the slot out, a miss
+    /// claims one and fills it with `index + 0.5` as a recognisable value.
+    fn fetch(c: &mut KernelCache, index: usize) -> Slot {
+        c.lookup(index).unwrap_or_else(|| {
+            let slot = c.claim(index);
+            c.row_mut(slot).fill(index as Scalar + 0.5);
+            slot
+        })
+    }
+
+    /// Resident indices, most recently used first.
+    fn recency(c: &KernelCache) -> Vec<usize> {
+        let mut order = Vec::new();
+        let mut slot = c.head;
+        while slot != NONE {
+            order.push(c.entries[slot as usize].index);
+            slot = c.entries[slot as usize].next;
+        }
+        order
+    }
+
     #[test]
-    fn computes_on_miss_and_reuses_on_hit() {
+    fn hit_hands_out_the_row_the_miss_computed() {
         let mut c = KernelCache::with_budget(1024, 4);
-        let mut computed = 0;
-        let row = c.get_or_insert_with(7, || {
-            computed += 1;
-            vec![1.0; 4]
-        });
-        assert_eq!(row, &[1.0; 4]);
-        let _ = c.get_or_insert_with(7, || {
-            computed += 1;
-            vec![2.0; 4]
-        });
-        assert_eq!(computed, 1);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-    }
-
-    #[test]
-    fn evicts_least_recently_used() {
-        // Budget for exactly 2 rows of 4 f64s = 64 bytes.
-        let mut c = KernelCache::with_budget(64, 4);
-        assert_eq!(c.capacity(), 2);
-        c.get_or_insert_with(0, || vec![0.0; 4]);
-        c.get_or_insert_with(1, || vec![1.0; 4]);
-        // Touch 0 so 1 becomes LRU.
-        c.get_or_insert_with(0, || unreachable!());
-        c.get_or_insert_with(2, || vec![2.0; 4]);
-        assert_eq!(c.len(), 2);
-        // 1 was evicted: recomputation happens.
-        let mut recomputed = false;
-        c.get_or_insert_with(1, || {
-            recomputed = true;
-            vec![1.0; 4]
-        });
-        assert!(recomputed);
-    }
-
-    #[test]
-    fn always_admits_two_rows() {
-        let c = KernelCache::with_budget(0, 1_000_000);
-        assert_eq!(c.capacity(), 2);
-    }
-
-    #[test]
-    fn split_get_insert_matches_combined_path() {
-        let mut c = KernelCache::with_budget(64, 4);
-        assert!(c.get(5).is_none());
-        assert_eq!(c.misses(), 1);
-        c.insert(5, vec![5.0; 4]);
-        assert_eq!(c.get(5).unwrap(), &[5.0; 4]);
-        assert_eq!(c.hits(), 1);
-        assert!(c.contains(5));
-        assert!(!c.contains(6));
-        // contains() leaves the statistics alone.
+        let first = fetch(&mut c, 3);
+        assert_eq!(c.row(first), &[3.5; 4]);
+        assert_eq!((c.hits(), c.misses()), (0, 1));
+        let again = fetch(&mut c, 3);
+        assert_eq!(again, first, "a hit returns the same slot, not a copy");
         assert_eq!((c.hits(), c.misses()), (1, 1));
-        // Inserting past capacity evicts the LRU row: after touching 5,
-        // 6 is least recent and gets evicted by the insert of 7.
-        c.insert(6, vec![6.0; 4]);
-        let _ = c.get(5);
-        c.insert(7, vec![7.0; 4]);
-        assert_eq!(c.len(), 2);
-        assert!(!c.contains(6));
-        assert!(c.contains(5) && c.contains(7));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
-    fn clear_empties_cache() {
-        let mut c = KernelCache::with_budget(1024, 2);
-        c.get_or_insert_with(3, || vec![3.0; 2]);
-        assert!(!c.is_empty());
-        c.clear();
-        assert!(c.is_empty());
+    fn evicts_in_least_recently_used_order() {
+        // 4 rows of 8 f64s in a 3-row budget.
+        let mut c = KernelCache::with_budget(3 * 8 * 8, 8);
+        assert_eq!(c.capacity(), 3);
+        for i in [0, 1, 2] {
+            fetch(&mut c, i);
+        }
+        assert_eq!(recency(&c), [2, 1, 0]);
+        // A hit on 0 makes 1 the LRU row; 3 evicts it, then 4 evicts 2.
+        fetch(&mut c, 0);
+        assert_eq!(recency(&c), [0, 2, 1]);
+        fetch(&mut c, 3);
+        assert_eq!(recency(&c), [3, 0, 2]);
+        assert!(!c.contains(1));
+        fetch(&mut c, 4);
+        assert_eq!(recency(&c), [4, 3, 0]);
+        assert!(!c.contains(2));
+        assert_eq!(c.len(), 3);
+        // The evicted rows miss again.
+        let misses = c.misses();
+        assert!(c.lookup(1).is_none() && c.lookup(2).is_none());
+        assert_eq!(c.misses(), misses + 2);
+    }
+
+    #[test]
+    fn contains_leaves_recency_and_counters_alone() {
+        let mut c = KernelCache::with_budget(2 * 4 * 8, 4);
+        fetch(&mut c, 0);
+        fetch(&mut c, 1);
+        let counters = (c.hits(), c.misses());
+        assert!(c.contains(0) && c.contains(1) && !c.contains(2));
+        assert_eq!((c.hits(), c.misses()), counters);
+        // 0 is still the LRU row: had contains(0) refreshed it, 1 would go.
+        fetch(&mut c, 2);
+        assert!(!c.contains(0) && c.contains(1));
+    }
+
+    #[test]
+    fn capacity_is_clamped_to_two_and_n() {
+        assert_eq!(KernelCache::with_budget(0, 1_000_000).capacity(), 2);
+        assert_eq!(KernelCache::with_budget(usize::MAX, 10).capacity(), 10);
+        assert_eq!(KernelCache::with_budget(DEFAULT_CACHE_BYTES, 1024).capacity(), 1024);
+        assert_eq!(KernelCache::with_budget(DEFAULT_CACHE_BYTES, 1 << 20).capacity(), 8);
+        // ε-SVR on a single sample still gets its two rows.
+        assert_eq!(KernelCache::with_budget(DEFAULT_CACHE_BYTES, 1).capacity(), 2);
+    }
+
+    #[test]
+    fn buffers_grow_lazily_and_are_recycled_on_eviction() {
+        let mut c = KernelCache::with_budget(2 * 16 * 8, 16);
+        assert_eq!(c.entries.len(), 0, "no buffer before the first fetch");
+        fetch(&mut c, 5);
+        assert_eq!(c.entries.len(), 1);
+        fetch(&mut c, 5);
+        assert_eq!(c.entries.len(), 1, "a hit allocates nothing");
+        // Cycling every row through a 2-row cache settles on capacity + 1
+        // buffers (the spare) and reuses them from then on.
+        for round in 0..3 {
+            for i in 0..16 {
+                fetch(&mut c, i);
+                assert!(c.len() <= c.entries.len(), "resident rows ≤ rows ever fetched");
+                assert!(c.entries.len() <= 3, "round {round}: row {i} grew the cache");
+            }
+        }
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 3);
+    }
+
+    #[test]
+    fn an_evicted_slot_survives_one_more_claim() {
+        let mut c = KernelCache::with_budget(0, 4);
+        let high = fetch(&mut c, 0);
+        // A two-row prefetch into the two-row cache evicts row 0 …
+        fetch(&mut c, 1);
+        fetch(&mut c, 2);
+        assert!(!c.contains(0));
+        // … but its values are still there for the pass that reads them,
+        assert_eq!(c.row(high), &[0.5; 4]);
+        let low = c.lookup(2).unwrap();
+        assert_eq!(c.row(low), &[2.5; 4]);
+        // and the next claim is the one that takes the buffer.
+        let next = fetch(&mut c, 3);
+        assert_eq!(next, high);
+        assert_eq!(c.row(next), &[3.5; 4]);
     }
 }

@@ -17,7 +17,8 @@
 // use `!(x > 0)` deliberately so NaN fails validation.
 #![allow(clippy::nonminimal_bool, clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 
-use crate::{KernelCache, KernelKind, SvmError, SvmModel, SvmProblem};
+use crate::cache::{KernelCache, Slot, DEFAULT_CACHE_BYTES};
+use crate::{KernelKind, SvmError, SvmModel, SvmProblem};
 use dls_sparse::parallel::SmsvPool;
 use dls_sparse::{MatrixFormat, RowScratch, Scalar, SparseVec};
 
@@ -45,7 +46,9 @@ pub struct SmoParams {
     pub tolerance: Scalar,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Byte budget for the kernel-row LRU cache (0 disables caching).
+    /// Byte budget for the kernel-row LRU cache. The cache always holds the
+    /// two rows an iteration needs, so 0 leaves just those: (almost) every
+    /// fetch is then a miss, computed in place.
     pub cache_bytes: usize,
     /// Working-set selection rule.
     pub selection: WorkingSetSelection,
@@ -79,7 +82,7 @@ impl Default for SmoParams {
             kernel: KernelKind::default(),
             tolerance: 1e-3,
             max_iterations: 100_000,
-            cache_bytes: 64 << 20,
+            cache_bytes: DEFAULT_CACHE_BYTES,
             selection: WorkingSetSelection::FirstOrder,
             threads: 1,
             shrinking: false,
@@ -172,6 +175,173 @@ pub struct SegmentReport {
     pub gap: Scalar,
 }
 
+/// Status bit: the sample is in Keerthi's I_high (may be picked as `high`).
+const IN_HIGH: u8 = 1;
+/// Status bit: the sample is in I_low (may be picked as `low`).
+const IN_LOW: u8 = 2;
+/// Both bits: 0 < α < C, the only way to be in both sets.
+const FREE: u8 = IN_HIGH | IN_LOW;
+
+/// The I_high / I_low membership of a sample with multiplier `a`, label
+/// `yi` and box constraint `ci` (LIBSVM's `alpha_status`). It changes only
+/// when α does, so the solver keeps it in a byte per sample and recomputes
+/// the two that an iteration touched.
+#[inline]
+fn status_of(a: Scalar, yi: Scalar, ci: Scalar) -> u8 {
+    let free = a > ALPHA_EPS && a < ci - ALPHA_EPS;
+    let at_zero = a <= ALPHA_EPS;
+    let in_high = free || (yi > 0.0 && at_zero) || (yi < 0.0 && !at_zero && !free);
+    let in_low = free || (yi > 0.0 && !at_zero && !free) || (yi < 0.0 && at_zero);
+    (u8::from(in_high) * IN_HIGH) | (u8::from(in_low) * IN_LOW)
+}
+
+/// The maximal violating pair: `b_high = f[high]` is the minimum of `f`
+/// over I_high, `b_low = f[low]` the maximum over I_low, the lowest index
+/// winning a tie. An empty set leaves its index at `usize::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Selection {
+    high: usize,
+    low: usize,
+    b_high: Scalar,
+    b_low: Scalar,
+}
+
+impl Selection {
+    const EMPTY: Self = Self {
+        high: usize::MAX,
+        low: usize::MAX,
+        b_high: Scalar::INFINITY,
+        b_low: Scalar::NEG_INFINITY,
+    };
+
+    /// Lets sample `i` compete for both ends. Branch-free: outside a set it
+    /// competes with that set's identity, which a strict comparison never
+    /// accepts, so the compiler is free to use conditional moves.
+    #[inline(always)]
+    fn consider(&mut self, i: usize, fi: Scalar, status: u8) {
+        let up = if status & IN_HIGH != 0 { fi } else { Scalar::INFINITY };
+        let down = if status & IN_LOW != 0 { fi } else { Scalar::NEG_INFINITY };
+        if up < self.b_high {
+            self.b_high = up;
+            self.high = i;
+        }
+        if down > self.b_low {
+            self.b_low = down;
+            self.low = i;
+        }
+    }
+}
+
+/// Lines 6–10 of Algorithm 1 as a pass of their own: the maximal violating
+/// pair over the active samples. The loop runs it before its first
+/// iteration and after the active set changed; in between, the selection
+/// comes out of [`update_and_select`].
+fn select(f: &[Scalar], status: &[u8], active: &[usize]) -> Selection {
+    let mut sel = Selection::EMPTY;
+    for &i in active {
+        sel.consider(i, f[i], status[i]);
+    }
+    sel
+}
+
+/// Independent accumulators in stage one of the dense fused pass.
+const LANES: usize = 4;
+/// Rows the dense fused pass reduces before touching the selection.
+const CHUNK: usize = 64;
+/// Added to `f[i]` by status: 0 inside I_high, +∞ outside, so that a plain
+/// minimum over the sums is the minimum over I_high.
+const UP_PENALTY: [Scalar; 4] = [Scalar::INFINITY, 0.0, Scalar::INFINITY, 0.0];
+/// The same for the maximum over I_low.
+const DOWN_PENALTY: [Scalar; 4] = [Scalar::NEG_INFINITY, Scalar::NEG_INFINITY, 0.0, 0.0];
+
+/// Equation (4) fused with the *next* iteration's selection: one pass adds
+/// the two scaled kernel rows to `f` and lets each new `f[i]` compete for
+/// the maximal violating pair. `active` is `None` while nothing is shrunk
+/// (a dense sweep over `0..n`); shrunk samples keep stale `f` values until
+/// reconstruction.
+///
+/// The dense sweep works in two stages, because a running minimum *with
+/// its index* is one long chain of dependent compares and conditional
+/// moves (about 8 cycles a row here). Stage one updates a chunk of `f` and
+/// reduces it to the chunk's minimum over I_high and maximum over I_low
+/// with no index and [`LANES`] independent accumulators (about 3 cycles a
+/// row). Only a chunk whose extremes beat the running `b_high` or `b_low`
+/// goes through stage two, the row-by-row [`Selection::consider`] — so
+/// ties still fall to the lowest index, and a skipped chunk is one that
+/// `consider` would have left the selection unchanged on, exactly: a
+/// penalty of 0 keeps `f[i]`'s value, one of ±∞ gives ±∞ or NaN, and
+/// neither of those ever wins a strict comparison.
+fn update_and_select(
+    f: &mut [Scalar],
+    status: &[u8],
+    k_high: &[Scalar],
+    k_low: &[Scalar],
+    (dh_yh, dl_yl): (Scalar, Scalar),
+    active: Option<&[usize]>,
+) -> Selection {
+    let mut sel = Selection::EMPTY;
+    if let Some(active) = active {
+        for &i in active {
+            f[i] += dh_yh * k_high[i] + dl_yl * k_low[i];
+            sel.consider(i, f[i], status[i]);
+        }
+        return sel;
+    }
+    let n = f.len();
+    let (status, k_high, k_low) = (&status[..n], &k_high[..n], &k_low[..n]);
+    let body = n - n % CHUNK;
+    for base in (0..body).step_by(CHUNK) {
+        let f = &mut f[base..base + CHUNK];
+        let (st, kh, kl) =
+            (&status[base..base + CHUNK], &k_high[base..base + CHUNK], &k_low[base..base + CHUNK]);
+        let mut lo = [Scalar::INFINITY; LANES];
+        let mut hi = [Scalar::NEG_INFINITY; LANES];
+        for step in (0..CHUNK).step_by(LANES) {
+            for l in 0..LANES {
+                let j = step + l;
+                f[j] += dh_yh * kh[j] + dl_yl * kl[j];
+                let s = usize::from(st[j] & FREE);
+                let (up, down) = (f[j] + UP_PENALTY[s], f[j] + DOWN_PENALTY[s]);
+                lo[l] = if up < lo[l] { up } else { lo[l] };
+                hi[l] = if down > hi[l] { down } else { hi[l] };
+            }
+        }
+        let lo = lo.iter().fold(Scalar::INFINITY, |m, &v| if v < m { v } else { m });
+        let hi = hi.iter().fold(Scalar::NEG_INFINITY, |m, &v| if v > m { v } else { m });
+        if lo < sel.b_high || hi > sel.b_low {
+            for (j, (&fj, &stj)) in f.iter().zip(st).enumerate() {
+                sel.consider(base + j, fj, stj);
+            }
+        }
+    }
+    for i in body..n {
+        f[i] += dh_yh * k_high[i] + dl_yl * k_low[i];
+        sel.consider(i, f[i], status[i]);
+    }
+    sel
+}
+
+/// A kernel row evaluated only at the active indices, for the iterations
+/// after shrinking has made the active set small (see
+/// [`partial_kernel_row`]).
+#[derive(Default)]
+struct PartialRow {
+    /// Length n once used; zero outside `touched`.
+    row: Vec<Scalar>,
+    /// Indices written by the last fill; zeroing exactly these restores the
+    /// buffer without an O(n) sweep.
+    touched: Vec<usize>,
+}
+
+/// Which of an iteration's two kernel rows: index into `SmoState::partial`.
+const HIGH: usize = 0;
+const LOW: usize = 1;
+
+/// An iteration's kernel row, wherever [`SmoState::kernel_row`] put it.
+fn row_at<'a>(cache: &'a KernelCache, partial: &'a PartialRow, at: Option<Slot>) -> &'a [Scalar] {
+    at.map_or(&partial.row, |slot| cache.row(slot))
+}
+
 /// Resumable SMO solver state.
 ///
 /// The training loop is exposed in segments so a caller can interleave it
@@ -186,6 +356,8 @@ pub struct SmoState {
     alpha: Vec<Scalar>,
     f: Vec<Scalar>,
     norms_sq: Vec<Scalar>,
+    /// [`status_of`] every sample, kept in step with `alpha`.
+    status: Vec<u8>,
     active: Vec<usize>,
     do_shrink: bool,
     shrink_every: usize,
@@ -195,22 +367,18 @@ pub struct SmoState {
     converged: bool,
     stalled: bool,
     gap: Scalar,
-    /// Kernel row of the current `high` index, reused every iteration.
-    k_high: Vec<Scalar>,
-    /// Kernel row of the current `low` index, reused every iteration.
-    k_low: Vec<Scalar>,
-    /// Indices written into `k_high`/`k_low` by the last *partial* fill;
-    /// zeroing exactly these restores the buffer without an O(n) sweep.
-    touched_high: Vec<usize>,
-    touched_low: Vec<usize>,
-    /// Whether `k_high`/`k_low` last held a full row (every entry valid).
-    k_high_full: bool,
-    k_low_full: bool,
+    /// The selection the next iteration starts from, left behind by the
+    /// last iteration's fused pass. `None` before the first iteration and
+    /// whenever the active set changed since (shrink, un-shrink): the loop
+    /// then runs [`select`].
+    pending: Option<Selection>,
+    /// The [`HIGH`] and [`LOW`] rows of an iteration on the partial-row path.
+    partial: [PartialRow; 2],
     ws: SmoWorkspace,
 }
 
 /// Buffers reused across iterations and segments so the steady-state SMO
-/// loop (all working rows cached) performs no heap allocation at all.
+/// loop performs no heap allocation at all.
 struct SmoWorkspace {
     /// Row-view scratch for the working-set row being fetched.
     scratch_a: RowScratch,
@@ -288,6 +456,7 @@ impl SmoState {
             alpha: vec![0.0 as Scalar; n],
             f,
             norms_sq,
+            status: y.iter().map(|&yi| status_of(0.0, yi, c_of(params, yi))).collect(),
             // Active set for the shrinking heuristic: indices still
             // eligible for working-set selection and f updates.
             active: (0..n).collect(),
@@ -300,12 +469,8 @@ impl SmoState {
             converged: false,
             stalled: false,
             gap: Scalar::INFINITY,
-            k_high: vec![0.0; n],
-            k_low: vec![0.0; n],
-            touched_high: Vec::with_capacity(n),
-            touched_low: Vec::with_capacity(n),
-            k_high_full: false,
-            k_low_full: false,
+            pending: None,
+            partial: Default::default(),
             ws: SmoWorkspace::new(n),
             y,
         })
@@ -337,11 +502,57 @@ impl SmoState {
         !self.converged && !self.stalled && self.iterations < params.max_iterations
     }
 
+    /// Produces the kernel row of `row` for the current iteration and says
+    /// where it is: in a slot of the LRU row cache, or — `None` — in
+    /// `self.partial[side]`. Once the active set has shrunk well below n,
+    /// rows are evaluated only at active positions (per-row sparse dots),
+    /// which is where shrinking actually saves work; partial rows bypass
+    /// the cache to keep it full-row-only.
+    fn kernel_row<M: MatrixFormat + Sync>(
+        &mut self,
+        x: &M,
+        params: &SmoParams,
+        row: usize,
+        side: usize,
+    ) -> Option<Slot> {
+        if self.active.len() * 4 < self.y.len() {
+            partial_kernel_row(
+                x,
+                row,
+                &self.active,
+                &self.norms_sq,
+                params,
+                &mut self.smsv_count,
+                &mut self.ws,
+                &mut self.partial[side],
+            );
+            return None;
+        }
+        Some(fetch_full_row(
+            x,
+            row,
+            params,
+            &self.status,
+            &self.active,
+            &self.norms_sq,
+            &mut self.cache,
+            &mut self.ws,
+            &mut self.smsv_count,
+        ))
+    }
+
     /// Runs at most `budget` SMO iterations (bounded also by
     /// `params.max_iterations` globally), stopping early on convergence.
     ///
     /// `x` must hold the same matrix *content* on every call, but its
-    /// storage format is free to change between calls.
+    /// storage format is free to change between calls. `params` must be the
+    /// ones the state was built with, apart from `max_iterations`, `threads`
+    /// and `block_size`: cached kernel rows and status bytes outlive a call.
+    ///
+    /// An iteration makes one pass over the rows: [`update_and_select`]
+    /// applies equation (4) and picks the next maximal violating pair from
+    /// the updated `f` in the same sweep, reading both kernel rows by
+    /// reference out of their cache slots.
     pub fn run_segment<M: MatrixFormat + Sync>(
         &mut self,
         x: &M,
@@ -360,28 +571,14 @@ impl SmoState {
         }
 
         while !self.converged && !self.stalled {
-            // Lines 6–10 of Algorithm 1: one fused pass over f selecting
-            // the maximal violating pair (restricted to the active set).
-            let (mut high, mut low) = (usize::MAX, usize::MAX);
-            let (mut b_high, mut b_low) = (Scalar::INFINITY, Scalar::NEG_INFINITY);
-            for &i in &self.active {
-                let ai = self.alpha[i];
-                let ci = c_of(params, self.y[i]);
-                let free = ai > ALPHA_EPS && ai < ci - ALPHA_EPS;
-                let at_zero = ai <= ALPHA_EPS;
-                let in_high =
-                    free || (self.y[i] > 0.0 && at_zero) || (self.y[i] < 0.0 && !at_zero && !free);
-                let in_low =
-                    free || (self.y[i] > 0.0 && !at_zero && !free) || (self.y[i] < 0.0 && at_zero);
-                if in_high && self.f[i] < b_high {
-                    b_high = self.f[i];
-                    high = i;
-                }
-                if in_low && self.f[i] > b_low {
-                    b_low = self.f[i];
-                    low = i;
-                }
-            }
+            let sel =
+                *self.pending.get_or_insert_with(|| select(&self.f, &self.status, &self.active));
+            debug_assert_eq!(
+                sel,
+                select(&self.f, &self.status, &self.active),
+                "the fused pass and a plain selection pass must agree"
+            );
+            let Selection { high, mut low, b_high, b_low } = sel;
             self.gap = b_low - b_high;
             if high == usize::MAX || low == usize::MAX || self.gap <= 2.0 * params.tolerance {
                 if self.active.len() < n {
@@ -404,6 +601,7 @@ impl SmoState {
                     self.active.extend(0..n);
                     self.ws.is_active.fill(true);
                     self.do_shrink = false;
+                    self.pending = None;
                     continue;
                 }
                 self.converged = true;
@@ -416,110 +614,44 @@ impl SmoState {
             }
             self.iterations += 1;
 
-            // Two SMSVs per iteration (the paper's §III-A bottleneck),
-            // served through the LRU row cache. Once the active set has
-            // shrunk well below n, rows are evaluated only at active
-            // positions (per-row sparse dots), which is where shrinking
-            // actually saves work; partial rows bypass the cache to keep
-            // it full-row-only.
-            let use_partial = self.active.len() * 4 < n;
-            if use_partial {
-                partial_kernel_row(
-                    x,
-                    high,
-                    &self.active,
-                    &self.norms_sq,
-                    params,
-                    &mut self.smsv_count,
-                    &mut self.ws.scratch_a,
-                    &mut self.ws.scratch_b,
-                    &mut self.k_high,
-                    &mut self.touched_high,
-                    &mut self.k_high_full,
-                );
-            } else {
-                fetch_full_row(
-                    x,
-                    high,
-                    params,
-                    &self.y,
-                    &self.alpha,
-                    &self.active,
-                    &self.norms_sq,
-                    &mut self.cache,
-                    &mut self.ws,
-                    &mut self.smsv_count,
-                    &mut self.k_high,
-                );
-                self.k_high_full = true;
-            }
+            // Two SMSVs per iteration (the paper's §III-A bottleneck).
+            let high_at = self.kernel_row(x, params, high, HIGH);
 
             // Optional second-order refinement of `low` using the high row.
             if params.selection == WorkingSetSelection::SecondOrder {
+                let k_high = row_at(&self.cache, &self.partial[HIGH], high_at);
                 let mut best = Scalar::NEG_INFINITY;
-                let mut best_j = low;
                 for &j in &self.active {
-                    let aj = self.alpha[j];
-                    let free = aj > ALPHA_EPS && aj < c_of(params, self.y[j]) - ALPHA_EPS;
-                    let at_zero = aj <= ALPHA_EPS;
-                    let in_low = free
-                        || (self.y[j] > 0.0 && !at_zero && !free)
-                        || (self.y[j] < 0.0 && at_zero);
-                    if !in_low {
+                    if self.status[j] & IN_LOW == 0 {
                         continue;
                     }
                     let diff = self.f[j] - b_high;
                     if diff <= params.tolerance {
                         continue;
                     }
-                    let eta = (self.k_high[high] + self_k(&self.norms_sq, params, j)
-                        - 2.0 * self.k_high[j])
+                    let eta = (k_high[high] + self_k(&self.norms_sq, params, j) - 2.0 * k_high[j])
                         .max(1e-12);
                     let gain = diff * diff / eta;
                     if gain > best {
                         best = gain;
-                        best_j = j;
+                        low = j;
                     }
                 }
-                low = best_j;
             }
 
-            if use_partial {
-                partial_kernel_row(
-                    x,
-                    low,
-                    &self.active,
-                    &self.norms_sq,
-                    params,
-                    &mut self.smsv_count,
-                    &mut self.ws.scratch_a,
-                    &mut self.ws.scratch_b,
-                    &mut self.k_low,
-                    &mut self.touched_low,
-                    &mut self.k_low_full,
-                );
-            } else {
-                fetch_full_row(
-                    x,
-                    low,
-                    params,
-                    &self.y,
-                    &self.alpha,
-                    &self.active,
-                    &self.norms_sq,
-                    &mut self.cache,
-                    &mut self.ws,
-                    &mut self.smsv_count,
-                    &mut self.k_low,
-                );
-                self.k_low_full = true;
-            }
+            // `high` is the most recently used row and the cache holds at
+            // least two, so fetching `low` leaves it resident; a blocked
+            // prefetch as wide as the whole cache does evict it, and then
+            // its slot is the spare, readable until the next claim.
+            let low_at = self.kernel_row(x, params, low, LOW);
+            let k_high = row_at(&self.cache, &self.partial[HIGH], high_at);
+            let k_low = row_at(&self.cache, &self.partial[LOW], low_at);
 
             let (yh, yl) = (self.y[high], self.y[low]);
             let s = yh * yl;
             // η = K_hh + K_ll − 2 K_hl; guard non-PSD kernels (sigmoid)
             // and numerically degenerate pairs.
-            let eta = (self.k_high[high] + self.k_low[low] - 2.0 * self.k_high[low]).max(1e-12);
+            let eta = (k_high[high] + k_low[low] - 2.0 * k_high[low]).max(1e-12);
 
             // Equation (5) with b_high = f_high, b_low = f_low at
             // selection time, then clip α_low to the feasible segment.
@@ -547,14 +679,17 @@ impl SmoState {
             let delta_high = -s * delta_low;
             self.alpha[low] = alpha_low_new;
             self.alpha[high] = (self.alpha[high] + delta_high).clamp(0.0, c_high);
+            self.status[low] = status_of(self.alpha[low], yl, c_low);
+            self.status[high] = status_of(self.alpha[high], yh, c_high);
 
-            // Equation (4): fused f update over the active samples.
-            // Shrunk samples keep stale f values until reconstruction.
-            let (dh_yh, dl_yl) = (delta_high * yh, delta_low * yl);
-            let (f, k_high, k_low) = (&mut self.f, &self.k_high, &self.k_low);
-            for &i in &self.active {
-                f[i] += dh_yh * k_high[i] + dl_yl * k_low[i];
-            }
+            self.pending = Some(update_and_select(
+                &mut self.f,
+                &self.status,
+                k_high,
+                k_low,
+                (delta_high * yh, delta_low * yl),
+                (self.active.len() < n).then_some(self.active.as_slice()),
+            ));
 
             // Periodic shrink: drop bound variables that cannot join any
             // violating pair against the current [b_high, b_low] window.
@@ -562,29 +697,25 @@ impl SmoState {
                 && self.iterations.is_multiple_of(self.shrink_every)
                 && self.active.len() > 2
             {
-                let (alpha, y, f) = (&self.alpha, &self.y, &self.f);
+                let (status, f) = (&self.status, &self.f);
                 let is_active = &mut self.ws.is_active;
+                let before = self.active.len();
                 self.active.retain(|&i| {
-                    let ai = alpha[i];
-                    let free = ai > ALPHA_EPS && ai < c_of(params, y[i]) - ALPHA_EPS;
-                    let keep = if free {
-                        true
-                    } else {
-                        let at_zero = ai <= ALPHA_EPS;
-                        let in_high = (y[i] > 0.0 && at_zero) || (y[i] < 0.0 && !at_zero);
-                        // I_high-only at bound: can only violate as a future
-                        // `high` with f[i] < b_low; I_low-only symmetric.
-                        if in_high {
-                            f[i] < b_low
-                        } else {
-                            f[i] > b_high
-                        }
+                    // I_high-only at bound: can only violate as a future
+                    // `high` with f[i] < b_low; I_low-only symmetric.
+                    let keep = match status[i] {
+                        FREE => true,
+                        IN_HIGH => f[i] < b_low,
+                        _ => f[i] > b_high,
                     };
                     if !keep {
                         is_active[i] = false;
                     }
                     keep
                 });
+                if self.active.len() < before {
+                    self.pending = None;
+                }
             }
         }
 
@@ -604,21 +735,14 @@ impl SmoState {
         params: &SmoParams,
     ) -> (SvmModel, SmoStats) {
         let n = self.y.len();
-        // Bias from the KKT interval: b = −(b_high + b_low)/2 where the
-        // final selection pass already computed the interval endpoints.
+        // Bias from the KKT interval: b = −(b_high + b_low)/2, the interval
+        // endpoints taken over every sample, shrunk or not.
         let (mut b_high, mut b_low) = (Scalar::INFINITY, Scalar::NEG_INFINITY);
         for i in 0..n {
-            let ai = self.alpha[i];
-            let free = ai > ALPHA_EPS && ai < c_of(params, self.y[i]) - ALPHA_EPS;
-            let at_zero = ai <= ALPHA_EPS;
-            let in_high =
-                free || (self.y[i] > 0.0 && at_zero) || (self.y[i] < 0.0 && !at_zero && !free);
-            let in_low =
-                free || (self.y[i] > 0.0 && !at_zero && !free) || (self.y[i] < 0.0 && at_zero);
-            if in_high {
+            if self.status[i] & IN_HIGH != 0 {
                 b_high = b_high.min(self.f[i]);
             }
-            if in_low {
+            if self.status[i] & IN_LOW != 0 {
                 b_low = b_low.max(self.f[i]);
             }
         }
@@ -645,11 +769,10 @@ impl SmoState {
     }
 }
 
-/// Serves the full kernel row `row` into `dest` (length n), through the
-/// LRU cache.
+/// The cache slot holding the full kernel row `row`.
 ///
-/// On a hit the row is copied straight out of the cache. On a miss, one
-/// SMSV produces the row — via the persistent worker pool when
+/// A hit hands the resident slot out. On a miss, one SMSV computes the row
+/// straight into a claimed slot — via the persistent worker pool when
 /// `threads > 1`, via the borrowed-view kernel otherwise — and, when
 /// `block_size > 1` (serial mode only), up to `block_size − 1` additional
 /// not-yet-cached working-set candidates are prefetched with a single
@@ -659,37 +782,30 @@ fn fetch_full_row<M: MatrixFormat + Sync>(
     x: &M,
     row: usize,
     params: &SmoParams,
-    y: &[Scalar],
-    alpha: &[Scalar],
+    status: &[u8],
     active: &[usize],
     norms_sq: &[Scalar],
     cache: &mut KernelCache,
     ws: &mut SmoWorkspace,
     smsv_count: &mut u64,
-    dest: &mut [Scalar],
-) {
-    let n = norms_sq.len();
-    if let Some(cached) = cache.get(row) {
-        dest.copy_from_slice(cached);
-        return;
+) -> Slot {
+    if let Some(slot) = cache.lookup(row) {
+        return slot;
     }
-    let block = if params.threads > 1 { 1 } else { params.block_size.max(1) };
+    let n = norms_sq.len();
+    let block = if params.threads > 1 { 1 } else { params.block_size };
     let b_max = block.min(cache.capacity());
     if b_max <= 1 {
         *smsv_count += 1;
+        let slot = cache.claim(row);
+        let dest = cache.row_mut(slot);
         let xr = x.row_view_in(row, &mut ws.scratch_a);
-        if params.threads > 1 {
-            if let Some(pool) = ws.pool.as_ref() {
-                pool.smsv_generic(x, xr, dest);
-            } else {
-                x.smsv_view(xr, dest, &mut ws.smsv_ws);
-            }
-        } else {
-            x.smsv_view(xr, dest, &mut ws.smsv_ws);
+        match ws.pool.as_ref().filter(|_| params.threads > 1) {
+            Some(pool) => pool.smsv_generic(x, xr, dest),
+            None => x.smsv_view(xr, dest, &mut ws.smsv_ws),
         }
         params.kernel.apply_row(dest, norms_sq, norms_sq[row]);
-        cache.insert(row, dest.to_vec());
-        return;
+        return slot;
     }
     // Blocked prefetch: the missed row plus free, uncached working-set
     // candidates (free α ⇒ likely future high/low selections).
@@ -699,12 +815,7 @@ fn fetch_full_row<M: MatrixFormat + Sync>(
         if ws.block_rows.len() >= b_max {
             break;
         }
-        if i == row || cache.contains(i) {
-            continue;
-        }
-        let ai = alpha[i];
-        let free = ai > ALPHA_EPS && ai < c_of(params, y[i]) - ALPHA_EPS;
-        if free {
+        if i != row && status[i] == FREE && !cache.contains(i) {
             ws.block_rows.push(i);
         }
     }
@@ -717,15 +828,17 @@ fn fetch_full_row<M: MatrixFormat + Sync>(
     ws.block_out.resize(n * b, 0.0);
     *smsv_count += b as u64;
     x.smsv_block(&ws.block_vecs, &mut ws.block_out, &mut ws.smsv_ws);
-    // Insert prefetched rows first and the target row *last*, so the
-    // prefetches can never evict the row this iteration actually needs.
-    for bi in (0..b).rev() {
-        let i = ws.block_rows[bi];
-        let chunk = &mut ws.block_out[bi * n..(bi + 1) * n];
-        params.kernel.apply_row(chunk, norms_sq, norms_sq[i]);
-        cache.insert(i, chunk.to_vec());
+    // Claim the prefetched rows first and the target row *last*, so it ends
+    // up the most recently used and the prefetches cannot evict it.
+    let mut slot = None;
+    for (&i, chunk) in ws.block_rows.iter().zip(ws.block_out.chunks_exact(n)).rev() {
+        let claimed = cache.claim(i);
+        let dest = cache.row_mut(claimed);
+        dest.copy_from_slice(chunk);
+        params.kernel.apply_row(dest, norms_sq, norms_sq[i]);
+        slot = Some(claimed);
     }
-    dest.copy_from_slice(&ws.block_out[..n]);
+    slot.expect("the block holds at least the missed row")
 }
 
 /// K(X_j, X_j) for the second-order rule without materialising row j.
@@ -740,9 +853,8 @@ fn self_k(norms_sq: &[Scalar], params: &SmoParams, j: usize) -> Scalar {
 /// active set only.
 ///
 /// The output buffer is reused across calls: only the entries written last
-/// time (`touched`, or the whole buffer when it last held a full row per
-/// `was_full`) are zeroed, and rows are read through borrowed views — no
-/// allocation on any call.
+/// time are zeroed, and rows are read through borrowed views — no
+/// allocation on any call after the first.
 #[allow(clippy::too_many_arguments)]
 fn partial_kernel_row<M: MatrixFormat>(
     x: &M,
@@ -751,32 +863,25 @@ fn partial_kernel_row<M: MatrixFormat>(
     norms_sq: &[Scalar],
     params: &SmoParams,
     smsv_count: &mut u64,
-    scratch_a: &mut RowScratch,
-    scratch_b: &mut RowScratch,
-    out: &mut [Scalar],
-    touched: &mut Vec<usize>,
-    was_full: &mut bool,
+    ws: &mut SmoWorkspace,
+    out: &mut PartialRow,
 ) {
     *smsv_count += 1;
-    if *was_full {
-        out.fill(0.0);
-        *was_full = false;
-    } else {
-        for &i in touched.iter() {
-            out[i] = 0.0;
-        }
+    out.row.resize(norms_sq.len(), 0.0);
+    for &i in &out.touched {
+        out.row[i] = 0.0;
     }
-    touched.clear();
-    let xr = x.row_view_in(row, scratch_a);
+    out.touched.clear();
+    let xr = x.row_view_in(row, &mut ws.scratch_a);
     for &i in active {
-        let dot = x.row_view_in(i, scratch_b).dot(xr);
-        out[i] = params.kernel.apply(dot, norms_sq[i], norms_sq[row]);
-        touched.push(i);
+        let dot = x.row_view_in(i, &mut ws.scratch_b).dot(xr);
+        out.row[i] = params.kernel.apply(dot, norms_sq[i], norms_sq[row]);
+        out.touched.push(i);
     }
-    if out[row] == 0.0 {
+    if out.row[row] == 0.0 {
         // The row itself may already be shrunk; η still needs K(row,row).
-        out[row] = params.kernel.apply(xr.norm_sq(), norms_sq[row], norms_sq[row]);
-        touched.push(row);
+        out.row[row] = params.kernel.apply(xr.norm_sq(), norms_sq[row], norms_sq[row]);
+        out.touched.push(row);
     }
 }
 
@@ -1216,6 +1321,118 @@ mod tests {
         for i in 0..csr.rows() {
             assert_eq!(model.predict_label(&csr.row_sparse(i)), y[i]);
         }
+    }
+
+    /// The dense two-stage sweep, the indexed sweep and "update, then a
+    /// plain selection pass" are the same function: same `f` bits, same
+    /// pair, on sizes around the chunk boundaries and on values chosen to
+    /// tie (a coarse grid), to be signed zeros, infinities and NaN.
+    #[test]
+    fn fused_pass_is_update_then_select() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed >> 11
+        };
+        for n in [1, 2, 63, 64, 65, 127, 128, 200, 321] {
+            for round in 0..20 {
+                let grid = |r: u64| (r % 7) as Scalar * 0.25 - 0.75;
+                let mut f: Vec<Scalar> = (0..n).map(|_| grid(next())).collect();
+                let k_high: Vec<Scalar> = (0..n).map(|_| grid(next())).collect();
+                let k_low: Vec<Scalar> = (0..n).map(|_| grid(next())).collect();
+                let status: Vec<u8> =
+                    (0..n).map(|_| [IN_HIGH, IN_LOW, FREE][(next() % 3) as usize]).collect();
+                if round % 4 == 3 {
+                    for special in [-0.0, Scalar::NAN, Scalar::INFINITY, Scalar::NEG_INFINITY] {
+                        f[(next() % n as u64) as usize] = special;
+                    }
+                }
+                let deltas = (grid(next()), grid(next()));
+                let all: Vec<usize> = (0..n).collect();
+
+                let mut want_f = f.clone();
+                for i in 0..n {
+                    want_f[i] += deltas.0 * k_high[i] + deltas.1 * k_low[i];
+                }
+                let want = select(&want_f, &status, &all);
+
+                let mut indexed_f = f.clone();
+                let indexed =
+                    update_and_select(&mut indexed_f, &status, &k_high, &k_low, deltas, Some(&all));
+                let dense = update_and_select(&mut f, &status, &k_high, &k_low, deltas, None);
+                let bits = |v: &[Scalar]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&f), bits(&want_f), "n={n} round {round}");
+                assert_eq!(bits(&indexed_f), bits(&want_f), "n={n} round {round}");
+                for got in [dense, indexed] {
+                    assert_eq!((got.high, got.low), (want.high, want.low), "n={n} round {round}");
+                    assert_eq!(got.b_high.to_bits(), want.b_high.to_bits(), "n={n} round {round}");
+                    assert_eq!(got.b_low.to_bits(), want.b_low.to_bits(), "n={n} round {round}");
+                }
+            }
+        }
+    }
+
+    /// Every point is stored three times with the same label, so the
+    /// copies' `f` values are equal bit for bit for the whole run and nearly
+    /// every selection is a real tie. 150 rows: two chunks of the dense
+    /// fused pass and its tail.
+    #[test]
+    fn real_ties_fall_to_the_lowest_index() {
+        let (points, copies) = (50, 3);
+        let n = points * copies;
+        let mut t = TripletMatrix::new(n, 2);
+        let mut y = vec![0.0; n];
+        for i in 0..points {
+            let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+            let jitter = (i as f64 * 0.77).sin();
+            for row in (i..n).step_by(points) {
+                t.push(row, 0, sign * 0.5 + jitter * 0.9);
+                t.push(row, 1, (i as f64 * 0.31).cos());
+                y[row] = sign;
+            }
+        }
+        let x = CsrMatrix::from_triplets(&t.compact());
+        let params = SmoParams {
+            kernel: KernelKind::Gaussian { gamma: 0.7 },
+            c: 10.0,
+            ..Default::default()
+        };
+        let mut state = SmoState::new(&x, &y, &params).unwrap();
+
+        // At α = 0 every +1 row ties at f = −1 and every −1 row at f = +1.
+        state.run_segment(&x, &params, 1);
+        let moved: Vec<usize> = (0..n).filter(|&i| state.alpha[i] != 0.0).collect();
+        assert_eq!(moved, [0, 1], "the first +1 row and the first −1 row");
+
+        let mut ties = 0;
+        while state.can_continue(&params) {
+            state.run_segment(&x, &params, 1);
+            let sel = state.pending.expect("a segment leaves its selection behind");
+            for i in 0..n {
+                if state.status[i] & IN_HIGH != 0 && state.f[i] == sel.b_high {
+                    assert!(
+                        i >= sel.high,
+                        "iteration {}: high {} over {i}",
+                        state.iterations,
+                        sel.high
+                    );
+                    ties += usize::from(i > sel.high);
+                }
+                if state.status[i] & IN_LOW != 0 && state.f[i] == sel.b_low {
+                    assert!(
+                        i >= sel.low,
+                        "iteration {}: low {} over {i}",
+                        state.iterations,
+                        sel.low
+                    );
+                    ties += usize::from(i > sel.low);
+                }
+            }
+        }
+        assert!(state.converged && state.iterations > 100, "{} iterations", state.iterations);
+        assert!(ties > state.iterations, "only {ties} ties in {} iterations", state.iterations);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 // loops, and NaN-rejecting `!(x > 0)` validation.
 #![allow(clippy::nonminimal_bool, clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 
+use crate::cache::{KernelCache, Slot, DEFAULT_CACHE_BYTES};
 use crate::{KernelKind, SvmError, SvmModel};
-use dls_sparse::{MatrixFormat, Scalar};
+use dls_sparse::{MatrixFormat, RowScratch, Scalar};
 
 /// α within this distance of a bound is treated as exactly at the bound.
 const ALPHA_EPS: Scalar = 1e-12;
@@ -124,13 +125,19 @@ pub fn train_svr<M: MatrixFormat>(
     let mut f: Vec<Scalar> =
         (0..m2).map(|t| if t < n { eps - y[t] } else { eps + y[t - n] }).collect();
 
-    // Base kernel row cache for the two rows used per iteration.
-    let kernel_row = |i: usize| -> Vec<Scalar> {
-        let xi = x.row_sparse(i);
-        let mut row = vec![0.0; n];
-        x.smsv(&xi, &mut row);
-        params.kernel.apply_row(&mut row, &norms_sq, norms_sq[i]);
-        row
+    // Base kernel rows (n of them serve all 2n variables), cached as in
+    // classification SMO and computed in place on a miss.
+    let mut cache = KernelCache::with_budget(DEFAULT_CACHE_BYTES, n);
+    let mut scratch = RowScratch::new();
+    let mut smsv_ws = Vec::new();
+    let mut kernel_row = |cache: &mut KernelCache, i: usize| -> Slot {
+        cache.lookup(i).unwrap_or_else(|| {
+            let slot = cache.claim(i);
+            let row = cache.row_mut(slot);
+            x.smsv_view(x.row_view_in(i, &mut scratch), row, &mut smsv_ws);
+            params.kernel.apply_row(row, &norms_sq, norms_sq[i]);
+            slot
+        })
     };
 
     let mut iterations = 0usize;
@@ -173,8 +180,8 @@ pub fn train_svr<M: MatrixFormat>(
         iterations += 1;
 
         let (bi, bj) = (base(high), base(low));
-        let k_high = kernel_row(bi);
-        let k_low = kernel_row(bj);
+        let (high_slot, low_slot) = (kernel_row(&mut cache, bi), kernel_row(&mut cache, bj));
+        let (k_high, k_low) = (cache.row(high_slot), cache.row(low_slot));
         let (yh, yl) = (ext_y(high), ext_y(low));
         let s = yh * yl;
         let eta = (k_high[bi] + k_low[bj] - 2.0 * k_high[bj]).max(1e-12);
@@ -303,6 +310,53 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!(mse < 0.02, "MSE {mse}");
+    }
+
+    /// Recorded before kernel rows were served from the cache (each was a
+    /// fresh `smsv` into a fresh vector): the cache changes where a row
+    /// lives, not one bit of it.
+    #[test]
+    fn cached_rows_leave_iterations_and_model_unchanged() {
+        let n = 30;
+        let mut t = TripletMatrix::new(n, 1);
+        let mut y = Vec::with_capacity(n);
+        for i in 0..n {
+            let xv = i as f64 / (n - 1) as f64 * std::f64::consts::TAU;
+            t.push(i, 0, xv);
+            y.push(xv.sin());
+        }
+        let x = CsrMatrix::from_triplets(&t.compact());
+        let fnv = |coefs: &[f64]| {
+            coefs
+                .iter()
+                .flat_map(|c| c.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+                    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        let pins = [
+            (
+                KernelKind::Gaussian { gamma: 2.0 },
+                50.0,
+                248,
+                19,
+                0xbfa9622a648aacbau64,
+                0x9090579bb2e1b358u64,
+            ),
+            (KernelKind::Linear, 1.0, 2_000, 4, 0xbfe01e1e7b83c0b6, 0x7fd089d4a89d77b9),
+        ];
+        for (kernel, c, iterations, svs, bias_bits, coef_hash) in pins {
+            let params =
+                SvrParams { kernel, c, epsilon: 0.05, max_iterations: 2_000, ..Default::default() };
+            let (model, stats) = train_svr(&x, &y, &params).unwrap();
+            assert_eq!(
+                (stats.iterations, stats.n_support_vectors),
+                (iterations, svs),
+                "{kernel:?}"
+            );
+            assert_eq!(model.bias().to_bits(), bias_bits, "{kernel:?}");
+            assert_eq!(fnv(model.coefficients()), coef_hash, "{kernel:?}");
+        }
     }
 
     #[test]

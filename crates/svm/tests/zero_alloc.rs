@@ -1,10 +1,12 @@
-//! Proof that the steady-state SMO loop is allocation-free.
+//! Proof that the steady-state SMO loop is allocation-free, hit or miss.
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! phase has filled the kernel-row cache with every working-set row, a
-//! measured segment of real SMO iterations must perform exactly zero heap
-//! allocations — the borrowed row views, the reusable SMSV workspace and
-//! the persistent kernel-row buffers leave nothing to allocate.
+//! A counting global allocator wraps the system allocator. With the default
+//! cache, after a warm-up phase has filled the kernel-row cache with every
+//! working-set row, a measured segment of real SMO iterations must perform
+//! exactly zero heap allocations — the borrowed row views, the reusable
+//! SMSV workspace and the cache's slots leave nothing to allocate. With
+//! `cache_bytes: 0` the same must hold while every row is a miss: a missed
+//! row is computed into a recycled slot, not cloned into the cache.
 //!
 //! This file must stay the *only* test in its binary: the allocation
 //! counter is process-global, and a concurrently running test would
@@ -58,8 +60,20 @@ fn twin_clusters(n: usize) -> (TripletMatrix, Vec<f64>) {
     (t.compact(), y)
 }
 
+/// Allocations made while `run` runs.
+fn allocations_in<T>(run: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = run();
+    (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
 #[test]
 fn steady_state_smo_iterations_do_not_allocate() {
+    all_hits();
+    all_misses();
+}
+
+fn all_hits() {
     let (t, y) = twin_clusters(48);
     let params = SmoParams {
         kernel: KernelKind::Gaussian { gamma: 0.7 },
@@ -85,16 +99,47 @@ fn steady_state_smo_iterations_do_not_allocate() {
         }
         assert!(warm, "{fmt}: never reached a miss-free segment");
 
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let rep = state.run_segment(&x, &params, 25);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let (allocations, rep) = allocations_in(|| state.run_segment(&x, &params, 25));
         assert!(rep.iterations > 0, "{fmt}: measured segment did no work");
         assert_eq!(
-            after - before,
-            0,
-            "{fmt}: {} allocations in {} steady-state iterations",
-            after - before,
+            allocations, 0,
+            "{fmt}: {allocations} allocations in {} steady-state iterations",
             rep.iterations
         );
+    }
+}
+
+/// `cache_bytes: 0` leaves the two rows an iteration needs (and the spare
+/// buffer an eviction parks). Once those three exist, a segment in which
+/// every single fetch misses — two SMSVs per iteration — allocates nothing.
+fn all_misses() {
+    let (t, y) = twin_clusters(48);
+    let params = SmoParams {
+        kernel: KernelKind::Gaussian { gamma: 0.7 },
+        c: 10.0,
+        tolerance: 1e-6,
+        cache_bytes: 0,
+        ..Default::default()
+    };
+
+    for fmt in [Format::Csr, Format::Den] {
+        let x = AnyMatrix::from_triplets(fmt, &t);
+        let mut state = SmoState::new(&x, &y, &params).unwrap();
+        // The first rows: slots, scratches and the SMSV workspace grow here.
+        state.run_segment(&x, &params, 4);
+
+        let (mut segments, mut all_miss_segments) = (0, 0);
+        while state.can_continue(&params) {
+            let (allocations, rep) = allocations_in(|| state.run_segment(&x, &params, 5));
+            assert_eq!(
+                allocations, 0,
+                "{fmt}: segment {segments} allocated with {} SMSVs in {} iterations",
+                rep.smsv_count, rep.iterations
+            );
+            segments += 1;
+            all_miss_segments +=
+                u32::from(rep.iterations == 5 && rep.smsv_count == 2 * rep.iterations as u64);
+        }
+        assert!(all_miss_segments > 0, "{fmt}: none of {segments} segments missed on every fetch");
     }
 }

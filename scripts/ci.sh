@@ -13,6 +13,19 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
+echo "==> benchmark wiring (benchmark/run.sh --quick: the harness builds against the product API; five workloads, untraced then traced, answers and stage sums checked)"
+# An API the harness calls that no longer compiles, a wrong answer or a
+# failed stage-sum check fails here instead of in the driver's run. The
+# numbers of a 1 s phase mean nothing; only the verdicts are read.
+bench_out="$(benchmark/run.sh --quick)"
+bench_ok="$(grep -c '"correct":true' <<<"$bench_out" || true)"
+if [ "$bench_ok" -ne 10 ] || grep -q '"correct":false' <<<"$bench_out"; then
+  grep -E ' check FAILED |"correct":false' <<<"$bench_out" | cut -c1-300 >&2 || true
+  echo "benchmark --quick: want 10 correct result objects (5 workloads, untraced + traced), got $bench_ok" >&2
+  exit 1
+fi
+echo "benchmark --quick: 10/10 result objects correct"
+
 echo "==> learned-selector smoke (train + inspect + schedule with it)"
 model="$(mktemp -t dls_selector_XXXXXX.json)"
 trap 'rm -f "$model"' EXIT
