@@ -176,26 +176,26 @@ impl LayoutScheduler {
     }
 
     /// Extracts features, runs the selector, and materialises the matrix in
-    /// the chosen format.
+    /// the chosen format. A compact `t` is borrowed throughout and streamed
+    /// twice (the feature scan, the build); any other is compacted once,
+    /// up front, for both.
     pub fn schedule(&self, t: &TripletMatrix) -> ScheduledMatrix {
-        let compact;
-        let t = if t.is_compact() {
-            t
-        } else {
-            compact = t.clone().compact();
-            &compact
-        };
-        let report = self.report_for(t);
-        let matrix = AnyMatrix::from_triplets(report.chosen, t);
+        let t = t.compacted();
+        let report = self.report_for(&t);
+        let matrix = AnyMatrix::from_triplets(report.chosen, &t);
         ScheduledMatrix { matrix, report }
     }
 
     /// Runs only the selection (no materialisation) — useful when the
-    /// caller wants the decision for matrices it will build elsewhere.
+    /// caller wants the decision for matrices it will build elsewhere. The
+    /// decision is the one [`LayoutScheduler::schedule`] makes: both
+    /// measure the compacted matrix.
     pub fn select_only(&self, t: &TripletMatrix) -> SelectionReport {
-        self.report_for(t)
+        self.report_for(&t.compacted())
     }
 
+    /// `t` must be compact: the selector sees the matrix the features
+    /// describe.
     fn report_for(&self, t: &TripletMatrix) -> SelectionReport {
         let features = MatrixFeatures::from_triplets(t);
         self.selector.select(t, &features)
@@ -255,6 +255,31 @@ mod tests {
         let t = generate(spec, 3);
         let sched = LayoutScheduler::new();
         assert_eq!(sched.select_only(&t).chosen, sched.schedule(&t).format());
+    }
+
+    #[test]
+    fn select_only_and_schedule_agree_on_uncompacted_input() {
+        // Every entry pushed three times, out of order, plus a pair that
+        // cancels: the raw list has rows four times as long as the matrix.
+        let spec = DatasetSpec::by_name("adult").unwrap().scaled(16);
+        let compact = generate(&spec, 5);
+        let mut t = TripletMatrix::new(compact.rows(), compact.cols());
+        for &(r, c, v) in compact.entries().iter().rev() {
+            t.push(r, c, v);
+            t.push(r, c, -2.0 * v);
+            t.push(r, c, 2.0 * v);
+        }
+        t.push(0, 0, 1e300);
+        t.push(0, 0, -1e300);
+        assert!(!t.is_compact());
+        for strategy in [SelectionStrategy::RuleBased, SelectionStrategy::CostModel] {
+            let sched = LayoutScheduler::with_strategy(strategy);
+            let (selected, scheduled) = (sched.select_only(&t), sched.schedule(&t));
+            assert_eq!(selected.chosen, scheduled.format());
+            assert_eq!(selected.features, *scheduled.features());
+            assert_eq!(selected.features, MatrixFeatures::from_triplets(&t.clone().compact()));
+            assert_eq!(scheduled.matrix().nnz(), selected.features.nnz);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl BcsrMatrix {
     /// Panics if `br == 0 || bc == 0`.
     pub fn from_triplets(t: &TripletMatrix, br: usize, bc: usize) -> Self {
         assert!(br > 0 && bc > 0, "block dimensions must be positive");
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
+        let t = t.compacted();
         let (rows, cols) = (t.rows(), t.cols());
         let n_brows = rows.div_ceil(br);
         // Group entries by (block_row, block_col); entries are row-major so

@@ -20,17 +20,15 @@ pub struct CooMatrix {
 }
 
 impl CooMatrix {
-    /// Builds from the triplet interchange form (compacted first).
+    /// Builds from the triplet interchange form (compacted first; compact
+    /// input is borrowed and unzipped as it is).
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
-        let mut row_idx = Vec::with_capacity(t.nnz());
-        let mut col_idx = Vec::with_capacity(t.nnz());
-        let mut values = Vec::with_capacity(t.nnz());
-        for &(r, c, v) in t.entries() {
-            row_idx.push(r);
-            col_idx.push(c);
-            values.push(v);
-        }
+        let t = t.compacted();
+        // One exact-size collect per array: no capacity check per element,
+        // which one loop pushing to three vectors pays three times.
+        let row_idx = t.entries().iter().map(|e| e.0).collect();
+        let col_idx = t.entries().iter().map(|e| e.1).collect();
+        let values = t.entries().iter().map(|e| e.2).collect();
         Self { rows: t.rows(), cols: t.cols(), row_idx, col_idx, values }
     }
 

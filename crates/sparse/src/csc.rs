@@ -27,18 +27,24 @@ pub struct CscMatrix {
 impl CscMatrix {
     /// Builds from the triplet interchange form.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let mut entries: Vec<(usize, usize, Scalar)> = t.clone().compact().entries().to_vec();
-        // Column-major order.
-        entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
+        let t = t.compacted();
         let mut col_ptr = vec![0usize; t.cols() + 1];
-        for &(_, c, _) in &entries {
+        for &(_, c, _) in t.entries() {
             col_ptr[c + 1] += 1;
         }
         for j in 0..t.cols() {
             col_ptr[j + 1] += col_ptr[j];
         }
-        let row_idx = entries.iter().map(|e| e.0).collect();
-        let values = entries.iter().map(|e| e.2).collect();
+        // One stable scatter of the row-major entries by column leaves each
+        // column's rows ascending.
+        let mut next = col_ptr.clone();
+        let mut row_idx = vec![0usize; t.nnz()];
+        let mut values = vec![0.0; t.nnz()];
+        for &(r, c, v) in t.entries() {
+            row_idx[next[c]] = r;
+            values[next[c]] = v;
+            next[c] += 1;
+        }
         Self { rows: t.rows(), cols: t.cols(), col_ptr, row_idx, values }
     }
 

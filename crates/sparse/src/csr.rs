@@ -72,21 +72,19 @@ impl CsrMatrix {
     }
 
     /// Builds from the triplet interchange form. Duplicates are summed.
+    /// Compact input is borrowed and unzipped as it is.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
-        let mut row_ptr = vec![0usize; t.rows() + 1];
-        for &(r, _, _) in t.entries() {
-            row_ptr[r + 1] += 1;
+        let t = t.compacted();
+        let mut row_ptr = Vec::with_capacity(t.rows() + 1);
+        let mut seen = 0;
+        for run in t.row_runs() {
+            // Every row up to this one that has no pointer yet starts here.
+            row_ptr.resize(run[0].0 + 1, seen);
+            seen += run.len();
         }
-        for i in 0..t.rows() {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let mut col_idx = Vec::with_capacity(t.nnz());
-        let mut values = Vec::with_capacity(t.nnz());
-        for &(_, c, v) in t.entries() {
-            col_idx.push(c);
-            values.push(v);
-        }
+        row_ptr.resize(t.rows() + 1, seen);
+        let col_idx = t.entries().iter().map(|e| e.1).collect();
+        let values = t.entries().iter().map(|e| e.2).collect();
         Self { rows: t.rows(), cols: t.cols(), row_ptr, col_idx, values }
     }
 

@@ -32,13 +32,20 @@ impl DenseMatrix {
         Self { rows, cols, data: vec![0.0; rows * cols], nnz: 0 }
     }
 
-    /// Builds from the triplet interchange form (duplicates summed).
+    /// Builds from the triplet interchange form (duplicates summed),
+    /// counting the non-zeros while it fills.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let mut data = vec![0.0; t.rows() * t.cols()];
+        let t = t.compacted();
+        let (rows, cols) = (t.rows(), t.cols());
+        let mut data = vec![0.0; rows * cols];
+        let mut nnz = 0;
         for &(r, c, v) in t.entries() {
-            data[r * t.cols() + c] += v;
+            // Compact entries hit each cell at most once. Added, not
+            // stored, so an explicit `-0.0` lands as the `0.0` it counts as.
+            data[r * cols + c] += v;
+            nnz += usize::from(v != 0.0);
         }
-        Self::new(t.rows(), t.cols(), data)
+        Self { rows, cols, data, nnz }
     }
 
     /// Borrow of row `i` as a dense slice.

@@ -7,6 +7,7 @@
 //! Fig. 2 sweeps `ndig` at fixed nnz and shows performance collapsing as
 //! diagonals multiply.
 
+use crate::features::{diagonal_slot, diagonal_slots};
 use crate::format::{ensure_workspace, MAX_SMSV_BLOCK};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
@@ -29,17 +30,26 @@ pub struct DiaMatrix {
 impl DiaMatrix {
     /// Builds from the triplet interchange form.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
+        let t = t.compacted();
         let rows = t.rows();
-        let mut offsets: Vec<isize> =
-            t.entries().iter().map(|&(r, c, _)| c as isize - r as isize).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
+        // The table the feature scan marks diagonals in, here mapping each
+        // occupied diagonal to its position among the stored ones. Walking
+        // it in slot order yields the offsets in ascending order.
+        const EMPTY: usize = usize::MAX;
+        let mut stored_as = vec![EMPTY; diagonal_slots(rows, t.cols())];
+        for &(r, c, _) in t.entries() {
+            stored_as[diagonal_slot(rows, r, c)] = 0;
+        }
+        let mut offsets = Vec::new();
+        for (slot, d) in stored_as.iter_mut().enumerate() {
+            if *d != EMPTY {
+                *d = offsets.len();
+                offsets.push(slot as isize - (rows as isize - 1));
+            }
+        }
         let mut data = vec![0.0; offsets.len() * rows];
         for &(r, c, v) in t.entries() {
-            let off = c as isize - r as isize;
-            let d = offsets.binary_search(&off).expect("offset present");
-            data[d * rows + r] = v;
+            data[stored_as[diagonal_slot(rows, r, c)] * rows + r] = v;
         }
         Self { rows, cols: t.cols(), offsets, data, nnz: t.nnz() }
     }

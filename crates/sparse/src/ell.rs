@@ -32,18 +32,18 @@ pub struct EllMatrix {
 impl EllMatrix {
     /// Builds from the triplet interchange form.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
+        let t = t.compacted();
         let rows = t.rows();
-        let counts = t.row_counts();
-        let width = counts.iter().copied().max().unwrap_or(0);
+        let width = t.row_runs().map(<[_]>::len).max().unwrap_or(0);
         let mut idx = vec![PAD; rows * width];
         let mut val = vec![0.0; rows * width];
-        let mut fill = vec![0usize; rows];
-        for &(r, c, v) in t.entries() {
-            let k = fill[r];
-            idx[k * rows + r] = c;
-            val[k * rows + r] = v;
-            fill[r] += 1;
+        for run in t.row_runs() {
+            let r = run[0].0;
+            // An entry's slot is its position in its row's run.
+            for (k, &(_, c, v)) in run.iter().enumerate() {
+                idx[k * rows + r] = c;
+                val[k * rows + r] = v;
+            }
         }
         Self { rows, cols: t.cols(), width, idx, val, nnz: t.nnz() }
     }

@@ -13,6 +13,20 @@
 //! | `adim`    | average non-zeros in a row        | nnz / M                      |
 //! | `vdim`    | variance of dim                   | Σ (dim_i − adim)² / M        |
 //! | `density` | ratio of nnz to all elements      | nnz / (M·N)                  |
+//!
+//! # Cost
+//!
+//! [`MatrixFeatures::from_triplets`] measures the *compacted* matrix. On
+//! compact input that is one fused pass over the borrowed entries (24 B
+//! read per non-zero, nothing copied): row lengths are counted by run
+//! length, occupied diagonals are marked in a table of `M + N − 1` bytes in
+//! the same loop, and `vdim` is accumulated row by row as the runs close,
+//! in row order, so all nine values are bit-identical to summing over a
+//! materialised `dim` array. Besides the entries it touches O(M + N)
+//! memory. Un-compacted input is compacted first
+//! ([`TripletMatrix::compacted`]: a linear-time stable sort, see the
+//! [`crate::triplet`] module docs), so duplicates count once and every
+//! parameter describes the same matrix.
 
 use crate::{MatrixFormat, TripletMatrix};
 
@@ -39,41 +53,57 @@ pub struct MatrixFeatures {
     pub density: f64,
 }
 
+/// Number of diagonals an `m × n` matrix has: the size of a table indexed
+/// by [`diagonal_slot`].
+pub(crate) fn diagonal_slots(m: usize, n: usize) -> usize {
+    (m + n).saturating_sub(1)
+}
+
+/// Index of the diagonal through `(r, c)` in `0..diagonal_slots(m, n)`:
+/// the offset `c − r` shifted to be non-negative, so ascending slots are
+/// ascending offsets.
+#[inline]
+pub(crate) fn diagonal_slot(m: usize, r: usize, c: usize) -> usize {
+    c + (m - 1) - r
+}
+
 impl MatrixFeatures {
-    /// Extracts all nine parameters in one pass over the triplets.
+    /// Extracts all nine parameters of the compacted matrix: one fused
+    /// pass over compact input, a linear-time sort first otherwise.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let m = t.rows();
-        let n = t.cols();
-        let nnz = if t.is_compact() { t.nnz() } else { t.clone().compact().nnz() };
-        let counts = t.row_counts();
-
-        // Occupied diagonals: diagonal id of (r, c) is c - r, shifted to be
-        // non-negative; a bitset over the M + N - 1 possible diagonals.
-        let n_diag_slots = if m + n == 0 { 0 } else { m + n - 1 };
-        let mut seen = vec![false; n_diag_slots];
-        let mut ndig = 0usize;
-        for &(r, c, _) in t.entries() {
-            let d = c + (m - 1) - r;
-            if !seen[d] {
-                seen[d] = true;
-                ndig += 1;
-            }
-        }
-
-        let mdim = counts.iter().copied().max().unwrap_or(0);
+        let t = t.compacted();
+        let (m, n, nnz) = (t.rows(), t.cols(), t.nnz());
         let adim = if m == 0 { 0.0 } else { nnz as f64 / m as f64 };
-        let vdim = if m == 0 {
-            0.0
-        } else {
-            counts
-                .iter()
-                .map(|&c| {
-                    let d = c as f64 - adim;
-                    d * d
-                })
-                .sum::<f64>()
-                / m as f64
+        let sq_dev = |dim: usize| {
+            let d = dim as f64 - adim;
+            d * d
         };
+
+        let mut occupied = vec![false; diagonal_slots(m, n)];
+        let mut mdim = 0usize;
+        // Σ (dim_i − adim)², added in row order; `next_row` is the first
+        // row whose term is still missing (rows between runs are empty).
+        let mut sum_sq_dev = 0.0;
+        let mut next_row = 0;
+        for run in t.row_runs() {
+            let r = run[0].0;
+            // Store-only marking; the count is one sweep of the table.
+            for &(_, c, _) in run {
+                occupied[diagonal_slot(m, r, c)] = true;
+            }
+            for _empty_row in next_row..r {
+                sum_sq_dev += sq_dev(0);
+            }
+            sum_sq_dev += sq_dev(run.len());
+            mdim = mdim.max(run.len());
+            next_row = r + 1;
+        }
+        for _empty_row in next_row..m {
+            sum_sq_dev += sq_dev(0);
+        }
+        let ndig = occupied.iter().filter(|&&o| o).count();
+
+        let vdim = if m == 0 { 0.0 } else { sum_sq_dev / m as f64 };
         let dnnz = if ndig == 0 { 0.0 } else { nnz as f64 / ndig as f64 };
         let density = if m * n == 0 { 0.0 } else { nnz as f64 / (m as f64 * n as f64) };
 
@@ -207,6 +237,30 @@ mod tests {
         let direct = MatrixFeatures::from_triplets(&t);
         let via_csr = MatrixFeatures::from_matrix(&CsrMatrix::from_triplets(&t));
         assert_eq!(direct, via_csr);
+    }
+
+    #[test]
+    fn uncompacted_input_measures_the_compacted_matrix() {
+        // Pushed out of order, (1, 0) three times and (0, 1) cancelling:
+        // the raw list has a row of four entries in a 2-column matrix.
+        let mut t = TripletMatrix::new(3, 2);
+        for (r, c, v) in [
+            (1, 0, 1.0),
+            (2, 0, 1.0),
+            (1, 0, 2.0),
+            (0, 1, 4.0),
+            (1, 1, 1.0),
+            (1, 0, 3.0),
+            (0, 1, -4.0),
+        ] {
+            t.push(r, c, v);
+        }
+        assert!(!t.is_compact());
+        let f = MatrixFeatures::from_triplets(&t);
+        assert_eq!(f, MatrixFeatures::from_triplets(&t.clone().compact()));
+        assert_eq!((f.nnz, f.mdim, f.ndig), (3, 2, 3));
+        assert_eq!(f.adim, 1.0);
+        assert_eq!(f.vdim, 2.0 / 3.0);
     }
 
     #[test]

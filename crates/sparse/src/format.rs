@@ -220,7 +220,7 @@ pub(crate) fn ensure_workspace(workspace: &mut Vec<Scalar>, len: usize) -> &mut 
 /// A matrix in any of the supported formats, produced by the runtime
 /// scheduler. Dispatch is by `match`, so each arm keeps its statically
 /// compiled kernel.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnyMatrix {
     /// Dense storage.
     Den(DenseMatrix),

@@ -27,24 +27,22 @@ impl HybMatrix {
     /// heuristic — wide enough to keep the COO tail short, narrow enough
     /// to avoid ELL padding).
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let counts = t.row_counts();
-        let width = auto_width(&counts, 0.9);
-        Self::from_triplets_with_width(t, width)
+        let t = t.compacted();
+        let width = auto_width(&t.row_counts(), 0.9);
+        Self::from_triplets_with_width(&t, width)
     }
 
     /// Builds with an explicit slab width.
     pub fn from_triplets_with_width(t: &TripletMatrix, width: usize) -> Self {
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
+        let t = t.compacted();
         let mut slab = TripletMatrix::with_capacity(t.rows(), t.cols(), t.nnz());
         let mut spill = TripletMatrix::new(t.rows(), t.cols());
-        let mut fill = vec![0usize; t.rows()];
-        for &(r, c, v) in t.entries() {
-            if fill[r] < width {
-                slab.push(r, c, v);
-                fill[r] += 1;
-            } else {
-                spill.push(r, c, v);
-            }
+        for run in t.row_runs() {
+            // The first `width` entries of a row go to the slab; both
+            // halves stay row-major, so neither constructor re-sorts.
+            let (head, tail) = run.split_at(width.min(run.len()));
+            head.iter().for_each(|&(r, c, v)| slab.push(r, c, v));
+            tail.iter().for_each(|&(r, c, v)| spill.push(r, c, v));
         }
         Self { ell: EllMatrix::from_triplets(&slab), coo: CooMatrix::from_triplets(&spill), width }
     }

@@ -27,20 +27,19 @@ pub struct JdsMatrix {
 impl JdsMatrix {
     /// Builds from the triplet interchange form.
     pub fn from_triplets(t: &TripletMatrix) -> Self {
-        let t = if t.is_compact() { t.clone() } else { t.clone().compact() };
+        let t = t.compacted();
         let rows = t.rows();
-        let counts = t.row_counts();
+        // Row-major entry slices per row for slot access (empty rows keep
+        // the empty slice).
+        let mut per_row: Vec<&[_]> = vec![&[]; rows];
+        for run in t.row_runs() {
+            per_row[run[0].0] = run;
+        }
         // Rows sorted by descending nnz (stable, so ties keep row order).
         let mut perm: Vec<usize> = (0..rows).collect();
-        perm.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
+        perm.sort_by_key(|&i| std::cmp::Reverse(per_row[i].len()));
 
-        // Row-major entry lists per row for slot access.
-        let mut per_row: Vec<Vec<(usize, Scalar)>> = vec![Vec::new(); rows];
-        for &(r, c, v) in t.entries() {
-            per_row[r].push((c, v));
-        }
-
-        let max_len = counts.iter().copied().max().unwrap_or(0);
+        let max_len = perm.first().map_or(0, |&longest| per_row[longest].len());
         let mut jd_ptr = Vec::with_capacity(max_len + 1);
         let mut col_idx = Vec::with_capacity(t.nnz());
         let mut values = Vec::with_capacity(t.nnz());
@@ -52,7 +51,7 @@ impl JdsMatrix {
                 if per_row[r].len() <= k {
                     break;
                 }
-                let (c, v) = per_row[r][k];
+                let (_, c, v) = per_row[r][k];
                 col_idx.push(c);
                 values.push(v);
             }
