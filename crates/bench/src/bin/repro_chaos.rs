@@ -37,9 +37,9 @@ use dls_core::json::JsonValue;
 use dls_core::LayoutScheduler;
 use dls_serve::fault::{flip_bit, FaultAction, FaultInjector, FaultPlan, FaultSite, SplitMix64};
 use dls_serve::{
-    BrownoutConfig, ClientError, ExecutorConfig, Frontend, ModelRegistry, PredictRequest, Request,
-    RequestClass, Response, RetryClient, RetryPolicy, ServeClient, ServedModel, ServerConfig,
-    ServerHandle,
+    BrownoutConfig, ClientError, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient,
+    PredictRequest, Request, RequestClass, Response, RetryClient, RetryPolicy, ServedModel,
+    ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -118,7 +118,8 @@ struct Tally {
 /// answered Health frame.
 fn clean_probe(addr: std::net::SocketAddr, stage: &str) {
     let model = chaos_model(3); // "n" is never panicked by any scenario
-    let mut c = ServeClient::connect(addr).unwrap_or_else(|e| panic!("{stage}: reconnect: {e}"));
+    let mut c =
+        PipelinedClient::connect(addr).unwrap_or_else(|e| panic!("{stage}: reconnect: {e}"));
     c.set_read_timeout(Some(Duration::from_secs(5))).expect("probe read timeout");
     let q = query(11);
     match c.send(&PredictRequest::builder("n").vector(q.clone()).build()) {
@@ -208,7 +209,7 @@ fn exec_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
     let plan = Arc::new(FaultPlan::new(seed).script(FaultSite::Exec, script));
     let handle = serve(Arc::clone(&plan), ExecutorConfig::default(), frontend);
     let addr = handle.local_addr();
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     c.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
 
     for k in 0..3 {
@@ -255,10 +256,8 @@ fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tall
     let addr = handle.local_addr();
     let mut rng = SplitMix64::new(seed ^ 0x0571_1E11);
 
-    let valid = dls_serve::proto::encode_request_version(
-        &Request::from(&PredictRequest::builder("m").vector(query(1)).build()),
-        dls_serve::PROTO_VERSION,
-    );
+    let valid = Request::from(&PredictRequest::builder("m").vector(query(1)).build());
+    let valid = dls_serve::encode_request_framed(&valid, dls_serve::PROTO_VERSION, 0);
     for _ in 0..frames {
         let mut stream = std::net::TcpStream::connect(addr).expect("connect hostile");
         stream.set_read_timeout(Some(Duration::from_millis(500))).ok();
@@ -286,7 +285,7 @@ fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tall
                 let mut reader = std::io::BufReader::new(&stream);
                 match dls_serve::proto::read_frame(&mut reader) {
                     Ok(Some(frame)) => {
-                        let resp = dls_serve::proto::decode_response(&frame)
+                        let (_, _, resp) = dls_serve::decode_response_framed(&frame)
                             .unwrap_or_else(|e| panic!("seed {seed}: refusal undecodable: {e}"));
                         assert!(
                             matches!(&resp, Response::Error(m) if m.contains("exceeds")),
@@ -371,7 +370,7 @@ fn brownout_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
         }
     }
     // The ledger recorded the episode.
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let doc = dls_core::json::parse(&c.stats().expect("stats")).expect("valid stats json");
     let degrade = |key: &str| {
         doc.get("degradation").and_then(|d| d.get(key)).and_then(JsonValue::as_u64).unwrap_or(0)

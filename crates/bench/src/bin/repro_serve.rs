@@ -52,8 +52,8 @@ use dls_data::labels::linear_teacher_labels;
 use dls_data::{generate, DatasetSpec};
 use dls_serve::{
     parse_discipline, BrownoutConfig, ExecutorConfig, FeedbackConfig, FeedbackHub, Frontend,
-    ModelRegistry, PredictRequest, RequestClass, Response, RetrainOutcome, ScheduleRequest,
-    ServeClient, ServedModel, ServerConfig, ServerHandle, DISCIPLINES,
+    ModelRegistry, PipelinedClient, PredictRequest, RequestClass, Response, RetrainOutcome,
+    ScheduleRequest, ServedModel, ServerConfig, ServerHandle, DISCIPLINES,
 };
 use dls_sparse::{CsrMatrix, MatrixFormat, SparseVec, MAX_SMSV_BLOCK};
 use dls_svm::smo::{train, SmoParams};
@@ -145,7 +145,7 @@ fn run_cell(hosted: &[Hosted], concurrency: usize, coalescing: bool, secs: f64) 
             let h = &hosted[0];
             let (model_name, queries) = (h.name, h.queries.clone());
             std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let (mut ok, mut busy) = (0u64, 0u64);
                 let mut k = c; // de-phase the query streams
                 while Instant::now() < deadline {
@@ -174,7 +174,7 @@ fn run_cell(hosted: &[Hosted], concurrency: usize, coalescing: bool, secs: f64) 
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let stats = c.stats().expect("stats");
     drop(c);
     let doc = dls_core::json::parse(&stats).expect("valid stats json");
@@ -260,7 +260,7 @@ fn run_scale_cell(
                 // stampede some dials need a few tries.
                 let mut client = None;
                 for attempt in 0..50 {
-                    match ServeClient::connect(addr) {
+                    match PipelinedClient::connect(addr) {
                         Ok(c) => {
                             client = Some(c);
                             break;
@@ -403,7 +403,7 @@ fn run_mixed_cell(hosted: &[Hosted], discipline: &'static str, secs: f64) -> Mix
         .map(|c| {
             let (model_name, queries) = (h.name, h.queries.clone());
             std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let mut sent = 0u64;
                 let mut k = c;
                 while Instant::now() < deadline {
@@ -432,7 +432,7 @@ fn run_mixed_cell(hosted: &[Hosted], discipline: &'static str, secs: f64) -> Mix
         .map(|c| {
             let (model_name, queries) = (h.name, h.queries.clone());
             std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let mut k = c;
                 while Instant::now() < deadline {
                     let q = queries[k % queries.len()].clone();
@@ -462,7 +462,7 @@ fn run_mixed_cell(hosted: &[Hosted], discipline: &'static str, secs: f64) -> Mix
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let doc = dls_core::json::parse(&c.stats().expect("stats")).expect("valid stats json");
     drop(c);
     handle.shutdown();
@@ -516,7 +516,7 @@ fn run_brownout_cell(hosted: &[Hosted], enabled: bool, secs: f64) -> BrownoutRes
         .map(|c| {
             let (model_name, queries) = (h.name, h.queries.clone());
             std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let mut sent = 0u64;
                 let mut k = c;
                 while Instant::now() < deadline {
@@ -545,7 +545,7 @@ fn run_brownout_cell(hosted: &[Hosted], enabled: bool, secs: f64) -> BrownoutRes
         .map(|c| {
             let (model_name, queries) = (h.name, h.queries.clone());
             std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).expect("connect");
+                let mut client = PipelinedClient::connect(addr).expect("connect");
                 let mut k = c;
                 while Instant::now() < deadline {
                     let q = queries[k % queries.len()].clone();
@@ -575,7 +575,7 @@ fn run_brownout_cell(hosted: &[Hosted], enabled: bool, secs: f64) -> BrownoutRes
     }
     let elapsed = started.elapsed().as_secs_f64();
 
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let doc = dls_core::json::parse(&c.stats().expect("stats")).expect("valid stats json");
     drop(c);
     handle.shutdown();
@@ -604,7 +604,7 @@ fn smoke(discipline: &str, frontend: Frontend) {
     };
     let handle = start_server_on(&hosted, executor, frontend);
     let addr = handle.local_addr();
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
 
     let q = hosted[0].queries[0].clone();
     let want = hosted[0].model.decision_function(&q);
@@ -689,7 +689,7 @@ fn smoke(discipline: &str, frontend: Frontend) {
     drop(c);
     handle.shutdown();
     assert!(
-        ServeClient::connect(addr).is_err(),
+        PipelinedClient::connect(addr).is_err(),
         "server still accepting connections after graceful drain"
     );
     println!(
@@ -722,7 +722,7 @@ fn retrain_smoke(frontend: Frontend) {
             let stop = Arc::clone(&stop);
             let queries = hosted[0].queries.clone();
             std::thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).expect("connect");
+                let mut c = PipelinedClient::connect(addr).expect("connect");
                 let mut sent = 0u64;
                 let mut answered = 0u64;
                 let mut k = t;
@@ -765,7 +765,7 @@ fn retrain_smoke(frontend: Frontend) {
     }
     assert_eq!(sent, answered, "every in-flight request answered across the swap");
 
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let doc = dls_core::json::parse(&c.stats().expect("stats")).expect("valid stats json");
     let sel = doc.get("selector").expect("stats JSON lacks selector section");
     let gauge = |key: &str| sel.get(key).and_then(JsonValue::as_u64).unwrap_or(0);

@@ -1,21 +1,25 @@
 //! A small synchronous client for the dls-serve protocol.
 //!
-//! One [`ServeClient`] wraps one TCP connection and speaks strict
-//! request/response; open several clients for concurrent requests (that is
-//! what makes the server coalesce). Methods return the server's typed
-//! [`Response`] — including `Busy` / `TimedOut` — rather than flattening
-//! everything into errors, so callers can implement their own retry
-//! policy.
+//! One [`PipelinedClient`] wraps one TCP connection — it is the only type
+//! in this crate that owns a socket. Used one request at a time
+//! ([`PipelinedClient::send`] / [`PipelinedClient::request`]) it is a
+//! strict request/response client; open several for concurrent requests
+//! (that is what makes the server coalesce). Used through
+//! [`PipelinedClient::submit`] / [`PipelinedClient::recv`] it keeps many
+//! requests in flight on the one connection and takes the responses in
+//! whatever order the server finishes them, matched by `frame_id`.
+//! Methods return the server's typed [`Response`] — including `Busy` /
+//! `TimedOut` — rather than flattening everything into errors, so callers
+//! can implement their own retry policy.
 //!
-//! Requests are built with typed builders and sent with
-//! [`ServeClient::send`]:
+//! Requests are built with typed builders:
 //!
 //! ```no_run
-//! # use dls_serve::client::{PredictRequest, ServeClient};
+//! # use dls_serve::client::{PipelinedClient, PredictRequest};
 //! # use dls_serve::proto::RequestClass;
 //! # use dls_sparse::SparseVec;
 //! # use std::time::Duration;
-//! let mut client = ServeClient::connect("127.0.0.1:7070")?;
+//! let mut client = PipelinedClient::connect("127.0.0.1:7070")?;
 //! let req = PredictRequest::builder("mnist")
 //!     .vector(SparseVec::new(784, vec![3], vec![1.0]))
 //!     .class(RequestClass::Interactive)
@@ -25,24 +29,18 @@
 //! # let _ = resp; Ok::<(), std::io::Error>(())
 //! ```
 //!
-//! The client speaks protocol v2 by default;
-//! [`ServeClient::set_protocol_version`] downgrades the wire encoding to
-//! v1 for compatibility testing against old servers (class and SLO are
-//! then dropped from `Predict` frames — the server treats such requests
-//! as interactive with the legacy deadline).
-//!
-//! Failures are typed: [`ServeClient::try_request`] returns a
-//! [`ClientError`] that distinguishes a lost connection from a timeout
-//! from a protocol violation, and says which of those are worth retrying.
-//! [`RetryClient`] builds on that: it reconnects on connection loss and
-//! retries retryable failures with seeded, jittered exponential backoff
-//! under a per-client retry budget.
+//! Failures are typed: the pipelined calls and
+//! [`PipelinedClient::try_request`] return a [`ClientError`] that
+//! distinguishes a lost connection from a timeout from a protocol
+//! violation, and says which of those are worth retrying. [`RetryClient`]
+//! is a policy over that: it redials on connection loss and retries
+//! retryable failures with seeded, jittered exponential backoff under a
+//! per-client retry budget.
 
 use crate::fault::SplitMix64;
 use crate::proto::{
-    decode_response, decode_response_framed, encode_request_framed, encode_request_version,
-    proto_error_of, read_frame, write_frame, ProtoError, Request, RequestClass, Response,
-    ACCEPTED_VERSIONS, PROTO_VERSION,
+    decode_response_framed, encode_request_framed, proto_error_of, read_frame, write_frame,
+    ProtoError, Request, RequestClass, Response, PROTO_VERSION,
 };
 use dls_sparse::SparseVec;
 use std::collections::VecDeque;
@@ -52,10 +50,10 @@ use std::time::Duration;
 
 /// Why a request failed, and whether trying again can help.
 ///
-/// Returned by [`ServeClient::try_request`]. The coarse
-/// [`ServeClient::request`] flattens these back into `std::io::Error`
-/// (with the `ClientError` attached as the error source) for callers that
-/// do not care about the distinction.
+/// Returned by [`PipelinedClient::try_request`] and the pipelined calls.
+/// The coarse [`PipelinedClient::request`] flattens these back into
+/// `std::io::Error` (with the `ClientError` attached as the error source)
+/// for callers that do not care about the distinction.
 #[derive(Debug)]
 pub enum ClientError {
     /// The TCP connection died mid-request: broken pipe, reset, or the
@@ -68,8 +66,9 @@ pub enum ClientError {
     /// or the server's inbound refusal). Not retryable: the same request
     /// will be refused again.
     FrameTooLarge(usize),
-    /// The response arrived but did not decode; the stream can no longer
-    /// be trusted to be frame-aligned. Not retryable on this connection.
+    /// The response arrived but did not decode, or answers a frame that
+    /// is not in flight; the stream can no longer be trusted to be
+    /// frame-aligned. Not retryable on this connection.
     Protocol(String),
     /// Any other I/O failure. Not retryable by default.
     Io(std::io::Error),
@@ -298,45 +297,90 @@ impl From<&ScheduleRequest> for Request {
     }
 }
 
-/// A connected client.
-pub struct ServeClient {
+/// A connected client that multiplexes many in-flight requests over one
+/// connection.
+///
+/// [`PipelinedClient::submit`] writes a frame tagged with a fresh
+/// `frame_id` and returns immediately; the reactor front end answers
+/// frames in whatever order the executor completes them, and
+/// [`PipelinedClient::wait`] reassembles by id (stashing responses that
+/// arrive for other frames). Against the `threads` front end responses
+/// simply come back in submission order — the same API works, serially.
+/// [`PipelinedClient::request`] and the calls built on it are the
+/// one-in-flight case: submit, then wait.
+///
+/// The client is synchronous and single-threaded: no background reader,
+/// no locks. `wait`/`recv` block on the socket only when the wanted
+/// response has not already been stashed.
+pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    version: u8,
+    next_id: u64,
+    /// Ids submitted whose responses have not been read off the wire.
+    awaited: Vec<u64>,
+    /// Responses read off the wire while waiting for a different frame.
+    stash: VecDeque<(u64, Response)>,
 }
 
-impl ServeClient {
-    /// Connects to a server (speaking the current protocol version).
+impl PipelinedClient {
+    /// Connects to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         Ok(Self {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
-            version: PROTO_VERSION,
+            next_id: 1,
+            awaited: Vec::new(),
+            stash: VecDeque::new(),
         })
     }
 
-    /// Selects the wire protocol version for subsequent requests (v1
-    /// drops class/SLO from `Predict` frames). Errors on versions this
-    /// client does not speak.
-    pub fn set_protocol_version(&mut self, version: u8) -> Result<(), String> {
-        if !ACCEPTED_VERSIONS.contains(&version) {
-            return Err(format!("unsupported protocol version {version}"));
-        }
-        self.version = version;
-        Ok(())
-    }
-
-    /// The wire protocol version in effect.
-    pub fn protocol_version(&self) -> u8 {
-        self.version
-    }
-
-    /// Bounds how long a single [`ServeClient::request`] may wait on the
-    /// socket for its response; `None` waits indefinitely.
+    /// Bounds how long [`PipelinedClient::recv`]/[`wait`](Self::wait) may
+    /// block on the socket; `None` waits indefinitely.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.reader.get_ref().set_read_timeout(timeout)
+    }
+
+    /// Frames submitted whose responses have not been returned yet.
+    pub fn in_flight(&self) -> usize {
+        self.awaited.len() + self.stash.len()
+    }
+
+    /// Writes one request frame and returns its `frame_id` without
+    /// waiting for the response.
+    pub fn submit(&mut self, req: &Request) -> Result<u64, ClientError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        write_frame(&mut self.writer, &encode_request_framed(req, PROTO_VERSION, id))
+            .map_err(|e| ClientError::from_io(e, "sending the request"))?;
+        self.awaited.push(id);
+        Ok(id)
+    }
+
+    /// Returns the next available response: a stashed one if any, else
+    /// the next frame off the wire, in the order the server finished them.
+    pub fn recv(&mut self) -> Result<(u64, Response), ClientError> {
+        match self.stash.pop_front() {
+            Some(entry) => Ok(entry),
+            None => self.read_one(),
+        }
+    }
+
+    /// Blocks until the response for `frame_id` arrives, stashing any
+    /// responses for other in-flight frames that arrive first.
+    pub fn wait(&mut self, frame_id: u64) -> Result<Response, ClientError> {
+        if let Some(pos) = self.stash.iter().position(|(id, _)| *id == frame_id) {
+            let (_, resp) = self.stash.remove(pos).expect("position just found");
+            return Ok(resp);
+        }
+        loop {
+            let (id, resp) = self.read_one()?;
+            if id == frame_id {
+                return Ok(resp);
+            }
+            self.stash.push_back((id, resp));
+        }
     }
 
     /// Sends one raw request and waits for its response, with failures
@@ -346,24 +390,13 @@ impl ServeClient {
     /// [`ClientError::Protocol`] (this connection is no longer
     /// frame-aligned and should be dropped).
     pub fn try_request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &encode_request_version(req, self.version))
-            .map_err(|e| ClientError::from_io(e, "sending the request"))?;
-        match read_frame(&mut self.reader)
-            .map_err(|e| ClientError::from_io(e, "reading the response"))?
-        {
-            Some(payload) => {
-                decode_response(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
-            }
-            None => Err(ClientError::ConnectionLost(
-                "server closed the connection mid-request".to_string(),
-            )),
-        }
+        let id = self.submit(req)?;
+        self.wait(id)
     }
 
-    /// Sends one raw request and waits for its response. Equivalent to
-    /// [`ServeClient::try_request`] with the typed error flattened into
-    /// `std::io::Error` (the [`ClientError`] rides along as the error's
-    /// inner source).
+    /// [`PipelinedClient::try_request`] with the typed error flattened
+    /// into `std::io::Error` (the [`ClientError`] rides along as the
+    /// error's inner source).
     pub fn request(&mut self, req: &Request) -> std::io::Result<Response> {
         self.try_request(req).map_err(std::io::Error::from)
     }
@@ -375,36 +408,6 @@ impl ServeClient {
         Request: From<R>,
     {
         self.request(&Request::from(req))
-    }
-
-    /// Decision values for a batch of vectors against a named model.
-    /// `deadline_ms = 0` uses the server default.
-    #[deprecated(since = "0.6.0", note = "build a `PredictRequest` and use `send`")]
-    pub fn predict(
-        &mut self,
-        model: &str,
-        vectors: Vec<SparseVec>,
-        deadline_ms: u32,
-    ) -> std::io::Result<Response> {
-        self.request(&Request::Predict {
-            model: model.to_string(),
-            deadline_ms,
-            class: RequestClass::Interactive,
-            slo_us: 0,
-            vectors,
-        })
-    }
-
-    /// Asks the scheduler to pick a layout for an explicit matrix.
-    #[deprecated(since = "0.6.0", note = "build a `ScheduleRequest` and use `send`")]
-    pub fn schedule(
-        &mut self,
-        strategy: &str,
-        rows: u64,
-        cols: u64,
-        entries: Vec<(u64, u64, f64)>,
-    ) -> std::io::Result<Response> {
-        self.request(&Request::Schedule { strategy: strategy.to_string(), rows, cols, entries })
     }
 
     /// Fetches the telemetry snapshot JSON.
@@ -422,116 +425,33 @@ impl ServeClient {
     pub fn shutdown(&mut self) -> std::io::Result<Response> {
         self.request(&Request::Shutdown)
     }
-}
 
-/// A protocol-v3 client that multiplexes many in-flight requests over one
-/// connection.
-///
-/// [`PipelinedClient::submit`] writes a frame tagged with a fresh
-/// `frame_id` and returns immediately; the reactor front end answers
-/// frames in whatever order the executor completes them, and
-/// [`PipelinedClient::wait`] reassembles by id (stashing responses that
-/// arrive for other frames). Against the `threads` front end responses
-/// simply come back in submission order — the same API works, serially.
-///
-/// The client is synchronous and single-threaded: no background reader,
-/// no locks. `wait`/`recv` block on the socket only when the wanted
-/// response has not already been stashed.
-pub struct PipelinedClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    next_id: u64,
-    /// Responses read off the wire while waiting for a different frame.
-    stash: VecDeque<(u64, Response)>,
-    /// Submitted but not yet returned to the caller.
-    outstanding: usize,
-}
-
-impl PipelinedClient {
-    /// Connects. Pipelining requires protocol v3, so there is no version
-    /// knob — use [`ServeClient`] for compatibility testing.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true).ok();
-        Ok(Self {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            next_id: 1,
-            stash: VecDeque::new(),
-            outstanding: 0,
-        })
-    }
-
-    /// Bounds how long [`PipelinedClient::recv`]/[`wait`](Self::wait) may
-    /// block on the socket; `None` waits indefinitely.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Frames submitted whose responses have not been returned yet.
-    pub fn in_flight(&self) -> usize {
-        self.outstanding
-    }
-
-    /// Writes one request frame and returns its `frame_id` without
-    /// waiting for the response.
-    pub fn submit(&mut self, req: &Request) -> std::io::Result<u64> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame(&mut self.writer, &encode_request_framed(req, PROTO_VERSION, id))?;
-        self.outstanding += 1;
-        Ok(id)
-    }
-
-    /// Returns the next available response: a stashed one if any, else
-    /// the next frame off the wire, in the order the server finished them.
-    pub fn recv(&mut self) -> std::io::Result<(u64, Response)> {
-        if let Some(entry) = self.stash.pop_front() {
-            self.outstanding -= 1;
-            return Ok(entry);
+    /// Reads the next response off the wire. With nothing awaited the read
+    /// would block forever; and a reply under an id that is not awaited
+    /// means a corrupt stream — an error, never a stash entry that a caller
+    /// waiting on its own id reads past.
+    fn read_one(&mut self) -> Result<(u64, Response), ClientError> {
+        if self.awaited.is_empty() {
+            return Err(ClientError::Io(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                "no request is in flight, so no response can arrive",
+            )));
         }
-        let entry = self.read_one()?;
-        self.outstanding -= 1;
-        Ok(entry)
-    }
-
-    /// Blocks until the response for `frame_id` arrives, stashing any
-    /// responses for other in-flight frames that arrive first.
-    pub fn wait(&mut self, frame_id: u64) -> std::io::Result<Response> {
-        if let Some(pos) = self.stash.iter().position(|(id, _)| *id == frame_id) {
-            let (_, resp) = self.stash.remove(pos).expect("position just found");
-            self.outstanding -= 1;
-            return Ok(resp);
-        }
-        loop {
-            let (id, resp) = self.read_one()?;
-            if id == frame_id {
-                self.outstanding -= 1;
-                return Ok(resp);
+        let payload = read_frame(&mut self.reader)
+            .map_err(|e| ClientError::from_io(e, "reading the response"))?
+            .ok_or_else(|| {
+                ClientError::ConnectionLost("server closed the connection mid-request".to_string())
+            })?;
+        let (_, id, resp) =
+            decode_response_framed(&payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        match self.awaited.iter().position(|&awaited| awaited == id) {
+            Some(pos) => {
+                self.awaited.remove(pos);
+                Ok((id, resp))
             }
-            self.stash.push_back((id, resp));
-        }
-    }
-
-    /// Submits and waits — strict request/response over the pipelined
-    /// codec, for mixed call sites.
-    pub fn request(&mut self, req: &Request) -> std::io::Result<Response> {
-        let id = self.submit(req)?;
-        self.wait(id)
-    }
-
-    fn read_one(&mut self) -> std::io::Result<(u64, Response)> {
-        match read_frame(&mut self.reader)? {
-            Some(payload) => {
-                let (_, frame_id, resp) = decode_response_framed(&payload).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                Ok((frame_id, resp))
-            }
-            None => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection with frames in flight",
-            )),
+            None => Err(ClientError::Protocol(format!(
+                "response for frame {id}, which is not in flight: {resp:?}"
+            ))),
         }
     }
 }
@@ -584,55 +504,27 @@ impl RetryPolicy {
 /// A self-healing client: reconnects on connection loss and retries
 /// retryable failures under a [`RetryPolicy`].
 ///
-/// Wraps the same wire protocol as [`ServeClient`] but holds the server
-/// address, so a dead connection is an event to recover from rather than
-/// the end of the client. Only failures that [`ClientError::is_retryable`]
+/// A policy over [`PipelinedClient`]: it holds the server address rather
+/// than a socket, so a dead connection is an event to recover from rather
+/// than the end of the client. Only failures that [`ClientError::is_retryable`]
 /// (and optionally [`Response::Busy`]) are retried; protocol violations
 /// and oversized frames fail fast, since resending cannot fix them.
 pub struct RetryClient {
     addr: String,
     policy: RetryPolicy,
-    version: u8,
     read_timeout: Option<Duration>,
     rng: SplitMix64,
     budget_left: u32,
-    conn: Option<ServeClient>,
+    conn: Option<PipelinedClient>,
 }
 
 impl RetryClient {
-    /// Creates a client for `addr` with the default policy. Connection is
-    /// lazy — the first request dials (and benefits from retry if the
-    /// dial itself fails).
-    pub fn connect(addr: impl Into<String>) -> Self {
-        Self::with_policy(addr, RetryPolicy::default())
-    }
-
-    /// Creates a client for `addr` with an explicit policy.
+    /// Creates a client for `addr`. Connection is lazy — the first request
+    /// dials (and benefits from retry if the dial itself fails).
     pub fn with_policy(addr: impl Into<String>, policy: RetryPolicy) -> Self {
         let rng = SplitMix64::new(policy.seed);
         let budget_left = policy.retry_budget;
-        Self {
-            addr: addr.into(),
-            policy,
-            version: PROTO_VERSION,
-            read_timeout: None,
-            rng,
-            budget_left,
-            conn: None,
-        }
-    }
-
-    /// Selects the wire protocol version (applies to the current and all
-    /// future connections).
-    pub fn set_protocol_version(&mut self, version: u8) -> Result<(), String> {
-        if !ACCEPTED_VERSIONS.contains(&version) {
-            return Err(format!("unsupported protocol version {version}"));
-        }
-        self.version = version;
-        if let Some(conn) = &mut self.conn {
-            conn.set_protocol_version(version)?;
-        }
-        Ok(())
+        Self { addr: addr.into(), policy, read_timeout: None, rng, budget_left, conn: None }
     }
 
     /// Bounds how long each attempt waits on the socket for its response
@@ -654,15 +546,13 @@ impl RetryClient {
         self.conn.is_some()
     }
 
-    fn ensure_connected(&mut self) -> Result<&mut ServeClient, ClientError> {
+    fn ensure_connected(&mut self) -> Result<&mut PipelinedClient, ClientError> {
         if self.conn.is_none() {
-            let client = ServeClient::connect(&self.addr)
+            let client = PipelinedClient::connect(&self.addr)
                 .map_err(|e| ClientError::from_io(e, "connecting"))?;
             client
                 .set_read_timeout(self.read_timeout)
                 .map_err(|e| ClientError::from_io(e, "configuring the socket"))?;
-            let mut client = client;
-            client.set_protocol_version(self.version).map_err(ClientError::Protocol)?;
             self.conn = Some(client);
         }
         Ok(self.conn.as_mut().expect("connection just established"))
@@ -702,23 +592,6 @@ impl RetryClient {
                     return Err(e);
                 }
             }
-        }
-    }
-
-    /// Sends a built request ([`PredictRequest`] or [`ScheduleRequest`])
-    /// with retry.
-    pub fn send<R>(&mut self, req: R) -> Result<Response, ClientError>
-    where
-        Request: From<R>,
-    {
-        self.request(&Request::from(req))
-    }
-
-    /// Fetches the telemetry snapshot JSON, with retry.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(json) => Ok(json),
-            other => Err(ClientError::Protocol(format!("expected Stats, got {other:?}"))),
         }
     }
 }
@@ -815,6 +688,24 @@ mod tests {
         let io: std::io::Error = ClientError::ConnectionLost("gone".into()).into();
         assert_eq!(io.kind(), ErrorKind::ConnectionReset);
         assert!(io.get_ref().unwrap().downcast_ref::<ClientError>().is_some());
+    }
+
+    #[test]
+    fn receiving_with_nothing_in_flight_fails_instead_of_blocking() {
+        // A bare listener: the connect completes from its backlog and no
+        // byte is ever sent back. The read timeout turns a regression into
+        // a failed assertion rather than a hung test.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client =
+            PipelinedClient::connect(listener.local_addr().expect("addr")).expect("connect");
+        client.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
+        for err in [client.recv().unwrap_err(), client.wait(1).unwrap_err()] {
+            match err {
+                ClientError::Io(e) => assert_eq!(e.kind(), ErrorKind::InvalidInput),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+        }
+        assert_eq!(client.in_flight(), 0);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!
 //! Coalescing is great for throughput but blind to urgency, so requests
 //! carry a *class* ([`proto::RequestClass`]: interactive or batch) and an
-//! optional per-request SLO on the wire (protocol v2; v1 frames still
-//! decode, as interactive with the legacy deadline). A pluggable
+//! optional per-request SLO on the wire. A pluggable
 //! [`discipline::QueueDiscipline`] decides when the gather window breaks
 //! and in what order classed queues drain — FIFO, strict priority, or the
 //! default [`discipline::SloAware`], which holds the window only while no
@@ -53,23 +52,24 @@
 //! thread-per-connection handler, or the readiness-driven [`reactor`] —
 //! one event-loop thread over a hand-rolled epoll wrapper
 //! ([`reactor::poll`]) driving every connection as a nonblocking state
-//! machine. Protocol v3 frames carry a `frame_id`, so a v3 client (see
-//! [`client::PipelinedClient`]) can pipeline many requests on one socket
-//! and take responses out of order as the executor finishes them; v1/v2
-//! clients interoperate unchanged, served one-in-flight at their arrival
-//! version. The executor runs sharded per-model lanes with idle-worker
-//! work stealing, and the reactor's gauges (open connections, in-flight
-//! pipelined frames, steals, wakeups) land in the stats JSON.
+//! machine. There is one wire format, and every frame carries a
+//! `frame_id`, so the one client ([`client::PipelinedClient`]) can
+//! pipeline many requests on one socket and take responses out of order
+//! as the executor finishes them; a frame of any other protocol version
+//! is refused with a typed error. The executor runs sharded per-model
+//! lanes with idle-worker work stealing, and the reactor's gauges (open
+//! connections, in-flight pipelined frames, steals, wakeups) land in the
+//! stats JSON.
 //!
 //! Layer map:
 //!
 //! ```text
-//! client  --v1/v2/v3 frames-->  server (threads: acceptor + connection
+//! client  ---id'd frames--->   server (threads: acceptor + connection
 //!    |                          |    threads | reactor: epoll event loop,
-//!    |  RetryClient:            |    read/write/idle timeouts,
-//!    |  reconnect+backoff       |    FaultStream I/O wrapper)
-//!    |  PipelinedClient:        |  admission: projected miss / queue
-//!    |  many frames in flight   |  full / brown-out shed -> Busy
+//!    |  PipelinedClient:        |    read/write/idle timeouts,
+//!    |  many frames in flight   |    FaultStream I/O wrapper)
+//!    |  RetryClient: a policy   |  admission: projected miss / queue
+//!    |  over it, redial+backoff |  full / brown-out shed -> Busy
 //!    |                          v
 //!    |                       executor (sharded worker pool + stealing,
 //!    |                          |       per-model ClassedQueues,
@@ -101,7 +101,6 @@ pub mod stats;
 pub use brownout::{BrownoutConfig, BrownoutController, BrownoutTransition};
 pub use client::{
     ClientError, PipelinedClient, PredictRequest, RetryClient, RetryPolicy, ScheduleRequest,
-    ServeClient,
 };
 pub use discipline::{
     parse_discipline, Decision, DisciplineCtx, Fifo, QueueDiscipline, SloAware, StrictPriority,
@@ -113,12 +112,9 @@ pub use fault::{
 };
 pub use feedback::{retrain_outcome_name, FeedbackConfig, FeedbackHub, RetrainOutcome};
 pub use latency::{AnalyticLatencyEstimator, TreeLatencyEstimator};
-#[allow(deprecated)]
-pub use proto::MAX_FRAME;
 pub use proto::{
     decode_request_framed, decode_response_framed, encode_request_framed, encode_response_framed,
-    proto_error_of, ProtoError, Request, RequestClass, Response, ACCEPTED_VERSIONS, MAX_FRAME_LEN,
-    PROTO_V1, PROTO_V2, PROTO_VERSION,
+    proto_error_of, ProtoError, Request, RequestClass, Response, MAX_FRAME_LEN, PROTO_VERSION,
 };
 pub use queue::{ClassedQueue, DrainOrder, DrainPlan, JobMeta, PushError};
 pub use registry::{ModelHealth, ModelRegistry, ServedModel, QUARANTINE_PANICS};

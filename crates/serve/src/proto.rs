@@ -2,36 +2,23 @@
 //!
 //! Every message is one frame: a 4-byte little-endian payload length
 //! followed by the payload. The payload starts with a one-byte protocol
-//! version and a one-byte message tag; the body is a flat LE encoding of
-//! the message fields (no self-description — both ends share this module).
+//! version, an 8-byte frame id and a one-byte message tag; the body is a
+//! flat LE encoding of the message fields (no self-description — both ends
+//! share this module).
 //!
 //! ```text
-//! frame      := u32 len | payload            len = payload bytes, <= MAX_FRAME_LEN
-//! payload v3 := u8 version | u64 frame_id | u8 tag | body
-//! payload v1/v2 := u8 version | u8 tag | body
-//! string     := u32 len | utf-8 bytes
-//! vec<T>     := u32 count | T*count
-//! sparse     := u64 dim | vec<u64> indices | vec<f64> values (parallel arrays)
+//! frame   := u32 len | payload            len = payload bytes, <= MAX_FRAME_LEN
+//! payload := u8 version | u64 frame_id | u8 tag | body
+//! string  := u32 len | utf-8 bytes
+//! vec<T>  := u32 count | T*count
+//! sparse  := u64 dim | vec<u64> indices | vec<f64> values (parallel arrays)
+//! Predict := string model | u32 deadline_ms | u8 class | u32 slo_us | vec<sparse>
 //! ```
 //!
-//! **Versioning.** Three versions are live. v3 (current) prefixes every
-//! message with a `frame_id` so one connection can *pipeline* many
-//! in-flight requests: the server echoes the id on the matching response,
-//! which may arrive out of order. v2 added a request class and a
-//! per-request SLO on `Predict`:
-//!
-//! ```text
-//! Predict v2/v3 := string model | u32 deadline_ms | u8 class | u32 slo_us | vec<sparse>
-//! Predict v1    := string model | u32 deadline_ms | vec<sparse>
-//! ```
-//!
-//! v1 frames decode as [`RequestClass::Interactive`] with `slo_us = 0`
-//! (meaning: fall back to the legacy deadline, then the server's per-class
-//! default), and v1/v2 frames decode with `frame_id = 0` and are served
-//! one-in-flight, so old clients keep working against a v3 server; the
-//! server answers each request with the version it arrived in, so old
-//! clients also keep *decoding*. All other message bodies are identical
-//! across versions.
+//! The `frame_id` lets one connection *pipeline* many in-flight requests:
+//! the server echoes the id on the matching response, which may arrive out
+//! of order. There is one payload layout; a frame whose version byte is
+//! not [`PROTO_VERSION`] is refused with [`ProtoError::BadVersion`].
 //!
 //! The decoder is total: truncated, oversized, or malformed input yields a
 //! [`ProtoError`], never a panic, and claimed element counts are checked
@@ -41,19 +28,8 @@
 use dls_sparse::{SparseVec, TripletMatrix};
 use std::io::{Read, Write};
 
-/// Current protocol version byte; bumped on any incompatible change.
-/// v3 frames carry a `frame_id` for pipelined, out-of-order responses.
+/// The protocol version byte; bumped on any incompatible change.
 pub const PROTO_VERSION: u8 = 3;
-
-/// The legacy protocol version (no request classes / SLOs on the wire).
-pub const PROTO_V1: u8 = 1;
-
-/// The first version with request classes / SLOs on the wire (but no
-/// `frame_id`: one request in flight per connection).
-pub const PROTO_V2: u8 = 2;
-
-/// Every version this module can decode.
-pub const ACCEPTED_VERSIONS: [u8; 3] = [PROTO_V1, PROTO_V2, PROTO_VERSION];
 
 /// The traffic class a predict request belongs to. Classes are the unit
 /// SLOs attach to: interactive requests expect sub-millisecond-to-
@@ -61,7 +37,7 @@ pub const ACCEPTED_VERSIONS: [u8; 3] = [PROTO_V1, PROTO_V2, PROTO_VERSION];
 /// throughput. The queue disciplines in `serve::discipline` key on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RequestClass {
-    /// Latency-sensitive traffic (the default, and what v1 frames map to).
+    /// Latency-sensitive traffic (the default).
     #[default]
     Interactive = 0,
     /// Throughput-oriented scoring jobs with a lenient SLO.
@@ -117,10 +93,6 @@ impl std::str::FromStr for RequestClass {
 /// length from a hostile peer cannot trigger a huge allocation.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
-/// Former name of [`MAX_FRAME_LEN`].
-#[deprecated(note = "renamed to MAX_FRAME_LEN")]
-pub const MAX_FRAME: usize = MAX_FRAME_LEN;
-
 /// Everything that can go wrong turning bytes into messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
@@ -158,13 +130,12 @@ pub enum Request {
     Predict {
         /// Registry name of the model to query.
         model: String,
-        /// Legacy per-request deadline in milliseconds from arrival; `0`
-        /// means unset. Kept for v1 compatibility — when `slo_us` is set
-        /// it wins. Requests still queued past their effective deadline
-        /// get [`Response::TimedOut`] instead of occupying a worker.
+        /// Coarse per-request deadline in milliseconds from arrival; `0`
+        /// means unset, and when `slo_us` is set it wins. Requests still
+        /// queued past their effective deadline get
+        /// [`Response::TimedOut`] instead of occupying a worker.
         deadline_ms: u32,
-        /// Traffic class the SLO and queue discipline key on. v1 frames
-        /// decode as [`RequestClass::Interactive`].
+        /// Traffic class the SLO and queue discipline key on.
         class: RequestClass,
         /// Per-request SLO in microseconds from arrival; `0` falls back to
         /// `deadline_ms`, then to the server's per-class default.
@@ -351,40 +322,41 @@ const RESP_SHUTTING_DOWN: u8 = 134;
 const RESP_ERROR: u8 = 135;
 const RESP_HEALTH: u8 = 136;
 
-/// Encodes a request into a current-version frame payload with
-/// `frame_id = 0` (version + frame id + tag + body).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    encode_request_version(req, PROTO_VERSION)
-}
-
-/// Encodes a request at an explicit protocol version with `frame_id = 0`.
-/// See [`encode_request_framed`] for lossiness and panics.
-pub fn encode_request_version(req: &Request, version: u8) -> Vec<u8> {
-    encode_request_framed(req, version, 0)
-}
-
-/// Encodes a request at an explicit protocol version and frame id.
-/// Encoding below v3 is lossy: the frame id is dropped (those versions
-/// are one-in-flight, so a receiver reconstructs `0`), and v1 also drops
-/// the `Predict` class and SLO (a v1 receiver will reconstruct
-/// `Interactive` / `slo_us = 0`) — exactly what a legacy client binary
-/// would send. Panics on an unknown version; callers pick from
-/// [`ACCEPTED_VERSIONS`].
-pub fn encode_request_framed(req: &Request, version: u8, frame_id: u64) -> Vec<u8> {
-    assert!(ACCEPTED_VERSIONS.contains(&version), "unknown protocol version {version}");
+/// Starts a payload: version byte, then the frame id.
+fn put_header(version: u8, frame_id: u64) -> Vec<u8> {
+    assert!(version == PROTO_VERSION, "unknown protocol version {version}");
     let mut out = vec![version];
-    if version >= PROTO_VERSION {
-        put_u64(&mut out, frame_id);
+    put_u64(&mut out, frame_id);
+    out
+}
+
+/// Reads a payload's header — refusing any version but [`PROTO_VERSION`]
+/// — and returns its frame id.
+fn take_header(r: &mut Reader<'_>) -> Result<u64, ProtoError> {
+    match r.u8()? {
+        PROTO_VERSION => r.u64(),
+        version => Err(ProtoError::BadVersion(version)),
     }
+}
+
+/// The frame id a reply to `payload` should echo: the request's own when
+/// its header parsed (so a pipelining client can match even an `Error` for
+/// an undecodable body to the request that caused it), else `0`.
+pub(crate) fn frame_id_of(payload: &[u8]) -> u64 {
+    take_header(&mut Reader { bytes: payload, pos: 0 }).unwrap_or(0)
+}
+
+/// Encodes a request as a frame payload carrying `frame_id`. Panics if
+/// `version` is not [`PROTO_VERSION`].
+pub fn encode_request_framed(req: &Request, version: u8, frame_id: u64) -> Vec<u8> {
+    let mut out = put_header(version, frame_id);
     match req {
         Request::Predict { model, deadline_ms, class, slo_us, vectors } => {
             out.push(REQ_PREDICT);
             put_str(&mut out, model);
             put_u32(&mut out, *deadline_ms);
-            if version >= PROTO_V2 {
-                out.push(*class as u8);
-                put_u32(&mut out, *slo_us);
-            }
+            out.push(*class as u8);
+            put_u32(&mut out, *slo_us);
             put_u32(&mut out, vectors.len() as u32);
             for v in vectors {
                 put_sparse(&mut out, v);
@@ -409,39 +381,18 @@ pub fn encode_request_framed(req: &Request, version: u8, frame_id: u64) -> Vec<u
     out
 }
 
-/// Decodes a request frame payload (any live version).
-pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    decode_request_versioned(payload).map(|(_, req)| req)
-}
-
-/// Decodes a request frame payload and reports which protocol version it
-/// arrived in, so the server can answer in kind.
-pub fn decode_request_versioned(payload: &[u8]) -> Result<(u8, Request), ProtoError> {
-    decode_request_framed(payload).map(|(version, _, req)| (version, req))
-}
-
-/// Decodes a request frame payload, reporting the protocol version it
-/// arrived in and its frame id (`0` for pre-v3 frames, which are served
-/// one-in-flight).
+/// Decodes a request frame payload into its version byte (always
+/// [`PROTO_VERSION`]), frame id and message.
 pub fn decode_request_framed(payload: &[u8]) -> Result<(u8, u64, Request), ProtoError> {
     let mut r = Reader { bytes: payload, pos: 0 };
-    let version = r.u8()?;
-    if !ACCEPTED_VERSIONS.contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let frame_id = if version >= PROTO_VERSION { r.u64()? } else { 0 };
+    let frame_id = take_header(&mut r)?;
     let tag = r.u8()?;
     let req = match tag {
         REQ_PREDICT => {
             let model = r.string()?;
             let deadline_ms = r.u32()?;
-            // v1 has no class/SLO on the wire: legacy traffic is
-            // interactive with only its coarse deadline.
-            let (class, slo_us) = if version >= PROTO_V2 {
-                (RequestClass::from_wire(r.u8()?)?, r.u32()?)
-            } else {
-                (RequestClass::Interactive, 0)
-            };
+            let class = RequestClass::from_wire(r.u8()?)?;
+            let slo_us = r.u32()?;
             // One sparse vector is at least dim + count = 12 bytes.
             let n = r.count(12)?;
             let mut vectors = Vec::with_capacity(n);
@@ -467,33 +418,13 @@ pub fn decode_request_framed(payload: &[u8]) -> Result<(u8, u64, Request), Proto
         t => return Err(ProtoError::BadTag(t)),
     };
     r.finish()?;
-    Ok((version, frame_id, req))
+    Ok((PROTO_VERSION, frame_id, req))
 }
 
-/// Encodes a response into a current-version frame payload with
-/// `frame_id = 0`.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    encode_response_version(resp, PROTO_VERSION)
-}
-
-/// Encodes a response at an explicit protocol version with `frame_id = 0`.
-/// See [`encode_response_framed`].
-pub fn encode_response_version(resp: &Response, version: u8) -> Vec<u8> {
-    encode_response_framed(resp, version, 0)
-}
-
-/// Encodes a response stamped with an explicit protocol version and frame
-/// id — the server answers each request with the version it arrived in
-/// (so a v1 client never sees a version byte it would reject) and echoes
-/// the request's frame id (dropped below v3, where responses arrive in
-/// order). Response bodies are identical across live versions; only the
-/// header differs. Panics on an unknown version.
+/// Encodes a response as a frame payload echoing the request's
+/// `frame_id`. Panics if `version` is not [`PROTO_VERSION`].
 pub fn encode_response_framed(resp: &Response, version: u8, frame_id: u64) -> Vec<u8> {
-    assert!(ACCEPTED_VERSIONS.contains(&version), "unknown protocol version {version}");
-    let mut out = vec![version];
-    if version >= PROTO_VERSION {
-        put_u64(&mut out, frame_id);
-    }
+    let mut out = put_header(version, frame_id);
     match resp {
         Response::Predictions(values) => {
             out.push(RESP_PREDICTIONS);
@@ -531,22 +462,12 @@ pub fn encode_response_framed(resp: &Response, version: u8, frame_id: u64) -> Ve
     out
 }
 
-/// Decodes a response frame payload (any live version).
-pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    decode_response_framed(payload).map(|(_, _, resp)| resp)
-}
-
-/// Decodes a response frame payload, reporting the protocol version it
-/// arrived in and the echoed frame id (`0` for pre-v3 frames). The frame
-/// id is how a pipelining client matches out-of-order responses back to
-/// their requests.
+/// Decodes a response frame payload into its version byte (always
+/// [`PROTO_VERSION`]), the echoed frame id — how a pipelining client
+/// matches out-of-order responses back to their requests — and message.
 pub fn decode_response_framed(payload: &[u8]) -> Result<(u8, u64, Response), ProtoError> {
     let mut r = Reader { bytes: payload, pos: 0 };
-    let version = r.u8()?;
-    if !ACCEPTED_VERSIONS.contains(&version) {
-        return Err(ProtoError::BadVersion(version));
-    }
-    let frame_id = if version >= PROTO_VERSION { r.u64()? } else { 0 };
+    let frame_id = take_header(&mut r)?;
     let tag = r.u8()?;
     let resp = match tag {
         RESP_PREDICTIONS => {
@@ -578,14 +499,19 @@ pub fn decode_response_framed(payload: &[u8]) -> Result<(u8, u64, Response), Pro
         t => return Err(ProtoError::BadTag(t)),
     };
     r.finish()?;
-    Ok((version, frame_id, resp))
+    Ok((PROTO_VERSION, frame_id, resp))
 }
 
 // ---- framing ------------------------------------------------------------
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload). A payload above
+/// [`MAX_FRAME_LEN`] is refused before a byte is written, with the same
+/// `InvalidData` + [`ProtoError::FrameTooLarge`] error [`read_frame`]
+/// gives — the peer would refuse it anyway, after reading the prefix.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
+    if payload.len() > MAX_FRAME_LEN {
+        return Err(frame_too_large(payload.len()));
+    }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -604,14 +530,15 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            ProtoError::FrameTooLarge(len),
-        ));
+        return Err(frame_too_large(len));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+pub(crate) fn frame_too_large(len: usize) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, ProtoError::FrameTooLarge(len))
 }
 
 /// Recovers the typed [`ProtoError`] wrapped inside an `io::Error` by
@@ -650,13 +577,19 @@ mod tests {
         )
     }
 
-    /// Hand-builds a current-version payload header: version, frame id 0,
-    /// tag.
-    fn v3_header(tag: u8) -> Vec<u8> {
-        let mut out = vec![PROTO_VERSION];
-        put_u64(&mut out, 0);
+    /// Hand-builds a payload header: version, frame id 0, tag.
+    fn header(tag: u8) -> Vec<u8> {
+        let mut out = put_header(PROTO_VERSION, 0);
         out.push(tag);
         out
+    }
+
+    fn encode(req: &Request) -> Vec<u8> {
+        encode_request_framed(req, PROTO_VERSION, 0)
+    }
+
+    fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
+        decode_request_framed(payload).map(|(_, _, req)| req)
     }
 
     #[test]
@@ -680,7 +613,7 @@ mod tests {
             Request::Shutdown,
         ];
         for req in reqs {
-            assert_eq!(decode_request(&encode_request(&req)).unwrap(), req);
+            assert_eq!(decode(&encode(&req)).unwrap(), req);
         }
     }
 
@@ -701,13 +634,14 @@ mod tests {
             Response::Health("{\"status\":\"ok\"}".into()),
         ];
         for resp in resps {
-            assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
+            let payload = encode_response_framed(&resp, PROTO_VERSION, 0);
+            assert_eq!(decode_response_framed(&payload).unwrap(), (PROTO_VERSION, 0, resp));
         }
     }
 
     #[test]
     fn truncation_is_an_error_not_a_panic() {
-        let full = encode_request(&Request::Predict {
+        let full = encode(&Request::Predict {
             model: "m".into(),
             deadline_ms: 0,
             class: RequestClass::Interactive,
@@ -715,26 +649,26 @@ mod tests {
             vectors: vec![sv(8, &[(1, 2.0), (7, 3.0)])],
         });
         for cut in 0..full.len() {
-            assert!(decode_request(&full[..cut]).is_err(), "prefix of {cut} bytes accepted");
+            assert!(decode(&full[..cut]).is_err(), "prefix of {cut} bytes accepted");
         }
     }
 
     #[test]
     fn lying_counts_are_rejected_before_allocation() {
         // A Predict frame claiming u32::MAX vectors with no bytes behind it.
-        let mut payload = v3_header(REQ_PREDICT);
+        let mut payload = header(REQ_PREDICT);
         put_str(&mut payload, "m");
         put_u32(&mut payload, 0); // deadline
         payload.push(0); // class
         put_u32(&mut payload, 0); // slo
         put_u32(&mut payload, u32::MAX); // vector count
-        assert_eq!(decode_request(&payload), Err(ProtoError::Truncated));
+        assert_eq!(decode(&payload), Err(ProtoError::Truncated));
     }
 
     #[test]
     fn invalid_sparse_vectors_are_protocol_errors() {
         // Indices out of order.
-        let mut payload = v3_header(REQ_PREDICT);
+        let mut payload = header(REQ_PREDICT);
         put_str(&mut payload, "m");
         put_u32(&mut payload, 0);
         payload.push(1); // class: batch
@@ -746,81 +680,34 @@ mod tests {
         put_u64(&mut payload, 1); // descending
         put_f64(&mut payload, 1.0);
         put_f64(&mut payload, 2.0);
-        assert!(matches!(decode_request(&payload), Err(ProtoError::Malformed(_))));
+        assert!(matches!(decode(&payload), Err(ProtoError::Malformed(_))));
     }
 
     #[test]
     fn bad_version_tag_and_class_are_rejected() {
-        assert_eq!(decode_request(&[9, REQ_STATS]), Err(ProtoError::BadVersion(9)));
-        assert_eq!(decode_request(&v3_header(99)), Err(ProtoError::BadTag(99)));
-        assert_eq!(decode_request(&[PROTO_V2, 99]), Err(ProtoError::BadTag(99)));
-        assert_eq!(decode_response(&v3_header(3)), Err(ProtoError::BadTag(3)));
-        let mut payload = v3_header(REQ_PREDICT);
+        // Every version byte but the one live version is refused — the
+        // retired v1/v2 layouts included — on requests and responses.
+        for version in [0, 1, 2, 4, 9] {
+            let mut payload = header(REQ_STATS);
+            payload[0] = version;
+            assert_eq!(decode(&payload), Err(ProtoError::BadVersion(version)));
+            assert_eq!(decode(&[version, REQ_STATS]), Err(ProtoError::BadVersion(version)));
+            let err = decode_response_framed(&payload).unwrap_err();
+            assert_eq!(err, ProtoError::BadVersion(version));
+        }
+        assert_eq!(decode(&header(99)), Err(ProtoError::BadTag(99)));
+        assert_eq!(decode_response_framed(&header(3)), Err(ProtoError::BadTag(3)));
+        let mut payload = header(REQ_PREDICT);
         put_str(&mut payload, "m");
         put_u32(&mut payload, 0);
         payload.push(7); // no such class
         put_u32(&mut payload, 0);
         put_u32(&mut payload, 0);
-        assert!(matches!(decode_request(&payload), Err(ProtoError::Malformed(_))));
+        assert!(matches!(decode(&payload), Err(ProtoError::Malformed(_))));
     }
 
     #[test]
-    fn v1_predict_decodes_as_interactive_with_the_legacy_deadline() {
-        let req = Request::Predict {
-            model: "adult".into(),
-            deadline_ms: 40,
-            class: RequestClass::Batch, // dropped by the v1 encoding
-            slo_us: 999,                // dropped by the v1 encoding
-            vectors: vec![sv(5, &[(2, 1.5)])],
-        };
-        let payload = encode_request_version(&req, PROTO_V1);
-        assert_eq!(payload[0], PROTO_V1);
-        let (version, decoded) = decode_request_versioned(&payload).unwrap();
-        assert_eq!(version, PROTO_V1);
-        assert_eq!(
-            decoded,
-            Request::Predict {
-                model: "adult".into(),
-                deadline_ms: 40,
-                class: RequestClass::Interactive,
-                slo_us: 0,
-                vectors: vec![sv(5, &[(2, 1.5)])],
-            }
-        );
-    }
-
-    #[test]
-    fn non_predict_requests_are_version_stable() {
-        for req in [Request::Stats, Request::Health, Request::Shutdown] {
-            let v1 = encode_request_version(&req, PROTO_V1);
-            let v2 = encode_request_version(&req, PROTO_V2);
-            let v3 = encode_request_version(&req, PROTO_VERSION);
-            assert_eq!(&v1[1..], &v2[1..], "{req:?} bodies must match across versions");
-            // v3 inserts an 8-byte frame id between version and tag; the
-            // body after it is unchanged.
-            assert_eq!(&v2[1..], &v3[9..], "{req:?} v3 body must match pre-v3");
-            assert_eq!(decode_request(&v1).unwrap(), req);
-            assert_eq!(decode_request(&v2).unwrap(), req);
-            assert_eq!(decode_request(&v3).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn responses_echo_the_requested_version() {
-        let resp = Response::Predictions(vec![1.0, 2.0]);
-        let v1 = encode_response_version(&resp, PROTO_V1);
-        assert_eq!(v1[0], PROTO_V1);
-        assert_eq!(decode_response(&v1).unwrap(), resp);
-        let v2 = encode_response_version(&resp, PROTO_V2);
-        assert_eq!(v2[0], PROTO_V2);
-        assert_eq!(&v1[1..], &v2[1..], "response bodies are version-independent");
-        let v3 = encode_response_version(&resp, PROTO_VERSION);
-        assert_eq!(v3[0], PROTO_VERSION);
-        assert_eq!(&v2[1..], &v3[9..], "v3 body must match pre-v3 after the frame id");
-    }
-
-    #[test]
-    fn v3_frames_carry_and_echo_the_frame_id() {
+    fn frames_carry_and_echo_the_frame_id() {
         let req = Request::Predict {
             model: "m".into(),
             deadline_ms: 10,
@@ -841,20 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_frames_decode_with_frame_id_zero() {
-        for version in [PROTO_V1, PROTO_V2] {
-            // The frame id is dropped by pre-v3 encodings…
-            let payload = encode_request_framed(&Request::Stats, version, 999);
-            let (v, frame_id, req) = decode_request_framed(&payload).unwrap();
-            assert_eq!((v, frame_id, req), (version, 0, Request::Stats));
-            // …and on responses too.
-            let payload = encode_response_framed(&Response::Busy, version, 999);
-            let (v, frame_id, resp) = decode_response_framed(&payload).unwrap();
-            assert_eq!((v, frame_id, resp), (version, 0, Response::Busy));
-        }
-    }
-
-    #[test]
     fn request_class_parses_and_indexes() {
         assert_eq!("interactive".parse::<RequestClass>().unwrap(), RequestClass::Interactive);
         assert_eq!("batch".parse::<RequestClass>().unwrap(), RequestClass::Batch);
@@ -867,14 +740,14 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut payload = encode_request(&Request::Stats);
+        let mut payload = encode(&Request::Stats);
         payload.push(0);
-        assert!(matches!(decode_request(&payload), Err(ProtoError::Malformed(_))));
+        assert!(matches!(decode(&payload), Err(ProtoError::Malformed(_))));
     }
 
     #[test]
     fn frames_round_trip_and_bound_length() {
-        let payload = encode_request(&Request::Stats);
+        let payload = encode(&Request::Stats);
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         let mut r = &buf[..];
@@ -891,6 +764,13 @@ mod tests {
             Some(&ProtoError::FrameTooLarge(MAX_FRAME_LEN + 1)),
             "{err}"
         );
+
+        // Outbound, the same typed refusal — before a byte is written.
+        let mut sink = Vec::new();
+        let err = write_frame(&mut sink, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(proto_error_of(&err), Some(&ProtoError::FrameTooLarge(MAX_FRAME_LEN + 1)));
+        assert!(sink.is_empty(), "{} bytes of a refused frame were written", sink.len());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! A connection here costs bytes, not a thread stack: each is a small
 //! state machine (read buffer → incremental frame parse → dispatch →
 //! write buffer with backpressure) registered with the [`poll`] epoll
-//! wrapper. Protocol v3 frames carry a `frame_id`, so one connection can
-//! pipeline many requests and take responses in whatever order the
-//! executor finishes them; v1/v2 frames are served one-in-flight at their
-//! arrival version, exactly like the thread-per-connection front end.
+//! wrapper. Frames carry a `frame_id`, so one connection can pipeline
+//! many requests and take responses in whatever order the executor
+//! finishes them.
 //!
 //! The event loop never blocks on the executor. `Predict`/`Schedule`
 //! submissions return an mpsc receiver; the executor's completion hook
@@ -29,8 +28,8 @@ pub mod poll;
 use crate::executor::Executor;
 use crate::fault::{FaultSite, FaultStream};
 use crate::proto::{
-    decode_request_framed, encode_response_framed, ProtoError, Response, MAX_FRAME_LEN,
-    PROTO_VERSION,
+    decode_request_framed, encode_response_framed, frame_id_of, ProtoError, Response,
+    MAX_FRAME_LEN, PROTO_VERSION,
 };
 use crate::server::{classify_read_error, dispatch_async, ConnLimits, Dispatched};
 use crate::stats::{FaultCounters, ServeStats};
@@ -55,7 +54,6 @@ const WRITE_BACKPRESSURE: usize = 4 << 20;
 /// One request submitted to the executor whose reply has not been
 /// written back yet.
 struct InFlight {
-    version: u8,
     frame_id: u64,
     rx: Receiver<Response>,
 }
@@ -91,14 +89,8 @@ impl Conn {
         self.write_buf.len() - self.write_pos
     }
 
-    /// A pre-v3 request in flight blocks further parsing: those versions
-    /// are strictly one-in-flight, responses in request order.
-    fn blocked(&self) -> bool {
-        self.in_flight.iter().any(|f| f.version < PROTO_VERSION)
-    }
-
-    fn queue_response(&mut self, version: u8, frame_id: u64, resp: &Response) {
-        let payload = encode_response_framed(resp, version, frame_id);
+    fn queue_response(&mut self, frame_id: u64, resp: &Response) {
+        let payload = encode_response_framed(resp, PROTO_VERSION, frame_id);
         self.write_buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.write_buf.extend_from_slice(&payload);
     }
@@ -278,7 +270,7 @@ impl Reactor {
                 match conn.in_flight[i].rx.try_recv() {
                     Ok(resp) => {
                         let f = conn.in_flight.remove(i);
-                        conn.queue_response(f.version, f.frame_id, &resp);
+                        conn.queue_response(f.frame_id, &resp);
                         done += 1;
                     }
                     Err(TryRecvError::Empty) => i += 1,
@@ -287,18 +279,13 @@ impl Reactor {
                         // dropped sender means a worker died mid-job.
                         let f = conn.in_flight.remove(i);
                         let resp = Response::Error("worker dropped the request".to_string());
-                        conn.queue_response(f.version, f.frame_id, &resp);
+                        conn.queue_response(f.frame_id, &resp);
                         done += 1;
                     }
                 }
             }
             if done > 0 {
                 self.stats.reactor.pipelined_in_flight.fetch_sub(done, Ordering::Relaxed);
-                if !conn.blocked() {
-                    // A serial (pre-v3) request was answered: frames that
-                    // queued up behind it can now be parsed.
-                    parse_frames(conn, &self.executor, &self.stats, &self.shutdown);
-                }
             }
         }
     }
@@ -447,7 +434,7 @@ fn parse_frames(
     shutdown: &AtomicBool,
 ) {
     let mut progressed = false;
-    while !conn.closing && !conn.dead && !conn.blocked() {
+    while !conn.closing && !conn.dead {
         if conn.read_buf.len() < 4 {
             break;
         }
@@ -457,7 +444,7 @@ fn parse_frames(
             // the close — and checked before any allocation is sized.
             FaultCounters::bump(&stats.faults.frames_too_large);
             let msg = format!("protocol error: {}", ProtoError::FrameTooLarge(len));
-            conn.queue_response(PROTO_VERSION, 0, &Response::Error(msg));
+            conn.queue_response(0, &Response::Error(msg));
             conn.closing = true;
             break;
         }
@@ -470,9 +457,8 @@ fn parse_frames(
         handle_frame(conn, &payload, executor, stats, shutdown);
     }
     // The stall clock runs only while an incomplete frame heads the
-    // buffer; a serially-blocked buffer holds complete frames, which is
-    // healthy pipelining by an eager client, not a stall.
-    conn.partial_since = if !conn.read_buf.is_empty() && !conn.blocked() && !conn.closing {
+    // buffer.
+    conn.partial_since = if !conn.read_buf.is_empty() && !conn.closing {
         if progressed {
             Some(Instant::now())
         } else {
@@ -496,15 +482,15 @@ fn handle_frame(
         Err(e) => {
             FaultCounters::bump(&stats.faults.protocol_errors);
             let resp = Response::Error(format!("protocol error: {e}"));
-            conn.queue_response(PROTO_VERSION, 0, &resp);
+            conn.queue_response(frame_id_of(payload), &resp);
         }
-        Ok((version, frame_id, _)) if shutdown.load(Ordering::SeqCst) => {
-            conn.queue_response(version, frame_id, &Response::ShuttingDown);
+        Ok((_, frame_id, _)) if shutdown.load(Ordering::SeqCst) => {
+            conn.queue_response(frame_id, &Response::ShuttingDown);
         }
-        Ok((version, frame_id, request)) => match dispatch_async(request, executor, shutdown) {
-            Dispatched::Ready(resp) => conn.queue_response(version, frame_id, &resp),
+        Ok((_, frame_id, request)) => match dispatch_async(request, executor, shutdown) {
+            Dispatched::Ready(resp) => conn.queue_response(frame_id, &resp),
             Dispatched::Pending(rx) => {
-                conn.in_flight.push(InFlight { version, frame_id, rx });
+                conn.in_flight.push(InFlight { frame_id, rx });
                 stats.reactor.pipelined_in_flight.fetch_add(1, Ordering::Relaxed);
             }
         },

@@ -9,9 +9,8 @@
 //! [`WakeFd`] (an `eventfd`) other threads can ping to interrupt a wait.
 //!
 //! Level-triggered (the default) rather than edge-triggered: the event
-//! loop may legitimately stop reading a ready socket (write backpressure,
-//! a pre-v3 request in flight) and must be re-notified on the next wait
-//! without re-arming gymnastics.
+//! loop may legitimately stop reading a ready socket (write backpressure)
+//! and must be re-notified on the next wait without re-arming gymnastics.
 
 use std::io;
 use std::os::unix::io::RawFd;

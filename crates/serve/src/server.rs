@@ -9,9 +9,9 @@
 //!   writes the reply. A handler serves strictly in order, one request
 //!   at a time — concurrency comes from concurrent connections.
 //! * **`reactor`** — a single event-loop thread drives every connection
-//!   through epoll readiness (see [`crate::reactor`]); protocol-v3
-//!   clients can pipeline many requests per connection and receive
-//!   responses out of order by `frame_id`.
+//!   through epoll readiness (see [`crate::reactor`]); clients can
+//!   pipeline many requests per connection and receive responses out of
+//!   order by `frame_id`.
 //!
 //! Shutdown (a `Shutdown` frame, or [`ServerHandle::shutdown`], which the
 //! CLI wires to its exit path as the stand-in for SIGTERM/ctrl-c in this
@@ -33,8 +33,8 @@
 use crate::executor::{parse_strategy, Executor, ExecutorConfig};
 use crate::fault::{FaultSite, FaultStream};
 use crate::proto::{
-    decode_request_framed, encode_response_framed, entries_to_triplets, proto_error_of,
-    write_frame, ProtoError, Request, Response, MAX_FRAME_LEN, PROTO_VERSION,
+    decode_request_framed, encode_response_framed, entries_to_triplets, frame_id_of,
+    frame_too_large, proto_error_of, write_frame, Request, Response, MAX_FRAME_LEN, PROTO_VERSION,
 };
 use crate::registry::ModelRegistry;
 use crate::stats::{FaultCounters, ServeStats};
@@ -52,7 +52,7 @@ pub enum Frontend {
     /// per open socket.
     Threads,
     /// Readiness-driven event loop: one thread for all connections,
-    /// pipelined protocol v3.
+    /// pipelined requests answered out of order.
     Reactor,
 }
 
@@ -351,10 +351,7 @@ fn read_frame_timed(
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME_LEN {
         FaultCounters::bump(&stats.faults.frames_too_large);
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            ProtoError::FrameTooLarge(len),
-        ));
+        return Err(frame_too_large(len));
     }
     // Phase 2: the payload, under the mid-frame stall budget.
     let mut payload = vec![0u8; len];
@@ -420,25 +417,22 @@ fn handle_connection(
                 return Err(e);
             }
         };
-        // Decode tolerantly across protocol versions and echo the
-        // response at the version (and, for v3, the frame id) the request
-        // arrived in, so older clients interoperate frame-for-frame. This
-        // front end answers strictly in order, which is a valid — if
-        // serial — v3 pipelining schedule.
-        let (version, frame_id, response) = match decode_request_framed(&payload) {
+        // Every reply echoes its request's frame id — an undecodable
+        // request's too, when its header parsed, so a pipelining client is
+        // never left waiting on it. This front end answers strictly in
+        // order, which is a valid — if serial — pipelining schedule.
+        let (frame_id, response) = match decode_request_framed(&payload) {
             Err(e) => {
                 FaultCounters::bump(&stats.faults.protocol_errors);
-                (PROTO_VERSION, 0, Response::Error(format!("protocol error: {e}")))
+                (frame_id_of(&payload), Response::Error(format!("protocol error: {e}")))
             }
-            Ok((version, frame_id, _)) if shutdown.load(Ordering::SeqCst) => {
-                (version, frame_id, Response::ShuttingDown)
+            Ok((_, frame_id, _)) if shutdown.load(Ordering::SeqCst) => {
+                (frame_id, Response::ShuttingDown)
             }
-            Ok((version, frame_id, request)) => {
-                (version, frame_id, dispatch(request, executor, shutdown))
-            }
+            Ok((_, frame_id, request)) => (frame_id, dispatch(request, executor, shutdown)),
         };
         if let Err(e) =
-            write_frame(&mut writer, &encode_response_framed(&response, version, frame_id))
+            write_frame(&mut writer, &encode_response_framed(&response, PROTO_VERSION, frame_id))
         {
             match e.kind() {
                 std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => {

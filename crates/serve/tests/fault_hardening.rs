@@ -10,12 +10,12 @@
 use dls_core::LayoutScheduler;
 use dls_serve::fault::{flip_bit, FaultAction, FaultInjector, FaultPlan, FaultSite, SplitMix64};
 use dls_serve::proto::{
-    decode_request_versioned, decode_response, encode_request_version, encode_response_version,
-    read_frame, Request, RequestClass, Response, PROTO_V1, PROTO_VERSION,
+    decode_request_framed, decode_response_framed, encode_request_framed, encode_response_framed,
+    read_frame, write_frame, Request, RequestClass, Response, PROTO_VERSION,
 };
 use dls_serve::{
-    start, ClientError, ExecutorConfig, ModelRegistry, PredictRequest, RetryClient, RetryPolicy,
-    ServeClient, ServedModel, ServerConfig, ServerHandle,
+    start, ClientError, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient, PredictRequest,
+    RetryClient, RetryPolicy, ServedModel, ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -62,13 +62,13 @@ fn serve_faulty(plan: Arc<FaultPlan>, config: ServerConfig) -> ServerHandle {
     start(registry, LayoutScheduler::new(), config).expect("bind loopback")
 }
 
-fn predict_one(c: &mut ServeClient, model: &str, seed: usize) -> Response {
+fn predict_one(c: &mut PipelinedClient, model: &str, seed: usize) -> Response {
     c.send(&PredictRequest::builder(model).vector(query(seed)).build()).expect("predict")
 }
 
 /// Polls the stats JSON until `probe` extracts a satisfied value.
 fn wait_for_stat(addr: SocketAddr, what: &str, probe: impl Fn(&dls_core::json::JsonValue) -> bool) {
-    let mut stats = ServeClient::connect(addr).expect("connect stats");
+    let mut stats = PipelinedClient::connect(addr).expect("connect stats");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let doc = dls_core::json::parse(&stats.stats().expect("stats")).expect("valid stats json");
@@ -147,29 +147,25 @@ proptest! {
     #[test]
     fn mutated_request_frames_never_panic_the_decoder(
         req in arb_request(),
-        v1 in 0u8..2,
         seed in 0u64..u64::MAX,
         rounds in 1u32..12,
     ) {
-        let version = if v1 == 1 { PROTO_V1 } else { PROTO_VERSION };
-        let mut payload = encode_request_version(&req, version);
+        let mut payload = encode_request_framed(&req, PROTO_VERSION, seed);
         mutate(&mut payload, seed, rounds);
         // Must return (typed error or an accidentally-valid message) —
         // a panic fails the test harness itself.
-        let _ = decode_request_versioned(&payload);
+        let _ = decode_request_framed(&payload);
     }
 
     #[test]
     fn mutated_response_frames_never_panic_the_decoder(
         resp in arb_response(),
-        v1 in 0u8..2,
         seed in 0u64..u64::MAX,
         rounds in 1u32..12,
     ) {
-        let version = if v1 == 1 { PROTO_V1 } else { PROTO_VERSION };
-        let mut payload = encode_response_version(&resp, version);
+        let mut payload = encode_response_framed(&resp, PROTO_VERSION, seed);
         mutate(&mut payload, seed, rounds);
-        let _ = decode_response(&payload);
+        let _ = decode_response_framed(&payload);
     }
 
     #[test]
@@ -202,10 +198,7 @@ fn clients_dying_mid_request_leave_others_served() {
     {
         let mut raw = TcpStream::connect(addr).expect("connect victim");
         let req = Request::from(&PredictRequest::builder("m").vector(query(1)).build());
-        let payload = encode_request_version(&req, PROTO_VERSION);
-        raw.write_all(&(payload.len() as u32).to_le_bytes()).expect("prefix");
-        raw.write_all(&payload).expect("body");
-        raw.flush().ok();
+        write_frame(&mut raw, &encode_request_framed(&req, PROTO_VERSION, 1)).expect("frame");
         // Give the server time to enqueue it before the drop closes us.
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -221,7 +214,7 @@ fn clients_dying_mid_request_leave_others_served() {
     handle.executor().pause(false);
 
     // A well-behaved client is completely unaffected.
-    let mut c = ServeClient::connect(addr).expect("connect survivor");
+    let mut c = PipelinedClient::connect(addr).expect("connect survivor");
     match predict_one(&mut c, "m", 7) {
         Response::Predictions(values) => {
             assert_eq!(values[0].to_bits(), model.decision_function(&query(7)).to_bits());
@@ -249,7 +242,7 @@ fn scripted_exec_panics_degrade_then_quarantine_over_the_wire() {
     );
     let handle = serve_faulty(Arc::clone(&plan), ServerConfig::default());
     let addr = handle.local_addr();
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
 
     // Three sequential predicts, three scripted panics: each answers a
     // typed error (never a hang, never a dead worker).
@@ -320,7 +313,7 @@ fn idle_connections_are_reaped_and_surface_as_connection_lost() {
     let handle = serve_faulty(Arc::clone(&plan), config);
     let addr = handle.local_addr();
 
-    let mut idler = ServeClient::connect(addr).expect("connect idler");
+    let mut idler = PipelinedClient::connect(addr).expect("connect idler");
     assert!(matches!(predict_one(&mut idler, "m", 1), Response::Predictions(_)));
 
     // Sit idle well past the timeout; the server reaps at the frame
@@ -336,7 +329,7 @@ fn idle_connections_are_reaped_and_surface_as_connection_lost() {
     }
 
     // Fresh connections serve as normal.
-    let mut c = ServeClient::connect(addr).expect("reconnect");
+    let mut c = PipelinedClient::connect(addr).expect("reconnect");
     assert!(matches!(predict_one(&mut c, "m", 3), Response::Predictions(_)));
     drop(c);
     handle.shutdown();
@@ -360,7 +353,7 @@ fn retry_client_recovers_from_scripted_resets_where_plain_client_errors() {
     let req = Request::from(&PredictRequest::builder("m").vector(query(4)).build());
 
     // Baseline with injection off: the request serves.
-    let mut plain = ServeClient::connect(addr).expect("connect plain");
+    let mut plain = PipelinedClient::connect(addr).expect("connect plain");
     assert!(matches!(plain.try_request(&req), Ok(Response::Predictions(_))));
 
     // Arm: the server's next read on this connection takes the scripted
@@ -404,31 +397,110 @@ fn retry_client_recovers_from_scripted_resets_where_plain_client_errors() {
 // client error (never silently-wrong data, never a hang).
 // ---------------------------------------------------------------------------
 
+const FRONTENDS: [Frontend; 2] = [Frontend::Threads, Frontend::Reactor];
+
 #[test]
 fn corrupted_response_writes_fail_typed_on_the_client() {
-    // Bit 0 lands in the length prefix of the first response write, so
-    // the client's framing desynchronises in a detectable way.
-    let plan = Arc::new(FaultPlan::new(5).script(FaultSite::ConnWrite, [FaultAction::Corrupt(0)]));
-    let handle = serve_faulty(Arc::clone(&plan), ServerConfig::default());
-    let addr = handle.local_addr();
+    // A response frame is `u32 len | u8 version | u64 frame_id | …` and
+    // leaves in one write. Bit 0 lands in the length prefix, so the
+    // client's framing desynchronises in a detectable way; bit 40 is the
+    // frame id's low bit, so the reply to frame 1 arrives intact — as
+    // frame 0.
+    for (frontend, bit) in FRONTENDS.into_iter().flat_map(|f| [(f, 0), (f, 40)]) {
+        let plan =
+            Arc::new(FaultPlan::new(5).script(FaultSite::ConnWrite, [FaultAction::Corrupt(bit)]));
+        let config = ServerConfig { frontend, ..Default::default() };
+        let handle = serve_faulty(Arc::clone(&plan), config);
+        let addr = handle.local_addr();
 
-    let mut c = ServeClient::connect(addr).expect("connect");
-    c.set_read_timeout(Some(Duration::from_millis(500))).expect("read timeout");
-    let req = Request::from(&PredictRequest::builder("m").vector(query(6)).build());
-    match c.try_request(&req) {
-        // A shortened prefix decodes garbage (Protocol), a lengthened one
-        // starves the read (Timeout), a wildly large one trips the frame
-        // bound — all typed, none silent.
-        Err(ClientError::Protocol(_) | ClientError::Timeout | ClientError::FrameTooLarge(_)) => {}
-        Err(ClientError::ConnectionLost(_)) => {} // prefix > MAX_FRAME closes
-        other => panic!("corrupted response produced {other:?}"),
+        let mut c = PipelinedClient::connect(addr).expect("connect");
+        c.set_read_timeout(Some(Duration::from_millis(500))).expect("read timeout");
+        let req = Request::from(&PredictRequest::builder("m").vector(query(6)).build());
+        match (bit, c.try_request(&req)) {
+            // A shortened prefix decodes garbage (Protocol), a lengthened
+            // one starves the read (Timeout), a wildly large one trips the
+            // frame bound or closes — all typed, none silent.
+            (0, Err(ClientError::Protocol(_) | ClientError::Timeout)) => {}
+            (0, Err(ClientError::FrameTooLarge(_) | ClientError::ConnectionLost(_))) => {}
+            // A reply under an id that is not in flight is refused at
+            // once; stashing it and reading on would end in Timeout.
+            (40, Err(ClientError::Protocol(msg))) => assert!(msg.contains("frame 0"), "{msg}"),
+            (_, other) => panic!("{frontend}: corrupted bit {bit} produced {other:?}"),
+        }
+        assert_eq!(plan.injected_at(FaultSite::ConnWrite), 1);
+        if bit == 40 {
+            // The server kept the connection, and answers the next
+            // request under its own id.
+            assert!(matches!(c.try_request(&req), Ok(Response::Predictions(_))), "{frontend}");
+        }
+
+        // The service itself is unharmed.
+        plan.disarm();
+        let mut fresh = PipelinedClient::connect(addr).expect("reconnect");
+        assert!(matches!(predict_one(&mut fresh, "m", 6), Response::Predictions(_)));
+        drop((c, fresh));
+        handle.shutdown();
     }
-    assert_eq!(plan.injected_at(FaultSite::ConnWrite), 1);
+}
 
-    // The service itself is unharmed.
-    plan.disarm();
-    let mut fresh = ServeClient::connect(addr).expect("reconnect");
-    assert!(matches!(predict_one(&mut fresh, "m", 6), Response::Predictions(_)));
-    drop((c, fresh));
-    handle.shutdown();
+// ---------------------------------------------------------------------------
+// One wire format, and every refusal names its request: a frame of another
+// protocol version or with an undecodable body is answered typed, counted,
+// and leaves the connection serving — on both front ends.
+// ---------------------------------------------------------------------------
+
+/// One frame out, one frame back, on a raw socket.
+fn raw_exchange(raw: &mut TcpStream, payload: &[u8]) -> (u8, u64, Response) {
+    write_frame(raw, payload).expect("send frame");
+    let reply = read_frame(raw).expect("read reply").expect("server closed the connection");
+    decode_response_framed(&reply).expect("reply decodes")
+}
+
+#[test]
+fn refused_frames_are_answered_under_their_own_id_and_the_connection_survives() {
+    let mut bad_tag = encode_request_framed(&Request::Stats, PROTO_VERSION, 7);
+    *bad_tag.last_mut().expect("tag byte") = 99;
+    let predict = Request::from(&PredictRequest::builder("m").vector(query(1)).build());
+    let mut cut_short = encode_request_framed(&predict, PROTO_VERSION, 8);
+    cut_short.truncate(cut_short.len() - 5);
+    // (frame, the id its refusal carries, what the refusal says).
+    // `version | tag` with no frame id is what a v1/v2 client sent for
+    // Stats; a header cut inside the frame id leaves no id to echo.
+    let table: [(&[u8], u64, &str); 7] = [
+        (&[0, 3], 0, "unsupported protocol version 0"),
+        (&[1, 3], 0, "unsupported protocol version 1"),
+        (&[2, 3], 0, "unsupported protocol version 2"),
+        (&[4, 3], 0, "unsupported protocol version 4"),
+        (&bad_tag[..8], 0, "truncated frame"),
+        (&bad_tag, 7, "unknown message tag 99"),
+        (&cut_short, 8, "truncated frame"),
+    ];
+    for frontend in FRONTENDS {
+        let config = ServerConfig { frontend, ..Default::default() };
+        let handle = serve_faulty(Arc::new(FaultPlan::new(6)), config);
+        let mut raw = TcpStream::connect(handle.local_addr()).expect("connect raw");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        for (refused, (frame, frame_id, why)) in table.iter().enumerate() {
+            match raw_exchange(&mut raw, frame) {
+                (PROTO_VERSION, id, Response::Error(msg)) if id == *frame_id => {
+                    assert!(msg.contains(why), "{frontend}: {msg:?} does not say {why:?}")
+                }
+                other => panic!("{frontend}: {why}: answered {other:?}"),
+            }
+            // The same connection still serves a good frame, and the
+            // refusal was counted exactly once.
+            let stats_id = 100 + refused as u64;
+            let stats = encode_request_framed(&Request::Stats, PROTO_VERSION, stats_id);
+            match raw_exchange(&mut raw, &stats) {
+                (PROTO_VERSION, id, Response::Stats(json)) if id == stats_id => {
+                    let doc = dls_core::json::parse(&json).expect("valid stats json");
+                    let counted = fault_counter(&doc, "protocol_errors");
+                    assert_eq!(counted, refused as u64 + 1, "{frontend}: after {why}");
+                }
+                other => panic!("{frontend}: good Stats frame after {why} answered {other:?}"),
+            }
+        }
+        drop(raw);
+        handle.shutdown();
+    }
 }

@@ -4,8 +4,8 @@
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    start, ExecutorConfig, FeedbackConfig, ModelRegistry, PredictRequest, Response, RetrainOutcome,
-    ScheduleRequest, ServeClient, ServedModel, ServerConfig,
+    start, ExecutorConfig, FeedbackConfig, ModelRegistry, PipelinedClient, PredictRequest,
+    Response, RetrainOutcome, ScheduleRequest, ServedModel, ServerConfig,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -62,7 +62,7 @@ fn hot_swap_under_live_traffic_drops_nothing() {
         .map(|t| {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).expect("connect");
+                let mut c = PipelinedClient::connect(addr).expect("connect");
                 let mut sent = 0u64;
                 let mut answered = 0u64;
                 let mut k = 0usize;
@@ -127,7 +127,7 @@ fn hot_swap_under_live_traffic_drops_nothing() {
 
     // The stats endpoint surfaces the loop: active version, ensemble size,
     // observation counts, retrain outcomes — and the hard zero-drop ledger.
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let doc = dls_core::json::parse(&c.stats().expect("stats")).expect("valid stats json");
     let sel = doc.get("selector").expect("selector section");
     assert_eq!(sel.get("active_version").and_then(|v| v.as_u64()), Some(3));

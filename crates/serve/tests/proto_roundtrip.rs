@@ -1,15 +1,12 @@
 //! Property tests for the wire protocol: arbitrary messages round-trip
-//! bit-exactly, pre-v3 frames cross-decode into the documented downgrade
-//! (v1 additionally drops class/SLO; both decode with frame id 0), v3
-//! frame ids survive a wire trip, and corrupted frames (truncations,
-//! lying counts, oversized prefixes) are rejected with a [`ProtoError`],
-//! never a panic or an attacker-sized allocation.
+//! bit-exactly, frame ids survive a wire trip, and corrupted frames
+//! (truncations, lying counts, oversized prefixes) are rejected with a
+//! [`ProtoError`](dls_serve::ProtoError), never a panic or an
+//! attacker-sized allocation.
 
 use dls_serve::proto::{
-    decode_request, decode_request_framed, decode_request_versioned, decode_response,
-    decode_response_framed, encode_request, encode_request_framed, encode_request_version,
-    encode_response, encode_response_framed, encode_response_version, read_frame, write_frame,
-    Request, RequestClass, Response, MAX_FRAME_LEN, PROTO_V1, PROTO_V2, PROTO_VERSION,
+    decode_request_framed, decode_response_framed, encode_request_framed, encode_response_framed,
+    read_frame, write_frame, Request, RequestClass, Response, MAX_FRAME_LEN, PROTO_VERSION,
 };
 use dls_sparse::SparseVec;
 use proptest::prelude::*;
@@ -98,62 +95,21 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
-/// What a v1 wire trip preserves of a request: `Predict` drops class and
-/// SLO (decoding as interactive / SLO 0); everything else is unchanged.
-fn v1_downgrade(req: &Request) -> Request {
-    match req {
-        Request::Predict { model, deadline_ms, vectors, .. } => Request::Predict {
-            model: model.clone(),
-            deadline_ms: *deadline_ms,
-            class: RequestClass::Interactive,
-            slo_us: 0,
-            vectors: vectors.clone(),
-        },
-        other => other.clone(),
-    }
+fn encode(req: &Request) -> Vec<u8> {
+    encode_request_framed(req, PROTO_VERSION, 0)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// encode → decode is the identity for every request, and the decoder
-    /// reports the current version.
+    /// encode → decode is the identity for every request — class and SLO
+    /// included — and the decoder reports the one live version.
     #[test]
     fn requests_round_trip(req in arb_request()) {
-        let payload = encode_request(&req);
-        prop_assert_eq!(decode_request(&payload).unwrap(), req.clone());
-        let (version, decoded) = decode_request_versioned(&payload).unwrap();
-        prop_assert_eq!(version, PROTO_VERSION);
-        prop_assert_eq!(decoded, req);
+        prop_assert_eq!(decode_request_framed(&encode(&req)).unwrap(), (PROTO_VERSION, 0, req));
     }
 
-    /// A v1 encoding of any request decodes as the documented downgrade,
-    /// flagged with the legacy version — the cross-version compatibility
-    /// contract.
-    #[test]
-    fn v1_requests_cross_decode(req in arb_request()) {
-        let payload = encode_request_version(&req, PROTO_V1);
-        let (version, decoded) = decode_request_versioned(&payload).unwrap();
-        prop_assert_eq!(version, PROTO_V1);
-        prop_assert_eq!(decoded, v1_downgrade(&req));
-    }
-
-    /// The full cross-version matrix: any request encoded at any accepted
-    /// version decodes through the framed decoder at that version, with
-    /// the documented downgrade and a frame id that only v3 can carry.
-    #[test]
-    fn cross_version_decoding_matrix(req in arb_request(), id in 0u64..u64::MAX) {
-        for version in [PROTO_V1, PROTO_V2, PROTO_VERSION] {
-            let payload = encode_request_framed(&req, version, id);
-            let (got_version, got_id, decoded) = decode_request_framed(&payload).unwrap();
-            prop_assert_eq!(got_version, version);
-            prop_assert_eq!(got_id, if version >= PROTO_VERSION { id } else { 0 });
-            let expect = if version == PROTO_V1 { v1_downgrade(&req) } else { req.clone() };
-            prop_assert_eq!(decoded, expect);
-        }
-    }
-
-    /// v3 frame ids survive a wire trip bit-exactly on requests and
+    /// Frame ids survive a wire trip bit-exactly on requests and
     /// responses alike.
     #[test]
     fn frame_ids_round_trip(req in arb_request(), resp in arb_response(), id in 0u64..u64::MAX) {
@@ -163,42 +119,27 @@ proptest! {
         prop_assert_eq!(got, id);
     }
 
-    /// Class and SLO survive a v2 wire trip exactly (the fields v1 cannot
-    /// carry).
-    #[test]
-    fn v2_predicts_preserve_class_and_slo(req in arb_predict()) {
-        let (_, decoded) = decode_request_versioned(&encode_request(&req)).unwrap();
-        prop_assert_eq!(decoded, req);
-    }
-
-    /// encode → decode is the identity for every response, at both
-    /// protocol versions (responses are version-stable).
+    /// encode → decode is the identity for every response.
     #[test]
     fn responses_round_trip(resp in arb_response()) {
-        prop_assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp.clone());
-        let v1 = encode_response_version(&resp, PROTO_V1);
-        prop_assert_eq!(decode_response(&v1).unwrap(), resp);
+        let payload = encode_response_framed(&resp, PROTO_VERSION, 0);
+        prop_assert_eq!(decode_response_framed(&payload).unwrap(), (PROTO_VERSION, 0, resp));
     }
 
     /// Every strict prefix of a valid request payload is rejected cleanly
-    /// (no panic, no accept) — at both versions.
+    /// (no panic, no accept).
     #[test]
     fn truncated_requests_are_rejected(req in arb_request()) {
-        for version in [PROTO_V1, PROTO_V2, PROTO_VERSION] {
-            let payload = encode_request_version(&req, version);
-            for cut in 0..payload.len() {
-                prop_assert!(
-                    decode_request_versioned(&payload[..cut]).is_err(),
-                    "v{} prefix {} accepted", version, cut
-                );
-            }
+        let payload = encode(&req);
+        for cut in 0..payload.len() {
+            prop_assert!(decode_request_framed(&payload[..cut]).is_err(), "prefix {} accepted", cut);
         }
     }
 
     /// Framed transport round-trips and clean EOF is distinguishable.
     #[test]
     fn frames_round_trip(req in arb_request()) {
-        let payload = encode_request(&req);
+        let payload = encode(&req);
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         write_frame(&mut buf, &payload).unwrap();
@@ -209,15 +150,15 @@ proptest! {
     }
 
     /// Flipping the version or tag byte never round-trips as valid. (The
-    /// v3 tag sits *after* the 8-byte frame id, whose bytes are all
-    /// payload — corrupting those changes the id, not validity.)
+    /// tag sits *after* the 8-byte frame id, whose bytes are all payload
+    /// — corrupting those changes the id, not validity.)
     #[test]
     fn corrupt_header_bytes_are_rejected(req in arb_request(), pick_tag in 0usize..2, val in 64u8..255) {
-        let mut payload = encode_request(&req);
+        let mut payload = encode(&req);
         let byte = if pick_tag == 1 { 9 } else { 0 };
         if payload[byte] != val {
             payload[byte] = val;
-            prop_assert!(decode_request(&payload).is_err());
+            prop_assert!(decode_request_framed(&payload).is_err());
         }
     }
 }
@@ -237,17 +178,14 @@ fn oversized_length_prefix_is_refused_before_reading() {
 fn lying_interior_count_cannot_oversize_an_allocation() {
     // A Predict payload whose vector count claims far more elements than
     // the frame carries must fail before allocating for them.
-    let req = Request::Predict {
+    let mut payload = encode(&Request::Predict {
         model: "m".into(),
         deadline_ms: 0,
         class: RequestClass::Interactive,
         slo_us: 0,
         vectors: vec![],
-    };
-    for version in [PROTO_V1, PROTO_V2, PROTO_VERSION] {
-        let mut payload = encode_request_version(&req, version);
-        let count_at = payload.len() - 4;
-        payload[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_request_versioned(&payload).is_err(), "v{version} accepted a lying count");
-    }
+    });
+    let count_at = payload.len() - 4;
+    payload[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(decode_request_framed(&payload).is_err(), "accepted a lying count");
 }

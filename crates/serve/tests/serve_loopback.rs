@@ -11,7 +11,7 @@
 use dls_core::LayoutScheduler;
 use dls_serve::stats::parse_block_hist;
 use dls_serve::{
-    start, ModelRegistry, PredictRequest, Response, ScheduleRequest, ServeClient, ServedModel,
+    start, ModelRegistry, PipelinedClient, PredictRequest, Response, ScheduleRequest, ServedModel,
     ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
@@ -49,7 +49,7 @@ fn serve(config: ServerConfig) -> ServerHandle {
 /// Sends one predict through the builder API (deadline 0 = server-default
 /// class SLO).
 fn predict(
-    c: &mut ServeClient,
+    c: &mut PipelinedClient,
     model: &str,
     vectors: Vec<SparseVec>,
     deadline_ms: u32,
@@ -62,7 +62,7 @@ fn predict(
 }
 
 fn schedule(
-    c: &mut ServeClient,
+    c: &mut PipelinedClient,
     strategy: &str,
     rows: u64,
     cols: u64,
@@ -75,7 +75,7 @@ fn schedule(
 /// Polls the predict queue depth via the wire Stats endpoint until it
 /// reaches `want` (inline handling keeps this live while workers pause).
 fn wait_for_depth(addr: SocketAddr, want: u64) {
-    let mut stats = ServeClient::connect(addr).expect("connect stats");
+    let mut stats = PipelinedClient::connect(addr).expect("connect stats");
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let json = stats.stats().expect("stats");
@@ -111,7 +111,7 @@ fn concurrent_singles_coalesce_and_match_per_vector_predict() {
     let clients: Vec<_> = (0..CLIENTS)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).expect("connect");
+                let mut c = PipelinedClient::connect(addr).expect("connect");
                 (i, predict(&mut c, "m", vec![query(i)], 0))
             })
         })
@@ -138,7 +138,7 @@ fn concurrent_singles_coalesce_and_match_per_vector_predict() {
     }
 
     // The telemetry must prove the fusion happened: blocks of B >= 2.
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let hist = parse_block_hist(&c.stats().expect("stats")).expect("block hist");
     let multi: u64 = hist[1..].iter().sum();
     assert!(multi >= 1, "8 queued singles produced no multi-vector block: {hist:?}");
@@ -161,7 +161,7 @@ fn full_queue_refuses_with_busy_immediately() {
     let blocked: Vec<_> = (0..2)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut c = ServeClient::connect(addr).expect("connect");
+                let mut c = PipelinedClient::connect(addr).expect("connect");
                 predict(&mut c, "m", vec![query(i)], 0)
             })
         })
@@ -170,7 +170,7 @@ fn full_queue_refuses_with_busy_immediately() {
 
     // The third client must get Busy back immediately — not a hang, not a
     // queued wait.
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let started = Instant::now();
     let resp = predict(&mut c, "m", vec![query(9)], 0);
     assert_eq!(resp, Response::Busy);
@@ -192,7 +192,7 @@ fn requests_queued_past_their_deadline_time_out() {
 
     handle.executor().pause(true);
     let waiter = std::thread::spawn(move || {
-        let mut c = ServeClient::connect(addr).expect("connect");
+        let mut c = PipelinedClient::connect(addr).expect("connect");
         // 10 ms clears the admission projection (gather + one tiny sweep)
         // but lapses while the pool stays parked below.
         predict(&mut c, "m", vec![query(0)], 10)
@@ -203,7 +203,7 @@ fn requests_queued_past_their_deadline_time_out() {
     assert_eq!(waiter.join().expect("join"), Response::TimedOut);
 
     // The miss is on the interactive class's SLO ledger.
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     let doc = dls_core::json::parse(&c.stats().expect("stats")).expect("valid stats json");
     let interactive = doc.get("classes").and_then(|c| c.get("interactive")).expect("class stats");
     assert_eq!(interactive.get("slo_violations").and_then(|v| v.as_u64()), Some(1));
@@ -216,7 +216,7 @@ fn requests_queued_past_their_deadline_time_out() {
 fn schedule_and_errors_over_the_wire() {
     let handle = serve(ServerConfig::default());
     let addr = handle.local_addr();
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
 
     // A fixed-format strategy is honoured end to end.
     let entries: Vec<(u64, u64, f64)> = (0..8).map(|i| (i % 4, i % 6, 1.0 + i as f64)).collect();
@@ -245,32 +245,12 @@ fn schedule_and_errors_over_the_wire() {
     handle.shutdown();
 }
 
-/// The pre-redesign client methods still work (deprecated shims over the
-/// builder API) — existing callers keep compiling and serving.
-#[test]
-#[allow(deprecated)]
-fn deprecated_client_shims_still_serve() {
-    let handle = serve(ServerConfig::default());
-    let mut c = ServeClient::connect(handle.local_addr()).expect("connect");
-    assert!(matches!(
-        c.predict("m", vec![query(2)], 0).expect("predict"),
-        Response::Predictions(_)
-    ));
-    let entries: Vec<(u64, u64, f64)> = (0..4).map(|i| (i, i, 1.0)).collect();
-    assert!(matches!(
-        c.schedule("csr", 4, 4, entries).expect("schedule"),
-        Response::Scheduled { .. }
-    ));
-    drop(c);
-    handle.shutdown();
-}
-
 #[test]
 fn shutdown_frame_drains_gracefully() {
     let handle = serve(ServerConfig::default());
     let addr = handle.local_addr();
 
-    let mut c = ServeClient::connect(addr).expect("connect");
+    let mut c = PipelinedClient::connect(addr).expect("connect");
     assert!(matches!(predict(&mut c, "m", vec![query(3)], 0), Response::Predictions(_)));
     assert_eq!(c.shutdown().expect("shutdown"), Response::ShuttingDown);
     // Requests after the shutdown ack are refused, not dropped.
@@ -281,7 +261,7 @@ fn shutdown_frame_drains_gracefully() {
     handle.shutdown(); // performs the drain; idempotent with join()
 
     // The acceptor is gone: fresh connections cannot reach the service.
-    let gone = ServeClient::connect(addr)
+    let gone = PipelinedClient::connect(addr)
         .and_then(|mut c| c.send(&PredictRequest::builder("m").vector(query(5)).build()));
     assert!(gone.is_err(), "server still serving after drain");
 }

@@ -106,4 +106,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> line counts (scripts/loc.sh; paste into the PR's CHANGES.md entry beside the parent's)"
+scripts/loc.sh
+
 echo "==> ci OK"

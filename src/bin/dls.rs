@@ -17,7 +17,7 @@
 //!               [--discipline fifo|priority|slo]    (queue discipline, default slo)
 //!               [--frontend threads|reactor]        I/O front end: thread-per-conn
 //!               [--read-timeout-ms N]               or the epoll event loop with
-//!               [--idle-timeout-ms N]               pipelined protocol v3;
+//!               [--idle-timeout-ms N]               out-of-order pipelining;
 //!               [--no-brownout] [--chaos-seed N]    --chaos-seed arms the seeded
 //!                                                   fault-injection plan (demo)
 //!               [--online [--retrain-ms N]]         online learning: telemetry
@@ -379,7 +379,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         if no_brownout { "off" } else { "on" }
     );
     println!("telemetry: dls stats --serve {}  (add --health for the ladder)", handle.local_addr());
-    println!("stop:      a client Shutdown frame (ServeClient::shutdown) drains and exits");
+    println!("stop:      a client Shutdown frame (PipelinedClient::shutdown) drains and exits");
     handle.join();
     println!("drained cleanly");
     Ok(())
@@ -389,7 +389,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// telemetry snapshot, or the health ladder (degradation state per model).
 fn cmd_stats_serve(addr: &str, health: bool) -> Result<(), String> {
     let mut client =
-        dls::serve::ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+        dls::serve::PipelinedClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let json = if health {
         match client.request(&dls::serve::Request::Health).map_err(|e| format!("health: {e}"))? {
             dls::serve::Response::Health(json) => json,
