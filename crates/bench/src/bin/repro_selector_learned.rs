@@ -12,7 +12,7 @@
 use dls_core::{LayoutScheduler, SelectionStrategy};
 use dls_learn::{
     evaluate, training_grid, DecisionTree, GridConfig, LabelMode, LabelSource, LearnedSelector,
-    ModelMeta, TrainedModel, TreeParams,
+    ModelMeta, TrainedModel, TreeParams, HOLDOUT_STRIDE,
 };
 use dls_sparse::Format;
 
@@ -43,15 +43,16 @@ fn main() {
     let cases = training_grid(&grid_cfg);
     let labelled: Vec<_> =
         cases.iter().map(|c| (c, dls_learn::label_case(&c.desc, &c.matrix, mode))).collect();
-    let stride = 5usize;
-    let (train, holdout): (Vec<_>, Vec<_>) =
-        labelled.into_iter().enumerate().partition(|(i, _)| i % stride != stride - 1);
+    let (train, holdout): (Vec<_>, Vec<_>) = labelled
+        .into_iter()
+        .enumerate()
+        .partition(|(i, _)| i % HOLDOUT_STRIDE != HOLDOUT_STRIDE - 1);
     let train: Vec<_> = train.into_iter().map(|(_, p)| p).collect();
     let holdout: Vec<_> = holdout.into_iter().map(|(_, p)| p).collect();
 
     let xs: Vec<_> = train.iter().map(|(_, s)| s.x).collect();
     let ys: Vec<_> = train.iter().map(|(_, s)| s.label).collect();
-    let tree = DecisionTree::train(&xs, &ys, TreeParams::default());
+    let tree = DecisionTree::train(&xs, &ys, TreeParams::CLASSIFIER);
     let count = |src: LabelSource| train.iter().filter(|(_, s)| s.source == src).count();
     let model = TrainedModel {
         meta: ModelMeta {
@@ -64,7 +65,7 @@ fn main() {
         },
         tree,
         blocks: None,
-        ensemble: None,
+        ensemble: Vec::new(),
     };
     println!(
         "trained on {} samples ({} measured, {} fallback, {} analytic); \

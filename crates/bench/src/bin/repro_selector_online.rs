@@ -23,8 +23,8 @@ use dls_core::json::JsonValue;
 use dls_core::{LayoutScheduler, SelectionStrategy};
 use dls_hw::{Platform, PLATFORMS};
 use dls_learn::{
-    evaluate, retrain_online, training_grid, DecisionTree, EvalSummary, GridConfig, LabelMode,
-    LabeledObservation, OnlineTrainConfig, TreeParams,
+    evaluate, retrain_online, train_selector, training_grid, EvalSummary, GridConfig, LabelMode,
+    LabeledObservation, OnlineTrainConfig, TrainConfig, HOLDOUT_STRIDE,
 };
 use dls_sparse::Format;
 
@@ -65,31 +65,20 @@ fn main() {
     // bandwidth profile (and hence the winning format) changes.
     let grid_cfg = GridConfig { seed, quick, ..Default::default() };
     let cases = training_grid(&grid_cfg);
+    let oracle_of = |p: &Platform| LabelMode::Analytic { bandwidth: p.format_bandwidth() };
     let label_under = |p: &Platform| {
-        let mode = LabelMode::Analytic { bandwidth: p.format_bandwidth() };
+        let mode = oracle_of(p);
         cases.iter().map(|c| dls_learn::label_case(&c.desc, &c.matrix, mode)).collect::<Vec<_>>()
     };
-    let stride = 5usize;
-    let is_holdout = |i: usize| i % stride == stride - 1;
+    let is_holdout = |i: usize| i % HOLDOUT_STRIDE == HOLDOUT_STRIDE - 1;
 
-    // Frozen CART: fitted once, on the training machine's oracle.
-    let train_samples = label_under(train_platform);
-    let xs: Vec<_> = train_samples
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !is_holdout(*i))
-        .map(|(_, s)| s.x)
-        .collect();
-    let ys: Vec<_> = train_samples
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !is_holdout(*i))
-        .map(|(_, s)| s.label)
-        .collect();
-    let frozen = DecisionTree::train(&xs, &ys, TreeParams::default());
+    // Frozen CART: the offline trainer, run once on the training machine's
+    // oracle (it holds out the same every-fifth slice).
+    let frozen =
+        train_selector(&TrainConfig { seed, quick, mode: oracle_of(train_platform) }).model.tree;
 
     let rules = LayoutScheduler::with_strategy(SelectionStrategy::RuleBased);
-    let cfg = OnlineTrainConfig { seed, quick_grid: quick, ..Default::default() };
+    let cfg = OnlineTrainConfig { seed, quick_grid: quick };
     let mut pairs: Vec<PairResult> = Vec::new();
 
     for test_platform in &PLATFORMS {

@@ -245,9 +245,15 @@ pub fn number(x: f64) -> String {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a cap a file of 200,000 `[` overflows the stack —
+/// an abort, not an `Err`. Far above any document this workspace writes
+/// (a depth-12 tree nests 2 levels per split: under 40).
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Errors carry a byte offset and a short message.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -260,6 +266,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -297,8 +305,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -306,6 +314,19 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -498,6 +519,24 @@ mod tests {
         for bad in ["", "{", "[1,", "tru", "\"unterminated", "{\"a\" 1}", "1 2", "{'a':1}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        let objects = |n: usize| format!("{}{{}}{}", "{\"k\":".repeat(n - 1), "}".repeat(n - 1));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Mixed containers count together, and an unclosed flood is refused
+        // at the cap rather than recursed into.
+        assert!(parse(&"[{\"k\":".repeat(MAX_DEPTH)).is_err());
+        assert!(parse(&"[".repeat(200_000)).unwrap_err().contains("nesting deeper"));
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}[]]", "[],".repeat(1000))).is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::features::NUM_FEATURES;
 use crate::label::LabelMode;
-use crate::regress::{RegressParams, RegressionTree};
+use crate::tree::{RegressionTree, TreeParams};
 use dls_sparse::{
     AnyMatrix, Format, MatrixFeatures, MatrixFormat, SparseVec, TripletMatrix, MAX_SMSV_BLOCK,
 };
@@ -133,20 +133,13 @@ impl BlockModel {
     pub fn train(samples: &[BlockSample]) -> Self {
         let mut trees = Vec::new();
         for &fmt in Format::ALL.iter().filter(|f| f.has_blocked_kernel()) {
-            let xs: Vec<Vec<f64>> =
-                samples.iter().filter(|s| s.format == fmt).map(|s| s.x.to_vec()).collect();
-            let ys: Vec<f64> = samples
-                .iter()
-                .filter(|s| s.format == fmt)
-                .map(|s| (s.block.max(1) as f64).log2())
-                .collect();
+            let of_fmt = || samples.iter().filter(|s| s.format == fmt);
+            let xs: Vec<&[f64; NUM_FEATURES]> = of_fmt().map(|s| &s.x).collect();
+            let ys: Vec<f64> = of_fmt().map(|s| (s.block.max(1) as f64).log2()).collect();
             if xs.is_empty() {
                 continue;
             }
-            trees.push((
-                fmt,
-                RegressionTree::train(NUM_FEATURES, &xs, &ys, RegressParams::default()),
-            ));
+            trees.push((fmt, RegressionTree::train(&xs, &ys, TreeParams::REGRESSOR)));
         }
         Self { trees }
     }

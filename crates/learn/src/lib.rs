@@ -16,23 +16,24 @@
 //!    five basic formats, either by timing real SMSV sweeps (with an
 //!    agreement-and-margin gate against timer noise) or analytically from
 //!    Table II storage under a flat bandwidth profile.
-//! 3. **Tree** ([`tree`]) — a pure-Rust CART trainer (Gini impurity,
-//!    depth/leaf/gain pruning, fully deterministic). No external ML
-//!    dependency; models persist as hand-rolled JSON ([`persist`]). The
-//!    same induction machinery re-targeted at a continuous response lives
-//!    in [`regress`] ([`RegressionTree`], variance-reduction splits) and
-//!    powers `dls-serve`'s learned latency predictor.
+//! 3. **Tree** ([`tree`]) — one pure-Rust CART inducer (depth/leaf/gain
+//!    pruning, fully deterministic), generic over what it predicts:
+//!    [`DecisionTree`] classifies formats by Gini impurity,
+//!    [`RegressionTree`] fits a response by variance reduction (block-size
+//!    tuning here, `dls-serve`'s latency predictor). No external ML
+//!    dependency; models persist as hand-rolled JSON ([`persist`]).
 //! 4. **Selector** ([`selector`]) — [`LearnedSelector`] implements
 //!    `dls_core::FormatSelector`, so a trained model drops into
 //!    `LayoutScheduler::with_selector`, composes with `TuningCache`
 //!    memoisation and `ReactiveScheduler` re-scheduling, and is graded
-//!    against the rules and the empirical oracle by [`eval`].
+//!    against the rules and the empirical oracle by [`eval`]. With a
+//!    confidence gate it falls back to the analytic rules when unsure.
 //! 5. **Online** ([`online`]) — closes the loop: production telemetry
-//!    ([`LabeledObservation`], [`ObservationRing`], JSONL log) feeds
-//!    background retraining ([`retrain_online`]) that merges measured
-//!    production labels with the synthetic grid, upgrades to a bagged
-//!    [`ForestModel`] when a single tree plateaus, and gates low-confidence
-//!    predictions back to the analytic rules ([`HybridSelector`]). The
+//!    ([`LabeledObservation`], [`ObservationRing`]) feeds background
+//!    retraining ([`retrain_online`]) — the same trainer as
+//!    [`train_selector`] with measured production labels merged into the
+//!    synthetic grid — and upgrades to a bagged forest
+//!    ([`TrainedModel::ensemble`]) when a single tree plateaus. The
 //!    serve-side recording/swap half lives in `dls-serve::feedback`.
 
 pub mod block;
@@ -42,7 +43,6 @@ pub mod grid;
 pub mod label;
 pub mod online;
 pub mod persist;
-pub mod regress;
 pub mod selector;
 pub mod tree;
 
@@ -52,16 +52,27 @@ pub use features::{featurize, FEATURE_NAMES, NUM_FEATURES};
 pub use grid::{training_grid, GridCase, GridConfig};
 pub use label::{label_case, LabelMode, LabelSource, LabelledSample};
 pub use online::{
-    model_regret, observations_from_reactive, observations_to_samples, parse_jsonl_log,
-    retrain_online, ForestModel, HybridSelector, LabeledObservation, ObservationRing,
-    OnlineOutcome, OnlineTrainConfig, DEFAULT_MIN_CONFIDENCE,
+    bag, model_regret, observations_from_reactive, observations_to_samples, retrain_online,
+    LabeledObservation, ObservationRing, OnlineOutcome, OnlineTrainConfig,
 };
 pub use persist::{ModelError, ModelMeta, TrainedModel, MIN_MODEL_VERSION, MODEL_VERSION};
-pub use regress::{RegressNode, RegressParams, RegressionTree};
-pub use selector::LearnedSelector;
-pub use tree::{gini, DecisionTree, Node, TreeParams};
+pub use selector::{LearnedSelector, DEFAULT_MIN_CONFIDENCE};
+pub use tree::{gini, DecisionTree, Node, RegressionTree, Target, Tree, TreeParams};
 
 use dls_sparse::Format;
+
+/// Every `HOLDOUT_STRIDE`-th grid sample is held out of training and used
+/// only for evaluation (and, online, as the swap guard's trusted replay
+/// slice).
+pub const HOLDOUT_STRIDE: usize = 5;
+
+/// Replication weight of each production-derived sample relative to a grid
+/// sample — production evidence is measured on *this* machine and
+/// workload, so it outweighs the synthetic prior.
+const PRODUCTION_WEIGHT: usize = 3;
+
+/// Extra multiplier for the most recent half of production samples.
+const RECENCY_BOOST: usize = 2;
 
 /// End-to-end training configuration for [`train_selector`].
 #[derive(Debug, Clone, Copy)]
@@ -72,22 +83,11 @@ pub struct TrainConfig {
     pub quick: bool,
     /// Labelling mode (measured with analytic fallback, or pure analytic).
     pub mode: LabelMode,
-    /// Tree pruning parameters.
-    pub params: TreeParams,
-    /// Holdout stride: every `holdout_stride`-th sample is held out of
-    /// training and used only for evaluation.
-    pub holdout_stride: usize,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self {
-            seed: GridConfig::default().seed,
-            quick: false,
-            mode: LabelMode::default(),
-            params: TreeParams::default(),
-            holdout_stride: 5,
-        }
+        Self { seed: GridConfig::default().seed, quick: false, mode: LabelMode::default() }
     }
 }
 
@@ -96,56 +96,93 @@ impl Default for TrainConfig {
 pub struct TrainOutcome {
     /// The trained model (tree + provenance).
     pub model: TrainedModel,
-    /// Labelled samples the tree was fitted on.
+    /// Labelled grid samples the tree was fitted on.
     pub train: Vec<LabelledSample>,
-    /// Held-out labelled samples (never seen during fitting).
+    /// Held-out labelled grid samples (never seen during fitting).
     pub holdout: Vec<LabelledSample>,
 }
 
 /// Runs the full pipeline: generate the grid, label every case, split off a
 /// holdout set, fit the tree. Deterministic whenever `cfg.mode` is analytic.
 pub fn train_selector(cfg: &TrainConfig) -> TrainOutcome {
+    fit(cfg, None).0
+}
+
+/// The one training routine: grid → labels → holdout → fit → provenance.
+/// `production` is `None` offline and the production-derived samples (maybe
+/// none yet) online; an online fit merges them into the grid's training
+/// split, is tagged `"online"` and skips block calibration. Also returns
+/// the exact rows the tree was fitted on, for bagging.
+pub(crate) fn fit(
+    cfg: &TrainConfig,
+    production: Option<&[LabelledSample]>,
+) -> (TrainOutcome, Vec<[f64; NUM_FEATURES]>, Vec<Format>) {
     let grid_cfg = GridConfig { seed: cfg.seed, quick: cfg.quick, ..Default::default() };
     let cases = training_grid(&grid_cfg);
     let samples: Vec<LabelledSample> =
         cases.iter().map(|c| label_case(&c.desc, &c.matrix, cfg.mode)).collect();
 
-    // Block-size calibration rides the same grid: every (format, cell) is
-    // swept over the candidate block sizes and one regression tree per
-    // format learns the winning block from the cell's features.
-    let mut block_samples = Vec::new();
-    for (case, sample) in cases.iter().zip(&samples) {
-        for &fmt in Format::ALL.iter().filter(|f| f.has_blocked_kernel()) {
-            block_samples.push(BlockSample {
-                format: fmt,
-                x: sample.x,
-                block: block::block_for_case(fmt, &case.matrix, &sample.features, cfg.mode),
-            });
+    // Offline, block-size calibration rides the same grid: every (format,
+    // cell) is swept over the candidate block sizes and one regression tree
+    // per format learns the winning block from the cell's features.
+    let blocks = production.is_none().then(|| {
+        let mut block_samples = Vec::new();
+        for (case, sample) in cases.iter().zip(&samples) {
+            for &fmt in Format::ALL.iter().filter(|f| f.has_blocked_kernel()) {
+                block_samples.push(BlockSample {
+                    format: fmt,
+                    x: sample.x,
+                    block: block::block_for_case(fmt, &case.matrix, &sample.features, cfg.mode),
+                });
+            }
+        }
+        BlockModel::train(&block_samples)
+    });
+
+    let (train, holdout) = split_holdout(samples, HOLDOUT_STRIDE);
+
+    // Weighted merge by replication: the CART trainer is unweighted, so a
+    // sample with weight w appears w times. Production outweighs the
+    // synthetic prior, and the most recent half of production (groups are
+    // ordered by first appearance in the log) gets a further boost.
+    let production_samples = production.unwrap_or_default();
+    let recent_from = production_samples.len() / 2;
+    let weight = |i: usize| PRODUCTION_WEIGHT * if i >= recent_from { RECENCY_BOOST } else { 1 };
+    let production_weighted = production_samples.iter().enumerate().map(|(i, s)| (s, weight(i)));
+    let weighted = train.iter().map(|s| (s, 1)).chain(production_weighted);
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    let (mut measured, mut analytic_fallback, mut analytic) = (0, 0, 0);
+    for (s, weight) in weighted {
+        for _ in 0..weight {
+            xs.push(s.x);
+            ys.push(s.label);
+            match s.source {
+                LabelSource::Measured => measured += 1,
+                LabelSource::AnalyticFallback => analytic_fallback += 1,
+                LabelSource::Analytic => analytic += 1,
+            }
         }
     }
-    let blocks = BlockModel::train(&block_samples);
 
-    let (train, holdout) = split_holdout(samples, cfg.holdout_stride);
-
-    let xs: Vec<_> = train.iter().map(|s| s.x).collect();
-    let ys: Vec<_> = train.iter().map(|s| s.label).collect();
-    let tree = DecisionTree::train(&xs, &ys, cfg.params);
-
-    let count = |src: LabelSource| train.iter().filter(|s| s.source == src).count();
+    let grid = match (production, cfg.quick) {
+        (Some(_), _) => "online",
+        (None, true) => "quick",
+        (None, false) => "full",
+    };
     let model = TrainedModel {
         meta: ModelMeta {
             seed: cfg.seed,
-            grid: if cfg.quick { "quick".into() } else { "full".into() },
-            samples: train.len(),
-            measured: count(LabelSource::Measured),
-            analytic_fallback: count(LabelSource::AnalyticFallback),
-            analytic: count(LabelSource::Analytic),
+            grid: grid.into(),
+            samples: xs.len(),
+            measured,
+            analytic_fallback,
+            analytic,
         },
-        tree,
-        blocks: Some(blocks),
-        ensemble: None,
+        tree: DecisionTree::train(&xs, &ys, TreeParams::CLASSIFIER),
+        blocks,
+        ensemble: Vec::new(),
     };
-    TrainOutcome { model, train, holdout }
+    (TrainOutcome { model, train, holdout }, xs, ys)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Online learning: production telemetry → labelled observations →
-//! background retraining → confidence-gated hybrid selection.
+//! background retraining.
 //!
 //! The offline pipeline ([`crate::train_selector`]) freezes its model at
 //! ship time. This module closes the loop the paper never had:
@@ -7,7 +7,6 @@
 //! 1. **[`LabeledObservation`]** — one executed SMSV sweep as seen in
 //!    production (the nine influencing parameters, the format that ran,
 //!    the tuned block, the coalesced batch size, measured nanoseconds).
-//!    Observations serialise to hand-rolled JSONL, one object per line.
 //! 2. **[`ObservationRing`]** — a bounded, thread-safe ring the serve
 //!    executor and `ReactiveScheduler` telemetry append into; when full
 //!    the oldest observation is overwritten. A retrainer drains it.
@@ -15,34 +14,26 @@
 //!    fingerprint become [`LabelledSample`]s: measured seconds-per-vector
 //!    for formats production actually ran, analytic estimates (rescaled to
 //!    the measured reference) for the rest.
-//! 4. **[`retrain_online`]** — merges production samples with the
-//!    synthetic grid (recency-weighted), refits the CART, and upgrades to
-//!    a bagged [`ForestModel`] when single-tree holdout accuracy plateaus.
-//! 5. **[`HybridSelector`]** — confidence-gated ML+rule selection: the
-//!    learned model decides when its vote margin clears a threshold, the
-//!    paper's analytic rules decide otherwise (cf. SNIPPETS.md
-//!    `MLLoopOptSelector`), with fallback counts for telemetry.
+//! 4. **[`retrain_online`]** — the offline trainer's routine with the
+//!    production samples merged in (recency-weighted), plus a bagged
+//!    forest ([`bag`]) when single-tree holdout accuracy plateaus.
 //!
-//! The serve-side half (recording site, background thread, regret-guarded
-//! hot swap) lives in `dls-serve::feedback`.
+//! The published model serves behind a confidence-gated
+//! [`crate::LearnedSelector`]; the serve-side half (recording site,
+//! background thread, regret-guarded hot swap) lives in
+//! `dls-serve::feedback`.
 
-use crate::eval::{evaluate, split_holdout, EvalSummary};
+use crate::eval::{evaluate, EvalSummary};
 use crate::features::{featurize, NUM_FEATURES};
-use crate::grid::{training_grid, GridConfig};
-use crate::label::{label_case, LabelMode, LabelSource, LabelledSample};
-use crate::persist::{ModelMeta, TrainedModel};
-use crate::selector::LearnedSelector;
-use crate::tree::{DecisionTree, TreeParams};
-use dls_core::json::{escape, number, parse};
-use dls_core::{
-    BandwidthProfile, CostModelSelector, FormatSelector, ReactiveReport, RuleBasedSelector,
-    SelectionReport,
-};
-use dls_sparse::telemetry::format_index;
-use dls_sparse::{Format, MatrixFeatures, TripletMatrix};
+use crate::grid::GridConfig;
+use crate::label::{LabelMode, LabelSource, LabelledSample};
+use crate::persist::TrainedModel;
+use crate::tree::{arg_max, DecisionTree, TreeParams};
+use crate::{TrainConfig, TrainOutcome};
+use dls_core::{BandwidthProfile, CostModelSelector, ReactiveReport};
+use dls_sparse::{Format, MatrixFeatures};
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -73,64 +64,6 @@ impl LabeledObservation {
     /// Seconds per vector — the unit comparable across batch sizes.
     pub fn secs_per_vector(&self) -> f64 {
         self.nanos as f64 * 1e-9 / self.batch.max(1) as f64
-    }
-
-    /// One JSONL line (no trailing newline). Canonical: parsing and
-    /// re-encoding is byte-identical.
-    pub fn to_jsonl(&self) -> String {
-        let f = &self.features;
-        format!(
-            "{{\"seq\":{},\"m\":{},\"n\":{},\"nnz\":{},\"ndig\":{},\"dnnz\":{},\
-             \"mdim\":{},\"adim\":{},\"vdim\":{},\"density\":{},\
-             \"format\":{},\"block\":{},\"batch\":{},\"nanos\":{}}}",
-            self.seq,
-            f.m,
-            f.n,
-            f.nnz,
-            f.ndig,
-            number(f.dnnz),
-            f.mdim,
-            number(f.adim),
-            number(f.vdim),
-            number(f.density),
-            escape(&self.format.to_string()),
-            self.block,
-            self.batch,
-            self.nanos,
-        )
-    }
-
-    /// Parses one JSONL line.
-    pub fn from_jsonl(line: &str) -> Result<Self, String> {
-        let v = parse(line)?;
-        let usize_of = |key: &str| -> Result<usize, String> {
-            v.req(key)?.as_usize().ok_or_else(|| format!("\"{key}\" must be a count"))
-        };
-        let f64_of = |key: &str| -> Result<f64, String> {
-            v.req(key)?.as_f64().ok_or_else(|| format!("\"{key}\" must be a number"))
-        };
-        let u64_of = |key: &str| -> Result<u64, String> {
-            v.req(key)?.as_u64().ok_or_else(|| format!("\"{key}\" must be a count"))
-        };
-        let name = v.req("format")?.as_str().ok_or("\"format\" must be a string")?;
-        Ok(Self {
-            seq: u64_of("seq")?,
-            features: MatrixFeatures {
-                m: usize_of("m")?,
-                n: usize_of("n")?,
-                nnz: usize_of("nnz")?,
-                ndig: usize_of("ndig")?,
-                dnnz: f64_of("dnnz")?,
-                mdim: usize_of("mdim")?,
-                adim: f64_of("adim")?,
-                vdim: f64_of("vdim")?,
-                density: f64_of("density")?,
-            },
-            format: Format::from_str(name).map_err(|e| e.to_string())?,
-            block: usize_of("block")?,
-            batch: usize_of("batch")?,
-            nanos: u64_of("nanos")?,
-        })
     }
 }
 
@@ -201,28 +134,6 @@ impl ObservationRing {
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
-
-    /// Drains the ring and writes one JSONL line per observation.
-    pub fn flush_jsonl(&self, out: &mut impl std::io::Write) -> std::io::Result<usize> {
-        let drained = self.drain();
-        for obs in &drained {
-            writeln!(out, "{}", obs.to_jsonl())?;
-        }
-        Ok(drained.len())
-    }
-}
-
-/// Parses a JSONL log (as written by [`ObservationRing::flush_jsonl`]).
-/// Blank lines are skipped; a malformed line fails with its line number.
-pub fn parse_jsonl_log(text: &str) -> Result<Vec<LabeledObservation>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(LabeledObservation::from_jsonl(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
 }
 
 /// Mines a [`ReactiveReport`] for observations: every format the reactive
@@ -323,15 +234,9 @@ pub fn observations_to_samples(obs: &[LabeledObservation]) -> Vec<LabelledSample
         .into_iter()
         .map(|g| {
             let analytic = analytic_scores(&g.features);
-            // Reference: the most-observed format (ties to the earlier
-            // Format::BASIC entry) anchors the analytic→measured rescale.
-            let reference = g
-                .sums
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, &(_, c))| c)
-                .map(|(i, _)| i)
-                .expect("basic format space is non-empty");
+            // Reference: the most-observed format (ties as `arg_max` breaks
+            // them) anchors the analytic→measured rescale.
+            let reference = arg_max(&g.sums.map(|(_, count)| count));
             let measured_ref = g.sums[reference].0 / g.sums[reference].1.max(1) as f64;
             let ratio = if analytic[reference] > 0.0 && measured_ref > 0.0 {
                 measured_ref / analytic[reference]
@@ -373,117 +278,51 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A small bagged forest: independent CARTs trained on bootstrap resamples
-/// of the same training set, predicting by majority vote. The vote share of
-/// the winner is the prediction's confidence.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForestModel {
-    trees: Vec<DecisionTree>,
+/// Bagging: `n_trees` independent CARTs, each grown on a deterministic
+/// bootstrap resample of the same training set (tree `k` resamples with
+/// stream `seed + k`). The trees vote in
+/// [`TrainedModel::predict_with_confidence`].
+pub fn bag(
+    xs: &[[f64; NUM_FEATURES]],
+    ys: &[Format],
+    n_trees: usize,
+    seed: u64,
+) -> Vec<DecisionTree> {
+    assert!(!xs.is_empty(), "cannot train a forest on an empty sample set");
+    let n = xs.len();
+    (0..n_trees.max(1))
+        .map(|k| {
+            let mut state = seed.wrapping_add(k as u64).wrapping_mul(0x9e3779b97f4a7c15);
+            let picks: Vec<usize> =
+                (0..n).map(|_| (splitmix64(&mut state) % n as u64) as usize).collect();
+            let bx: Vec<&[f64; NUM_FEATURES]> = picks.iter().map(|&i| &xs[i]).collect();
+            let by: Vec<Format> = picks.iter().map(|&i| ys[i]).collect();
+            DecisionTree::train(&bx, &by, TreeParams::CLASSIFIER)
+        })
+        .collect()
 }
 
-impl ForestModel {
-    /// Trains `n_trees` trees on deterministic bootstrap resamples
-    /// (seeded by `seed`; tree `k` resamples with stream `seed + k`).
-    pub fn train(
-        xs: &[[f64; NUM_FEATURES]],
-        ys: &[Format],
-        params: TreeParams,
-        n_trees: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(!xs.is_empty(), "cannot train a forest on an empty sample set");
-        let n = xs.len();
-        let trees = (0..n_trees.max(1))
-            .map(|k| {
-                let mut state = seed.wrapping_add(k as u64).wrapping_mul(0x9e3779b97f4a7c15);
-                let mut bx = Vec::with_capacity(n);
-                let mut by = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let i = (splitmix64(&mut state) % n as u64) as usize;
-                    bx.push(xs[i]);
-                    by.push(ys[i]);
-                }
-                DecisionTree::train(&bx, &by, params)
-            })
-            .collect();
-        Self { trees }
-    }
+/// Forest size attached when the single tree plateaus.
+const ENSEMBLE_TREES: usize = 5;
 
-    /// Rebuilds a forest from deserialised trees (used by model loading).
-    pub fn from_trees(trees: Vec<DecisionTree>) -> Self {
-        assert!(!trees.is_empty(), "a forest holds at least one tree");
-        Self { trees }
-    }
+/// The plateau rule fires when single-tree holdout accuracy fails to beat
+/// the incumbent's by at least this much.
+const PLATEAU_MARGIN: f64 = 0.005;
 
-    /// The member trees.
-    pub fn trees(&self) -> &[DecisionTree] {
-        &self.trees
-    }
-
-    /// Number of trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Always false — construction requires at least one tree.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// Majority-vote prediction (ties break to the earlier
-    /// [`Format::ALL`] entry).
-    pub fn predict(&self, x: &[f64; NUM_FEATURES]) -> Format {
-        self.predict_with_confidence(x).0
-    }
-
-    /// Majority vote plus the winner's vote share in `[0, 1]`.
-    pub fn predict_with_confidence(&self, x: &[f64; NUM_FEATURES]) -> (Format, f64) {
-        let mut votes = [0usize; Format::ALL.len()];
-        for tree in &self.trees {
-            votes[format_index(tree.predict(x))] += 1;
-        }
-        let best = (0..votes.len()).max_by_key(|&k| votes[k]).expect("non-empty class space");
-        (Format::ALL[best], votes[best] as f64 / self.trees.len() as f64)
-    }
-}
-
-/// Knobs for one online retraining cycle.
+/// What one online retraining cycle is told; everything else about it
+/// (holdout stride, production weights, forest size, plateau margin) is a
+/// constant of the trainer.
 #[derive(Debug, Clone, Copy)]
 pub struct OnlineTrainConfig {
     /// Seed for grid generation and forest bootstrapping.
     pub seed: u64,
     /// Quick (CI-sized) synthetic grid instead of the full one.
     pub quick_grid: bool,
-    /// Tree pruning parameters.
-    pub params: TreeParams,
-    /// Holdout stride over the synthetic grid; the held-out slice doubles
-    /// as the trusted replay slice for the swap guard.
-    pub holdout_stride: usize,
-    /// Replication weight of each production-derived sample relative to a
-    /// grid sample — production evidence is measured on *this* machine and
-    /// workload, so it outweighs the synthetic prior.
-    pub production_weight: usize,
-    /// Extra multiplier for the most recent half of production samples.
-    pub recency_boost: usize,
-    /// Forest size used when the single tree plateaus (clamped to 3..=7).
-    pub ensemble_trees: usize,
-    /// Upgrade to the ensemble when single-tree holdout accuracy fails to
-    /// beat the incumbent's by at least this much.
-    pub plateau_margin: f64,
 }
 
 impl Default for OnlineTrainConfig {
     fn default() -> Self {
-        Self {
-            seed: GridConfig::default().seed,
-            quick_grid: false,
-            params: TreeParams::default(),
-            holdout_stride: 5,
-            production_weight: 3,
-            recency_boost: 2,
-            ensemble_trees: 5,
-            plateau_margin: 0.005,
-        }
+        Self { seed: GridConfig::default().seed, quick_grid: false }
     }
 }
 
@@ -510,198 +349,49 @@ pub fn model_regret(model: &TrainedModel, name: &str, slice: &[LabelledSample]) 
     evaluate(name, slice, &picks)
 }
 
-/// One retraining cycle: synthetic grid (analytic labels, deterministic —
-/// this runs on a background thread, so no timing) merged with production
-/// observations, recency-weighted, refit. When `incumbent_accuracy` is
-/// known and the fresh single tree fails to improve on it by
-/// `plateau_margin`, a bagged forest is trained and attached if it scores
-/// at least as well on the holdout.
+/// One retraining cycle: the trainer's routine over the synthetic grid
+/// (analytic labels, deterministic — this runs on a background thread, so
+/// no timing) with production observations merged in. When
+/// `incumbent_accuracy` is known and the fresh single tree fails to improve
+/// on it by the plateau margin, a bagged forest is trained and attached if
+/// it scores at least as well on the holdout.
 pub fn retrain_online(
     cfg: &OnlineTrainConfig,
     observations: &[LabeledObservation],
     incumbent_accuracy: Option<f64>,
 ) -> OnlineOutcome {
-    let grid_cfg = GridConfig { seed: cfg.seed, quick: cfg.quick_grid, ..Default::default() };
-    let cases = training_grid(&grid_cfg);
-    let grid_samples: Vec<LabelledSample> =
-        cases.iter().map(|c| label_case(&c.desc, &c.matrix, LabelMode::analytic_flat())).collect();
-    let (grid_train, holdout) = split_holdout(grid_samples, cfg.holdout_stride.max(2));
-
     let production = observations_to_samples(observations);
-    let n_production = production.len();
-
-    // Weighted merge by replication: the CART trainer is unweighted, so a
-    // sample with weight w appears w times. Production outweighs the
-    // synthetic prior, and the most recent half of production (groups are
-    // ordered by first appearance in the log) gets a further boost.
-    let mut xs: Vec<[f64; NUM_FEATURES]> = Vec::new();
-    let mut ys: Vec<Format> = Vec::new();
-    let mut measured = 0usize;
-    let mut analytic_fallback = 0usize;
-    let mut analytic = 0usize;
-    for s in &grid_train {
-        xs.push(s.x);
-        ys.push(s.label);
-        analytic += 1;
-    }
-    let recent_from = n_production / 2;
-    for (i, s) in production.iter().enumerate() {
-        let weight = cfg.production_weight.max(1)
-            * if i >= recent_from { cfg.recency_boost.max(1) } else { 1 };
-        for _ in 0..weight {
-            xs.push(s.x);
-            ys.push(s.label);
-            match s.source {
-                LabelSource::Measured => measured += 1,
-                LabelSource::AnalyticFallback => analytic_fallback += 1,
-                LabelSource::Analytic => analytic += 1,
-            }
-        }
-    }
-
-    let tree = DecisionTree::train(&xs, &ys, cfg.params);
-    let tree_model = TrainedModel {
-        meta: ModelMeta {
-            seed: cfg.seed,
-            grid: "online".into(),
-            samples: xs.len(),
-            measured,
-            analytic_fallback,
-            analytic,
-        },
-        tree,
-        blocks: None,
-        ensemble: None,
+    let train_cfg =
+        TrainConfig { seed: cfg.seed, quick: cfg.quick_grid, mode: LabelMode::analytic_flat() };
+    let (TrainOutcome { model, holdout, .. }, xs, ys) = crate::fit(&train_cfg, Some(&production));
+    let mut out = OnlineOutcome {
+        holdout_accuracy: model_regret(&model, "tree", &holdout).agreement,
+        model,
+        holdout,
+        ensemble_used: false,
+        production_samples: production.len(),
     };
-    let tree_accuracy = model_regret(&tree_model, "tree", &holdout).agreement;
 
     // Plateau rule: a fresh single tree that cannot beat the incumbent is
     // at the ceiling of what one tree extracts from this data — spend the
     // extra memory on variance reduction instead.
-    let plateaued =
-        incumbent_accuracy.map(|prev| tree_accuracy <= prev + cfg.plateau_margin).unwrap_or(false);
-    if plateaued {
-        let n_trees = cfg.ensemble_trees.clamp(3, 7);
-        let forest = ForestModel::train(&xs, &ys, cfg.params, n_trees, cfg.seed);
-        let forest_model = TrainedModel { ensemble: Some(forest), ..tree_model.clone() };
-        let forest_accuracy = model_regret(&forest_model, "forest", &holdout).agreement;
-        if forest_accuracy >= tree_accuracy {
-            return OnlineOutcome {
-                model: forest_model,
-                holdout,
-                holdout_accuracy: forest_accuracy,
-                ensemble_used: true,
-                production_samples: n_production,
-            };
-        }
-    }
-    OnlineOutcome {
-        model: tree_model,
-        holdout,
-        holdout_accuracy: tree_accuracy,
-        ensemble_used: false,
-        production_samples: n_production,
-    }
-}
-
-/// Confidence-gated hybrid selector: the learned model (tree or forest)
-/// decides when its confidence clears `min_confidence`; below that, the
-/// paper's analytic rules decide. Fallback counts are exposed for
-/// telemetry.
-#[derive(Debug)]
-pub struct HybridSelector {
-    learned: LearnedSelector,
-    rules: RuleBasedSelector,
-    min_confidence: f64,
-    decisions: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-/// Default confidence gate: a forest of 5 needs a 4-1 vote (or a leaf at
-/// 75% purity) for the learned pick to stand on its own.
-pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.75;
-
-impl HybridSelector {
-    /// Wraps a trained model with the default gate and host-tuned rules.
-    pub fn new(model: TrainedModel) -> Self {
-        Self::with_confidence(model, DEFAULT_MIN_CONFIDENCE)
-    }
-
-    /// Wraps a trained model with an explicit confidence gate.
-    pub fn with_confidence(model: TrainedModel, min_confidence: f64) -> Self {
-        Self {
-            learned: LearnedSelector::new(model),
-            rules: RuleBasedSelector::for_host(),
-            min_confidence,
-            decisions: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-        }
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &TrainedModel {
-        self.learned.model()
-    }
-
-    /// The confidence gate.
-    pub fn min_confidence(&self) -> f64 {
-        self.min_confidence
-    }
-
-    /// Selections made so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions.load(Ordering::Relaxed)
-    }
-
-    /// Selections that fell back to the analytic rules.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of selections decided by the rules (0 when unused).
-    pub fn fallback_rate(&self) -> f64 {
-        let d = self.decisions();
-        if d == 0 {
-            0.0
+    if incumbent_accuracy.is_some_and(|prev| out.holdout_accuracy <= prev + PLATEAU_MARGIN) {
+        out.model.ensemble = bag(&xs, &ys, ENSEMBLE_TREES, cfg.seed);
+        let forest_accuracy = model_regret(&out.model, "forest", &out.holdout).agreement;
+        if forest_accuracy >= out.holdout_accuracy {
+            out.holdout_accuracy = forest_accuracy;
+            out.ensemble_used = true;
         } else {
-            self.fallbacks() as f64 / d as f64
+            out.model.ensemble.clear();
         }
     }
-}
-
-impl FormatSelector for HybridSelector {
-    fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
-        self.decisions.fetch_add(1, Ordering::Relaxed);
-        let x = featurize(f);
-        let (format, confidence) = self.model().predict_with_confidence(&x);
-        if confidence >= self.min_confidence {
-            let mut report = self.learned.select(t, f);
-            report.chosen = format;
-            report.block = self.learned.tuned_block(format, f);
-            report.reason = format!(
-                "hybrid learned ({}, confidence {confidence:.2} >= {:.2}): {}",
-                if self.model().ensemble.is_some() { "forest" } else { "tree" },
-                self.min_confidence,
-                report.reason,
-            );
-            report
-        } else {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            let mut report = self.rules.select(t, f);
-            report.block = self.learned.tuned_block(report.chosen, f);
-            report.reason = format!(
-                "hybrid rule fallback (confidence {confidence:.2} < {:.2} for {format}): {}",
-                self.min_confidence, report.reason,
-            );
-            report
-        }
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dls_data::controlled::{diag_matrix, mdim_matrix};
+    use dls_data::controlled::mdim_matrix;
     use std::sync::Arc;
 
     // A CSR-shaped matrix (nnz = 2·m concentrated in one wide row): CSR is
@@ -717,33 +407,6 @@ mod tests {
             batch,
             nanos,
         }
-    }
-
-    #[test]
-    fn jsonl_round_trip_is_identity() {
-        let o = obs(128, 256, Format::Dia, 12_345, 4);
-        let line = o.to_jsonl();
-        let restored = LabeledObservation::from_jsonl(&line).unwrap();
-        assert_eq!(restored, o);
-        assert_eq!(restored.to_jsonl(), line, "encoding is canonical");
-    }
-
-    #[test]
-    fn jsonl_log_round_trips_through_flush() {
-        let ring = ObservationRing::new(8);
-        for k in 0..5u64 {
-            ring.append(obs(64 + k as usize, 128, Format::Csr, 1000 + k, 1));
-        }
-        let mut bytes = Vec::new();
-        let n = ring.flush_jsonl(&mut bytes).unwrap();
-        assert_eq!(n, 5);
-        assert!(ring.is_empty(), "flush drains");
-        let text = String::from_utf8(bytes).unwrap();
-        let restored = parse_jsonl_log(&text).unwrap();
-        assert_eq!(restored.len(), 5);
-        assert_eq!(restored[0].seq, 0);
-        assert_eq!(restored[4].seq, 4);
-        assert!(parse_jsonl_log("{\"seq\":}").is_err(), "malformed lines are rejected");
     }
 
     #[test]
@@ -843,13 +506,14 @@ mod tests {
             xs.push(x);
             ys.push(if x[3] > 0.5 { Format::Den } else { Format::Csr });
         }
-        let a = ForestModel::train(&xs, &ys, TreeParams::default(), 5, 7);
-        let b = ForestModel::train(&xs, &ys, TreeParams::default(), 5, 7);
-        assert_eq!(a, b, "same seed, same forest");
+        let a = bag(&xs, &ys, 5, 7);
+        assert_eq!(a, bag(&xs, &ys, 5, 7), "same seed, same forest");
         assert_eq!(a.len(), 5);
         let mut deep = [0.0; NUM_FEATURES];
         deep[3] = 0.95;
-        let (fmt, conf) = a.predict_with_confidence(&deep);
+        let cfg = OnlineTrainConfig { quick_grid: true, ..Default::default() };
+        let base = retrain_online(&cfg, &[], None).model;
+        let (fmt, conf) = TrainedModel { ensemble: a, ..base }.predict_with_confidence(&deep);
         assert_eq!(fmt, Format::Den);
         assert!(conf >= 0.6, "far from the boundary the vote is strong: {conf}");
     }
@@ -858,7 +522,7 @@ mod tests {
     fn retrain_merges_production_and_plateau_grows_a_forest() {
         let cfg = OnlineTrainConfig { quick_grid: true, ..Default::default() };
         let base = retrain_online(&cfg, &[], None);
-        assert!(base.model.ensemble.is_none(), "no incumbent, no plateau");
+        assert!(base.model.ensemble.is_empty(), "no incumbent, no plateau");
         assert!(base.holdout_accuracy > 0.5);
         assert_eq!(base.production_samples, 0);
 
@@ -889,29 +553,5 @@ mod tests {
         let b = retrain_online(&cfg, &observations, Some(0.99));
         assert_eq!(a.model, b.model);
         assert_eq!(a.model.to_json(), b.model.to_json());
-    }
-
-    #[test]
-    fn hybrid_selector_gates_on_confidence() {
-        let cfg = OnlineTrainConfig { quick_grid: true, ..Default::default() };
-        let model = retrain_online(&cfg, &[], None).model;
-        let t = diag_matrix(128, 128, 256, 2, 1);
-        let f = MatrixFeatures::from_triplets(&t);
-
-        // Gate at 0: the learned model always decides.
-        let trusting = HybridSelector::with_confidence(model.clone(), 0.0);
-        let r = trusting.select(&t, &f);
-        assert!(r.reason.starts_with("hybrid learned"), "{}", r.reason);
-        assert_eq!(trusting.decisions(), 1);
-        assert_eq!(trusting.fallbacks(), 0);
-
-        // Gate above 1: everything falls back to the rules.
-        let skeptical = HybridSelector::with_confidence(model, 1.1);
-        let r = skeptical.select(&t, &f);
-        assert!(r.reason.starts_with("hybrid rule fallback"), "{}", r.reason);
-        assert_eq!(skeptical.fallbacks(), 1);
-        assert!((skeptical.fallback_rate() - 1.0).abs() < 1e-12);
-        // The rules know a diagonal matrix when they see one.
-        assert_eq!(r.chosen, Format::Dia, "{}", r.reason);
     }
 }

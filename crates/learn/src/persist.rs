@@ -10,7 +10,9 @@
 //! Load failures are typed ([`ModelError`]): an unsupported document
 //! version reports the version range this build reads, a malformed member
 //! reports the dotted path of the offending field (`"meta.seed"`,
-//! `"tree.left.leaf.counts[1]"`). Unknown members are ignored, so documents
+//! `"tree.split.left.leaf.counts[1]"`), and a document that is not JSON —
+//! or nests deeper than the parser's cap — is [`ModelError::Json`] with a
+//! byte offset. Unknown members are ignored, so documents
 //! written by a newer build of the *same* version family (extra optional
 //! sections) still load — forward compatibility is by addition only.
 //!
@@ -26,16 +28,20 @@
 //!  "ensemble":[<tree>, ...]}
 //! ```
 //!
+//! Every tree in the document — the classifier, each ensemble member, each
+//! per-format block tree under `"blocks"` — is written by one node writer
+//! and read by one node parser; only the inside of `"leaf"` differs
+//! (`format` + `counts` for a class, `value` + `n` for a response).
+//!
 //! Version history: v1 = single tree (+ optional `"blocks"`); v2 adds the
 //! optional `"ensemble"` section (bagged forest, PR 10). v1 documents load
 //! unchanged; this build always writes v2.
 
 use crate::block::BlockModel;
-use crate::features::FEATURE_NAMES;
-use crate::online::ForestModel;
-use crate::regress::{RegressNode, RegressParams, RegressionTree};
-use crate::tree::{DecisionTree, Node, TreeParams};
+use crate::features::{FEATURE_NAMES, NUM_FEATURES};
+use crate::tree::{arg_max, ClassCounts, DecisionTree, Node, RegressionTree, Target, TreeParams};
 use dls_core::json::{escape, number, parse, JsonValue};
+use dls_sparse::telemetry::format_index;
 use dls_sparse::Format;
 use std::fmt;
 use std::path::Path;
@@ -179,25 +185,71 @@ pub struct TrainedModel {
     /// Learned per-format tuned block sizes; `None` for models trained
     /// before the block-calibration sweep existed.
     pub blocks: Option<BlockModel>,
-    /// Bagged forest upgrade; `None` for single-tree models. When present,
-    /// [`TrainedModel::predict`] votes across the forest and
-    /// [`TrainedModel::predict_with_confidence`] reports the vote share.
-    pub ensemble: Option<ForestModel>,
+    /// Bagged forest upgrade: independent CARTs grown on bootstrap
+    /// resamples of the training set; empty for single-tree models. When
+    /// non-empty, [`TrainedModel::predict`] is the forest's majority vote
+    /// and [`TrainedModel::predict_with_confidence`] reports the vote share.
+    pub ensemble: Vec<DecisionTree>,
 }
 
-fn node_json(node: &Node, out: &mut String) {
-    match node {
-        Node::Leaf { format, counts } => {
-            out.push_str("{\"leaf\":{\"format\":");
-            out.push_str(&escape(&format.to_string()));
-            out.push_str(",\"counts\":[");
-            for (i, (f, c)) in counts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("[{},{c}]", escape(&f.to_string())));
+/// How one target's leaf is spelled inside `{"leaf":{...}}`; the node
+/// writer and parser around it are shared.
+trait LeafDoc: Target {
+    fn write_leaf(value: Self, support: &Self::Support, out: &mut String);
+    fn parse_leaf(leaf: &JsonValue, path: &str) -> Result<(Self, Self::Support), ModelError>;
+}
+
+impl LeafDoc for Format {
+    fn write_leaf(format: Format, counts: &Vec<(Format, usize)>, out: &mut String) {
+        out.push_str("\"format\":");
+        out.push_str(&escape(&format.to_string()));
+        out.push_str(",\"counts\":[");
+        for (i, (f, c)) in counts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push_str("]}}");
+            out.push_str(&format!("[{},{c}]", escape(&f.to_string())));
+        }
+        out.push(']');
+    }
+
+    fn parse_leaf(leaf: &JsonValue, path: &str) -> Result<(Format, Self::Support), ModelError> {
+        let format = parse_format(member(leaf, "format", path)?, &join(path, "format"))?;
+        let counts_path = join(path, "counts");
+        let mut counts = Vec::new();
+        for (i, pair) in want_arr(member(leaf, "counts", path)?, &counts_path)?.iter().enumerate() {
+            let entry_path = format!("{counts_path}[{i}]");
+            let pair = want_arr(pair, &entry_path)?;
+            if pair.len() != 2 {
+                return Err(field_err(&entry_path, "must be a [format, n] pair"));
+            }
+            let f = parse_format(&pair[0], &format!("{entry_path}[0]"))?;
+            let n = want_usize(&pair[1], &format!("{entry_path}[1]"))?;
+            counts.push((f, n));
+        }
+        Ok((format, counts))
+    }
+}
+
+impl LeafDoc for f64 {
+    fn write_leaf(value: f64, n: &usize, out: &mut String) {
+        out.push_str(&format!("\"value\":{},\"n\":{n}", number(value)));
+    }
+
+    fn parse_leaf(leaf: &JsonValue, path: &str) -> Result<(f64, usize), ModelError> {
+        Ok((
+            want_f64(member(leaf, "value", path)?, &join(path, "value"))?,
+            want_usize(member(leaf, "n", path)?, &join(path, "n"))?,
+        ))
+    }
+}
+
+fn node_json<Y: LeafDoc>(node: &Node<Y>, out: &mut String) {
+    match node {
+        Node::Leaf { value, support } => {
+            out.push_str("{\"leaf\":{");
+            Y::write_leaf(*value, support, out);
+            out.push_str("}}");
         }
         Node::Split { feature, threshold, left, right } => {
             out.push_str(&format!(
@@ -212,40 +264,29 @@ fn node_json(node: &Node, out: &mut String) {
     }
 }
 
-fn parse_node(v: &JsonValue, path: &str) -> Result<Node, ModelError> {
+/// Parses one node of a tree over `width` features.
+fn parse_node<Y: LeafDoc>(v: &JsonValue, path: &str, width: usize) -> Result<Node<Y>, ModelError> {
     if let Some(leaf) = v.get("leaf") {
-        let path = join(path, "leaf");
-        let format = parse_format(member(leaf, "format", &path)?, &join(&path, "format"))?;
-        let counts_path = join(&path, "counts");
-        let mut counts = Vec::new();
-        for (i, pair) in want_arr(member(leaf, "counts", &path)?, &counts_path)?.iter().enumerate()
-        {
-            let entry_path = format!("{counts_path}[{i}]");
-            let pair = want_arr(pair, &entry_path)?;
-            if pair.len() != 2 {
-                return Err(field_err(&entry_path, "must be a [format, n] pair"));
-            }
-            let f = parse_format(&pair[0], &format!("{entry_path}[0]"))?;
-            let n = want_usize(&pair[1], &format!("{entry_path}[1]"))?;
-            counts.push((f, n));
-        }
-        Ok(Node::Leaf { format, counts })
+        let (value, support) = Y::parse_leaf(leaf, &join(path, "leaf"))?;
+        Ok(Node::Leaf { value, support })
     } else if let Some(split) = v.get("split") {
         let path = join(path, "split");
         let fpath = join(&path, "feature");
         let feature = want_usize(member(split, "feature", &path)?, &fpath)?;
-        if feature >= FEATURE_NAMES.len() {
+        if feature >= width {
             return Err(field_err(
                 &fpath,
-                format!("index {feature} out of range (max {})", FEATURE_NAMES.len() - 1),
+                format!("index {feature} out of range (max {})", width - 1),
             ));
         }
-        let threshold = want_f64(member(split, "threshold", &path)?, &join(&path, "threshold"))?;
+        let child = |side: &str| -> Result<Box<Node<Y>>, ModelError> {
+            Ok(Box::new(parse_node(member(split, side, &path)?, &join(&path, side), width)?))
+        };
         Ok(Node::Split {
             feature,
-            threshold,
-            left: Box::new(parse_node(member(split, "left", &path)?, &join(&path, "left"))?),
-            right: Box::new(parse_node(member(split, "right", &path)?, &join(&path, "right"))?),
+            threshold: want_f64(member(split, "threshold", &path)?, &join(&path, "threshold"))?,
+            left: child("left")?,
+            right: child("right")?,
         })
     } else {
         Err(field_err(path, "node must have a \"leaf\" or \"split\" member"))
@@ -257,56 +298,24 @@ fn parse_format(v: &JsonValue, path: &str) -> Result<Format, ModelError> {
     Format::from_str(name).map_err(|e| field_err(path, e.to_string()))
 }
 
-fn regress_node_json(node: &RegressNode, out: &mut String) {
-    match node {
-        RegressNode::Leaf { value, n } => {
-            out.push_str(&format!("{{\"leaf\":{{\"value\":{},\"n\":{n}}}}}", number(*value)));
-        }
-        RegressNode::Split { feature, threshold, left, right } => {
-            out.push_str(&format!(
-                "{{\"split\":{{\"feature\":{feature},\"threshold\":{},\"left\":",
-                number(*threshold)
-            ));
-            regress_node_json(left, out);
-            out.push_str(",\"right\":");
-            regress_node_json(right, out);
-            out.push_str("}}");
-        }
-    }
+fn params_json(p: TreeParams, out: &mut String) {
+    out.push_str(&format!(
+        "\"params\":{{\"max_depth\":{},\"min_leaf\":{},\"min_gain\":{}}}",
+        p.max_depth,
+        p.min_leaf,
+        number(p.min_gain)
+    ));
 }
 
-fn parse_regress_node(v: &JsonValue, path: &str) -> Result<RegressNode, ModelError> {
-    if let Some(leaf) = v.get("leaf") {
-        let path = join(path, "leaf");
-        Ok(RegressNode::Leaf {
-            value: want_f64(member(leaf, "value", &path)?, &join(&path, "value"))?,
-            n: want_usize(member(leaf, "n", &path)?, &join(&path, "n"))?,
-        })
-    } else if let Some(split) = v.get("split") {
-        let path = join(path, "split");
-        let fpath = join(&path, "feature");
-        let feature = want_usize(member(split, "feature", &path)?, &fpath)?;
-        if feature >= FEATURE_NAMES.len() {
-            return Err(field_err(
-                &fpath,
-                format!("index {feature} out of range (max {})", FEATURE_NAMES.len() - 1),
-            ));
-        }
-        Ok(RegressNode::Split {
-            feature,
-            threshold: want_f64(member(split, "threshold", &path)?, &join(&path, "threshold"))?,
-            left: Box::new(parse_regress_node(
-                member(split, "left", &path)?,
-                &join(&path, "left"),
-            )?),
-            right: Box::new(parse_regress_node(
-                member(split, "right", &path)?,
-                &join(&path, "right"),
-            )?),
-        })
-    } else {
-        Err(field_err(path, "regression node must have a \"leaf\" or \"split\" member"))
-    }
+/// Parses the `"params"` member of the object at `path`.
+fn parse_params(owner: &JsonValue, path: &str) -> Result<TreeParams, ModelError> {
+    let p = member(owner, "params", path)?;
+    let path = join(path, "params");
+    Ok(TreeParams {
+        max_depth: want_usize(member(p, "max_depth", &path)?, &join(&path, "max_depth"))?,
+        min_leaf: want_usize(member(p, "min_leaf", &path)?, &join(&path, "min_leaf"))?,
+        min_gain: want_f64(member(p, "min_gain", &path)?, &join(&path, "min_gain"))?,
+    })
 }
 
 fn blocks_json(blocks: &BlockModel, out: &mut String) {
@@ -315,15 +324,10 @@ fn blocks_json(blocks: &BlockModel, out: &mut String) {
         if i > 0 {
             out.push(',');
         }
-        let p = tree.params();
-        out.push_str(&format!(
-            "{}:{{\"params\":{{\"max_depth\":{},\"min_leaf\":{},\"min_gain\":{}}},\"tree\":",
-            escape(&fmt.to_string()),
-            p.max_depth,
-            p.min_leaf,
-            number(p.min_gain)
-        ));
-        regress_node_json(tree.root(), out);
+        out.push_str(&format!("{}:{{", escape(&fmt.to_string())));
+        params_json(tree.params(), out);
+        out.push_str(",\"tree\":");
+        node_json(tree.root(), out);
         out.push('}');
     }
     out.push('}');
@@ -338,16 +342,13 @@ fn parse_blocks(v: &JsonValue, path: &str) -> Result<BlockModel, ModelError> {
     for (name, entry) in members {
         let entry_path = join(path, name);
         let fmt = Format::from_str(name).map_err(|e| field_err(&entry_path, e.to_string()))?;
-        let p = member(entry, "params", &entry_path)?;
-        let ppath = join(&entry_path, "params");
-        let params = RegressParams {
-            max_depth: want_usize(member(p, "max_depth", &ppath)?, &join(&ppath, "max_depth"))?,
-            min_leaf: want_usize(member(p, "min_leaf", &ppath)?, &join(&ppath, "min_leaf"))?,
-            min_gain: want_f64(member(p, "min_gain", &ppath)?, &join(&ppath, "min_gain"))?,
-        };
-        let root =
-            parse_regress_node(member(entry, "tree", &entry_path)?, &join(&entry_path, "tree"))?;
-        trees.push((fmt, RegressionTree::from_parts(FEATURE_NAMES.len(), params, root)));
+        let params = parse_params(entry, &entry_path)?;
+        let root = parse_node(
+            member(entry, "tree", &entry_path)?,
+            &join(&entry_path, "tree"),
+            NUM_FEATURES,
+        )?;
+        trees.push((fmt, RegressionTree::from_parts(NUM_FEATURES, params, root)));
     }
     Ok(BlockModel { trees })
 }
@@ -374,23 +375,17 @@ impl TrainedModel {
             }
             out.push_str(&escape(name));
         }
-        out.push_str("],\"params\":{");
-        let p = self.tree.params();
-        out.push_str(&format!(
-            "\"max_depth\":{},\"min_leaf\":{},\"min_gain\":{}",
-            p.max_depth,
-            p.min_leaf,
-            number(p.min_gain)
-        ));
-        out.push_str("},\"tree\":");
+        out.push_str("],");
+        params_json(self.tree.params(), &mut out);
+        out.push_str(",\"tree\":");
         node_json(self.tree.root(), &mut out);
         if let Some(blocks) = &self.blocks {
             out.push_str(",\"blocks\":");
             blocks_json(blocks, &mut out);
         }
-        if let Some(forest) = &self.ensemble {
+        if !self.ensemble.is_empty() {
             out.push_str(",\"ensemble\":[");
-            for (i, tree) in forest.trees().iter().enumerate() {
+            for (i, tree) in self.ensemble.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -432,13 +427,8 @@ impl TrainedModel {
             )?,
             analytic: want_usize(member(m, "analytic", "meta")?, "meta.analytic")?,
         };
-        let p = member(&v, "params", "")?;
-        let params = TreeParams {
-            max_depth: want_usize(member(p, "max_depth", "params")?, "params.max_depth")?,
-            min_leaf: want_usize(member(p, "min_leaf", "params")?, "params.min_leaf")?,
-            min_gain: want_f64(member(p, "min_gain", "params")?, "params.min_gain")?,
-        };
-        let root = parse_node(member(&v, "tree", "")?, "tree")?;
+        let params = parse_params(&v, "")?;
+        let root = parse_node(member(&v, "tree", "")?, "tree", NUM_FEATURES)?;
         // "blocks" is optional: models trained before block calibration
         // existed load fine and fall back to the engine default block.
         let blocks = match v.get("blocks") {
@@ -447,21 +437,22 @@ impl TrainedModel {
         };
         // "ensemble" is optional: v1 documents and single-tree v2 documents
         // simply have no forest. Ensemble trees share the main `params`.
-        let ensemble = match v.get("ensemble") {
-            Some(e) => {
-                let mut trees = Vec::new();
-                for (i, t) in want_arr(e, "ensemble")?.iter().enumerate() {
-                    let tree_path = format!("ensemble[{i}]");
-                    trees.push(DecisionTree::from_parts(params, parse_node(t, &tree_path)?));
-                }
-                if trees.is_empty() {
-                    return Err(field_err("ensemble", "must hold at least one tree"));
-                }
-                Some(ForestModel::from_trees(trees))
+        let mut ensemble = Vec::new();
+        if let Some(e) = v.get("ensemble") {
+            for (i, t) in want_arr(e, "ensemble")?.iter().enumerate() {
+                let root = parse_node(t, &format!("ensemble[{i}]"), NUM_FEATURES)?;
+                ensemble.push(DecisionTree::from_parts(NUM_FEATURES, params, root));
             }
-            None => None,
-        };
-        Ok(Self { meta, tree: DecisionTree::from_parts(params, root), blocks, ensemble })
+            if ensemble.is_empty() {
+                return Err(field_err("ensemble", "must hold at least one tree"));
+            }
+        }
+        Ok(Self {
+            meta,
+            tree: DecisionTree::from_parts(NUM_FEATURES, params, root),
+            blocks,
+            ensemble,
+        })
     }
 
     /// Writes the model to `path`.
@@ -480,36 +471,36 @@ impl TrainedModel {
 
     /// Number of trees voting: ensemble size, or 1 for single-tree models.
     pub fn ensemble_size(&self) -> usize {
-        self.ensemble.as_ref().map(|f| f.len()).unwrap_or(1)
+        self.ensemble.len().max(1)
     }
 
     /// Predicted format: forest majority vote when an ensemble is present,
     /// the single tree otherwise.
-    pub fn predict(&self, x: &[f64; crate::features::NUM_FEATURES]) -> Format {
-        match &self.ensemble {
-            Some(forest) => forest.predict(x),
-            None => self.tree.predict(x),
-        }
+    pub fn predict(&self, x: &[f64; NUM_FEATURES]) -> Format {
+        self.predict_with_confidence(x).0
     }
 
-    /// Prediction plus a confidence in `[0, 1]`: the forest's winning vote
-    /// share, or the single tree's leaf purity (majority-class fraction of
-    /// the leaf's training histogram).
-    pub fn predict_with_confidence(
-        &self,
-        x: &[f64; crate::features::NUM_FEATURES],
-    ) -> (Format, f64) {
-        match &self.ensemble {
-            Some(forest) => forest.predict_with_confidence(x),
-            None => self.tree.predict_with_confidence(x),
+    /// Prediction plus a confidence in `[0, 1]`: the forest's majority vote
+    /// and the winner's vote share (a tied vote goes to the later
+    /// [`Format::ALL`] entry, as a tied leaf histogram does), or
+    /// the single tree's leaf purity (majority-class fraction of the leaf's
+    /// training histogram).
+    pub fn predict_with_confidence(&self, x: &[f64; NUM_FEATURES]) -> (Format, f64) {
+        if self.ensemble.is_empty() {
+            return self.tree.predict_with_confidence(x);
         }
+        let mut votes = ClassCounts::default();
+        for tree in &self.ensemble {
+            votes[format_index(tree.predict(x))] += 1;
+        }
+        let best = arg_max(&votes);
+        (Format::ALL[best], votes[best] as f64 / self.ensemble.len() as f64)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::NUM_FEATURES;
 
     fn sample_model() -> TrainedModel {
         let mut xs = Vec::new();
@@ -527,7 +518,7 @@ mod tests {
                 Format::Csr
             });
         }
-        let tree = DecisionTree::train(&xs, &ys, TreeParams::default());
+        let tree = DecisionTree::train(&xs, &ys, TreeParams::CLASSIFIER);
         TrainedModel {
             meta: ModelMeta {
                 seed: 7,
@@ -539,7 +530,7 @@ mod tests {
             },
             tree,
             blocks: None,
-            ensemble: None,
+            ensemble: Vec::new(),
         }
     }
 
@@ -571,8 +562,7 @@ mod tests {
             xs.push(x);
             ys.push(if x[3] > 0.5 { Format::Den } else { Format::Csr });
         }
-        let forest = ForestModel::train(&xs, &ys, base.tree.params(), 3, 42);
-        TrainedModel { ensemble: Some(forest), ..base }
+        TrainedModel { ensemble: crate::online::bag(&xs, &ys, 3, 42), ..base }
     }
 
     #[test]
@@ -687,12 +677,41 @@ mod tests {
     }
 
     #[test]
+    fn nesting_beyond_the_parser_cap_is_a_json_error() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        assert!(matches!(TrainedModel::from_json(&deep), Err(ModelError::Json(_))));
+        assert!(matches!(TrainedModel::from_json(&"[".repeat(200_000)), Err(ModelError::Json(_))));
+    }
+
+    #[test]
+    fn tied_forest_vote_goes_to_the_later_format() {
+        // Five single-leaf voters: 2 ELL, 2 CSR, 1 DEN. ELL precedes CSR
+        // in `Format::ALL`, so the documented rule picks CSR.
+        assert!(format_index(Format::Ell) < format_index(Format::Csr));
+        let voter = |f: Format| {
+            let root = Node::Leaf { value: f, support: vec![(f, 1)] };
+            DecisionTree::from_parts(NUM_FEATURES, TreeParams::CLASSIFIER, root)
+        };
+        let votes = [Format::Ell, Format::Csr, Format::Den, Format::Csr, Format::Ell];
+        let model =
+            TrainedModel { ensemble: votes.iter().map(|&f| voter(f)).collect(), ..sample_model() };
+        assert_eq!(model.predict_with_confidence(&[0.0; NUM_FEATURES]), (Format::Csr, 0.4));
+        // An explicitly empty ensemble section is refused, not read as "none".
+        let doc = sample_model().to_json();
+        let empty = format!("{},\"ensemble\":[]}}", &doc[..doc.len() - 1]);
+        assert_eq!(
+            TrainedModel::from_json(&empty),
+            Err(field_err("ensemble", "must hold at least one tree"))
+        );
+    }
+
+    #[test]
     fn v1_documents_still_load() {
         let model = sample_model();
         let v1 = model.to_json().replacen("\"version\":2", "\"version\":1", 1);
         let restored = TrainedModel::from_json(&v1).unwrap();
         assert_eq!(restored.tree, model.tree);
-        assert!(restored.ensemble.is_none());
+        assert!(restored.ensemble.is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! [`LearnedSelector`]: a trained decision tree behind the scheduler's
+//! [`LearnedSelector`]: a trained model behind the scheduler's
 //! [`FormatSelector`] extension point.
 //!
 //! Drop-in alternative to the rule-based/cost-model/empirical strategies:
@@ -6,26 +6,62 @@
 //! with everything else built on the trait — wrap it in a `TuningCache` to
 //! memoise predictions, or hand it to a `ReactiveScheduler` as the
 //! re-scheduling strategy.
+//!
+//! With a confidence gate ([`LearnedSelector::with_gate`]) the model only
+//! decides when its confidence (forest vote share, or leaf purity for a
+//! single tree) clears the threshold; below it the paper's analytic rules
+//! decide (cf. SNIPPETS.md `MLLoopOptSelector`), and both outcomes are
+//! counted for telemetry. This is the form `dls-serve`'s online loop
+//! publishes.
 
-use crate::features::{featurize, FEATURE_NAMES};
+use crate::features::{featurize, FEATURE_NAMES, NUM_FEATURES};
 use crate::persist::TrainedModel;
 use dls_core::{
     default_block, BandwidthProfile, CostModelSelector, FormatScore, FormatSelector,
-    SelectionReport,
+    RuleBasedSelector, SelectionReport,
 };
 use dls_sparse::{Format, MatrixFeatures, TripletMatrix};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Format selector backed by a trained CART model.
-#[derive(Debug, Clone)]
+/// Confidence gate the online loop publishes with: a forest of 5 needs a
+/// 4-1 vote (or a leaf at 75% purity) for the learned pick to stand on its
+/// own.
+pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.75;
+
+/// The rules fallback of a gated selector, with its counters.
+#[derive(Debug)]
+struct Gate {
+    min_confidence: f64,
+    rules: RuleBasedSelector,
+    decisions: AtomicU64,
+    fallbacks: AtomicU64,
+}
+
+/// Format selector backed by a trained CART model (tree or forest).
+#[derive(Debug)]
 pub struct LearnedSelector {
     model: TrainedModel,
+    gate: Option<Gate>,
 }
 
 impl LearnedSelector {
-    /// Wraps a trained model.
+    /// Wraps a trained model; the model decides every selection.
     pub fn new(model: TrainedModel) -> Self {
-        Self { model }
+        Self { model, gate: None }
+    }
+
+    /// Wraps a trained model behind a confidence gate: selections whose
+    /// confidence is below `min_confidence` fall back to the host-tuned
+    /// analytic rules.
+    pub fn with_gate(model: TrainedModel, min_confidence: f64) -> Self {
+        let gate = Gate {
+            min_confidence,
+            rules: RuleBasedSelector::for_host(),
+            decisions: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
+        };
+        Self { model, gate: Some(gate) }
     }
 
     /// Loads a model file (as written by `dls train-selector`).
@@ -36,6 +72,14 @@ impl LearnedSelector {
     /// The underlying model (for introspection, e.g. `dls selector-info`).
     pub fn model(&self) -> &TrainedModel {
         &self.model
+    }
+
+    /// `(selections made, selections that fell back to the rules)` of a
+    /// gated selector; zeros without a gate.
+    pub fn gate_counts(&self) -> (u64, u64) {
+        self.gate.as_ref().map_or((0, 0), |g| {
+            (g.decisions.load(Ordering::Relaxed), g.fallbacks.load(Ordering::Relaxed))
+        })
     }
 
     /// Predicted format for raw features, without building a report.
@@ -54,21 +98,19 @@ impl LearnedSelector {
             None => default_block(format),
         }
     }
-}
 
-impl FormatSelector for LearnedSelector {
-    fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
-        let _ = t;
-        let x = featurize(f);
-        let (chosen, path) = match &self.model.ensemble {
+    /// The model's own pick for `f` (featurised as `x`), with its
+    /// explanation.
+    fn learned_report(&self, f: &MatrixFeatures, x: &[f64; NUM_FEATURES]) -> SelectionReport {
+        let (chosen, path) = if self.model.ensemble.is_empty() {
+            self.model.tree.explain(x, &FEATURE_NAMES)
+        } else {
             // Forest models vote; the explanation is the vote tally rather
             // than one tree's path.
-            Some(forest) => {
-                let (chosen, confidence) = forest.predict_with_confidence(&x);
-                let votes = (confidence * forest.len() as f64).round() as usize;
-                (chosen, format!("forest vote {votes}/{} for {chosen}", forest.len()))
-            }
-            None => self.model.tree.explain(&x, &FEATURE_NAMES),
+            let n = self.model.ensemble.len();
+            let (chosen, confidence) = self.model.predict_with_confidence(x);
+            let votes = (confidence * n as f64).round() as usize;
+            (chosen, format!("forest vote {votes}/{n} for {chosen}"))
         };
         // The tree emits a class, not per-format scores; attach the flat
         // storage model's predicted times so downstream consumers (regret
@@ -85,6 +127,36 @@ impl FormatSelector for LearnedSelector {
             features: *f,
             scores,
             reason: format!("learned tree: {path}"),
+        }
+    }
+}
+
+impl FormatSelector for LearnedSelector {
+    fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
+        let x = featurize(f);
+        let Some(gate) = &self.gate else {
+            return self.learned_report(f, &x);
+        };
+        gate.decisions.fetch_add(1, Ordering::Relaxed);
+        let (format, confidence) = self.model.predict_with_confidence(&x);
+        let min = gate.min_confidence;
+        if confidence >= min {
+            let mut report = self.learned_report(f, &x);
+            report.reason = format!(
+                "hybrid learned ({}, confidence {confidence:.2} >= {min:.2}): {}",
+                if self.model.ensemble.is_empty() { "tree" } else { "forest" },
+                report.reason,
+            );
+            report
+        } else {
+            gate.fallbacks.fetch_add(1, Ordering::Relaxed);
+            let mut report = gate.rules.select(t, f);
+            report.block = self.tuned_block(report.chosen, f);
+            report.reason = format!(
+                "hybrid rule fallback (confidence {confidence:.2} < {min:.2} for {format}): {}",
+                report.reason,
+            );
+            report
         }
     }
 }
@@ -110,7 +182,7 @@ mod tests {
             .collect();
         let xs: Vec<_> = samples.iter().map(|s| s.x).collect();
         let ys: Vec<_> = samples.iter().map(|s| s.label).collect();
-        let tree = DecisionTree::train(&xs, &ys, TreeParams::default());
+        let tree = DecisionTree::train(&xs, &ys, TreeParams::CLASSIFIER);
         TrainedModel {
             meta: ModelMeta {
                 seed: GridConfig::default().seed,
@@ -122,7 +194,7 @@ mod tests {
             },
             tree,
             blocks: None,
-            ensemble: None,
+            ensemble: Vec::new(),
         }
     }
 
@@ -200,5 +272,28 @@ mod tests {
             let f = MatrixFeatures::from_triplets(&case.matrix);
             assert_eq!(sel.predict(&f), sel.select(&case.matrix, &f).chosen, "{}", case.desc);
         }
+    }
+
+    #[test]
+    fn gate_falls_back_to_the_rules_below_its_confidence() {
+        let t = diag_matrix(128, 128, 256, 2, 1);
+        let f = MatrixFeatures::from_triplets(&t);
+
+        // Gate at 0: the learned model always decides.
+        let trusting = LearnedSelector::with_gate(quick_model(), 0.0);
+        let r = trusting.select(&t, &f);
+        assert!(r.reason.starts_with("hybrid learned (tree"), "{}", r.reason);
+        assert_eq!(r.chosen, LearnedSelector::new(quick_model()).select(&t, &f).chosen);
+        assert_eq!(trusting.gate_counts(), (1, 0));
+
+        // Gate above 1: everything falls back to the rules.
+        let skeptical = LearnedSelector::with_gate(quick_model(), 1.1);
+        let r = skeptical.select(&t, &f);
+        assert!(r.reason.starts_with("hybrid rule fallback"), "{}", r.reason);
+        assert_eq!(skeptical.gate_counts(), (1, 1));
+        // The rules know a diagonal matrix when they see one.
+        assert_eq!(r.chosen, Format::Dia, "{}", r.reason);
+        // Ungated selectors count nothing.
+        assert_eq!(LearnedSelector::new(quick_model()).gate_counts(), (0, 0));
     }
 }

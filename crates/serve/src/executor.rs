@@ -34,7 +34,9 @@
 use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutTransition};
 use crate::discipline::{Decision, DisciplineCtx, QueueDiscipline, SloAware};
 use crate::fault::{FaultAction, FaultInjector, FaultSite};
-use crate::latency::{calibrate_model, AnalyticLatencyEstimator, TreeLatencyEstimator};
+use crate::latency::{
+    calibrate_model, predict_backlog, AnalyticLatencyEstimator, TreeLatencyEstimator,
+};
 use crate::proto::{RequestClass, Response};
 use crate::queue::{ClassedQueue, DrainPlan, JobMeta, PushError};
 use crate::registry::{ModelHealth, ModelRegistry, ServedModel};
@@ -436,18 +438,21 @@ impl Executor {
         };
         let ahead = self.config.discipline.queue_ahead(&lane.queue.pending(), class);
         let total = ahead + weight;
-        // While browned out, admission trusts the pessimistic closed-form
-        // estimator instead of the learned tree.
-        let block = self.lane_block(lane);
-        let service = if self.brownout_active.load(Ordering::Relaxed) {
-            self.analytic.predict_backlog(feats, total, block)
-        } else {
-            match &self.estimator {
-                Some(est) => est.predict_backlog(feats, total, block),
-                None => return false,
-            }
+        let sweep = |batch| self.predict_sweep(feats, batch);
+        let Some(service) = predict_backlog(sweep, total, self.lane_block(lane)) else {
+            return false;
         };
         now + self.effective_gather() + service > deadline
+    }
+
+    /// Predicted duration of one sweep of `batch` vectors; `None` without
+    /// an estimator. While browned out this is the pessimistic closed-form
+    /// estimator instead of the learned tree.
+    fn predict_sweep(&self, feats: &[f64; NUM_FEATURES], batch: usize) -> Option<Duration> {
+        if self.brownout_active.load(Ordering::Relaxed) {
+            return Some(self.analytic.predict_sweep(feats, batch));
+        }
+        self.estimator.as_ref().map(|est| est.predict_sweep(feats, batch))
     }
 
     /// Enqueues a predict request. `Ok` carries the receiver the reply
@@ -692,20 +697,10 @@ impl Executor {
     }
 
     /// Predicted full-block sweep time for a lane (the SLO discipline's
-    /// slack discount); zero without an estimator. Uses the analytic
-    /// fallback while browned out.
+    /// slack discount); zero without an estimator.
     fn est_block(&self, lane: &ModelLane) -> Duration {
-        let Some(feats) = &lane.feats else {
-            return Duration::ZERO;
-        };
-        let block = self.lane_block(lane);
-        if self.brownout_active.load(Ordering::Relaxed) {
-            return self.analytic.predict_sweep(feats, block);
-        }
-        match &self.estimator {
-            Some(est) => est.predict_sweep(feats, block),
-            None => Duration::ZERO,
-        }
+        let feats = lane.feats.as_ref();
+        feats.and_then(|f| self.predict_sweep(f, self.lane_block(lane))).unwrap_or_default()
     }
 
     /// The coalescing cap for one lane: the scheduler's tuned block for the

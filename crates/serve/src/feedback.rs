@@ -18,7 +18,7 @@
 //!    telemetry log cannot influence, so a poisoned log cannot also poison
 //!    its own acceptance test). A candidate whose mean regret exceeds the
 //!    incumbent's is rolled back — counted, never published. An accepted
-//!    candidate becomes a confidence-gated [`HybridSelector`] and is
+//!    candidate becomes a confidence-gated [`LearnedSelector`] and is
 //!    published through the shared [`SwappableSelector`]: in-flight
 //!    selections finish against the generation they started with, and the
 //!    next one picks up the new model. No request is ever paused or
@@ -30,7 +30,7 @@
 use crate::stats::ServeStats;
 use dls_core::{FormatSelector, RuleBasedSelector, SwappableSelector};
 use dls_learn::{
-    model_regret, retrain_online, HybridSelector, LabeledObservation, ObservationRing,
+    model_regret, retrain_online, LabeledObservation, LearnedSelector, ObservationRing,
     OnlineTrainConfig, TrainedModel, DEFAULT_MIN_CONFIDENCE,
 };
 use dls_sparse::{Format, MatrixFeatures};
@@ -49,12 +49,9 @@ pub struct FeedbackConfig {
     pub min_observations: usize,
     /// Background retrain period.
     pub interval: Duration,
-    /// Retraining knobs (grid size, weights, plateau/forest policy). The
-    /// serve default uses the quick grid so a cycle stays cheap enough for
-    /// a low-priority thread.
+    /// Retraining seed and grid size. The serve default uses the quick
+    /// grid so a cycle stays cheap enough for a low-priority thread.
     pub train: OnlineTrainConfig,
-    /// Confidence gate for the published [`HybridSelector`].
-    pub min_confidence: f64,
     /// Spawn the periodic background retrainer. Off, the hub still records
     /// and [`FeedbackHub::force_retrain`] still works — what the tests and
     /// the CI smoke use for determinism.
@@ -71,7 +68,6 @@ impl Default for FeedbackConfig {
             min_observations: 16,
             interval: Duration::from_secs(30),
             train: OnlineTrainConfig { quick_grid: true, ..OnlineTrainConfig::default() },
-            min_confidence: DEFAULT_MIN_CONFIDENCE,
             background: true,
             initial_model: None,
         }
@@ -111,12 +107,21 @@ pub enum RetrainOutcome {
     },
 }
 
-/// The incumbent model the guard defends.
+/// The live learned model: what serves, and what the guard defends.
 struct Incumbent {
-    model: TrainedModel,
+    /// The gated selector behind the swap handle (which holds the same
+    /// `Arc`, type-erased); kept typed here for its model and counters.
+    selector: Arc<LearnedSelector>,
     /// Holdout accuracy, when it came out of a retrain cycle (drives the
     /// plateau rule); `None` for a preloaded offline model.
     accuracy: Option<f64>,
+}
+
+impl Incumbent {
+    fn new(model: TrainedModel, accuracy: Option<f64>) -> Self {
+        let selector = Arc::new(LearnedSelector::with_gate(model, DEFAULT_MIN_CONFIDENCE));
+        Self { selector, accuracy }
+    }
 }
 
 /// `last_retrain` gauge values (also the wire encoding in the stats JSON).
@@ -138,10 +143,7 @@ pub struct FeedbackHub {
     config: FeedbackConfig,
     ring: ObservationRing,
     swap: Arc<SwappableSelector>,
-    /// The live hybrid, kept alongside the type-erased swap handle so
-    /// telemetry can read its fallback counters; `None` until the first
-    /// model is published.
-    active: Mutex<Option<Arc<HybridSelector>>>,
+    /// `None` while the analytic rules serve (no model published yet).
     incumbent: Mutex<Option<Incumbent>>,
     retrains_accepted: AtomicU64,
     retrains_rolled_back: AtomicU64,
@@ -165,24 +167,14 @@ impl FeedbackHub {
     /// configured model (as a confidence-gated hybrid) or, absent one, the
     /// paper's host-tuned analytic rules.
     pub fn new(config: FeedbackConfig) -> Arc<Self> {
-        let (initial, active, incumbent): (
-            Arc<dyn FormatSelector>,
-            Option<Arc<HybridSelector>>,
-            Option<Incumbent>,
-        ) = match config.initial_model.clone() {
-            Some(model) => {
-                let hybrid =
-                    Arc::new(HybridSelector::with_confidence(model.clone(), config.min_confidence));
-                (Arc::clone(&hybrid) as Arc<dyn FormatSelector>, Some(hybrid), {
-                    Some(Incumbent { model, accuracy: None })
-                })
-            }
-            None => (Arc::new(RuleBasedSelector::for_host()), None, None),
+        let incumbent = config.initial_model.clone().map(|model| Incumbent::new(model, None));
+        let initial: Arc<dyn FormatSelector> = match &incumbent {
+            Some(inc) => Arc::clone(&inc.selector) as Arc<dyn FormatSelector>,
+            None => Arc::new(RuleBasedSelector::for_host()),
         };
         Arc::new(Self {
             ring: ObservationRing::new(config.ring_capacity),
             swap: Arc::new(SwappableSelector::new(initial)),
-            active: Mutex::new(active),
             incumbent: Mutex::new(incumbent),
             retrains_accepted: AtomicU64::new(0),
             retrains_rolled_back: AtomicU64::new(0),
@@ -215,24 +207,18 @@ impl FeedbackHub {
     /// Trees in the live model: 0 while the analytic rules serve, 1 for a
     /// single CART, 3..=7 for a bagged forest.
     pub fn ensemble_size(&self) -> usize {
-        self.active
-            .lock()
-            .expect("feedback hub poisoned")
-            .as_ref()
-            .map_or(0, |h| h.model().ensemble_size())
+        let incumbent = self.incumbent.lock().expect("feedback hub poisoned");
+        incumbent.as_ref().map_or(0, |i| i.selector.model().ensemble_size())
     }
 
-    /// (decisions, rule fallbacks) of the live hybrid; zeros while the
-    /// analytic rules serve unconditionally.
+    /// (decisions, rule fallbacks) of the live gated selector; zeros while
+    /// the analytic rules serve unconditionally.
     pub fn hybrid_counts(&self) -> (u64, u64) {
-        self.active
-            .lock()
-            .expect("feedback hub poisoned")
-            .as_ref()
-            .map_or((0, 0), |h| (h.decisions(), h.fallbacks()))
+        let incumbent = self.incumbent.lock().expect("feedback hub poisoned");
+        incumbent.as_ref().map_or((0, 0), |i| i.selector.gate_counts())
     }
 
-    /// The telemetry ring (tests and the JSONL flush path).
+    /// The telemetry ring (tests and the retrain smoke read its counters).
     pub fn ring(&self) -> &ObservationRing {
         &self.ring
     }
@@ -284,7 +270,7 @@ impl FeedbackHub {
         let mut incumbent = self.incumbent.lock().expect("feedback hub poisoned");
         let incumbent_regret = incumbent
             .as_ref()
-            .map(|i| model_regret(&i.model, "incumbent", &outcome.holdout).mean_regret);
+            .map(|i| model_regret(i.selector.model(), "incumbent", &outcome.holdout).mean_regret);
         if let Some(inc) = incumbent_regret {
             if candidate_regret > inc {
                 self.retrains_rolled_back.fetch_add(1, Ordering::Relaxed);
@@ -294,14 +280,9 @@ impl FeedbackHub {
         }
 
         let ensemble_size = outcome.model.ensemble_size();
-        let hybrid = Arc::new(HybridSelector::with_confidence(
-            outcome.model.clone(),
-            self.config.min_confidence,
-        ));
-        let version = self.swap.swap(Arc::clone(&hybrid) as Arc<dyn FormatSelector>);
-        *self.active.lock().expect("feedback hub poisoned") = Some(hybrid);
-        *incumbent =
-            Some(Incumbent { model: outcome.model, accuracy: Some(outcome.holdout_accuracy) });
+        let accepted = Incumbent::new(outcome.model, Some(outcome.holdout_accuracy));
+        let version = self.swap.swap(Arc::clone(&accepted.selector) as Arc<dyn FormatSelector>);
+        *incumbent = Some(accepted);
         self.retrains_accepted.fetch_add(1, Ordering::Relaxed);
         self.last_outcome.store(OUTCOME_ACCEPTED, Ordering::Relaxed);
         RetrainOutcome::Accepted {
@@ -450,7 +431,7 @@ mod tests {
         // Poison: claim DEN "measured" instant and the real winner
         // catastrophically slow — at the *grid's own* feature vectors, so
         // the lie shadows the truth everywhere the holdout lives. Heavy
-        // replication (production_weight × recency_boost) outvotes the
+        // replication (production weight × recency boost) outvotes the
         // one-copy grid prior and the candidate learns "DEN everywhere".
         let cases = dls_learn::training_grid(&dls_learn::GridConfig {
             quick: true,

@@ -1,6 +1,6 @@
 //! Learned per-model latency prediction for admission control.
 //!
-//! Reuses `dls-learn`'s CART induction, re-targeted at regression
+//! Reuses `dls-learn`'s CART inducer with a continuous target
 //! ([`dls_learn::RegressionTree`]): sweep latency is fitted as
 //! `log2(nanoseconds)` over the model's nine influencing parameters
 //! (the paper's Table IV features, via [`dls_learn::featurize`]) plus
@@ -21,7 +21,7 @@
 //!   also finishes in time.
 
 use crate::registry::ServedModel;
-use dls_learn::{featurize, RegressParams, RegressionTree, NUM_FEATURES};
+use dls_learn::{featurize, RegressionTree, TreeParams, NUM_FEATURES};
 use dls_sparse::SparseVec;
 use dls_svm::PredictWorkspace;
 use std::time::{Duration, Instant};
@@ -34,13 +34,36 @@ pub const LATENCY_FEATURES: usize = NUM_FEATURES + 1;
 pub const CALIBRATION_BATCHES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// One calibration observation: feature vector and `log2(nanoseconds)`.
-pub type LatencySample = (Vec<f64>, f64);
+pub type LatencySample = ([f64; LATENCY_FEATURES], f64);
 
 /// Builds the estimator's feature vector for one (model, batch) pair.
-pub fn latency_features(model_feats: &[f64; NUM_FEATURES], batch: usize) -> Vec<f64> {
-    let mut x = model_feats.to_vec();
-    x.push((batch.max(1) as f64).log2());
+pub fn latency_features(
+    model_feats: &[f64; NUM_FEATURES],
+    batch: usize,
+) -> [f64; LATENCY_FEATURES] {
+    let mut x = [0.0; LATENCY_FEATURES];
+    x[..NUM_FEATURES].copy_from_slice(model_feats);
+    x[NUM_FEATURES] = (batch.max(1) as f64).log2();
     x
+}
+
+/// Predicted time to execute `total_weight` queued vectors, chunked into
+/// sweeps of at most `max_block` — the backlog term of the admission
+/// projection. `sweep` is whichever estimator's per-sweep prediction is in
+/// force; `None` from it (no estimator) is `None` here.
+pub fn predict_backlog(
+    sweep: impl Fn(usize) -> Option<Duration>,
+    total_weight: usize,
+    max_block: usize,
+) -> Option<Duration> {
+    let max_block = max_block.max(1);
+    let full = total_weight / max_block;
+    let rem = total_weight % max_block;
+    let mut out = sweep(max_block)? * full as u32;
+    if rem > 0 {
+        out += sweep(rem)?;
+    }
+    Some(out)
 }
 
 /// Times real sweeps of `served`'s scheduled matrix at each calibration
@@ -83,10 +106,9 @@ impl TreeLatencyEstimator {
         if samples.is_empty() {
             return None;
         }
-        let xs: Vec<Vec<f64>> = samples.iter().map(|(x, _)| x.clone()).collect();
+        let xs: Vec<&[f64; LATENCY_FEATURES]> = samples.iter().map(|(x, _)| x).collect();
         let ys: Vec<f64> = samples.iter().map(|&(_, y)| y).collect();
-        let tree = RegressionTree::train(LATENCY_FEATURES, &xs, &ys, RegressParams::default());
-        Some(Self { tree })
+        Some(Self { tree: RegressionTree::train(&xs, &ys, TreeParams::REGRESSOR) })
     }
 
     /// The fitted tree, for structural checks.
@@ -100,25 +122,6 @@ impl TreeLatencyEstimator {
         let log2_ns = self.tree.predict(&latency_features(model_feats, batch));
         // 2^50 ns ≈ 13 days: a safe ceiling against pathological fits.
         Duration::from_nanos(log2_ns.clamp(0.0, 50.0).exp2() as u64)
-    }
-
-    /// Predicted time to execute `total_weight` queued vectors, chunked
-    /// into sweeps of at most `max_block` — the backlog term of the
-    /// admission projection.
-    pub fn predict_backlog(
-        &self,
-        model_feats: &[f64; NUM_FEATURES],
-        total_weight: usize,
-        max_block: usize,
-    ) -> Duration {
-        let max_block = max_block.max(1);
-        let full = total_weight / max_block;
-        let rem = total_weight % max_block;
-        let mut out = self.predict_sweep(model_feats, max_block) * full as u32;
-        if rem > 0 {
-            out += self.predict_sweep(model_feats, rem);
-        }
-        out
     }
 }
 
@@ -158,24 +161,6 @@ impl AnalyticLatencyEstimator {
         let ns = self.base_ns + nnz.max(0.0) * batch.max(1) as f64 * self.ns_per_fma;
         Duration::from_nanos(ns.clamp(0.0, 1e18) as u64)
     }
-
-    /// Predicted time to execute `total_weight` queued vectors, chunked
-    /// into sweeps of at most `max_block`.
-    pub fn predict_backlog(
-        &self,
-        model_feats: &[f64; NUM_FEATURES],
-        total_weight: usize,
-        max_block: usize,
-    ) -> Duration {
-        let max_block = max_block.max(1);
-        let full = total_weight / max_block;
-        let rem = total_weight % max_block;
-        let mut out = self.predict_sweep(model_feats, max_block) * full as u32;
-        if rem > 0 {
-            out += self.predict_sweep(model_feats, rem);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +188,7 @@ mod tests {
         }
         // The batch feature varies across samples; the model fingerprint
         // does not.
-        assert_ne!(samples[0].0.last(), samples[5].0.last());
+        assert_ne!(samples[0].0[NUM_FEATURES], samples[5].0[NUM_FEATURES]);
         assert_eq!(samples[0].0[..NUM_FEATURES], samples[5].0[..NUM_FEATURES]);
     }
 
@@ -245,10 +230,12 @@ mod tests {
         let est = TreeLatencyEstimator::fit(&samples).unwrap();
         let one = est.predict_sweep(&feats, 4);
         // 10 vectors in blocks of 4 = 2 full sweeps + 1 remainder sweep.
-        let backlog = est.predict_backlog(&feats, 10, 4);
+        let sweep = |b| Some(est.predict_sweep(&feats, b));
+        let backlog = predict_backlog(sweep, 10, 4).unwrap();
         assert!(backlog >= one * 2, "{backlog:?} vs {one:?}");
         assert!(backlog <= one * 4, "{backlog:?} vs {one:?}");
-        assert_eq!(est.predict_backlog(&feats, 0, 4), Duration::ZERO);
+        assert_eq!(predict_backlog(sweep, 0, 4), Some(Duration::ZERO));
+        assert_eq!(predict_backlog(|_| None, 10, 4), None, "no estimator, no projection");
     }
 
     #[test]
@@ -266,9 +253,10 @@ mod tests {
         assert!(bigger_batch > small, "{bigger_batch:?} vs {small:?}");
         // Backlog chunks like the tree's projection.
         let one = est.predict_sweep(&feats_of(100.0), 4);
-        let backlog = est.predict_backlog(&feats_of(100.0), 10, 4);
+        let sweep = |b| Some(est.predict_sweep(&feats_of(100.0), b));
+        let backlog = predict_backlog(sweep, 10, 4).unwrap();
         assert!(backlog >= one * 2 && backlog <= one * 4, "{backlog:?} vs {one:?}");
-        assert_eq!(est.predict_backlog(&feats_of(100.0), 0, 4), Duration::ZERO);
+        assert_eq!(predict_backlog(sweep, 0, 4), Some(Duration::ZERO));
         // Degenerate fingerprints never panic or go negative.
         assert!(est.predict_sweep(&[0.0; NUM_FEATURES], 1) >= Duration::ZERO);
     }

@@ -31,6 +31,8 @@ model="$(mktemp -t dls_selector_XXXXXX.json)"
 trap 'rm -f "$model"' EXIT
 cargo run --release -q --bin dls -- train-selector "$model" --quick --analytic
 cargo run --release -q --bin dls -- selector-info "$model"
+# A document an earlier build wrote (committed fixture) must still load.
+cargo run --release -q --bin dls -- selector-info crates/learn/tests/fixtures/quick_analytic.json
 cargo run --release -q --bin dls -- schedule @trefethen "learned:$model"
 
 echo "==> bench smoke (criterion --test mode, one pass, no statistics)"
@@ -89,6 +91,12 @@ echo "==> online-selector gate (cross-machine regret: online/ensemble <= frozen 
 selector_json="$(mktemp -t dls_selector_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json" "$selector_json"' EXIT
 cargo run --release -q -p dls-bench --bin repro_selector_online -- --quick --check "$selector_json"
+# The full run is deterministic (analytic oracles, seeded grid): the
+# committed numbers must regenerate byte for byte.
+cargo run --release -q -p dls-bench --bin repro_selector_online -- "$selector_json" >/dev/null
+cmp "$selector_json" BENCH_selector.json \
+  || { echo "BENCH_selector.json no longer regenerates byte-identically" >&2; exit 1; }
+echo "BENCH_selector.json regenerates byte-identically"
 
 echo "==> chaos smoke (seeded fault injection, watchdog-guarded, per frontend)"
 # The harness itself exits 2 on any hang and non-zero on any corrupted

@@ -23,6 +23,8 @@
 //!               [--online [--retrain-ms N]]         online learning: telemetry
 //!                                                   feeds a background retrainer
 //!                                                   that hot-swaps the selector
+//!                                                   (learned picks under 0.75
+//!                                                   confidence defer to the rules)
 //! dls stats     --serve <addr> [--health]           live telemetry snapshot (or
 //!                                                   health ladder) from a
 //!                                                   running server, with an
@@ -33,7 +35,8 @@
 //!                                                   the synthetic grid; the
 //!                                                   measured-label gate knobs
 //!                                                   tune noise rejection
-//! dls selector-info <model.json>                    inspect a trained model
+//! dls selector-info <model.json>                    inspect a model document:
+//!                                                   tree, forest, block trees
 //! ```
 //!
 //! `@name` loads the synthetic twin of a paper dataset (e.g. `@adult`).
@@ -641,12 +644,11 @@ fn cmd_selector_info(args: &[String]) -> Result<(), String> {
         "trained on {} samples (grid={}, seed={}): {} measured, {} analytic fallback, {} analytic",
         m.samples, m.grid, m.seed, m.measured, m.analytic_fallback, m.analytic
     );
-    match &model.ensemble {
-        Some(forest) => println!(
-            "ensemble: {}-tree bagged forest (majority vote with vote-margin confidence)",
-            forest.len()
-        ),
-        None => println!("ensemble: none (single tree votes alone)"),
+    match model.ensemble.len() {
+        0 => println!("ensemble: none (single tree votes alone)"),
+        n => {
+            println!("ensemble: {n}-tree bagged forest (majority vote with vote-margin confidence)")
+        }
     }
     let p = model.tree.params();
     println!(
