@@ -1,31 +1,24 @@
-//! Extension study: the derived formats (paper §III-A "most of the other
-//! storage formats can be derived from these basic formats") measured
-//! against the basic five on workloads chosen to stress them.
-//!
-//! * **HYB** (ELL slab + COO spill) on skewed row lengths — bounded padding.
-//! * **JDS** (length-sorted jagged diagonals) on the same — zero padding.
-//! * **CSC** when the SMSV right-hand side is much sparser than the rows.
-//! * **BCSR** on blocky matrices.
+//! Admission report for derived formats (ROADMAP item 8): every format in
+//! `Format::ALL` but not in `Format::BASIC` is timed in an end-to-end SMO
+//! run (`time_smo_iterations`: cache off, so each iteration pays its two
+//! SMSVs *and* its row extractions) and printed as time ÷ the best basic
+//! format's, over the Table V twins at two seeds and three stress matrices
+//! on the derived formats' home turf. Admission needs a ≥ 10% win on ≥ 5%
+//! of cells; raw SMSV timing flatters formats whose row extraction is slow.
 
-use dls_bench::time_smsv;
+use dls_bench::{time_smo_iterations, workload};
 use dls_data::controlled::{mdim_matrix, vdim_matrix};
-use dls_sparse::{AnyMatrix, Format, MatrixFormat, TripletMatrix};
+use dls_data::labels::linear_teacher_labels;
+use dls_data::specs::PAPER_DATASETS;
+use dls_sparse::{Format, Scalar, TripletMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn show(label: &str, t: &TripletMatrix, formats: &[Format]) {
-    println!("\n## {label}  (M={}, N={}, nnz={})", t.rows(), t.cols(), t.nnz());
-    println!("{:<6} {:>14} {:>14} {:>10}", "format", "storage elems", "seconds", "speedup");
-    let mut times = Vec::new();
-    for &fmt in formats {
-        let m = AnyMatrix::from_triplets(fmt, t);
-        let secs = time_smsv(&m, 7);
-        times.push((fmt, m.storage_elems(), secs));
-    }
-    let slowest = times.iter().map(|x| x.2).fold(0.0, f64::max);
-    for (fmt, elems, secs) in times {
-        println!("{:<6} {elems:>14} {secs:>14.3e} {:>9.2}x", fmt.name(), slowest / secs);
-    }
+const ITERATIONS: usize = 40;
+
+/// Min-of-5 seconds for [`ITERATIONS`] SMO iterations in `format`.
+fn smo_secs(t: &TripletMatrix, y: &[Scalar], format: Format) -> f64 {
+    (0..5).map(|_| time_smo_iterations(t, y, format, ITERATIONS)).fold(f64::INFINITY, f64::min)
 }
 
 fn blocky_matrix(m: usize, n: usize, blocks: usize, seed: u64) -> TripletMatrix {
@@ -45,38 +38,45 @@ fn blocky_matrix(m: usize, n: usize, blocks: usize, seed: u64) -> TripletMatrix 
 
 fn main() {
     let size: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2048);
-    println!("# Derived formats vs the paper's basic five (SMSV timing)");
-    let all = [
-        Format::Ell,
-        Format::Csr,
-        Format::Coo,
-        Format::Dia,
-        Format::Hyb,
-        Format::Jds,
-        Format::Csc,
-        Format::Bcsr,
-    ];
-
-    // Skewed rows: ELL's pathology, HYB/JDS's home turf.
-    let skewed = mdim_matrix(size, size, 2 * size, size, 3);
-    show("skewed rows (one full row, mdim = M)", &skewed, &all);
-
-    // Moderate imbalance.
-    let imbalanced = vdim_matrix(size, 2 * size, size * 16, 1024.0, 5);
-    show("imbalanced rows (vdim = 1024)", &imbalanced, &all);
-
-    // Blocky: BCSR's home turf.
-    let blocky = blocky_matrix(size, size, size / 8, 7);
-    show("4x4 blocky structure", &blocky, &all);
-
-    println!("\n# Shape check: HYB/JDS should dominate ELL on the skewed workload");
-    println!("# (bounded/zero padding) and stay competitive with CSR elsewhere;");
-    println!("# BCSR's single index per 16 elements pays off on the blocky one.");
-    println!("#");
-    println!("# CSC caveat: raw SMSV flatters CSC enormously (it touches only the");
-    println!("# columns in the probe vector's support — the paper's related-work");
-    println!("# point that the *vector's* format matters). Full SMO also needs");
-    println!("# row extraction, which costs CSC O(N log nnz_col) per row and");
-    println!("# erases that advantage; see repro_selector_ablation for end-to-end");
-    println!("# SMO numbers.");
+    let derived: Vec<Format> =
+        Format::ALL.into_iter().filter(|f| !Format::BASIC.contains(f)).collect();
+    let mut cells: Vec<(String, TripletMatrix, Vec<Scalar>)> = Vec::new();
+    for seed in [42, 7] {
+        for spec in &PAPER_DATASETS {
+            let w = workload(spec.name, seed);
+            cells.push((format!("{}/{seed}", w.name), w.matrix, w.labels));
+        }
+    }
+    for (label, t) in [
+        ("skewed (mdim = M)", mdim_matrix(size, size, 2 * size, size, 3)),
+        ("imbalanced (vdim 1024)", vdim_matrix(size, 2 * size, size * 16, 1024.0, 5)),
+        ("4x4 blocky", blocky_matrix(size, size, size / 8, 7)),
+    ] {
+        let y = linear_teacher_labels(&t, 0.05, 11);
+        cells.push((label.to_string(), t, y));
+    }
+    println!("# Admission: SMO time / best basic format's ({ITERATIONS} iterations, min of 5)");
+    print!("{:<24} {:>10}", "cell", "best basic");
+    derived.iter().for_each(|f| print!(" {:>8}", f.name()));
+    println!();
+    let mut wins = vec![0usize; derived.len()];
+    for (label, t, y) in &cells {
+        let (best, best_secs) = Format::BASIC
+            .iter()
+            .map(|&f| (f, smo_secs(t, y, f)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("five basic formats");
+        print!("{label:<24} {:>10}", best.name());
+        for (k, &f) in derived.iter().enumerate() {
+            let ratio = smo_secs(t, y, f) / best_secs;
+            wins[k] += usize::from(ratio <= 0.9);
+            print!(" {ratio:>7.2}x");
+        }
+        println!();
+    }
+    let (n, need) = (cells.len(), cells.len().div_ceil(20));
+    for (f, won) in derived.iter().zip(&wins) {
+        let verdict = if *won >= need { "passes" } else { "fails" };
+        println!("# {f}: wins by >= 10% on {won} of {n} cells ({verdict}; needs {need})");
+    }
 }

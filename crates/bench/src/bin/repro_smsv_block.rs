@@ -14,7 +14,7 @@
 //! Usage: `repro_smsv_block [reps] [out.json] [--check]`
 //! (defaults: 15, `BENCH_smsv.json` in the current directory).
 //! `--check` exits non-zero unless every format's geomean blocked speedup
-//! stays at or above 0.95x and the COO/HYB/JDS paths clear 1.0x — the CI
+//! stays at or above 0.95x and the COO path clears 1.0x — the CI
 //! smoke gate against blocked-kernel regressions.
 
 use dls_bench::workload;
@@ -288,7 +288,7 @@ fn main() {
         let mut failures = Vec::new();
         for &(fmt, g) in &format_geo {
             let floor = match fmt {
-                Format::Coo | Format::Hyb | Format::Jds => 1.0,
+                Format::Coo => 1.0,
                 _ => 0.95,
             };
             if g < floor {

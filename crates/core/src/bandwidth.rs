@@ -35,8 +35,8 @@ impl BandwidthProfile {
     pub const FLAT: BandwidthProfile =
         BandwidthProfile { ell: 50.0, csr: 50.0, coo: 50.0, den: 50.0, dia: 50.0 };
 
-    /// Bandwidth for a given format in GB/s. Derived formats reuse the
-    /// closest basic profile (CSC ≈ CSR, BCSR ≈ DEN-ish streaming).
+    /// Bandwidth for a given format in GB/s. CSC, the one derived format,
+    /// reuses CSR's (the same arrays, transposed).
     pub fn of(&self, format: Format) -> f64 {
         match format {
             Format::Ell => self.ell,
@@ -45,11 +45,6 @@ impl BandwidthProfile {
             Format::Den => self.den,
             Format::Dia => self.dia,
             Format::Csc => self.csr,
-            Format::Bcsr => self.den,
-            // HYB streams an ELL slab plus a COO tail; JDS streams
-            // contiguous CSR-like arrays.
-            Format::Hyb => (self.ell + self.coo) / 2.0,
-            Format::Jds => self.csr,
         }
     }
 
@@ -83,7 +78,6 @@ mod tests {
     fn derived_formats_borrow_neighbours() {
         let p = BandwidthProfile::IVY_BRIDGE;
         assert_eq!(p.of(Format::Csc), p.of(Format::Csr));
-        assert_eq!(p.of(Format::Bcsr), p.of(Format::Den));
     }
 
     #[test]

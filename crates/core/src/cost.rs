@@ -6,25 +6,20 @@
 //! bandwidth of §III-B.
 
 use crate::bandwidth::BandwidthProfile;
-use crate::report::{default_block, FormatScore, SelectionReport};
+use crate::report::{FormatScore, SelectionReport};
 use crate::scheduler::FormatSelector;
 use dls_sparse::storage::predicted_storage_elems;
-use dls_sparse::{Format, MatrixFeatures, Scalar, TripletMatrix};
+use dls_sparse::{Format, MatrixFeatures, Scalar, TripletMatrix, MAX_SMSV_BLOCK};
 
-/// Selector that minimises predicted SMSV time over the candidate formats.
+/// Selector that minimises predicted SMSV time over [`Format::BASIC`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostModelSelector {
     /// Per-format effective bandwidth used as the denominator of Eq. (7).
     pub bandwidth: BandwidthProfile,
-    /// Score (and allow choosing) the derived formats — CSC, BCSR, HYB,
-    /// JDS — beyond the paper's basic five. Off by default so selection
-    /// matches the paper's five-way choice (CSC ties CSR exactly under
-    /// Eq. 7).
-    pub include_derived: bool,
     /// Kernel block size the consumer will use for batched SMSV
     /// (`smsv_block`). `0` or `1` models the unblocked per-vector kernel;
     /// larger values amortise the matrix stream over `block` right-hand
-    /// sides for formats with a native blocked kernel.
+    /// sides.
     pub block: usize,
     /// Learned per-format tuned block sizes, indexed by each format's
     /// position in [`Format::ALL`]. A present non-zero entry overrides the
@@ -38,12 +33,6 @@ impl CostModelSelector {
     /// Creates a selector with a custom bandwidth profile.
     pub fn with_bandwidth(bandwidth: BandwidthProfile) -> Self {
         Self { bandwidth, ..Default::default() }
-    }
-
-    /// Also scores (and allows choosing) the derived formats.
-    pub fn with_derived(mut self) -> Self {
-        self.include_derived = true;
-        self
     }
 
     /// Models a consumer that batches `block` SMSVs per matrix sweep.
@@ -70,31 +59,20 @@ impl CostModelSelector {
         hint.unwrap_or(self.block).max(1)
     }
 
-    /// The candidate formats this selector scores.
-    pub fn candidates(&self) -> &'static [Format] {
-        if self.include_derived {
-            &Format::ALL
-        } else {
-            &Format::BASIC
-        }
-    }
-
     /// Predicted seconds for one SMSV sweep in `format`.
     ///
     /// Storage *elements* are converted to bytes: the value array streams
     /// 8-byte scalars and index arrays 8-byte words, so elements × 8 is the
     /// transferred volume Equation (7) divides by bandwidth.
-    /// With `block > 1` and a format that has a native blocked kernel, the
-    /// matrix stream is amortised over the block: per SMSV the transferred
-    /// volume drops to `storage / block` plus the per-vector workspace
-    /// traffic (scatter + gather of one dense column vector, `2·n` words)
-    /// that cannot be amortised. Formats without a blocked kernel fall back
-    /// to one full sweep per vector and keep the unblocked prediction.
+    /// With `block > 1` the matrix stream is amortised over the block: per
+    /// SMSV the transferred volume drops to `storage / block` plus the
+    /// per-vector workspace traffic (scatter + gather of one dense column
+    /// vector, `2·n` words) that cannot be amortised.
     pub fn predicted_time(&self, format: Format, f: &MatrixFeatures) -> f64 {
         let elems = predicted_storage_elems(format, f);
         let bytes = elems * std::mem::size_of::<Scalar>() as f64;
         let b = self.effective_block(format);
-        if b > 1 && format.has_blocked_kernel() {
+        if b > 1 {
             let vector_bytes = 2.0 * f.n as f64 * std::mem::size_of::<Scalar>() as f64;
             (bytes / b as f64 + vector_bytes) / self.bandwidth.bytes_per_sec(format)
         } else {
@@ -102,9 +80,9 @@ impl CostModelSelector {
         }
     }
 
-    /// Predicted times for every candidate format (lower is better).
+    /// Predicted times for every basic format (lower is better).
     pub fn score_all(&self, f: &MatrixFeatures) -> Vec<FormatScore> {
-        self.candidates()
+        Format::BASIC
             .iter()
             .map(|&fmt| FormatScore::new(fmt, self.predicted_time(fmt, f)))
             .collect()
@@ -119,18 +97,14 @@ impl FormatSelector for CostModelSelector {
             .iter()
             .min_by(|a, b| a.score.partial_cmp(&b.score).expect("finite times"))
             .copied()
-            .expect("at least five candidates");
+            .expect("five candidates");
         // Batching consumers run the chosen format at the block the model
         // priced; a selector that never priced blocking still reports the
         // engine default so downstream coalescing is not throttled.
         let block = if self.block > 1 || self.blocks.is_some() {
-            if chosen.has_blocked_kernel() {
-                self.effective_block(chosen)
-            } else {
-                1
-            }
+            self.effective_block(chosen)
         } else {
-            default_block(chosen)
+            MAX_SMSV_BLOCK
         };
         SelectionReport {
             chosen,
@@ -253,17 +227,5 @@ mod tests {
         let t = dls_data::generate(spec, 1);
         let r = sel.select(&t, &f);
         assert_eq!(r.block, sel.effective_block(r.chosen));
-    }
-
-    #[test]
-    fn derived_candidates_are_scored_when_enabled() {
-        let f = features_of("aloi", 1);
-        let sel = CostModelSelector::default().with_derived();
-        let r = sel.select(&dls_data::generate(DatasetSpec::by_name("aloi").unwrap(), 1), &f);
-        assert_eq!(r.scores.len(), Format::ALL.len());
-        for fmt in [Format::Csc, Format::Bcsr, Format::Hyb, Format::Jds] {
-            let s = r.score_of(fmt).expect("derived formats are scored");
-            assert!(s.is_finite() && s > 0.0, "{fmt}: {s}");
-        }
     }
 }

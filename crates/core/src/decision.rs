@@ -131,10 +131,10 @@ impl FormatSelector for RuleBasedSelector {
         let (chosen, reason) = self.decide(f);
         // Rules don't produce a numeric score per format; rank the
         // alternatives by predicted storage ("computation is proportional
-        // to storage"), derived formats included.
+        // to storage"), CSC included.
         SelectionReport {
             chosen,
-            block: crate::report::default_block(chosen),
+            block: dls_sparse::MAX_SMSV_BLOCK,
             features: *f,
             scores: rank_by_storage(chosen, f),
             reason,
@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(r.scores[0].format, r.chosen);
         assert_eq!(r.scores[0].score, 0.0);
         assert_eq!(r.score_of(r.chosen), Some(0.0));
-        // Every format scored, derived ones included.
+        // Every format scored, CSC included.
         let mut fmts: Vec<Format> = r.scores.iter().map(|s| s.format).collect();
         fmts.sort();
         let mut all = Format::ALL.to_vec();

@@ -1,14 +1,15 @@
 //! Empirical micro-benchmark selector.
 //!
 //! The most faithful (and most expensive) strategy: materialise every
-//! candidate format — on a row sample when the matrix is large — and time
+//! basic format — on a row sample when the matrix is large — and time
 //! real SMSV products with right-hand sides drawn from the matrix's own
 //! rows, exactly the access pattern of the SMO loop. The fastest format
 //! wins. This is classic auto-tuning in the OSKI tradition the paper cites.
 
+use crate::decision::RuleBasedSelector;
 use crate::report::{FormatScore, SelectionReport};
 use crate::scheduler::FormatSelector;
-use dls_sparse::{AnyMatrix, Format, MatrixFeatures, MatrixFormat, TripletMatrix};
+use dls_sparse::{AnyMatrix, Format, MatrixFeatures, MatrixFormat, TripletMatrix, MAX_SMSV_BLOCK};
 use std::time::Instant;
 
 /// Micro-benchmarking selector.
@@ -20,15 +21,11 @@ pub struct EmpiricalSelector {
     /// `sample_rows` rows. The sample keeps the row-length distribution of
     /// the full matrix because generators interleave row kinds.
     pub sample_rows: usize,
-    /// Also consider the derived formats (HYB, JDS, CSC, BCSR) beyond the
-    /// paper's five. They are measured and scored like any other candidate
-    /// and win when fastest.
-    pub include_derived: bool,
 }
 
 impl Default for EmpiricalSelector {
     fn default() -> Self {
-        Self { reps: 5, sample_rows: 2_048, include_derived: false }
+        Self { reps: 5, sample_rows: 2_048 }
     }
 }
 
@@ -69,10 +66,15 @@ impl EmpiricalSelector {
 
 impl FormatSelector for EmpiricalSelector {
     fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
+        if t.rows() == 0 || t.cols() == 0 {
+            // No row to probe with and no product to time (an empty input
+            // file arrives here): answer from the features alone.
+            let mut report = RuleBasedSelector::default().select(t, f);
+            report.reason = format!("nothing to measure; {}", report.reason);
+            return report;
+        }
         let probe = self.sample(t);
-        let candidates: &[Format] =
-            if self.include_derived { &Format::ALL } else { &Format::BASIC };
-        let scores: Vec<FormatScore> = candidates
+        let scores: Vec<FormatScore> = Format::BASIC
             .iter()
             .map(|&fmt| FormatScore::new(fmt, self.measure(fmt, &probe)))
             .collect();
@@ -80,10 +82,10 @@ impl FormatSelector for EmpiricalSelector {
             .iter()
             .min_by(|a, b| a.score.partial_cmp(&b.score).expect("finite times"))
             .copied()
-            .expect("at least five candidates");
+            .expect("five candidates");
         SelectionReport {
             chosen,
-            block: crate::report::default_block(chosen),
+            block: MAX_SMSV_BLOCK,
             features: *f,
             scores,
             reason: format!(
@@ -104,7 +106,7 @@ mod tests {
 
     #[test]
     fn sampling_caps_rows() {
-        let sel = EmpiricalSelector { reps: 1, sample_rows: 8, ..Default::default() };
+        let sel = EmpiricalSelector { reps: 1, sample_rows: 8 };
         let spec = DatasetSpec::by_name("adult").unwrap();
         let t = generate(spec, 1);
         let s = sel.sample(&t);
@@ -117,7 +119,7 @@ mod tests {
 
     #[test]
     fn selects_some_basic_format_with_timing_scores() {
-        let sel = EmpiricalSelector { reps: 2, sample_rows: 256, ..Default::default() };
+        let sel = EmpiricalSelector { reps: 2, sample_rows: 256 };
         let spec = DatasetSpec::by_name("adult").unwrap().scaled(4);
         let t = generate(&spec, 1);
         let f = MatrixFeatures::from_triplets(&t);
@@ -133,24 +135,17 @@ mod tests {
     }
 
     #[test]
-    fn derived_formats_can_win_when_enabled() {
-        // One long row among uniform short ones: HYB/JDS avoid ELL padding
-        // and can beat all five basic formats; with include_derived the
-        // selector is allowed to pick them.
-        let t = dls_data::controlled::mdim_matrix(512, 512, 1024, 512, 9);
-        let f = MatrixFeatures::from_triplets(&t);
-        let sel = EmpiricalSelector { reps: 3, sample_rows: 4_096, include_derived: true };
-        let r = sel.select(&t, &f);
-        assert!(Format::ALL.contains(&r.chosen));
-        // Derived candidates are first-class: they carry measured scores.
-        assert_eq!(r.scores.len(), Format::ALL.len());
-        for fmt in [Format::Hyb, Format::Jds, Format::Csc, Format::Bcsr] {
-            assert!(r.score_of(fmt).unwrap() > 0.0, "{fmt} was actually timed");
-        }
-        // Whatever wins, its time is no worse than every other candidate.
-        let best = r.score_of(r.chosen).unwrap();
-        for s in &r.scores {
-            assert!(best <= s.score);
+    fn empty_matrices_get_a_decision_without_measuring() {
+        use crate::{LayoutScheduler, SelectionStrategy};
+        let sched = LayoutScheduler::with_strategy(SelectionStrategy::Empirical);
+        for (m, n) in [(0, 5), (5, 0), (0, 0)] {
+            let t = TripletMatrix::new(m, n);
+            let r = sched.select_only(&t);
+            assert!(Format::BASIC.contains(&r.chosen), "{m}x{n}: {}", r.chosen);
+            assert!(r.reason.contains("nothing to measure"), "{m}x{n}: {}", r.reason);
+            let s = sched.schedule(&t);
+            assert_eq!(s.format(), r.chosen);
+            assert_eq!((s.matrix().rows(), s.matrix().cols(), s.matrix().nnz()), (m, n, 0));
         }
     }
 
@@ -159,7 +154,7 @@ mod tests {
         // One 256-nnz row among 255 empty rows: ELL stores 256*256 slots.
         let t = dls_data::controlled::mdim_matrix(256, 256, 256, 256, 3);
         let f = MatrixFeatures::from_triplets(&t);
-        let sel = EmpiricalSelector { reps: 3, sample_rows: 4_096, ..Default::default() };
+        let sel = EmpiricalSelector { reps: 3, sample_rows: 4_096 };
         let r = sel.select(&t, &f);
         let ell = r.score_of(Format::Ell).unwrap();
         let csr = r.score_of(Format::Csr).unwrap();

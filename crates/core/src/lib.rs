@@ -42,7 +42,7 @@ pub use monitor::{FormatTelemetry, KernelMonitor, TelemetrySnapshot, WindowRecor
 pub use reactive::{
     MispredictDetector, ReactiveConfig, ReactiveReport, ReactiveScheduler, SwitchEvent,
 };
-pub use report::{default_block, FormatScore, SelectionReport};
+pub use report::{FormatScore, SelectionReport};
 pub use scheduler::{
     FixedSelector, FormatSelector, LayoutScheduler, ScheduledMatrix, SelectionStrategy,
 };

@@ -20,16 +20,6 @@ impl FormatScore {
     }
 }
 
-/// Default kernel block size for a format: the engine-wide cap for formats
-/// with a native blocked kernel, 1 (per-vector) for the rest.
-pub fn default_block(format: Format) -> usize {
-    if format.has_blocked_kernel() {
-        dls_sparse::MAX_SMSV_BLOCK
-    } else {
-        1
-    }
-}
-
 /// Why and how a format was chosen for one dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectionReport {
@@ -37,13 +27,12 @@ pub struct SelectionReport {
     pub chosen: Format,
     /// Kernel block size batched consumers should use with the chosen
     /// format: learned per-(format, dataset) when the selector tunes it,
-    /// [`default_block`] otherwise.
+    /// [`dls_sparse::MAX_SMSV_BLOCK`] otherwise.
     pub block: usize,
     /// Extracted influencing parameters the decision was based on.
     pub features: MatrixFeatures,
     /// Per-format scores, chosen format first. Selectors score at least the
-    /// five basic formats; derived formats (CSC, BCSR, HYB, JDS) appear
-    /// whenever the selector considered them.
+    /// five basic formats; CSC appears whenever the selector considered it.
     pub scores: Vec<FormatScore>,
     /// One-line human-readable justification.
     pub reason: String,
@@ -116,7 +105,7 @@ mod tests {
         let t = TripletMatrix::from_dense(2, 2, &[1.0, 0.0, 0.0, 1.0]);
         SelectionReport {
             chosen: Format::Dia,
-            block: default_block(Format::Dia),
+            block: dls_sparse::MAX_SMSV_BLOCK,
             features: MatrixFeatures::from_triplets(&t),
             scores: vec![
                 FormatScore::new(Format::Dia, 1.0),
@@ -133,18 +122,18 @@ mod tests {
     fn score_lookup_and_worst() {
         let r = report();
         assert_eq!(r.score_of(Format::Csr), Some(2.0));
-        assert_eq!(r.score_of(Format::Bcsr), None);
+        assert_eq!(r.score_of(Format::Csc), None);
         assert_eq!(r.worst(), Format::Den);
     }
 
     #[test]
     fn basic_scores_follow_basic_order() {
         let mut r = report();
-        r.scores.push(FormatScore::new(Format::Jds, 2.2));
+        r.scores.push(FormatScore::new(Format::Csc, 2.2));
         let basics = r.basic_scores();
         let order: Vec<Format> = basics.iter().map(|s| s.format).collect();
         assert_eq!(order, Format::BASIC.to_vec());
-        assert!(basics.iter().all(|s| s.format != Format::Jds));
+        assert!(basics.iter().all(|s| s.format != Format::Csc));
     }
 
     #[test]
@@ -154,7 +143,7 @@ mod tests {
         let scores = rank_by_storage(Format::Dia, &f);
         assert_eq!(scores.len(), Format::ALL.len());
         assert_eq!(scores[0], FormatScore::new(Format::Dia, 0.0));
-        // Ranks are a permutation of 0..9 with chosen at 0.
+        // Ranks are a permutation of 0..ALL.len() with chosen at 0.
         let mut ranks: Vec<f64> = scores.iter().map(|s| s.score).collect();
         ranks.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(ranks, (0..Format::ALL.len()).map(|k| k as f64).collect::<Vec<_>>());

@@ -15,7 +15,7 @@ use crate::cost::CostModelSelector;
 use crate::decision::RuleBasedSelector;
 use crate::empirical::EmpiricalSelector;
 use crate::report::{rank_by_storage, SelectionReport};
-use dls_sparse::{AnyMatrix, Format, MatrixFeatures, TripletMatrix};
+use dls_sparse::{AnyMatrix, Format, MatrixFeatures, TripletMatrix, MAX_SMSV_BLOCK};
 use std::sync::Arc;
 
 /// A pluggable selection policy.
@@ -78,7 +78,7 @@ impl FormatSelector for FixedSelector {
     fn select(&self, _t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
         SelectionReport {
             chosen: self.0,
-            block: crate::report::default_block(self.0),
+            block: MAX_SMSV_BLOCK,
             features: *f,
             scores: rank_by_storage(self.0, f),
             reason: format!("fixed format {} (non-adaptive)", self.0),
@@ -228,7 +228,7 @@ mod tests {
         let s = LayoutScheduler::with_strategy(SelectionStrategy::Fixed(Format::Csr)).schedule(&t);
         assert_eq!(s.format(), Format::Csr);
         assert!(s.report().reason.contains("non-adaptive"));
-        // Fixed reports rank every format, derived ones included.
+        // Fixed reports rank every format, CSC included.
         assert_eq!(s.report().scores.len(), Format::ALL.len());
     }
 
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn custom_selector_plugs_in() {
         /// A policy no built-in strategy expresses: smallest predicted
-        /// storage over all nine formats.
+        /// storage over all of `Format::ALL`.
         struct SmallestStorage;
         impl FormatSelector for SmallestStorage {
             fn select(&self, _t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
@@ -318,7 +318,7 @@ mod tests {
                     .unwrap();
                 SelectionReport {
                     chosen,
-                    block: crate::report::default_block(chosen),
+                    block: MAX_SMSV_BLOCK,
                     features: *f,
                     scores: rank_by_storage(chosen, f),
                     reason: "smallest storage".into(),

@@ -230,10 +230,10 @@ fn parse_format(v: &JsonValue) -> Result<Format, String> {
 fn parse_report(v: &JsonValue) -> Result<SelectionReport, String> {
     let chosen = parse_format(v.req("chosen")?)?;
     // Documents written before the tuned-block era carry no "block": fall
-    // back to the format's engine default so old caches stay loadable.
+    // back to the engine default so old caches stay loadable.
     let block = match v.get("block") {
         Some(b) => b.as_usize().ok_or("\"block\" must be a count")?,
-        None => crate::report::default_block(chosen),
+        None => dls_sparse::MAX_SMSV_BLOCK,
     };
     let reason = v.req("reason")?.as_str().ok_or("\"reason\" must be a string")?.to_string();
     let scores = v

@@ -42,13 +42,9 @@ pub struct BlockSample {
 
 /// Analytic tuned block: the largest candidate whose interleaved blocked
 /// workspace (scatter lanes over `n` columns plus `m` accumulator lanes)
-/// stays within the cache budget. All nine formats have a native blocked
-/// kernel today; the guard keeps the defensive per-vector fallback should
-/// a future format opt out.
-pub fn analytic_block(format: Format, f: &MatrixFeatures) -> usize {
-    if !format.has_blocked_kernel() {
-        return 1;
-    }
+/// stays within the cache budget. The bound is the same for every format:
+/// the workspace is sized by the matrix's shape, not by its layout.
+pub fn analytic_block(f: &MatrixFeatures) -> usize {
     let per_lane = f.n + 1 + f.m;
     let mut b = MAX_SMSV_BLOCK;
     while b > 1 && per_lane * b > CACHE_BUDGET_SCALARS {
@@ -63,9 +59,6 @@ pub fn analytic_block(format: Format, f: &MatrixFeatures) -> usize {
 /// *larger* block — amortisation wins downstream when per-product times are
 /// indistinguishable.
 pub fn measured_block(format: Format, t: &TripletMatrix, reps: usize) -> usize {
-    if !format.has_blocked_kernel() {
-        return 1;
-    }
     let m = AnyMatrix::from_triplets(format, t);
     let rows = m.rows();
     // A full chunk of probe vectors: matrix rows cycled, like the labelling
@@ -112,13 +105,12 @@ pub fn block_for_case(
 ) -> usize {
     match mode {
         LabelMode::Measured { reps, .. } => measured_block(format, t, reps),
-        LabelMode::Analytic { .. } => analytic_block(format, f),
+        LabelMode::Analytic { .. } => analytic_block(f),
     }
 }
 
-/// Learned per-format block-size model: one regression tree per format with
-/// a native blocked kernel (today: all nine), fitted to `log2(best block)`
-/// over the nine influencing parameters.
+/// Learned per-format block-size model: one regression tree per format,
+/// fitted to `log2(best block)` over the nine influencing parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockModel {
     /// `(format, tree)` pairs in [`Format::ALL`] order; a format absent
@@ -128,11 +120,10 @@ pub struct BlockModel {
 }
 
 impl BlockModel {
-    /// Fits one tree per format present in `samples`. Samples for formats
-    /// without a blocked kernel are ignored.
+    /// Fits one tree per format present in `samples`.
     pub fn train(samples: &[BlockSample]) -> Self {
         let mut trees = Vec::new();
-        for &fmt in Format::ALL.iter().filter(|f| f.has_blocked_kernel()) {
+        for &fmt in &Format::ALL {
             let of_fmt = || samples.iter().filter(|s| s.format == fmt);
             let xs: Vec<&[f64; NUM_FEATURES]> = of_fmt().map(|s| &s.x).collect();
             let ys: Vec<f64> = of_fmt().map(|s| (s.block.max(1) as f64).log2()).collect();
@@ -146,14 +137,14 @@ impl BlockModel {
 
     /// Tuned block for `format` on feature vector `x`: the tree's predicted
     /// `log2(block)` rounded to the nearest candidate. Formats without a
-    /// tree fall back to the engine default ([`dls_core::default_block`]).
+    /// tree fall back to the engine default, [`MAX_SMSV_BLOCK`].
     pub fn tuned_block(&self, format: Format, x: &[f64; NUM_FEATURES]) -> usize {
         match self.trees.iter().find(|(f, _)| *f == format) {
             Some((_, tree)) => {
                 let exp = tree.predict(x).round().clamp(0.0, 5.0) as u32;
                 (1usize << exp).min(MAX_SMSV_BLOCK)
             }
-            None => dls_core::default_block(format),
+            None => MAX_SMSV_BLOCK,
         }
     }
 }
@@ -168,13 +159,11 @@ mod tests {
     fn analytic_block_respects_kernel_availability_and_cache() {
         let t = diag_matrix(128, 128, 256, 2, 1);
         let f = MatrixFeatures::from_triplets(&t);
-        // CSC's merged column sweep amortises too: budgeted like the rest.
-        assert_eq!(analytic_block(Format::Csc, &f), MAX_SMSV_BLOCK);
         // A small matrix fits the budget at the full cap.
-        assert_eq!(analytic_block(Format::Csr, &f), MAX_SMSV_BLOCK);
+        assert_eq!(analytic_block(&f), MAX_SMSV_BLOCK);
         // A huge matrix shrinks the block until the workspace fits.
         let big = MatrixFeatures { m: 40_000, n: 40_000, ..f };
-        let b = analytic_block(Format::Csr, &big);
+        let b = analytic_block(&big);
         assert!((1..MAX_SMSV_BLOCK).contains(&b), "tuned down: {b}");
         assert!((big.n + 1 + big.m) * b <= CACHE_BUDGET_SCALARS || b == 1);
     }
@@ -182,7 +171,7 @@ mod tests {
     #[test]
     fn measured_block_returns_a_candidate() {
         let t = diag_matrix(96, 96, 192, 3, 7);
-        for fmt in [Format::Csr, Format::Coo, Format::Jds, Format::Csc] {
+        for fmt in [Format::Csr, Format::Coo, Format::Dia, Format::Csc] {
             let b = measured_block(fmt, &t, 1);
             assert!(BLOCK_CANDIDATES.contains(&b), "{fmt}: {b}");
         }
@@ -218,12 +207,7 @@ mod tests {
         let f = MatrixFeatures::from_triplets(&t);
         let samples: Vec<BlockSample> = Format::ALL
             .iter()
-            .filter(|fmt| fmt.has_blocked_kernel())
-            .map(|&format| BlockSample {
-                format,
-                x: featurize(&f),
-                block: analytic_block(format, &f),
-            })
+            .map(|&format| BlockSample { format, x: featurize(&f), block: analytic_block(&f) })
             .collect();
         let model = BlockModel::train(&samples);
         for s in &samples {

@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn unscored_picks_are_charged_the_worst_time() {
         let s = sample(Format::Ell, [1.0, 1.5, 3.0, 4.0, 5.0]);
-        let e = evaluate("derived", &[s], &[Format::Hyb]);
+        let e = evaluate("derived", &[s], &[Format::Csc]);
         assert!((e.max_regret - 4.0).abs() < 1e-12, "charged 5.0/1.0 - 1");
     }
 

@@ -234,7 +234,7 @@ mod tests {
         for &fmt in &Format::BASIC {
             assert!(own <= s.score_of(fmt).unwrap(), "label must have the best score");
         }
-        assert!(s.score_of(Format::Hyb).is_none(), "derived formats are not scored");
+        assert!(s.score_of(Format::Csc).is_none(), "derived formats are not scored");
     }
 
     #[test]

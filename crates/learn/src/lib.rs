@@ -128,7 +128,7 @@ pub(crate) fn fit(
     let blocks = production.is_none().then(|| {
         let mut block_samples = Vec::new();
         for (case, sample) in cases.iter().zip(&samples) {
-            for &fmt in Format::ALL.iter().filter(|f| f.has_blocked_kernel()) {
+            for &fmt in &Format::ALL {
                 block_samples.push(BlockSample {
                     format: fmt,
                     x: sample.x,

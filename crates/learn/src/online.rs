@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn derived_format_observations_are_skipped() {
-        let observations = vec![obs(128, 256, Format::Hyb, 1_000, 1)];
+        let observations = vec![obs(128, 256, Format::Csc, 1_000, 1)];
         assert!(observations_to_samples(&observations).is_empty());
     }
 

@@ -677,6 +677,24 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_format_in_blocks_is_refused_by_name() {
+        // What the committed fixtures carried until the format was deleted:
+        // a well-formed block tree under a name `Format` no longer parses.
+        let doc = sample_model_with_blocks().to_json();
+        let retired = "\"blocks\":{\"BCSR\":{\"params\":{\"max_depth\":12,\"min_leaf\":1,\
+                       \"min_gain\":1e-12},\"tree\":{\"leaf\":{\"value\":5.0,\"n\":68}}},";
+        let spliced = doc.replacen("\"blocks\":{", retired, 1);
+        assert_ne!(spliced, doc);
+        assert_eq!(
+            TrainedModel::from_json(&spliced),
+            Err(ModelError::Field {
+                path: "blocks.BCSR".into(),
+                reason: "unknown format: BCSR".into()
+            })
+        );
+    }
+
+    #[test]
     fn nesting_beyond_the_parser_cap_is_a_json_error() {
         let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
         assert!(matches!(TrainedModel::from_json(&deep), Err(ModelError::Json(_))));

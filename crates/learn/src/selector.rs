@@ -17,10 +17,10 @@
 use crate::features::{featurize, FEATURE_NAMES, NUM_FEATURES};
 use crate::persist::TrainedModel;
 use dls_core::{
-    default_block, BandwidthProfile, CostModelSelector, FormatScore, FormatSelector,
-    RuleBasedSelector, SelectionReport,
+    BandwidthProfile, CostModelSelector, FormatScore, FormatSelector, RuleBasedSelector,
+    SelectionReport,
 };
-use dls_sparse::{Format, MatrixFeatures, TripletMatrix};
+use dls_sparse::{Format, MatrixFeatures, TripletMatrix, MAX_SMSV_BLOCK};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,7 +95,7 @@ impl LearnedSelector {
     pub fn tuned_block(&self, format: Format, f: &MatrixFeatures) -> usize {
         match &self.model.blocks {
             Some(blocks) => blocks.tuned_block(format, &featurize(f)),
-            None => default_block(format),
+            None => MAX_SMSV_BLOCK,
         }
     }
 
@@ -245,16 +245,16 @@ mod tests {
         let t = diag_matrix(128, 128, 256, 2, 4);
         let f = MatrixFeatures::from_triplets(&t);
         let sel = LearnedSelector::new(model.clone());
-        assert_eq!(sel.select(&t, &f).block, dls_core::default_block(sel.predict(&f)));
+        assert_eq!(sel.select(&t, &f).block, MAX_SMSV_BLOCK);
         // With block trees: the learned tuned block.
         let mut samples = Vec::new();
         for case in training_grid(&GridConfig { quick: true, ..Default::default() }) {
             let cf = MatrixFeatures::from_triplets(&case.matrix);
-            for &fmt in Format::ALL.iter().filter(|x| x.has_blocked_kernel()) {
+            for &fmt in &Format::ALL {
                 samples.push(BlockSample {
                     format: fmt,
                     x: featurize(&cf),
-                    block: analytic_block(fmt, &cf),
+                    block: analytic_block(&cf),
                 });
             }
         }

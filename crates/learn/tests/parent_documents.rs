@@ -1,8 +1,10 @@
 //! Model documents written by the build *before* the two inducers, the two
 //! learned selectors and the two trainers were merged (ISSUE 16), committed
 //! as fixtures: this build must train the same models from the same inputs
-//! and read and write the same bytes. Regenerate on the parent commit if a
-//! host's `log2` rounds differently:
+//! and read and write the same bytes. The two offline fixtures are those
+//! documents minus the `"blocks"` members of the three formats deleted in
+//! ISSUE 21; every other byte is as written. Regenerate on the parent
+//! commit if a host's `log2` rounds differently:
 //! `dls train-selector --quick --analytic` / `--analytic`, and
 //! `retrain_online` twice over [`observations`] on the quick grid.
 

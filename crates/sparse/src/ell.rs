@@ -78,9 +78,7 @@ impl EllMatrix {
     }
 
     /// One blocked column-major sweep of the padded slot arrays into an
-    /// interleaved accumulator, shared by [`MatrixFormat::smsv_block`] here
-    /// and by the HYB kernel (which reuses the same scatter for its COO
-    /// spill pass).
+    /// interleaved accumulator: the inner loop of [`MatrixFormat::smsv_block`].
     ///
     /// `scat` is the `(cols + 1) * cb` interleaved scatter of the chunk's
     /// right-hand sides: lane `bi` of column `j` lives at `scat[j*cb+bi]`,
@@ -90,7 +88,7 @@ impl EllMatrix {
     /// the inner lane loop is straight-line code the autovectorizer can
     /// turn into FMAs (a padded slot contributes `0.0 * 0.0`, leaving the
     /// accumulator bit-identical to skipping it).
-    pub(crate) fn blocked_slab_sweep(&self, cb: usize, scat: &[Scalar], acc: &mut [Scalar]) {
+    fn blocked_slab_sweep(&self, cb: usize, scat: &[Scalar], acc: &mut [Scalar]) {
         debug_assert_eq!(scat.len(), (self.cols + 1) * cb);
         debug_assert_eq!(acc.len(), self.rows * cb);
         for k in 0..self.width {

@@ -1,13 +1,13 @@
 //! The [`MatrixFormat`] trait and the [`AnyMatrix`] runtime-dispatch enum.
 //!
 //! The layout scheduler picks a [`Format`] at runtime, so the solver needs a
-//! single type that can hold any of the seven concrete formats. Enum
+//! single type that can hold any of the six concrete formats. Enum
 //! dispatch (rather than `dyn Trait`) keeps the hot SMSV call statically
 //! dispatched inside each arm.
 
 use crate::{
-    BcsrMatrix, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DiaMatrix, EllMatrix, HybMatrix,
-    JdsMatrix, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix,
+    CooMatrix, CscMatrix, CsrMatrix, DenseMatrix, DiaMatrix, EllMatrix, RowScratch, Scalar,
+    SparseVec, SparseVecView, TripletMatrix,
 };
 
 /// Largest number of right-hand sides a single [`MatrixFormat::smsv_block`]
@@ -15,8 +15,8 @@ use crate::{
 /// stack array and the interleaved workspace stays cache-resident.
 pub const MAX_SMSV_BLOCK: usize = 32;
 
-/// Identifier for each storage format studied by the paper (plus the two
-/// derived formats of §III-A).
+/// Identifier for each storage format studied by the paper (plus CSC, the
+/// one derived format of §III-A that passed the admission measurement).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Format {
     /// Dense row-major storage.
@@ -31,12 +31,6 @@ pub enum Format {
     Dia,
     /// Compressed Sparse Column (derived from CSR, §III-A).
     Csc,
-    /// Block CSR (derived, for matrices with dense sub-blocks, §III-A).
-    Bcsr,
-    /// Hybrid ELL + COO (derived: bounded padding with a COO spill list).
-    Hyb,
-    /// Jagged diagonal storage (derived: length-sorted, padding-free ELL).
-    Jds,
 }
 
 impl Format {
@@ -44,28 +38,9 @@ impl Format {
     pub const BASIC: [Format; 5] =
         [Format::Ell, Format::Csr, Format::Coo, Format::Den, Format::Dia];
 
-    /// All implemented formats including derived ones.
-    pub const ALL: [Format; 9] = [
-        Format::Ell,
-        Format::Csr,
-        Format::Coo,
-        Format::Den,
-        Format::Dia,
-        Format::Csc,
-        Format::Bcsr,
-        Format::Hyb,
-        Format::Jds,
-    ];
-
-    /// Whether this format has a true multi-vector [`MatrixFormat::smsv_block`]
-    /// kernel that amortises one matrix traversal over the whole block.
-    /// All nine formats qualify: even CSC, whose column-outer sweep visits
-    /// only the RHS's non-zero columns, merges the lanes' column lists so
-    /// each column shared by several right-hand sides is streamed once
-    /// instead of once per lane.
-    pub fn has_blocked_kernel(self) -> bool {
-        true
-    }
+    /// All implemented formats: the basic five plus CSC.
+    pub const ALL: [Format; 6] =
+        [Format::Ell, Format::Csr, Format::Coo, Format::Den, Format::Dia, Format::Csc];
 
     /// Short upper-case name as used in the paper's tables.
     pub fn name(self) -> &'static str {
@@ -76,9 +51,6 @@ impl Format {
             Format::Ell => "ELL",
             Format::Dia => "DIA",
             Format::Csc => "CSC",
-            Format::Bcsr => "BCSR",
-            Format::Hyb => "HYB",
-            Format::Jds => "JDS",
         }
     }
 }
@@ -100,9 +72,6 @@ impl std::str::FromStr for Format {
             "ELL" | "ELLPACK" => Ok(Format::Ell),
             "DIA" | "DIAG" => Ok(Format::Dia),
             "CSC" => Ok(Format::Csc),
-            "BCSR" => Ok(Format::Bcsr),
-            "HYB" | "HYBRID" => Ok(Format::Hyb),
-            "JDS" | "JAD" => Ok(Format::Jds),
             other => Err(format!("unknown format: {other}")),
         }
     }
@@ -137,16 +106,8 @@ pub trait MatrixFormat {
     /// Row-contiguous formats (CSR, COO) return slices of their own
     /// storage and leave `scratch` untouched; every other format fills
     /// `scratch` (whose capacity persists across calls) and returns a view
-    /// over it. The default materialises via [`MatrixFormat::row_sparse`]
-    /// and copies into the scratch — concrete formats override it.
-    fn row_view_in<'a>(&'a self, i: usize, scratch: &'a mut RowScratch) -> SparseVecView<'a> {
-        let row = self.row_sparse(i);
-        scratch.clear();
-        for (j, x) in row.iter() {
-            scratch.push(j, x);
-        }
-        scratch.view(self.cols())
-    }
+    /// over it.
+    fn row_view_in<'a>(&'a self, i: usize, scratch: &'a mut RowScratch) -> SparseVecView<'a>;
 
     /// Sparse-matrix × sparse-vector: `out[i] = X_i · v` for every row.
     ///
@@ -161,33 +122,24 @@ pub trait MatrixFormat {
     /// to zero on exit, so one buffer can be shared across calls, formats
     /// and [`MatrixFormat::smsv_block`]. Callers must hand in a buffer
     /// whose contents are all zero (a fresh `Vec` qualifies); in steady
-    /// state the capacity is stable and no allocation happens. The default
-    /// copies the view into an owned vector — concrete formats override it.
-    fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        let _ = workspace;
-        self.smsv(&v.to_owned(), out);
-    }
+    /// state the capacity is stable and no allocation happens.
+    fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>);
 
     /// Multi-vector SMSV: computes `vs.len()` products in one call, with
     /// `out` laid out vector-major (`out[b * rows .. (b + 1) * rows]` is
     /// the product for `vs[b]`).
     ///
-    /// Formats for which [`Format::has_blocked_kernel`] is true traverse
-    /// the matrix once per chunk of up to [`MAX_SMSV_BLOCK`] right-hand
-    /// sides; the default falls back to one [`MatrixFormat::smsv_view`]
-    /// sweep per vector (same results, no traversal amortisation).
-    /// `workspace` follows the [`MatrixFormat::smsv_view`] contract.
+    /// Every format traverses the matrix once per chunk of up to
+    /// [`MAX_SMSV_BLOCK`] right-hand sides (CSC merges the lanes' column
+    /// lists, so a column shared by several right-hand sides is streamed
+    /// once), with results bit-identical to one [`MatrixFormat::smsv_view`]
+    /// sweep per vector. `workspace` follows the
+    /// [`MatrixFormat::smsv_view`] contract.
     ///
     /// # Panics
     /// Panics if any `vs[b].dim() != self.cols()` or
     /// `out.len() != self.rows() * vs.len()`.
-    fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        let rows = self.rows();
-        assert_eq!(out.len(), rows * vs.len(), "smsv_block output length mismatch");
-        for (v, chunk) in vs.iter().zip(out.chunks_exact_mut(rows.max(1))) {
-            self.smsv_view(v.as_view(), chunk, workspace);
-        }
-    }
+    fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>);
 
     /// Classical SpMV against a dense vector: `out = X x`.
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]);
@@ -234,12 +186,6 @@ pub enum AnyMatrix {
     Dia(DiaMatrix),
     /// Compressed sparse column.
     Csc(CscMatrix),
-    /// Block CSR.
-    Bcsr(BcsrMatrix),
-    /// Hybrid ELL + COO.
-    Hyb(HybMatrix),
-    /// Jagged diagonal.
-    Jds(JdsMatrix),
 }
 
 macro_rules! dispatch {
@@ -251,9 +197,6 @@ macro_rules! dispatch {
             AnyMatrix::Ell($m) => $body,
             AnyMatrix::Dia($m) => $body,
             AnyMatrix::Csc($m) => $body,
-            AnyMatrix::Bcsr($m) => $body,
-            AnyMatrix::Hyb($m) => $body,
-            AnyMatrix::Jds($m) => $body,
         }
     };
 }
@@ -268,9 +211,6 @@ impl AnyMatrix {
             Format::Ell => AnyMatrix::Ell(EllMatrix::from_triplets(t)),
             Format::Dia => AnyMatrix::Dia(DiaMatrix::from_triplets(t)),
             Format::Csc => AnyMatrix::Csc(CscMatrix::from_triplets(t)),
-            Format::Bcsr => AnyMatrix::Bcsr(BcsrMatrix::from_triplets(t, 4, 4)),
-            Format::Hyb => AnyMatrix::Hyb(HybMatrix::from_triplets(t)),
-            Format::Jds => AnyMatrix::Jds(JdsMatrix::from_triplets(t)),
         }
     }
 

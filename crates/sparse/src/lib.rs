@@ -6,8 +6,8 @@
 //!
 //! This crate implements the five basic storage formats studied by the
 //! paper — [`DenseMatrix`] (DEN), [`CsrMatrix`] (CSR), [`CooMatrix`] (COO),
-//! [`EllMatrix`] (ELL) and [`DiaMatrix`] (DIA) — plus two derived formats
-//! mentioned in §III-A ([`CscMatrix`] and [`BcsrMatrix`]). Every format
+//! [`EllMatrix`] (ELL) and [`DiaMatrix`] (DIA) — plus [`CscMatrix`], the
+//! one derived format of §III-A that earned its place. Every format
 //! implements [`MatrixFormat`], whose central operation is
 //! [`MatrixFormat::smsv`]: the sparse-matrix × sparse-vector product that
 //! dominates each SMO iteration of SVM training.
@@ -16,7 +16,6 @@
 //! [`features::MatrixFeatures`], and the Table II storage-space model lives
 //! in [`storage`].
 
-pub mod bcsr;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -26,8 +25,6 @@ pub mod ell;
 pub mod error;
 pub mod features;
 pub mod format;
-pub mod hyb;
-pub mod jds;
 pub mod ops;
 pub mod parallel;
 pub mod sparsevec;
@@ -35,7 +32,6 @@ pub mod storage;
 pub mod telemetry;
 pub mod triplet;
 
-pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
@@ -45,8 +41,6 @@ pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use features::MatrixFeatures;
 pub use format::{AnyMatrix, Format, MatrixFormat, MAX_SMSV_BLOCK};
-pub use hyb::HybMatrix;
-pub use jds::JdsMatrix;
 pub use sparsevec::{RowScratch, SparseVec, SparseVecView};
 pub use telemetry::{
     CounterSample, InstrumentedMatrix, SmsvCounters, SmsvSnapshot, BLOCK_HIST_BUCKETS,

@@ -286,7 +286,7 @@ impl<'a> SparseVecView<'a> {
 }
 
 /// Reusable buffer a matrix format fills to serve a row view when its
-/// storage is not row-contiguous (ELL, DIA, DEN, CSC, BCSR, HYB, JDS).
+/// storage is not row-contiguous (ELL, DIA, DEN, CSC).
 ///
 /// Capacity is retained across [`RowScratch::clear`] calls, so after
 /// warm-up, producing a row view allocates nothing.

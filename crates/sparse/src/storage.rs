@@ -29,12 +29,8 @@ pub fn min_storage_elems(format: Format, m: usize, n: usize) -> usize {
         Format::Ell => 2 * m,
         // One nnz: one diagonal padded to M plus its offset.
         Format::Dia => m + 1,
-        // Derived formats (not part of Table II): same shape as CSR/COO.
+        // Derived (not part of Table II): CSR's shape, transposed.
         Format::Csc => n + 2,
-        Format::Bcsr => 3,
-        // HYB degenerates to a width-1 ELL slab; JDS to nnz + pointers.
-        Format::Hyb => 2 * m,
-        Format::Jds => m + 4,
     }
 }
 
@@ -50,11 +46,6 @@ pub fn max_storage_elems(format: Format, m: usize, n: usize) -> usize {
         // of the M+N-1 diagonals stores min(M,N) data slots plus one offset.
         Format::Dia => (m.min(n) + 1) * (m + n - 1),
         Format::Csc => 2 * m * n + n,
-        Format::Bcsr => m * n + m * n + m, // degenerate 1x1 blocks
-        // HYB slab covers everything on dense data (no spill); JDS stores
-        // 2·nnz plus the permutation and n + 1 diagonal pointers.
-        Format::Hyb => 2 * m * n,
-        Format::Jds => 2 * m * n + m + n + 1,
     }
 }
 
@@ -69,13 +60,6 @@ pub fn predicted_storage_elems(format: Format, f: &MatrixFeatures) -> f64 {
         Format::Ell => (2 * f.m * f.mdim) as f64,
         Format::Dia => (f.ndig * f.m + f.ndig) as f64,
         Format::Csc => (2 * f.nnz + f.n + 1) as f64,
-        // Assume 4x4 blocks at the observed density within touched blocks;
-        // a coarse upper bound: every nnz owns its own block in the worst
-        // case, min(nnz * 16, dense).
-        Format::Bcsr => ((f.nnz * 16).min(f.m * f.n) + f.nnz + f.m + 1) as f64,
-        // HYB: slab of width ≈ adim (90%-coverage heuristic) + ~10% spill.
-        Format::Hyb => 2.0 * f.m as f64 * f.adim.ceil() + 0.1 * 3.0 * f.nnz as f64,
-        Format::Jds => (2 * f.nnz + f.m + f.mdim + 1) as f64,
     }
 }
 

@@ -383,16 +383,8 @@ impl MatrixFormat for InstrumentedMatrix {
         let start = Instant::now();
         self.inner.smsv_block(vs, out, workspace);
         let nanos = start.elapsed().as_nanos() as u64;
-        // Blocked formats stream the matrix once per chunk; fallback
-        // formats stream it once per right-hand side.
-        let sweeps =
-            if self.inner.format().has_blocked_kernel() { 1 } else { vs.len().max(1) as u64 };
-        self.counters.record_many(
-            self.inner.format(),
-            vs.len() as u64,
-            nanos,
-            self.smsv_bytes * sweeps,
-        );
+        // Every format's blocked kernel streams the matrix once per chunk.
+        self.counters.record_many(self.inner.format(), vs.len() as u64, nanos, self.smsv_bytes);
         self.counters.record_block(vs.len());
     }
 

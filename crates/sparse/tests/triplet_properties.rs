@@ -39,6 +39,11 @@ fn bits(entries: &[Entry]) -> Vec<(usize, usize, u64)> {
     entries.iter().map(|&(r, c, v)| (r, c, pattern(v))).collect()
 }
 
+/// A product as bit patterns: `-0.0` and the last ulp count.
+fn bits_of(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Payloads whose sums depend on order, cancel, or are not numbers.
 const PAYLOADS: [f64; 12] = [
     1e16,
@@ -173,17 +178,17 @@ proptest! {
     }
 
     /// Every format builds the same matrix from raw pushes as from their
-    /// compacted form, and multiplies like the reference.
+    /// compacted form, and all three of its kernels multiply like the
+    /// reference, bit for bit: `smsv`, `smsv_view`, and `smsv_block` at one
+    /// lane, two, a full chunk and a chunk plus one.
     #[test]
     fn builders_agree_on_raw_and_compacted_input(raw in arb_raw_matrix(), pick in 0usize..64) {
         let compact = raw.clone().compact();
         let csr = CsrMatrix::from_triplets(&compact);
-        let v = if compact.nnz() == 0 {
-            SparseVec::zeros(compact.cols())
-        } else {
-            compact.row_sparse(compact.entries()[pick % compact.nnz()].0)
-        };
-        let want = smsv_reference(&csr, &v);
+        // Right-hand sides: rows of the matrix itself, empty ones included.
+        let vs: Vec<SparseVec> =
+            (0..33).map(|b| compact.row_sparse((pick + b) % compact.rows())).collect();
+        let want: Vec<Vec<f64>> = vs.iter().map(|v| smsv_reference(&csr, v)).collect();
         for fmt in Format::ALL {
             let built = AnyMatrix::from_triplets(fmt, &raw);
             prop_assert!(built == AnyMatrix::from_triplets(fmt, &compact), "{}", fmt);
@@ -194,17 +199,19 @@ proptest! {
             if let AnyMatrix::Den(den) = &built {
                 prop_assert_eq!(den.nnz(), den.data().iter().filter(|&&x| x != 0.0).count());
             }
-            let mut out = vec![0.0; built.rows()];
-            built.smsv(&v, &mut out);
-            // BCSR adds each tile's partial sum to the row, a different
-            // association than the reference's left-to-right row sum; for
-            // it, equal matrices (above) are what equal products rest on.
-            if fmt == Format::Bcsr {
-                continue;
+            let rows = built.rows();
+            let mut out = vec![0.0; rows];
+            let mut ws = Vec::new();
+            built.smsv(&vs[0], &mut out);
+            prop_assert_eq!(bits_of(&out), bits_of(&want[0]), "{} smsv", fmt);
+            built.smsv_view(vs[0].as_view(), &mut out, &mut ws);
+            prop_assert_eq!(bits_of(&out), bits_of(&want[0]), "{} smsv_view", fmt);
+            for b in [1, 2, 32, 33] {
+                let mut out = vec![0.0; rows * b];
+                built.smsv_block(&vs[..b], &mut out, &mut ws);
+                prop_assert_eq!(bits_of(&out), bits_of(&want[..b].concat()), "{} B={}", fmt, b);
             }
-            for (i, (a, b)) in out.iter().zip(&want).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} row {}", fmt, i);
-            }
+            prop_assert!(ws.iter().all(|&w| w == 0.0), "{} left the workspace dirty", fmt);
         }
     }
 }
