@@ -3,9 +3,8 @@
 //! # dls-bench
 //!
 //! Reproduction harness. Each paper table/figure has a `repro_*` binary
-//! (see `src/bin/`) and most have a Criterion bench (see `benches/`).
-//! This library holds the shared pieces: scaled workload construction,
-//! timing utilities, and table formatting.
+//! (see `src/bin/`). This library holds the shared pieces: scaled
+//! workload construction, timing utilities, and table formatting.
 
 pub mod csv;
 pub mod timing;

@@ -9,7 +9,7 @@
 //!    interactive traffic (batch callers are built to retry).
 //! 2. **Shrink the gather window** — coalescing trades latency for
 //!    throughput; under overload that trade is backwards, so the window
-//!    divides by [`BrownoutConfig::gather_divisor`].
+//!    divides by `GATHER_DIVISOR`.
 //! 3. **Swap the latency estimator** — predictive admission switches from
 //!    the learned tree to the pessimistic closed-form
 //!    [`crate::latency::AnalyticLatencyEstimator`], refusing marginal
@@ -25,41 +25,38 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+/// Enter when the windowed interactive SLO violation rate reaches this.
+const ENTER_VIOLATION_RATE: f64 = 0.20;
+/// Exit requires the windowed violation rate back at or under this
+/// (hysteresis: strictly below [`ENTER_VIOLATION_RATE`]).
+const EXIT_VIOLATION_RATE: f64 = 0.05;
+/// While browned out, the executor's gather window divides by this.
+pub(crate) const GATHER_DIVISOR: u32 = 8;
+
 /// Thresholds and shaping for the brown-out controller.
 #[derive(Debug, Clone)]
 pub struct BrownoutConfig {
     /// Master switch; `false` keeps the controller dormant.
     pub enabled: bool,
-    /// Enter when the windowed interactive SLO violation rate crosses
-    /// this.
-    pub enter_violation_rate: f64,
     /// Enter when interactive queue pressure (depth / capacity) crosses
     /// this.
     pub enter_queue_pressure: f64,
-    /// Exit requires the windowed violation rate back under this
-    /// (hysteresis: strictly below [`BrownoutConfig::enter_violation_rate`]).
-    pub exit_violation_rate: f64,
     /// Exit requires queue pressure back under this.
     pub exit_queue_pressure: f64,
     /// Interactive completions in the sliding decision window.
     pub window: usize,
     /// Minimum time in either state before switching again.
     pub min_dwell: Duration,
-    /// While active, the gather window divides by this.
-    pub gather_divisor: u32,
 }
 
 impl Default for BrownoutConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            enter_violation_rate: 0.20,
             enter_queue_pressure: 0.75,
-            exit_violation_rate: 0.05,
             exit_queue_pressure: 0.25,
             window: 64,
             min_dwell: Duration::from_millis(50),
-            gather_divisor: 8,
         }
     }
 }
@@ -147,16 +144,12 @@ impl BrownoutController {
         }
         let rate = self.windowed_violation_rate();
         if !self.active {
-            if rate >= self.config.enter_violation_rate
-                || queue_pressure >= self.config.enter_queue_pressure
-            {
+            if rate >= ENTER_VIOLATION_RATE || queue_pressure >= self.config.enter_queue_pressure {
                 self.active = true;
                 self.last_switch = Some(now);
                 return BrownoutTransition::Entered;
             }
-        } else if rate <= self.config.exit_violation_rate
-            && queue_pressure <= self.config.exit_queue_pressure
-        {
+        } else if rate <= EXIT_VIOLATION_RATE && queue_pressure <= self.config.exit_queue_pressure {
             self.active = false;
             self.last_switch = Some(now);
             // Exit with a clean slate: the window's overload history would
@@ -166,15 +159,6 @@ impl BrownoutController {
             return BrownoutTransition::Exited;
         }
         BrownoutTransition::None
-    }
-
-    /// The gather window admission should use right now.
-    pub fn effective_gather(&self, configured: Duration) -> Duration {
-        if self.active {
-            configured / self.config.gather_divisor.max(1)
-        } else {
-            configured
-        }
     }
 }
 
@@ -251,14 +235,5 @@ mod tests {
             assert_eq!(c.observe(true, 1.0, t), BrownoutTransition::None);
         }
         assert!(!c.is_active());
-    }
-
-    #[test]
-    fn effective_gather_shrinks_only_while_active() {
-        let mut c = BrownoutController::new(quick_config());
-        let g = Duration::from_millis(8);
-        assert_eq!(c.effective_gather(g), g);
-        c.evaluate(1.0, Instant::now());
-        assert_eq!(c.effective_gather(g), Duration::from_millis(1));
     }
 }

@@ -31,7 +31,7 @@
 //! another shard (counted in the stats `reactor.steals` gauge), so idle
 //! capacity still flows to the hot model instead of spinning.
 
-use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutTransition};
+use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutTransition, GATHER_DIVISOR};
 use crate::discipline::{Decision, DisciplineCtx, QueueDiscipline, SloAware};
 use crate::fault::{FaultAction, FaultInjector, FaultSite};
 use crate::latency::{
@@ -53,6 +53,11 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Default SLO per request class (indexed by [`RequestClass::index`]),
+/// applied to requests that carry neither `slo_us` nor `deadline_ms`:
+/// interactive 5 s; batch tolerates much more in exchange for throughput.
+const CLASS_SLO: [Duration; 2] = [Duration::from_secs(5), Duration::from_secs(30)];
+
 /// Executor tuning knobs.
 #[derive(Clone)]
 pub struct ExecutorConfig {
@@ -72,9 +77,6 @@ pub struct ExecutorConfig {
     /// [`MAX_SMSV_BLOCK`] still execute correctly (the kernels chunk
     /// internally) but add no further amortisation.
     pub max_block: usize,
-    /// Default SLO per request class (indexed by [`RequestClass::index`]),
-    /// applied to requests that carry neither `slo_us` nor `deadline_ms`.
-    pub class_slo: [Duration; 2],
     /// The queue discipline deciding when and how to drain.
     pub discipline: Arc<dyn QueueDiscipline>,
     /// Calibrate a latency estimator at start-up and refuse requests whose
@@ -100,7 +102,6 @@ impl std::fmt::Debug for ExecutorConfig {
             .field("interactive_reserve", &self.interactive_reserve)
             .field("gather", &self.gather)
             .field("max_block", &self.max_block)
-            .field("class_slo", &self.class_slo)
             .field("discipline", &self.discipline.name())
             .field("predictive_admission", &self.predictive_admission)
             .field("brownout", &self.brownout)
@@ -118,9 +119,6 @@ impl Default for ExecutorConfig {
             interactive_reserve: 0.25,
             gather: Duration::from_millis(1),
             max_block: MAX_SMSV_BLOCK,
-            // Interactive keeps the old 5 s default deadline; batch
-            // tolerates much more in exchange for throughput.
-            class_slo: [Duration::from_secs(5), Duration::from_secs(30)],
             discipline: Arc::new(SloAware),
             predictive_admission: true,
             brownout: BrownoutConfig::default(),
@@ -313,7 +311,7 @@ impl Executor {
     /// trade is backwards).
     fn effective_gather(&self) -> Duration {
         if self.brownout_active.load(Ordering::Relaxed) {
-            self.config.gather / self.config.brownout.gather_divisor.max(1)
+            self.config.gather / GATHER_DIVISOR
         } else {
             self.config.gather
         }
@@ -417,7 +415,7 @@ impl Executor {
         } else if deadline_ms != 0 {
             now + Duration::from_millis(u64::from(deadline_ms))
         } else {
-            now + self.config.class_slo[class.index()]
+            now + CLASS_SLO[class.index()]
         }
     }
 
@@ -1178,6 +1176,34 @@ mod tests {
             )
             .unwrap();
         assert!(matches!(rx.recv_timeout(Duration::from_secs(5)), Ok(Response::Predictions(_))));
+        exec.shutdown();
+    }
+
+    /// One rule, in the executor: the gather window (what admission adds
+    /// to a request's projected completion) divides by `GATHER_DIVISOR`
+    /// exactly while browned out. An 80 ms window dooms a 40 ms SLO; once
+    /// queue pressure trips the controller the same request is admitted.
+    #[test]
+    fn effective_gather_shrinks_only_while_active() {
+        let gather = Duration::from_millis(80);
+        let exec = start(ExecutorConfig {
+            gather,
+            queue_capacity: 8,
+            brownout: BrownoutConfig { enter_queue_pressure: 0.25, ..Default::default() },
+            ..Default::default()
+        });
+        exec.pause(true);
+        let x = || vec![SparseVec::new(6, vec![0], vec![1.0])];
+        let tight = || exec.submit_predict("toy", x(), RequestClass::Interactive, 40_000, 0);
+        assert_eq!(exec.effective_gather(), gather);
+        assert_eq!(tight().unwrap_err(), Response::Busy);
+        // Two parked jobs put pressure at 2/8; the next submission's
+        // re-evaluation enters brown-out before admission runs.
+        let _parked = [submit_interactive(&exec, x(), 0), submit_interactive(&exec, x(), 0)];
+        let admitted = tight();
+        assert!(exec.is_browned_out());
+        assert_eq!(exec.effective_gather(), gather / 8);
+        assert!(admitted.is_ok(), "10 ms window + analytic sweep fits a 40 ms SLO");
         exec.shutdown();
     }
 

@@ -38,12 +38,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+/// Observations held in the telemetry ring before the oldest is
+/// overwritten.
+const RING_CAPACITY: usize = 4096;
+
 /// Feedback-loop tuning knobs.
 #[derive(Debug, Clone)]
 pub struct FeedbackConfig {
-    /// Observations held in the telemetry ring before the oldest is
-    /// overwritten.
-    pub ring_capacity: usize,
     /// A retrain cycle is skipped (ring left intact) below this many
     /// buffered observations.
     pub min_observations: usize,
@@ -64,7 +65,6 @@ pub struct FeedbackConfig {
 impl Default for FeedbackConfig {
     fn default() -> Self {
         Self {
-            ring_capacity: 4096,
             min_observations: 16,
             interval: Duration::from_secs(30),
             train: OnlineTrainConfig { quick_grid: true, ..OnlineTrainConfig::default() },
@@ -173,7 +173,7 @@ impl FeedbackHub {
             None => Arc::new(RuleBasedSelector::for_host()),
         };
         Arc::new(Self {
-            ring: ObservationRing::new(config.ring_capacity),
+            ring: ObservationRing::new(RING_CAPACITY),
             swap: Arc::new(SwappableSelector::new(initial)),
             incumbent: Mutex::new(incumbent),
             retrains_accepted: AtomicU64::new(0),

@@ -167,12 +167,28 @@ impl ServerHandle {
 }
 
 /// Starts a server: binds, spawns the executor's worker pool and the
-/// acceptor thread, returns immediately.
+/// acceptor thread, returns immediately. A zero `read_timeout`,
+/// `write_timeout` or `idle_timeout` is `InvalidInput` under either front
+/// end.
 pub fn start(
     registry: ModelRegistry,
     scheduler: LayoutScheduler,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
+    // A zero budget can only mean "close everything", and the two front
+    // ends would not even agree on when: refuse it before binding.
+    for (name, budget) in [
+        ("read_timeout", config.read_timeout),
+        ("write_timeout", config.write_timeout),
+        ("idle_timeout", config.idle_timeout),
+    ] {
+        if budget.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{name} must be greater than zero"),
+            ));
+        }
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;

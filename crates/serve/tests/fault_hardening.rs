@@ -335,6 +335,24 @@ fn idle_connections_are_reaped_and_surface_as_connection_lost() {
     handle.shutdown();
 }
 
+/// A zero budget can mean nothing but "close everything" (the reactor's
+/// sweep would reap every connection at once, the threads front end after
+/// its first quiet tick), so `start` refuses it under either front end.
+#[test]
+fn zero_time_budgets_are_refused_by_both_front_ends() {
+    for frontend in [Frontend::Threads, Frontend::Reactor] {
+        let base = || ServerConfig { frontend, ..Default::default() };
+        for config in [
+            ServerConfig { read_timeout: Duration::ZERO, ..base() },
+            ServerConfig { write_timeout: Duration::ZERO, ..base() },
+            ServerConfig { idle_timeout: Duration::ZERO, ..base() },
+        ] {
+            let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
+            assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput), "{frontend}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole + satellite: scripted connection resets. The plain client
 // surfaces a typed ConnectionLost; the retry client reconnects and

@@ -4,8 +4,8 @@
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    start, ExecutorConfig, FeedbackConfig, ModelRegistry, PipelinedClient, PredictRequest,
-    Response, RetrainOutcome, ScheduleRequest, ServedModel, ServerConfig,
+    start, ExecutorConfig, FeedbackConfig, Frontend, ModelRegistry, PipelinedClient,
+    PredictRequest, Response, RetrainOutcome, ScheduleRequest, ServedModel, ServerConfig,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -35,9 +35,16 @@ fn query(seed: usize) -> SparseVec {
 /// Serving → telemetry log → retrain → hot swap, with traffic in flight
 /// the whole time. Pins the acceptance criterion directly: every request
 /// sent during the swaps is answered with predictions (no drops, no
-/// errors, no refusals), and the active model version bumps.
+/// errors, no refusals), and the active model version bumps — under
+/// either front end.
 #[test]
 fn hot_swap_under_live_traffic_drops_nothing() {
+    for frontend in [Frontend::Threads, Frontend::Reactor] {
+        hot_swap_on(frontend);
+    }
+}
+
+fn hot_swap_on(frontend: Frontend) {
     let hub = dls_serve::FeedbackHub::new(FeedbackConfig {
         min_observations: 0,
         background: false, // cycles forced below, deterministically
@@ -50,6 +57,7 @@ fn hot_swap_under_live_traffic_drops_nothing() {
         ModelRegistry::new().with(ServedModel::new("m", test_model(), &LayoutScheduler::new()));
     let config = ServerConfig {
         executor: ExecutorConfig { feedback: Some(Arc::clone(&hub)), ..Default::default() },
+        frontend,
         ..Default::default()
     };
     let handle = start(registry, scheduler, config).expect("bind loopback");

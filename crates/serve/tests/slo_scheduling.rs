@@ -3,8 +3,8 @@
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    parse_discipline, start, ExecutorConfig, ModelRegistry, PipelinedClient, PredictRequest,
-    RequestClass, Response, ServedModel, ServerConfig, ServerHandle, DISCIPLINES,
+    parse_discipline, start, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient,
+    PredictRequest, RequestClass, Response, ServedModel, ServerConfig, ServerHandle, DISCIPLINES,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -18,10 +18,10 @@ fn test_model() -> SvmModel {
     SvmModel::new(KernelKind::Linear, svs, vec![1.0, -1.0, 0.5, -0.5, 0.25], 0.125)
 }
 
-fn serve(executor: ExecutorConfig) -> ServerHandle {
+fn serve(executor: ExecutorConfig, frontend: Frontend) -> ServerHandle {
     let registry =
         ModelRegistry::new().with(ServedModel::new("m", test_model(), &LayoutScheduler::new()));
-    let config = ServerConfig { executor, ..Default::default() };
+    let config = ServerConfig { executor, frontend, ..Default::default() };
     start(registry, LayoutScheduler::new(), config).expect("bind loopback")
 }
 
@@ -33,7 +33,7 @@ fn query(seed: usize) -> SparseVec {
 /// with per-class SLO fields in the snapshot.
 #[test]
 fn classes_land_on_their_own_ledgers() {
-    let handle = serve(ExecutorConfig::default());
+    let handle = serve(ExecutorConfig::default(), Frontend::Threads);
     let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
 
     let interactive =
@@ -58,33 +58,37 @@ fn classes_land_on_their_own_ledgers() {
     handle.shutdown();
 }
 
-/// Every shipped discipline serves mixed-class traffic end to end (the
-/// scheduling *order* contracts live in the executor unit tests; this
-/// pins that each discipline is wireable and drains).
+/// Every shipped discipline serves mixed-class traffic end to end under
+/// either front end (the scheduling *order* contracts live in the executor
+/// unit tests; this pins that each pairing is wireable and drains).
 #[test]
 fn every_discipline_serves_mixed_traffic() {
-    for name in DISCIPLINES {
-        let handle = serve(ExecutorConfig {
-            discipline: parse_discipline(name).expect("known discipline"),
-            gather: Duration::from_micros(200),
-            ..Default::default()
-        });
-        assert_eq!(handle.executor().discipline().name(), name);
-        let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
-        for i in 0..4 {
-            let class = if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };
-            let req = PredictRequest::builder("m").vector(query(i)).class(class).build();
-            assert!(
-                matches!(c.send(&req).expect("predict"), Response::Predictions(_)),
-                "discipline {name} failed request {i}"
-            );
+    for frontend in [Frontend::Threads, Frontend::Reactor] {
+        for name in DISCIPLINES {
+            let executor = ExecutorConfig {
+                discipline: parse_discipline(name).expect("known discipline"),
+                gather: Duration::from_micros(200),
+                ..Default::default()
+            };
+            let handle = serve(executor, frontend);
+            assert_eq!(handle.executor().discipline().name(), name);
+            let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
+            for i in 0..4 {
+                let class =
+                    if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };
+                let req = PredictRequest::builder("m").vector(query(i)).class(class).build();
+                assert!(
+                    matches!(c.send(&req).expect("predict"), Response::Predictions(_)),
+                    "{frontend}/{name} failed request {i}"
+                );
+            }
+            let mut completed = 0;
+            for class in RequestClass::ALL {
+                completed += handle.stats().class(class).completed();
+            }
+            assert_eq!(completed, 4, "{frontend}/{name} lost requests");
+            drop(c);
+            handle.shutdown();
         }
-        let mut completed = 0;
-        for class in RequestClass::ALL {
-            completed += handle.stats().class(class).completed();
-        }
-        assert_eq!(completed, 4, "discipline {name} lost requests");
-        drop(c);
-        handle.shutdown();
     }
 }

@@ -37,57 +37,10 @@ cargo run --release -q --bin dls -- selector-info "$model"
 cargo run --release -q --bin dls -- selector-info crates/learn/tests/fixtures/quick_analytic.json
 cargo run --release -q --bin dls -- schedule @trefethen "learned:$model"
 
-echo "==> bench smoke (criterion --test mode, one pass, no statistics)"
-cargo bench -q -p dls-bench --bench smsv_block -- --test
-
 echo "==> blocked-kernel smoke (block-size sweep; geomean floors 0.95x, COO 1.0x)"
 bench_json="$(mktemp -t dls_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json"' EXIT
 cargo run --release -q -p dls-bench --bin repro_smsv_block -- 5 "$bench_json" --check
-
-echo "==> serve smoke (predict/schedule/stats over loopback + graceful drain, per discipline × frontend)"
-declare -A parity
-for frontend in threads reactor; do
-  for discipline in fifo priority slo; do
-    out="$(cargo run --release -q -p dls-bench --bin repro_serve -- --smoke --discipline "$discipline" --frontend "$frontend")"
-    echo "$out"
-    # The stats snapshot must expose per-class SLO accounting.
-    echo "$out" | grep -q "slo_violation_rate interactive=" \
-      || { echo "serve smoke ($discipline, $frontend): missing interactive slo_violation_rate" >&2; exit 1; }
-    echo "$out" | grep -q "slo_violation_rate batch=" \
-      || { echo "serve smoke ($discipline, $frontend): missing batch slo_violation_rate" >&2; exit 1; }
-    # The stats JSON must expose the fault/degradation counters and the
-    # health endpoint must answer, even on a fault-free server.
-    echo "$out" | grep -q "stats sections faults+degradation exposed, health status=" \
-      || { echo "serve smoke ($discipline, $frontend): missing fault/degradation counters or health" >&2; exit 1; }
-    parity["$frontend/$discipline"]="$(echo "$out" | grep "^# parity " || true)"
-    [ -n "${parity["$frontend/$discipline"]}" ] \
-      || { echo "serve smoke ($discipline, $frontend): missing parity counter line" >&2; exit 1; }
-  done
-done
-# The deterministic smoke sequence must land the same counters no matter
-# which front end served it — threads and reactor are interchangeable.
-for discipline in fifo priority slo; do
-  if [ "${parity["threads/$discipline"]}" != "${parity["reactor/$discipline"]}" ]; then
-    echo "serve smoke ($discipline): stats-counter parity broken between front ends" >&2
-    echo "  threads: ${parity["threads/$discipline"]}" >&2
-    echo "  reactor: ${parity["reactor/$discipline"]}" >&2
-    exit 1
-  fi
-done
-echo "==> serve parity OK (threads == reactor counters for fifo/priority/slo)"
-
-echo "==> retrain smoke (online loop: live traffic -> telemetry -> forced retrain -> hot swap)"
-for frontend in threads reactor; do
-  out="$(cargo run --release -q -p dls-bench --bin repro_serve -- --retrain-smoke --frontend "$frontend")"
-  echo "$out"
-  # The smoke itself asserts the version bump and zero dropped requests;
-  # the grep pins that those assertions actually ran.
-  echo "$out" | grep -q "retrain smoke OK" \
-    || { echo "retrain smoke ($frontend): missing success summary" >&2; exit 1; }
-  echo "$out" | grep -q "0 dropped" \
-    || { echo "retrain smoke ($frontend): missing zero-dropped assertion" >&2; exit 1; }
-done
 
 echo "==> online-selector gate (cross-machine regret: online/ensemble <= frozen CART)"
 selector_json="$(mktemp -t dls_selector_bench_XXXXXX.json)"
@@ -120,5 +73,7 @@ echo "==> line counts (scripts/loc.sh; paste into the PR's CHANGES.md entry besi
 scripts/loc.sh
 # Deleted in ISSUE 21, not switched off ([x] keeps this line from matching itself).
 if grep -rnE 'Bcs[r]|Hy[b]|Jd[s]|include_derive[d]|with_derive[d]|has_blocked_kerne[l]' crates/*/src src examples; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted in ISSUE 23 (one measurement system; five serve knobs became constants).
+if grep -rnE 'vendor/criterio[n]|criterio[n]:[:]|cargo benc[h]|repro_serv[e]|BENCH_serv[e]|bench\.s[h]|class_sl[o]|gather_diviso[r]|enter_violation_rat[e]|exit_violation_rat[e]|ring_capacit[y]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 
 echo "==> ci OK"

@@ -297,9 +297,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             })
             .transpose()
     };
-    let read_timeout = millis_flag("--read-timeout-ms")?;
-    let write_timeout = millis_flag("--write-timeout-ms")?;
-    let idle_timeout = millis_flag("--idle-timeout-ms")?;
+    // A zero budget closes every connection; `dls_serve::start` refuses it,
+    // and the flag says so before any model is trained.
+    let timeout_flag = |name: &str| match millis_flag(name)? {
+        Some(d) if d.is_zero() => {
+            Err(format!("serve: {name} needs a millisecond count greater than zero"))
+        }
+        other => Ok(other),
+    };
+    let read_timeout = timeout_flag("--read-timeout-ms")?;
+    let write_timeout = timeout_flag("--write-timeout-ms")?;
+    let idle_timeout = timeout_flag("--idle-timeout-ms")?;
     let no_brownout = args.iter().any(|a| a == "--no-brownout");
     let chaos_seed: Option<u64> = args
         .iter()

@@ -92,3 +92,18 @@ fn unknown_synthetic_dataset_fails_cleanly() {
     assert!(!ok);
     assert!(err.contains("unknown synthetic dataset"), "{err}");
 }
+
+/// A zero time budget would close every connection (at once under the
+/// reactor, after the first quiet tick under threads): refused as a usage
+/// error under either front end, before any model is trained.
+#[test]
+fn serve_rejects_zero_timeouts_under_either_frontend() {
+    for frontend in ["threads", "reactor"] {
+        for flag in ["--read-timeout-ms", "--write-timeout-ms", "--idle-timeout-ms"] {
+            let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--frontend", frontend, flag, "0"]);
+            assert!(!ok, "{frontend} {flag} 0 must not serve");
+            assert!(err.contains(flag) && err.contains("greater than zero"), "{err}");
+            assert!(!out.contains("training"), "refused before training: {out}");
+        }
+    }
+}
