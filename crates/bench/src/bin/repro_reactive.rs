@@ -9,7 +9,7 @@
 
 use dls_bench::{csv_dir_from_env, workload, CsvWriter};
 use dls_core::{LayoutScheduler, ReactiveConfig, ReactiveScheduler, SelectionStrategy};
-use dls_svm::{SmoParams, WorkingSetSelection};
+use dls_svm::SmoParams;
 use std::time::Instant;
 
 fn main() {
@@ -23,11 +23,6 @@ fn main() {
         tolerance: 1e-12, // run the full budget so the two times compare
         max_iterations: iters,
         cache_bytes: 0, // every iteration pays its two SMSVs
-        selection: WorkingSetSelection::FirstOrder,
-        threads: 1,
-        shrinking: false,
-        positive_weight: 1.0,
-        block_size: 1,
     };
 
     // Oracle: the cost model's up-front choice, trained statically.

@@ -2,7 +2,7 @@
 
 use dls_sparse::telemetry::{InstrumentedMatrix, SmsvCounters};
 use dls_sparse::{AnyMatrix, Format, MatrixFormat, Scalar, TripletMatrix};
-use dls_svm::{SmoParams, WorkingSetSelection};
+use dls_svm::SmoParams;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,11 +42,6 @@ pub fn time_smo_iterations(
         tolerance: 1e-12, // don't let convergence cut the measurement short
         max_iterations: iterations,
         cache_bytes: 0,
-        selection: WorkingSetSelection::FirstOrder,
-        threads: 1,
-        shrinking: false,
-        positive_weight: 1.0,
-        block_size: 1,
     };
     let start = Instant::now();
     let _ = dls_svm::train_with_stats(&m, y, &params).expect("valid training inputs");
@@ -70,11 +65,6 @@ pub fn time_smo_iterations_telemetry(
         tolerance: 1e-12,
         max_iterations: iterations,
         cache_bytes: 0,
-        selection: WorkingSetSelection::FirstOrder,
-        threads: 1,
-        shrinking: false,
-        positive_weight: 1.0,
-        block_size: 1,
     };
     let start = Instant::now();
     let _ = dls_svm::train_with_stats(&m, y, &params).expect("valid training inputs");

@@ -14,17 +14,14 @@ pub struct MachineProfile {
     /// Effective SIMD width of the CSR row kernel, in f64 lanes.
     /// 1 = scalar execution; 8 = 512-bit AVX/MIC-style lockstep rows.
     pub simd_lanes: usize,
-    /// Worker threads available for row-partitioned kernels.
-    pub threads: usize,
 }
 
 impl MachineProfile {
-    /// A scalar, single-threaded host (this repository's CI container).
-    pub const SCALAR: MachineProfile = MachineProfile { simd_lanes: 1, threads: 1 };
+    /// A scalar host (this repository's CI container).
+    pub const SCALAR: MachineProfile = MachineProfile { simd_lanes: 1 };
 
-    /// The paper's testbed: AVX Ivy Bridge + 512-bit Xeon Phi, OpenMP
-    /// across 24 cores.
-    pub const PAPER_TESTBED: MachineProfile = MachineProfile { simd_lanes: 8, threads: 24 };
+    /// The paper's testbed: AVX Ivy Bridge + 512-bit Xeon Phi.
+    pub const PAPER_TESTBED: MachineProfile = MachineProfile { simd_lanes: 8 };
 
     /// True when the CSR kernel runs rows in lockstep lanes, making it
     /// sensitive to `vdim` (the Figure 4 effect).
@@ -32,7 +29,7 @@ impl MachineProfile {
         self.simd_lanes > 1
     }
 
-    /// Detects a profile for the current host.
+    /// The profile of the host this binary runs on: [`Self::SCALAR`].
     ///
     /// The lane width describes the *CSR kernel actually in use*, not the
     /// raw ISA: `dls_sparse`'s default CSR SMSV is a scalar scatter-gather
@@ -41,8 +38,7 @@ impl MachineProfile {
     /// report its lane constant instead — the profile is about which
     /// kernel's `vdim` sensitivity the rules should model.
     pub fn host() -> MachineProfile {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        MachineProfile { simd_lanes: 1, threads }
+        Self::SCALAR
     }
 }
 
@@ -69,7 +65,6 @@ mod tests {
         let h = MachineProfile::host();
         assert_eq!(h.simd_lanes, 1, "default CSR kernel is scalar gather");
         assert!(!h.csr_is_lane_lockstep());
-        assert!(h.threads >= 1);
     }
 
     #[test]

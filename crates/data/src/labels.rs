@@ -38,23 +38,6 @@ pub fn linear_teacher_labels(t: &TripletMatrix, noise: f64, seed: u64) -> Vec<Sc
         .collect()
 }
 
-/// Assigns integer class labels `0..k` by quantiles of the teacher score
-/// (for multiclass experiments).
-pub fn multiclass_teacher_labels(t: &TripletMatrix, k: usize, seed: u64) -> Vec<i64> {
-    assert!(k >= 2, "need at least two classes");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let w: Vec<f64> = (0..t.cols()).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-    let mut scores = vec![0.0; t.rows()];
-    for &(r, c, v) in t.entries() {
-        scores[r] += v * w[c];
-    }
-    let mut sorted = scores.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let thresholds: Vec<f64> =
-        (1..k).map(|q| sorted[(q * sorted.len() / k).min(sorted.len() - 1)]).collect();
-    scores.iter().map(|&s| thresholds.iter().filter(|&&th| s > th).count() as i64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,17 +75,6 @@ mod tests {
         let noisy = linear_teacher_labels(&t, 0.3, 7);
         let flips = clean.iter().zip(&noisy).filter(|(a, b)| a != b).count();
         assert!(flips > 0, "30% noise must flip something");
-    }
-
-    #[test]
-    fn multiclass_covers_all_classes() {
-        let spec = DatasetSpec::by_name("aloi").unwrap();
-        let t = generate(spec, 1);
-        let y = multiclass_teacher_labels(&t, 4, 3);
-        for c in 0..4 {
-            assert!(y.contains(&c), "class {c} missing");
-        }
-        assert!(y.iter().all(|&l| (0..4).contains(&l)));
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub mod error;
 pub mod features;
 pub mod format;
 pub mod ops;
-pub mod parallel;
 pub mod sparsevec;
 pub mod storage;
 pub mod telemetry;

@@ -1,115 +1,9 @@
-//! Format-independent linear-algebra helpers built on [`MatrixFormat`].
+//! Format-independent helpers built on [`MatrixFormat`].
 
-use crate::{MatrixFormat, Scalar, SparseVec, TripletMatrix};
-
-/// `out = X · v` allocating the output vector.
-pub fn smsv_alloc<M: MatrixFormat>(m: &M, v: &SparseVec) -> Vec<Scalar> {
-    let mut out = vec![0.0; m.rows()];
-    m.smsv(v, &mut out);
-    out
-}
-
-/// Gram row: `out[i] = X_i · X_row` — the exact product SMO issues twice per
-/// iteration, with the right-hand side taken from the matrix itself.
-pub fn gram_row<M: MatrixFormat>(m: &M, row: usize, out: &mut [Scalar]) {
-    let v = m.row_sparse(row);
-    m.smsv(&v, out);
-}
-
-/// Dense Gram matrix `X Xᵀ` (for tests and small problems only: Θ(M²)).
-pub fn gram_matrix<M: MatrixFormat>(m: &M) -> Vec<Scalar> {
-    let rows = m.rows();
-    let mut g = vec![0.0; rows * rows];
-    for i in 0..rows {
-        gram_row(m, i, &mut g[i * rows..(i + 1) * rows]);
-    }
-    g
-}
-
-/// Frobenius norm of any matrix.
-pub fn frobenius_norm<M: MatrixFormat>(m: &M) -> Scalar {
-    let mut norms = vec![0.0; m.rows()];
-    m.row_norms_sq(&mut norms);
-    norms.iter().sum::<Scalar>().sqrt()
-}
-
-/// Maximum absolute difference between two matrices of the same shape,
-/// computed through the triplet form. Intended for cross-format testing.
-pub fn max_abs_diff<A: MatrixFormat, B: MatrixFormat>(a: &A, b: &B) -> Scalar {
-    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "shape mismatch");
-    let da = dense_of(&a.to_triplets());
-    let db = dense_of(&b.to_triplets());
-    da.iter().zip(&db).map(|(x, y)| (x - y).abs()).fold(0.0, Scalar::max)
-}
-
-fn dense_of(t: &TripletMatrix) -> Vec<Scalar> {
-    t.to_dense()
-}
+use crate::{MatrixFormat, Scalar, SparseVec};
 
 /// Reference SMSV implementation via per-row sorted-merge dot products —
 /// O(nnz + M · nnz(v)) and trivially correct; formats are tested against it.
 pub fn smsv_reference<M: MatrixFormat>(m: &M, v: &SparseVec) -> Vec<Scalar> {
     (0..m.rows()).map(|i| m.row_sparse(i).dot(v)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{AnyMatrix, Format};
-
-    fn sample() -> TripletMatrix {
-        TripletMatrix::from_entries(
-            4,
-            5,
-            vec![(0, 0, 1.0), (0, 4, 2.0), (1, 2, -3.0), (2, 1, 4.0), (2, 2, 5.0), (3, 3, 6.0)],
-        )
-        .unwrap()
-        .compact()
-    }
-
-    #[test]
-    fn gram_row_is_symmetric_slice() {
-        let m = AnyMatrix::from_triplets(Format::Csr, &sample());
-        let g = gram_matrix(&m);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!((g[i * 4 + j] - g[j * 4 + i]).abs() < 1e-12);
-            }
-        }
-        // Diagonal entries are the squared row norms.
-        let mut norms = vec![0.0; 4];
-        m.row_norms_sq(&mut norms);
-        for i in 0..4 {
-            assert!((g[i * 4 + i] - norms[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn frobenius_matches_manual() {
-        let m = AnyMatrix::from_triplets(Format::Coo, &sample());
-        let expect = (1.0f64 + 4.0 + 9.0 + 16.0 + 25.0 + 36.0).sqrt();
-        assert!((frobenius_norm(&m) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_formats_agree_with_reference_smsv() {
-        let t = sample();
-        let v = SparseVec::new(5, vec![0, 2, 4], vec![1.5, -2.0, 0.5]);
-        let reference = smsv_reference(&AnyMatrix::from_triplets(Format::Csr, &t), &v);
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let got = smsv_alloc(&m, &v);
-            for (a, b) in got.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-12, "{fmt} disagrees: {got:?} vs {reference:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn max_abs_diff_zero_across_formats() {
-        let t = sample();
-        let a = AnyMatrix::from_triplets(Format::Ell, &t);
-        let b = AnyMatrix::from_triplets(Format::Dia, &t);
-        assert_eq!(max_abs_diff(&a, &b), 0.0);
-    }
 }

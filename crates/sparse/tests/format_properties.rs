@@ -3,9 +3,8 @@
 //! with the reference implementation on arbitrary sparsity patterns.
 
 use dls_sparse::ops::smsv_reference;
-use dls_sparse::parallel::{par_smsv_coo, par_smsv_csr, par_smsv_generic, SmsvPool};
 use dls_sparse::{
-    AnyMatrix, CooMatrix, CsrMatrix, Format, MatrixFeatures, MatrixFormat, RowScratch, SparseVec,
+    AnyMatrix, CsrMatrix, Format, MatrixFeatures, MatrixFormat, RowScratch, SparseVec,
     TripletMatrix,
 };
 use proptest::prelude::*;
@@ -103,30 +102,6 @@ proptest! {
         m.smsv_lanes::<8>(&v, &mut lanes);
         for (a, b) in scalar.iter().zip(&lanes) {
             prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    /// Parallel kernels agree with serial ones for any thread count.
-    #[test]
-    fn parallel_kernels_agree((t, v) in arb_matrix_and_vec(), threads in 1usize..6) {
-        let csr = CsrMatrix::from_triplets(&t);
-        let coo = CooMatrix::from_triplets(&t);
-        let mut expect = vec![0.0; t.rows()];
-        csr.smsv(&v, &mut expect);
-
-        let mut got = vec![0.0; t.rows()];
-        par_smsv_csr(&csr, &v, &mut got, threads);
-        for (a, b) in got.iter().zip(&expect) {
-            prop_assert!((a - b).abs() < 1e-9, "csr threads={}", threads);
-        }
-        par_smsv_coo(&coo, &v, &mut got, threads);
-        for (a, b) in got.iter().zip(&expect) {
-            prop_assert!((a - b).abs() < 1e-9, "coo threads={}", threads);
-        }
-        let any = AnyMatrix::from_triplets(Format::Ell, &t);
-        par_smsv_generic(&any, &v, &mut got, threads);
-        for (a, b) in got.iter().zip(&expect) {
-            prop_assert!((a - b).abs() < 1e-9, "generic threads={}", threads);
         }
     }
 
@@ -253,23 +228,6 @@ proptest! {
                 }
             }
             prop_assert!(ws.iter().all(|&w| w == 0.0), "{} left workspace dirty", fmt);
-        }
-    }
-
-    /// The persistent pool agrees with the serial kernel for any format and
-    /// worker count.
-    #[test]
-    fn pool_smsv_agrees((t, v) in arb_matrix_and_vec(), threads in 1usize..5) {
-        let csr = CsrMatrix::from_triplets(&t);
-        let reference = smsv_reference(&csr, &v);
-        let pool = SmsvPool::new(threads);
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let mut out = vec![1.0; t.rows()];
-            pool.smsv_generic(&m, v.as_view(), &mut out);
-            for (a, b) in out.iter().zip(&reference) {
-                prop_assert!((a - b).abs() < 1e-9, "{} threads={}", fmt, threads);
-            }
         }
     }
 

@@ -26,9 +26,10 @@ const NONE: u32 = u32::MAX;
 
 /// Handle to one row buffer of a [`KernelCache`].
 ///
-/// A slot stays readable until the *second* [`KernelCache::claim`] after
-/// its row stopped being resident: the buffer of an evicted row is recycled
-/// by the next claim, not by the one that evicted it.
+/// A slot holds its row for as long as the row is resident. A
+/// [`KernelCache::claim`] into a full cache evicts the least recently used
+/// row and recycles that row's buffer in place, so the row fetched last is
+/// never the one a claim takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot(u32);
 
@@ -50,15 +51,12 @@ pub struct KernelCache {
     capacity: usize,
     /// `slot_of[index]` is the slot holding that row, or [`NONE`].
     slot_of: Vec<u32>,
-    /// Grown on demand, to at most `capacity + 1` (the spare).
+    /// One per resident row: grown on demand to `capacity`, then recycled.
     entries: Vec<Entry>,
     /// Most recently used resident slot.
     head: u32,
     /// Least recently used resident slot.
     tail: u32,
-    resident: usize,
-    /// Slot of the row evicted last, whose buffer the next claim takes.
-    spare: u32,
     hits: u64,
     misses: u64,
 }
@@ -77,8 +75,6 @@ impl KernelCache {
             entries: Vec::new(),
             head: NONE,
             tail: NONE,
-            resident: 0,
-            spare: NONE,
             hits: 0,
             misses: 0,
         }
@@ -93,13 +89,13 @@ impl KernelCache {
     /// Number of rows currently resident.
     #[inline]
     pub fn len(&self) -> usize {
-        self.resident
+        self.entries.len()
     }
 
     /// True when no rows are resident.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.resident == 0
+        self.entries.is_empty()
     }
 
     /// Cache hits so far.
@@ -116,8 +112,7 @@ impl KernelCache {
 
     /// The slot of row `index` if resident, counting a hit (and making the
     /// row the most recently used) or a miss. After a miss the caller
-    /// [`claim`](KernelCache::claim)s a slot and fills it — possibly
-    /// several, from one blocked SMSV sweep.
+    /// [`claim`](KernelCache::claim)s a slot and fills it.
     #[inline]
     pub fn lookup(&mut self, index: usize) -> Option<Slot> {
         let slot = self.slot_of[index];
@@ -138,14 +133,17 @@ impl KernelCache {
     }
 
     /// Makes row `index` — not resident, i.e. just missed — resident and
-    /// most recently used, evicting the LRU row if over capacity, and
-    /// returns its slot for the caller to fill through
-    /// [`row_mut`](KernelCache::row_mut): the buffer holds `n` stale values
-    /// until then.
+    /// most recently used, and returns its slot for the caller to fill
+    /// through [`row_mut`](KernelCache::row_mut): the buffer holds `n` stale
+    /// values until then. A full cache gives the least recently used row's
+    /// buffer to `index`.
     pub fn claim(&mut self, index: usize) -> Slot {
         debug_assert!(!self.contains(index), "row {index} is resident: look it up");
-        let slot = if self.spare != NONE {
-            std::mem::replace(&mut self.spare, NONE)
+        let slot = if self.entries.len() == self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.slot_of[self.entries[victim as usize].index] = NONE;
+            victim
         } else {
             let n = self.slot_of.len();
             self.entries.push(Entry { row: vec![0.0; n], index, prev: NONE, next: NONE });
@@ -154,14 +152,6 @@ impl KernelCache {
         self.entries[slot as usize].index = index;
         self.slot_of[index] = slot;
         self.push_front(slot);
-        self.resident += 1;
-        if self.resident > self.capacity {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.slot_of[self.entries[victim as usize].index] = NONE;
-            self.resident -= 1;
-            self.spare = victim;
-        }
         Slot(slot)
     }
 
@@ -302,34 +292,29 @@ mod tests {
         assert_eq!(c.entries.len(), 1);
         fetch(&mut c, 5);
         assert_eq!(c.entries.len(), 1, "a hit allocates nothing");
-        // Cycling every row through a 2-row cache settles on capacity + 1
-        // buffers (the spare) and reuses them from then on.
+        // Cycling every row through a 2-row cache settles on capacity
+        // buffers and reuses them from then on.
         for round in 0..3 {
             for i in 0..16 {
                 fetch(&mut c, i);
-                assert!(c.len() <= c.entries.len(), "resident rows ≤ rows ever fetched");
-                assert!(c.entries.len() <= 3, "round {round}: row {i} grew the cache");
+                assert!(c.entries.len() <= 2, "round {round}: row {i} grew the cache");
             }
         }
         assert_eq!(c.len(), 2);
-        assert_eq!(c.entries.len(), 3);
     }
 
+    /// SMO fetches `high`, then `low`, and reads both: in the tightest cache
+    /// it runs with (two rows), claiming `low` must evict the other row.
     #[test]
-    fn an_evicted_slot_survives_one_more_claim() {
+    fn claiming_a_second_row_never_evicts_the_most_recent_one() {
         let mut c = KernelCache::with_budget(0, 4);
-        let high = fetch(&mut c, 0);
-        // A two-row prefetch into the two-row cache evicts row 0 …
-        fetch(&mut c, 1);
-        fetch(&mut c, 2);
-        assert!(!c.contains(0));
-        // … but its values are still there for the pass that reads them,
-        assert_eq!(c.row(high), &[0.5; 4]);
-        let low = c.lookup(2).unwrap();
-        assert_eq!(c.row(low), &[2.5; 4]);
-        // and the next claim is the one that takes the buffer.
-        let next = fetch(&mut c, 3);
-        assert_eq!(next, high);
-        assert_eq!(c.row(next), &[3.5; 4]);
+        assert_eq!(c.capacity(), 2);
+        for (high, low) in [(0, 1), (2, 3), (3, 0), (1, 2), (1, 3)] {
+            let h = fetch(&mut c, high);
+            let l = fetch(&mut c, low);
+            assert!(c.contains(high) && c.contains(low), "({high}, {low})");
+            assert_eq!(c.row(h), &[high as Scalar + 0.5; 4], "({high}, {low})");
+            assert_eq!(c.row(l), &[low as Scalar + 0.5; 4], "({high}, {low})");
+        }
     }
 }

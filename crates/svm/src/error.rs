@@ -21,6 +21,14 @@ pub enum SvmError {
     },
     /// Training data contains only one class, so no separating problem exists.
     SingleClass,
+    /// A sample's squared norm is not finite: it holds a NaN or ±∞ feature
+    /// value, or values so large that their squares overflow.
+    NonFiniteRow {
+        /// Index of the offending sample (0-based).
+        index: usize,
+        /// Its squared norm.
+        norm_sq: f64,
+    },
     /// A hyperparameter is out of its valid range.
     InvalidParameter(String),
 }
@@ -35,6 +43,10 @@ impl fmt::Display for SvmError {
                 write!(f, "label at index {index} is {value}, expected +1 or -1")
             }
             SvmError::SingleClass => write!(f, "training data contains a single class"),
+            SvmError::NonFiniteRow { index, norm_sq } => write!(
+                f,
+                "row {index} has squared norm {norm_sq}: every feature value must be finite"
+            ),
             SvmError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
         }
     }
@@ -53,6 +65,8 @@ mod tests {
         let e = SvmError::NonBinaryLabel { index: 3, value: 2.0 };
         assert!(e.to_string().contains("index 3"));
         assert!(SvmError::SingleClass.to_string().contains("single class"));
+        let e = SvmError::NonFiniteRow { index: 2, norm_sq: f64::NAN };
+        assert!(e.to_string().contains("row 2"));
         assert!(SvmError::InvalidParameter("C".into()).to_string().contains('C'));
     }
 }

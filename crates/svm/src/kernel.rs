@@ -10,6 +10,7 @@
 //! All four are computable from the inner product plus the two squared
 //! norms, so one SMSV per selected sample yields a whole kernel row.
 
+use crate::SvmError;
 use dls_sparse::Scalar;
 
 /// Kernel function selector with its hyperparameters.
@@ -70,10 +71,23 @@ impl KernelKind {
         }
     }
 
-    /// Whether the induced Gram matrix is guaranteed positive semi-definite
-    /// (sigmoid is not a PSD kernel in general, so SMO must guard η ≤ 0).
-    pub fn is_psd(&self) -> bool {
-        !matches!(self, KernelKind::Sigmoid { .. })
+    /// Checks the hyperparameters both solvers validate: γ finite and > 0,
+    /// `a` and `r` finite. Written so that NaN fails every check.
+    pub fn validate(&self) -> Result<(), SvmError> {
+        let ok = match *self {
+            KernelKind::Linear => true,
+            KernelKind::Gaussian { gamma } => gamma > 0.0 && gamma.is_finite(),
+            KernelKind::Polynomial { a, r, .. } | KernelKind::Sigmoid { a, r } => {
+                a.is_finite() && r.is_finite()
+            }
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(SvmError::InvalidParameter(format!(
+                "{self:?}: gamma must be finite and > 0, a and r finite"
+            )))
+        }
     }
 
     /// Short lower-case name.
@@ -138,8 +152,6 @@ mod tests {
     fn sigmoid_matches_tanh() {
         let k = KernelKind::Sigmoid { a: 0.5, r: -1.0 };
         assert!((k.apply(4.0, 0.0, 0.0) - 1.0f64.tanh()).abs() < 1e-12);
-        assert!(!k.is_psd());
-        assert!(KernelKind::Linear.is_psd());
     }
 
     #[test]

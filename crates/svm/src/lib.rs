@@ -17,7 +17,6 @@ pub mod kernel;
 pub mod metrics;
 pub mod model;
 pub mod model_selection;
-pub mod multiclass;
 pub mod persist;
 pub mod platt;
 pub mod problem;
@@ -30,11 +29,8 @@ pub use kernel::KernelKind;
 pub use metrics::{accuracy, confusion_binary};
 pub use model::{PredictWorkspace, SvmModel};
 pub use model_selection::{cross_validate, grid_search, GridPoint, GridSearchResult};
-pub use multiclass::{MulticlassModel, MulticlassStrategy};
 pub use persist::{read_model, write_model, ModelFormatError};
 pub use platt::{PlattScaling, ProbabilisticModel};
 pub use problem::SvmProblem;
-pub use smo::{
-    train, train_with_stats, SegmentReport, SmoParams, SmoState, SmoStats, WorkingSetSelection,
-};
+pub use smo::{train, train_with_stats, SegmentReport, SmoParams, SmoState, SmoStats};
 pub use svr::{train_svr, SvrParams, SvrStats};

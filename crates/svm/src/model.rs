@@ -89,14 +89,6 @@ impl SvmModel {
         }
     }
 
-    /// Predicts labels for many samples (per-vector dot products).
-    pub fn predict_labels<'a>(
-        &self,
-        samples: impl IntoIterator<Item = &'a SparseVec>,
-    ) -> Vec<Scalar> {
-        samples.into_iter().map(|x| self.predict_label(x)).collect()
-    }
-
     /// The support vectors lowered to a row matrix (`n_sv × dim`), the
     /// shape the blocked SMSV kernels consume: one `smsv` against it yields
     /// `dot(SV_s, x)` for every support vector at once.
@@ -260,10 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_labels_maps_each_sample() {
+    fn zero_decision_maps_to_the_positive_label() {
         let model = SvmModel::new(KernelKind::Linear, vec![unit(2, 0)], vec![1.0], 0.0);
-        let xs = [unit(2, 0), unit(2, 1)];
-        assert_eq!(model.predict_labels(xs.iter()), vec![1.0, 1.0]); // zero ties to +1
+        assert_eq!(model.decision_function(&unit(2, 1)), 0.0);
+        assert_eq!(model.predict_label(&unit(2, 1)), 1.0);
     }
 
     /// A model with irregular support vectors exercising merge/scatter dot

@@ -39,7 +39,7 @@ fn submatrix<M: MatrixFormat>(x: &M, rows: &[usize]) -> TripletMatrix {
 }
 
 /// Mean k-fold cross-validation accuracy for one parameter setting.
-pub fn cross_validate<M: MatrixFormat + Sync>(
+pub fn cross_validate<M: MatrixFormat>(
     x: &M,
     y: &[Scalar],
     params: &SmoParams,
@@ -99,7 +99,7 @@ pub struct GridSearchResult {
 /// Grid search over `C` (and `γ` for Gaussian kernels) with k-fold CV.
 ///
 /// `gammas` empty means keep the base kernel untouched and search `C` only.
-pub fn grid_search<M: MatrixFormat + Sync>(
+pub fn grid_search<M: MatrixFormat>(
     x: &M,
     y: &[Scalar],
     base: &SmoParams,

@@ -3,6 +3,20 @@
 use crate::SvmError;
 use dls_sparse::{MatrixFormat, Scalar};
 
+/// The squared norm of every row of `x`, refusing — naming the first —
+/// a row whose squared norm is not finite. A NaN or ±∞ feature value makes
+/// it so (squares cannot cancel), and would turn every kernel value the row
+/// touches into NaN or ±∞: the solvers would "converge" on garbage. This
+/// reads the norms both solvers compute anyway; the data is scanned once.
+pub(crate) fn finite_row_norms<M: MatrixFormat>(x: &M) -> Result<Vec<Scalar>, SvmError> {
+    let mut norms_sq = vec![0.0; x.rows()];
+    x.row_norms_sq(&mut norms_sq);
+    match norms_sq.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(SvmError::NonFiniteRow { index, norm_sq: norms_sq[index] }),
+        None => Ok(norms_sq),
+    }
+}
+
 /// A validated binary-classification training problem.
 ///
 /// Borrows the data matrix (any storage format) and owns the label vector.
@@ -55,17 +69,6 @@ impl<'a, M: MatrixFormat> SvmProblem<'a, M> {
     pub fn n_samples(&self) -> usize {
         self.labels.len()
     }
-
-    /// Number of features.
-    #[inline]
-    pub fn n_features(&self) -> usize {
-        self.matrix.cols()
-    }
-
-    /// Count of positive labels.
-    pub fn n_positive(&self) -> usize {
-        self.labels.iter().filter(|&&y| y == 1.0).count()
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +89,7 @@ mod tests {
         let m = matrix(4);
         let p = SvmProblem::new(&m, &[1.0, -1.0, 1.0, -1.0]).unwrap();
         assert_eq!(p.n_samples(), 4);
-        assert_eq!(p.n_features(), 2);
-        assert_eq!(p.n_positive(), 2);
+        assert_eq!(p.labels(), [1.0, -1.0, 1.0, -1.0]);
     }
 
     #[test]

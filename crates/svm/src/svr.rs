@@ -16,6 +16,7 @@
 #![allow(clippy::nonminimal_bool, clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 
 use crate::cache::{KernelCache, Slot, DEFAULT_CACHE_BYTES};
+use crate::problem::finite_row_norms;
 use crate::{KernelKind, SvmError, SvmModel};
 use dls_sparse::{MatrixFormat, RowScratch, Scalar};
 
@@ -55,6 +56,7 @@ impl SvrParams {
         if !(self.c > 0.0) {
             return Err(SvmError::InvalidParameter(format!("C must be > 0, got {}", self.c)));
         }
+        self.kernel.validate()?;
         if !(self.epsilon >= 0.0) {
             return Err(SvmError::InvalidParameter(format!(
                 "epsilon must be >= 0, got {}",
@@ -82,7 +84,8 @@ pub struct SvrStats {
     pub n_support_vectors: usize,
 }
 
-/// Trains an ε-SVR model. `y` holds real-valued targets.
+/// Trains an ε-SVR model. `y` holds real-valued targets. A row whose
+/// squared norm is not finite is refused, as by classification SMO.
 pub fn train_svr<M: MatrixFormat>(
     x: &M,
     y: &[Scalar],
@@ -99,8 +102,7 @@ pub fn train_svr<M: MatrixFormat>(
     let c = params.c;
     let eps = params.epsilon;
 
-    let mut norms_sq = vec![0.0; n];
-    x.row_norms_sq(&mut norms_sq);
+    let norms_sq = finite_row_norms(x)?;
 
     // Extended problem: index t < n is α_t (pseudo-label +1); t >= n is
     // α*_{t-n} (pseudo-label −1).

@@ -121,22 +121,6 @@ proptest! {
         }
     }
 
-    /// Shrinking cannot change the decision function: any random problem
-    /// trained with and without shrinking predicts identically.
-    #[test]
-    fn shrinking_is_result_invariant((t, y) in arb_problem()) {
-        let x = AnyMatrix::from_triplets(Format::Csr, &t);
-        let plain = params(2.0, KernelKind::Gaussian { gamma: 0.5 });
-        let shrunk = SmoParams { shrinking: true, ..plain };
-        let (m1, s1) = train_with_stats(&x, &y, &plain).unwrap();
-        let (m2, s2) = train_with_stats(&x, &y, &shrunk).unwrap();
-        prop_assert!(s1.converged && s2.converged);
-        for i in 0..t.rows() {
-            let r = t.row_sparse(i);
-            prop_assert_eq!(m1.predict_label(&r), m2.predict_label(&r), "row {}", i);
-        }
-    }
-
     /// Cache on vs cache off cannot change the result.
     #[test]
     fn cache_is_transparent((t, y) in arb_problem()) {

@@ -2,19 +2,19 @@
 //!
 //! The table below was recorded on the commit *before* the SMO hot loop
 //! and the kernel-row cache were rebuilt (one fused update+select pass over
-//! status bytes, slot cache). Every row is one training configuration; the
-//! loop must reproduce its outcome bit for bit — iteration count, SMSV
-//! count, cache hits, the bias and every coefficient — however it is driven
-//! (one call, segments of seven iterations, a format switch mid-run),
-//! because the rebuild changed how the work is laid out, never the
-//! arithmetic or the tie-breaking.
+//! status bytes, slot cache), and kept verbatim when the solver's options
+//! were deleted down to Algorithm 1 (ISSUE 25). Every row is one training
+//! configuration; the loop must reproduce its outcome bit for bit —
+//! iteration count, SMSV count, cache hits, the bias and every coefficient
+//! — however it is driven (one call, segments of seven iterations, a
+//! format switch mid-run), because neither change touched the arithmetic
+//! or the tie-breaking.
 //!
 //! Three problems are generated Table V twins. `margin` is a separable
-//! problem with a handful of points near the boundary, on which shrinking
-//! drops the active set to three samples, so the partial-row path and
-//! `reconstruct_f` run for thousands of iterations. `ties` holds every row
-//! twice, with the same label: equal `f` values are real there, and the
-//! lowest index has to win each of them.
+//! problem with a handful of points near the boundary, whose pair keeps
+//! cycling through the same few rows for thousands of iterations. `ties`
+//! holds every row twice, with the same label: equal `f` values are real
+//! there, and the lowest index has to win each of them.
 //!
 //! To regenerate after a *deliberate* trajectory change:
 //! `cargo test -p dls-svm --test trajectory_pin -- --ignored --nocapture`
@@ -23,8 +23,7 @@
 use dls_data::labels::linear_teacher_labels;
 use dls_data::{generate, DatasetSpec};
 use dls_sparse::{AnyMatrix, Format, TripletMatrix};
-use dls_svm::{KernelKind, SmoParams, SmoState, SmoStats, SvmModel, WorkingSetSelection};
-use WorkingSetSelection::{FirstOrder, SecondOrder};
+use dls_svm::{KernelKind, SmoParams, SmoState, SmoStats, SvmModel};
 
 /// How the solver is driven to completion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,8 +104,8 @@ fn problem(p: &Problem) -> (TripletMatrix, Vec<f64>) {
     }
 }
 
-/// (problem, selection, shrinking, block_size, cache_bytes).
-type Config = (&'static str, WorkingSetSelection, bool, usize, usize);
+/// (problem, cache_bytes).
+type Config = (&'static str, usize);
 
 /// (iterations, smsv_count, cache_hits, bias bits, coefficient-bits hash).
 type Outcome = (usize, u64, u64, u64, u64);
@@ -118,10 +117,7 @@ fn params(p: &Problem, cfg: &Config) -> SmoParams {
         c: p.c,
         kernel: p.kernel,
         max_iterations: 6_000,
-        selection: cfg.1,
-        shrinking: cfg.2,
-        block_size: cfg.3,
-        cache_bytes: cfg.4,
+        cache_bytes: cfg.1,
         ..Default::default()
     }
 }
@@ -188,7 +184,7 @@ fn every_drive_reproduces_the_recorded_trajectories() {
             }
             rows += 1;
         }
-        assert_eq!(rows, 16, "{}: the whole configuration product is pinned", p.name);
+        assert_eq!(rows, 2, "{}: the cache off and on are both pinned", p.name);
     }
 }
 
@@ -197,105 +193,27 @@ fn every_drive_reproduces_the_recorded_trajectories() {
 fn print_the_table() {
     for p in &PROBLEMS {
         let (t, y) = problem(p);
-        for selection in [FirstOrder, SecondOrder] {
-            for shrinking in [false, true] {
-                for block_size in [1, 4] {
-                    for cache_bytes in [0, DEFAULT_CACHE] {
-                        let cfg: Config = (p.name, selection, shrinking, block_size, cache_bytes);
-                        let o = outcome(&t, &y, p, &cfg, Mono);
-                        let cache = if cache_bytes == 0 { "0" } else { "DEFAULT_CACHE" };
-                        println!(
-                            "    (({:?}, {selection:?}, {shrinking}, {block_size}, {cache}), \
-                             ({}, {}, {}, {:#018x}, {:#018x})),",
-                            p.name, o.0, o.1, o.2, o.3, o.4
-                        );
-                    }
-                }
-            }
+        for cache_bytes in [0, DEFAULT_CACHE] {
+            let o = outcome(&t, &y, p, &(p.name, cache_bytes), Mono);
+            let cache = if cache_bytes == 0 { "0" } else { "DEFAULT_CACHE" };
+            println!(
+                "    (({:?}, {cache}), ({}, {}, {}, {:#018x}, {:#018x})),",
+                p.name, o.0, o.1, o.2, o.3, o.4
+            );
         }
     }
 }
 
 #[rustfmt::skip]
-const PINS: [(Config, Outcome); 80] = [
-    (("adult", FirstOrder, false, 1, 0), (1332, 2660, 4, 0xbfa5035711e6238e, 0xd39fbc4455b32138)),
-    (("adult", FirstOrder, false, 1, DEFAULT_CACHE), (1332, 176, 2488, 0xbfa5035711e6238e, 0xd39fbc4455b32138)),
-    (("adult", FirstOrder, false, 4, 0), (1332, 5255, 35, 0xbfa5035711e6238e, 0xd39fbc4455b32138)),
-    (("adult", FirstOrder, false, 4, DEFAULT_CACHE), (1332, 176, 2488, 0xbfa5035711e6238e, 0xd39fbc4455b32138)),
-    (("adult", FirstOrder, true, 1, 0), (1478, 2950, 6, 0xbfa5ca5a67f1943c, 0x633eccc0371a3c64)),
-    (("adult", FirstOrder, true, 1, DEFAULT_CACHE), (1478, 176, 2780, 0xbfa5ca5a67f1943c, 0x633eccc0371a3c64)),
-    (("adult", FirstOrder, true, 4, 0), (1478, 5811, 49, 0xbfa5ca5a67f1943c, 0x633eccc0371a3c64)),
-    (("adult", FirstOrder, true, 4, DEFAULT_CACHE), (1478, 176, 2780, 0xbfa5ca5a67f1943c, 0x633eccc0371a3c64)),
-    (("adult", SecondOrder, false, 1, 0), (1630, 3253, 7, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, false, 1, DEFAULT_CACHE), (1630, 169, 3091, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, false, 4, 0), (1630, 6457, 30, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, false, 4, DEFAULT_CACHE), (1630, 169, 3091, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, true, 1, 0), (1630, 3253, 7, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, true, 1, DEFAULT_CACHE), (1630, 169, 3091, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, true, 4, 0), (1630, 6457, 30, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("adult", SecondOrder, true, 4, DEFAULT_CACHE), (1630, 169, 3091, 0xbfa4fae67ff998cc, 0x39e0e2d40c99433e)),
-    (("aloi", FirstOrder, false, 1, 0), (1747, 3494, 0, 0xbfdba373113cc39c, 0x3b6117b9459f4cfb)),
-    (("aloi", FirstOrder, false, 1, DEFAULT_CACHE), (1747, 130, 3364, 0xbfdba373113cc39c, 0x3b6117b9459f4cfb)),
-    (("aloi", FirstOrder, false, 4, 0), (1747, 6983, 1, 0xbfdba373113cc39c, 0x3b6117b9459f4cfb)),
-    (("aloi", FirstOrder, false, 4, DEFAULT_CACHE), (1747, 130, 3364, 0xbfdba373113cc39c, 0x3b6117b9459f4cfb)),
-    (("aloi", FirstOrder, true, 1, 0), (1853, 3705, 1, 0xbfdb9b845de69a74, 0x52a7c96f8217741d)),
-    (("aloi", FirstOrder, true, 1, DEFAULT_CACHE), (1853, 130, 3576, 0xbfdb9b845de69a74, 0x52a7c96f8217741d)),
-    (("aloi", FirstOrder, true, 4, 0), (1853, 7403, 3, 0xbfdb9b845de69a74, 0x52a7c96f8217741d)),
-    (("aloi", FirstOrder, true, 4, DEFAULT_CACHE), (1853, 130, 3576, 0xbfdb9b845de69a74, 0x52a7c96f8217741d)),
-    (("aloi", SecondOrder, false, 1, 0), (1333, 2665, 1, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, false, 1, DEFAULT_CACHE), (1333, 133, 2533, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, false, 4, 0), (1333, 5303, 13, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, false, 4, DEFAULT_CACHE), (1333, 133, 2533, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, true, 1, 0), (1333, 2665, 1, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, true, 1, DEFAULT_CACHE), (1333, 133, 2533, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, true, 4, 0), (1333, 5303, 13, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("aloi", SecondOrder, true, 4, DEFAULT_CACHE), (1333, 133, 2533, 0xbfdba5194fea8cf4, 0xecd6809272cc28bc)),
-    (("trefethen", FirstOrder, false, 1, 0), (543, 1083, 3, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, false, 1, DEFAULT_CACHE), (543, 166, 920, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, false, 4, 0), (543, 2155, 6, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, false, 4, DEFAULT_CACHE), (543, 166, 920, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, true, 1, 0), (543, 1083, 3, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, true, 1, DEFAULT_CACHE), (543, 166, 920, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, true, 4, 0), (543, 2155, 6, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", FirstOrder, true, 4, DEFAULT_CACHE), (543, 166, 920, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
-    (("trefethen", SecondOrder, false, 1, 0), (491, 980, 2, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, false, 1, DEFAULT_CACHE), (491, 167, 815, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, false, 4, 0), (491, 1947, 4, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, false, 4, DEFAULT_CACHE), (491, 167, 815, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, true, 1, 0), (491, 980, 2, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, true, 1, DEFAULT_CACHE), (491, 167, 815, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, true, 4, 0), (491, 1947, 4, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("trefethen", SecondOrder, true, 4, DEFAULT_CACHE), (491, 167, 815, 0x3ff32d82a45d23a0, 0x631201a139bf0774)),
-    (("margin", FirstOrder, false, 1, 0), (2175, 3513, 837, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, false, 1, DEFAULT_CACHE), (2175, 12, 4338, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, false, 4, 0), (2175, 4711, 1263, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, false, 4, DEFAULT_CACHE), (2175, 12, 4338, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, true, 1, 0), (2175, 4350, 0, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, true, 1, DEFAULT_CACHE), (2175, 3962, 388, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, true, 4, 0), (2175, 4729, 9, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", FirstOrder, true, 4, DEFAULT_CACHE), (2175, 3962, 388, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
-    (("margin", SecondOrder, false, 1, 0), (933, 991, 875, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, false, 1, DEFAULT_CACHE), (933, 7, 1859, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, false, 4, 0), (933, 1334, 926, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, false, 4, DEFAULT_CACHE), (933, 7, 1859, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, true, 1, 0), (933, 1710, 156, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, true, 1, DEFAULT_CACHE), (933, 1473, 393, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, true, 4, 0), (933, 1893, 185, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("margin", SecondOrder, true, 4, DEFAULT_CACHE), (933, 1473, 393, 0xbfcfe7a21ee6cdd8, 0x2d2096c650620914)),
-    (("ties", FirstOrder, false, 1, 0), (410, 794, 26, 0x3fd75827f53a62be, 0x81956b89737251fc)),
-    (("ties", FirstOrder, false, 1, DEFAULT_CACHE), (410, 72, 748, 0x3fd75827f53a62be, 0x81956b89737251fc)),
-    (("ties", FirstOrder, false, 4, 0), (410, 1575, 30, 0x3fd75827f53a62be, 0x81956b89737251fc)),
-    (("ties", FirstOrder, false, 4, DEFAULT_CACHE), (410, 72, 748, 0x3fd75827f53a62be, 0x81956b89737251fc)),
-    (("ties", FirstOrder, true, 1, 0), (439, 855, 23, 0x3fd759449fe29ae3, 0x3fadfb193222caa3)),
-    (("ties", FirstOrder, true, 1, DEFAULT_CACHE), (439, 412, 466, 0x3fd759449fe29ae3, 0x3fadfb193222caa3)),
-    (("ties", FirstOrder, true, 4, 0), (439, 1371, 20, 0x3fd759449fe29ae3, 0x3fadfb193222caa3)),
-    (("ties", FirstOrder, true, 4, DEFAULT_CACHE), (439, 412, 466, 0x3fd759449fe29ae3, 0x3fadfb193222caa3)),
-    (("ties", SecondOrder, false, 1, 0), (144, 251, 37, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, false, 1, DEFAULT_CACHE), (144, 69, 219, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, false, 4, 0), (144, 527, 16, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, false, 4, DEFAULT_CACHE), (144, 69, 219, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, true, 1, 0), (144, 257, 31, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, true, 1, DEFAULT_CACHE), (144, 117, 171, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, true, 4, 0), (144, 489, 11, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
-    (("ties", SecondOrder, true, 4, DEFAULT_CACHE), (144, 117, 171, 0x3fd75364e606ca39, 0x16961c8e10e872bb)),
+const PINS: [(Config, Outcome); 10] = [
+    (("adult", 0), (1332, 2660, 4, 0xbfa5035711e6238e, 0xd39fbc4455b32138)),
+    (("adult", DEFAULT_CACHE), (1332, 176, 2488, 0xbfa5035711e6238e, 0xd39fbc4455b32138)),
+    (("aloi", 0), (1747, 3494, 0, 0xbfdba373113cc39c, 0x3b6117b9459f4cfb)),
+    (("aloi", DEFAULT_CACHE), (1747, 130, 3364, 0xbfdba373113cc39c, 0x3b6117b9459f4cfb)),
+    (("trefethen", 0), (543, 1083, 3, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
+    (("trefethen", DEFAULT_CACHE), (543, 166, 920, 0x3ff326baecb4a1bc, 0x23fa0df81ad2f22a)),
+    (("margin", 0), (2175, 3513, 837, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
+    (("margin", DEFAULT_CACHE), (2175, 12, 4338, 0xbfcfea43787bccf7, 0x999e01ec852d1153)),
+    (("ties", 0), (410, 794, 26, 0x3fd75827f53a62be, 0x81956b89737251fc)),
+    (("ties", DEFAULT_CACHE), (410, 72, 748, 0x3fd75827f53a62be, 0x81956b89737251fc)),
 ];

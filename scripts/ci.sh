@@ -75,5 +75,7 @@ scripts/loc.sh
 if grep -rnE 'Bcs[r]|Hy[b]|Jd[s]|include_derive[d]|with_derive[d]|has_blocked_kerne[l]' crates/*/src src examples; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted in ISSUE 23 (one measurement system; five serve knobs became constants).
 if grep -rnE 'vendor/criterio[n]|criterio[n]:[:]|cargo benc[h]|repro_serv[e]|BENCH_serv[e]|bench\.s[h]|class_sl[o]|gather_diviso[r]|enter_violation_rat[e]|exit_violation_rat[e]|ring_capacit[y]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted in ISSUE 25 (SMO is Algorithm 1: five SmoParams fields, the SMSV pool and multiclass gone).
+if grep -rnE 'WorkingSetSelectio[n]|SecondOrde[r]|SmsvPoo[l]|par_smsv[_]|dls_sparse::paralle[l]|positive_weigh[t]|shrinkin[g]|block_siz[e]|Multiclas[s]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 
 echo "==> ci OK"

@@ -107,3 +107,18 @@ fn serve_rejects_zero_timeouts_under_either_frontend() {
         }
     }
 }
+
+/// A NaN or ±∞ feature value used to "converge" to a garbage model and
+/// exit 0: training refuses the file and names the row (0-based).
+#[test]
+fn train_refuses_non_finite_features() {
+    for bad in ["inf", "nan"] {
+        let path = std::env::temp_dir().join(format!("dls_cli_train_{bad}.libsvm"));
+        let rows = format!("+1 1:0.5 2:1\n-1 1:-0.5\n-1 1:{bad} 2:0.3\n+1 2:0.8\n-1 1:-1\n");
+        std::fs::write(&path, rows).unwrap();
+        let (ok, out, err) = run(&["train", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        assert!(!ok, "{bad}: {out}");
+        assert!(err.contains("row 2"), "{bad}: {err}");
+    }
+}
