@@ -37,9 +37,8 @@ use dls_core::json::JsonValue;
 use dls_core::LayoutScheduler;
 use dls_serve::fault::{flip_bit, FaultAction, FaultInjector, FaultPlan, FaultSite, SplitMix64};
 use dls_serve::{
-    BrownoutConfig, ClientError, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient,
-    PredictRequest, Request, RequestClass, Response, RetryClient, RetryPolicy, ServedModel,
-    ServerConfig, ServerHandle,
+    ClientError, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient, PredictRequest, Request,
+    RequestClass, Response, RetryClient, RetryPolicy, ServedModel, ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -326,25 +325,14 @@ fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tall
 fn brownout_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
     let plan = Arc::new(FaultPlan::new(seed));
     plan.disarm();
-    let executor = ExecutorConfig {
-        queue_capacity: 8,
-        gather: Duration::ZERO,
-        predictive_admission: false,
-        brownout: BrownoutConfig {
-            enter_queue_pressure: 0.5,
-            exit_queue_pressure: 0.25,
-            min_dwell: Duration::ZERO,
-            window: 8,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let executor =
+        ExecutorConfig { queue_capacity: 8, gather: Duration::ZERO, ..Default::default() };
     let handle = serve(Arc::clone(&plan), executor, frontend);
     let addr = handle.local_addr();
     let exec = handle.executor();
 
-    // Park the workers and pile up interactive work past the pressure
-    // threshold.
+    // Park the workers and pile up interactive work to the 0.75 pressure
+    // threshold: 6 of 8 slots.
     exec.pause(true);
     let mut queued = Vec::new();
     for k in 0..6 {

@@ -1,7 +1,7 @@
 //! Brown-out: planned partial degradation under overload.
 //!
 //! When the interactive SLO violation rate or queue pressure crosses its
-//! threshold, the controller activates and the executor responds on three
+//! threshold, the controller activates and the executor responds on two
 //! axes at once:
 //!
 //! 1. **Shed batch-class load** — new batch submissions are refused with
@@ -9,18 +9,15 @@
 //!    interactive traffic (batch callers are built to retry).
 //! 2. **Shrink the gather window** — coalescing trades latency for
 //!    throughput; under overload that trade is backwards, so the window
-//!    divides by `GATHER_DIVISOR`.
-//! 3. **Swap the latency estimator** — predictive admission switches from
-//!    the learned tree to the pessimistic closed-form
-//!    [`crate::latency::AnalyticLatencyEstimator`], refusing marginal
-//!    requests *before* they queue (and decoupling admission from the
-//!    learned path, which overload itself may have invalidated).
+//!    divides by `GATHER_DIVISOR`. Predictive admission adds the window to
+//!    every projection, so it turns less pessimistic in the same step.
 //!
 //! Entry and exit use separate thresholds (hysteresis) plus a minimum
 //! dwell time, so a violation burst cannot flap the controller on and off
 //! every scheduling tick. Decisions come from a sliding window of recent
 //! interactive completions, not lifetime totals — a long healthy history
-//! must not mask a current overload.
+//! must not mask a current overload. The thresholds are constants; the
+//! executor's `brownout` switch turns the whole controller off.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -30,36 +27,17 @@ const ENTER_VIOLATION_RATE: f64 = 0.20;
 /// Exit requires the windowed violation rate back at or under this
 /// (hysteresis: strictly below [`ENTER_VIOLATION_RATE`]).
 const EXIT_VIOLATION_RATE: f64 = 0.05;
+/// Enter when the fullest predict queue's depth over its capacity reaches
+/// this.
+const ENTER_QUEUE_PRESSURE: f64 = 0.75;
+/// Exit requires queue pressure back at or under this.
+const EXIT_QUEUE_PRESSURE: f64 = 0.25;
+/// Interactive completions in the sliding decision window.
+const WINDOW: usize = 64;
+/// Minimum time in either state before switching again.
+const MIN_DWELL: Duration = Duration::from_millis(50);
 /// While browned out, the executor's gather window divides by this.
 pub(crate) const GATHER_DIVISOR: u32 = 8;
-
-/// Thresholds and shaping for the brown-out controller.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Master switch; `false` keeps the controller dormant.
-    pub enabled: bool,
-    /// Enter when interactive queue pressure (depth / capacity) crosses
-    /// this.
-    pub enter_queue_pressure: f64,
-    /// Exit requires queue pressure back under this.
-    pub exit_queue_pressure: f64,
-    /// Interactive completions in the sliding decision window.
-    pub window: usize,
-    /// Minimum time in either state before switching again.
-    pub min_dwell: Duration,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            enter_queue_pressure: 0.75,
-            exit_queue_pressure: 0.25,
-            window: 64,
-            min_dwell: Duration::from_millis(50),
-        }
-    }
-}
 
 /// What changed on one [`BrownoutController::observe`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,9 +52,8 @@ pub enum BrownoutTransition {
 
 /// The overload state machine. One per executor, consulted under the
 /// executor's existing locking (no interior synchronization needed).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BrownoutController {
-    config: BrownoutConfig,
     /// Recent interactive completions: `true` = violated its SLO.
     window: VecDeque<bool>,
     violations: usize,
@@ -85,14 +62,9 @@ pub struct BrownoutController {
 }
 
 impl BrownoutController {
-    /// A dormant controller with the given thresholds.
-    pub fn new(config: BrownoutConfig) -> Self {
-        Self { config, window: VecDeque::new(), violations: 0, active: false, last_switch: None }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &BrownoutConfig {
-        &self.config
+    /// A dormant controller.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Whether the service is currently browned out.
@@ -118,12 +90,9 @@ impl BrownoutController {
         queue_pressure: f64,
         now: Instant,
     ) -> BrownoutTransition {
-        if !self.config.enabled {
-            return BrownoutTransition::None;
-        }
         self.window.push_back(violated);
         self.violations += usize::from(violated);
-        while self.window.len() > self.config.window.max(1) {
+        while self.window.len() > WINDOW {
             if self.window.pop_front() == Some(true) {
                 self.violations -= 1;
             }
@@ -134,22 +103,19 @@ impl BrownoutController {
     /// Re-evaluates without a new completion (e.g. on a queue-pressure
     /// spike while nothing finishes — exactly when brown-out must engage).
     pub fn evaluate(&mut self, queue_pressure: f64, now: Instant) -> BrownoutTransition {
-        if !self.config.enabled {
-            return BrownoutTransition::None;
-        }
         if let Some(t) = self.last_switch {
-            if now.duration_since(t) < self.config.min_dwell {
+            if now.duration_since(t) < MIN_DWELL {
                 return BrownoutTransition::None;
             }
         }
         let rate = self.windowed_violation_rate();
         if !self.active {
-            if rate >= ENTER_VIOLATION_RATE || queue_pressure >= self.config.enter_queue_pressure {
+            if rate >= ENTER_VIOLATION_RATE || queue_pressure >= ENTER_QUEUE_PRESSURE {
                 self.active = true;
                 self.last_switch = Some(now);
                 return BrownoutTransition::Entered;
             }
-        } else if rate <= EXIT_VIOLATION_RATE && queue_pressure <= self.config.exit_queue_pressure {
+        } else if rate <= EXIT_VIOLATION_RATE && queue_pressure <= EXIT_QUEUE_PRESSURE {
             self.active = false;
             self.last_switch = Some(now);
             // Exit with a clean slate: the window's overload history would
@@ -166,74 +132,74 @@ impl BrownoutController {
 mod tests {
     use super::*;
 
-    fn quick_config() -> BrownoutConfig {
-        BrownoutConfig { window: 10, min_dwell: Duration::ZERO, ..Default::default() }
-    }
-
     #[test]
     fn enters_on_violation_rate_and_exits_with_hysteresis() {
-        let mut c = BrownoutController::new(quick_config());
+        let mut c = BrownoutController::new();
         let t = Instant::now();
-        // 10 clean completions: stays dormant.
-        for _ in 0..10 {
+        // A window of clean completions: stays dormant.
+        for _ in 0..WINDOW {
             assert_eq!(c.observe(false, 0.0, t), BrownoutTransition::None);
         }
-        // Violations push the windowed rate past 20%.
-        assert_eq!(c.observe(true, 0.0, t), BrownoutTransition::None); // 1/10
-        assert_eq!(c.observe(true, 0.0, t), BrownoutTransition::Entered); // 2/10
-        assert!(c.is_active());
-        // One clean completion is not enough to exit (rate still > 5%).
-        assert_eq!(c.observe(false, 0.0, t), BrownoutTransition::None);
-        // A run of clean completions flushes the violations out of the
-        // window and releases the brown-out.
-        let mut exited = false;
-        for _ in 0..10 {
-            if c.observe(false, 0.0, t) == BrownoutTransition::Exited {
-                exited = true;
-                break;
-            }
+        // Violations slide into the window until the rate reaches 20%:
+        // 13 of 64 (12 of 64 is 18.75%).
+        for _ in 0..12 {
+            assert_eq!(c.observe(true, 0.0, t), BrownoutTransition::None);
         }
-        assert!(exited);
+        assert_eq!(c.observe(true, 0.0, t), BrownoutTransition::Entered);
+        assert!(c.is_active());
+        // Clean completions flush the violations out of the window, but
+        // the state holds for the dwell time.
+        for _ in 0..WINDOW {
+            assert_eq!(c.observe(false, 0.0, t), BrownoutTransition::None);
+        }
+        assert_eq!(c.windowed_violation_rate(), 0.0);
+        assert!(c.is_active());
+        // Once the dwell lapses, the next completion releases it.
+        assert_eq!(c.observe(false, 0.0, t + MIN_DWELL), BrownoutTransition::Exited);
         assert!(!c.is_active());
         assert_eq!(c.windowed_violation_rate(), 0.0, "window cleared on exit");
     }
 
     #[test]
-    fn enters_on_queue_pressure_alone() {
-        let mut c = BrownoutController::new(quick_config());
+    fn exit_needs_the_violation_rate_at_five_percent() {
+        let mut c = BrownoutController::new();
         let t = Instant::now();
-        assert_eq!(c.evaluate(0.5, t), BrownoutTransition::None);
-        assert_eq!(c.evaluate(0.9, t), BrownoutTransition::Entered);
-        // High pressure holds it active even with a clean window.
-        assert_eq!(c.evaluate(0.5, t), BrownoutTransition::None);
-        assert_eq!(c.evaluate(0.1, t), BrownoutTransition::Exited);
+        assert_eq!(c.evaluate(1.0, t), BrownoutTransition::Entered);
+        let later = t + MIN_DWELL;
+        // 4 violations in 64 is 6.25%: still browned out …
+        for k in 0..WINDOW {
+            assert_eq!(c.observe(k < 4, 0.0, later), BrownoutTransition::None, "completion {k}");
+        }
+        // … and one more clean completion slides the window to 3 in 64.
+        assert_eq!(c.observe(false, 0.0, later), BrownoutTransition::Exited);
+    }
+
+    #[test]
+    fn enters_and_exits_on_queue_pressure_alone() {
+        let mut c = BrownoutController::new();
+        let t = Instant::now();
+        assert_eq!(c.evaluate(0.74, t), BrownoutTransition::None);
+        assert_eq!(c.evaluate(ENTER_QUEUE_PRESSURE, t), BrownoutTransition::Entered);
+        let later = t + MIN_DWELL;
+        // Pressure above the exit threshold holds it active even with a
+        // clean window.
+        assert_eq!(c.evaluate(0.5, later), BrownoutTransition::None);
+        assert_eq!(c.evaluate(EXIT_QUEUE_PRESSURE, later), BrownoutTransition::Exited);
     }
 
     #[test]
     fn dwell_time_prevents_flapping() {
-        let config = BrownoutConfig {
-            window: 10,
-            min_dwell: Duration::from_secs(3600),
-            ..Default::default()
-        };
-        let mut c = BrownoutController::new(config);
+        let mut c = BrownoutController::new();
         let t = Instant::now();
         assert_eq!(c.evaluate(1.0, t), BrownoutTransition::Entered);
-        // Pressure collapses immediately, but the dwell holds the state.
+        // Pressure collapses at once, but the dwell holds the state …
         assert_eq!(c.evaluate(0.0, t), BrownoutTransition::None);
+        assert_eq!(c.evaluate(0.0, t + MIN_DWELL / 2), BrownoutTransition::None);
         assert!(c.is_active());
-        // After the dwell lapses, the exit goes through.
-        assert_eq!(c.evaluate(0.0, t + Duration::from_secs(3601)), BrownoutTransition::Exited);
-    }
-
-    #[test]
-    fn disabled_controller_never_activates() {
-        let config = BrownoutConfig { enabled: false, ..quick_config() };
-        let mut c = BrownoutController::new(config);
-        let t = Instant::now();
-        for _ in 0..100 {
-            assert_eq!(c.observe(true, 1.0, t), BrownoutTransition::None);
-        }
-        assert!(!c.is_active());
+        // … until it lapses; then the exit goes through, and re-entry
+        // waits out a dwell of its own.
+        assert_eq!(c.evaluate(0.0, t + MIN_DWELL), BrownoutTransition::Exited);
+        assert_eq!(c.evaluate(1.0, t + MIN_DWELL * 3 / 2), BrownoutTransition::None);
+        assert_eq!(c.evaluate(1.0, t + MIN_DWELL * 2), BrownoutTransition::Entered);
     }
 }

@@ -1,44 +1,40 @@
-//! Pluggable queue disciplines: *when* to drain a model's queue and *what*
-//! a sweep may contain.
+//! The executor's drain rule: *when* to drain a model's queue and *what* a
+//! sweep may contain.
 //!
-//! [`QueueDiscipline`] is an open trait, mirroring the workspace's
-//! `FormatSelector` redesign: the executor asks `decide` on every pass
-//! over a non-empty queue and either waits (letting the gather window
-//! coalesce more arrivals into one blocked SMSV sweep) or drains per the
-//! returned [`DrainPlan`]. Disciplines are stateless — the gather window
-//! is measured from the oldest queued job's enqueue time, so a decision
-//! can be recomputed from the pending snapshot alone.
+//! The executor calls [`decide`] on every pass over a non-empty queue and
+//! either waits (letting the gather window coalesce more arrivals into one
+//! blocked SMSV sweep) or drains per the returned [`DrainPlan`]. The rule
+//! is stateless — the gather window is measured from the oldest queued
+//! job's enqueue time, so a decision can be recomputed from the pending
+//! snapshot alone.
 //!
-//! Three disciplines ship, in ascending awareness (mirroring the FIFO →
-//! priority → batch-aware ladder of the ML-workload-scheduler exemplar):
-//!
-//! | discipline | order | gather window | batch cap |
-//! |---|---|---|---|
-//! | [`Fifo`] | arrival | always held | none |
-//! | [`StrictPriority`] | interactive first | skipped when interactive queued | none |
-//! | [`SloAware`] | interactive first | held only while every queued interactive deadline is safe | leftover after interactive |
+//! The window is held **only while no queued interactive request would
+//! miss its deadline**: slack is each interactive job's `deadline - now`,
+//! discounted by the model's measured full-block sweep time so the sweep
+//! finishes (not merely starts) inside the SLO. Drains are interactive
+//! first, and batch work may only fill the sweep capacity left over after
+//! every queued interactive job, so a batch flood never displaces
+//! interactive vectors from a block.
 
 use crate::proto::RequestClass;
-use crate::queue::{DrainOrder, DrainPlan, JobMeta};
+use crate::queue::{DrainPlan, JobMeta};
 use std::time::{Duration, Instant};
 
-/// Everything a discipline may consult besides the pending jobs.
+/// Everything the rule consults besides the pending jobs.
 #[derive(Debug, Clone, Copy)]
 pub struct DisciplineCtx {
     /// The decision instant.
     pub now: Instant,
-    /// Configured gather window (how long a sweep may wait for arrivals).
+    /// Gather window in force (how long a sweep may wait for arrivals).
     pub gather: Duration,
     /// Weight budget of one sweep (vectors per blocked kernel launch).
     pub max_block: usize,
-    /// Predicted duration of one full sweep against this model, from the
-    /// learned latency estimator; zero when no estimate is available.
-    /// [`SloAware`] subtracts it from interactive slack so a sweep started
-    /// "in time" also *finishes* in time.
+    /// Measured duration of one full sweep against this model; zero for
+    /// constant models.
     pub est_block: Duration,
 }
 
-/// A discipline's verdict for one non-empty queue.
+/// The verdict for one non-empty queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Leave the queue untouched for up to this long (new arrivals or the
@@ -48,157 +44,40 @@ pub enum Decision {
     Drain(DrainPlan),
 }
 
-/// When and how to drain a queue. Implementations must be cheap — `decide`
-/// runs on every worker pass — and must eventually drain any non-empty
-/// queue (a `Wait` is always bounded by the gather window).
-pub trait QueueDiscipline: Send + Sync {
-    /// Stable lower-case name (CLI knob, stats, bench labels).
-    fn name(&self) -> &'static str;
-
-    /// Decides for one queue. `pending` is non-empty, in arrival order.
-    fn decide(&self, pending: &[JobMeta], ctx: &DisciplineCtx) -> Decision;
-
-    /// The queued weight that would run *before* a new job of `class`,
-    /// for predictive admission. Defaults to everything pending (FIFO
-    /// semantics); priority-ordered disciplines override so an interactive
-    /// arrival is not charged for the batch backlog it will jump.
-    fn queue_ahead(&self, pending: &[JobMeta], class: RequestClass) -> usize {
-        let _ = class;
-        pending.iter().map(|m| m.weight).sum()
-    }
-}
-
-fn total_weight(pending: &[JobMeta]) -> usize {
-    pending.iter().map(|m| m.weight).sum()
-}
-
 fn class_weight(pending: &[JobMeta], class: RequestClass) -> usize {
     pending.iter().filter(|m| m.class == class).map(|m| m.weight).sum()
 }
 
-/// Time left in the gather window, measured from the oldest queued job.
-fn gather_remaining(pending: &[JobMeta], ctx: &DisciplineCtx) -> Duration {
+/// Decides for one queue; `pending` is non-empty. A `Wait` is never longer
+/// than what is left of the gather window, so every queue drains.
+pub fn decide(pending: &[JobMeta], ctx: &DisciplineCtx) -> Decision {
     let oldest = pending.iter().map(|m| m.enqueued).min().expect("pending is non-empty");
-    (oldest + ctx.gather).saturating_duration_since(ctx.now)
+    let mut hold = (oldest + ctx.gather).saturating_duration_since(ctx.now);
+    if pending.iter().map(|m| m.weight).sum::<usize>() >= ctx.max_block {
+        hold = Duration::ZERO;
+    }
+    // Shrink the hold to the tightest interactive slack.
+    for m in pending.iter().filter(|m| m.class == RequestClass::Interactive) {
+        let slack = m.deadline.saturating_duration_since(ctx.now).saturating_sub(ctx.est_block);
+        hold = hold.min(slack);
+    }
+    if !hold.is_zero() {
+        return Decision::Wait(hold);
+    }
+    let interactive = class_weight(pending, RequestClass::Interactive).min(ctx.max_block);
+    Decision::Drain(DrainPlan {
+        max_weight: ctx.max_block,
+        max_batch_weight: ctx.max_block - interactive,
+    })
 }
 
-fn priority_ahead(pending: &[JobMeta], class: RequestClass) -> usize {
+/// The queued weight that would run *before* a new job of `class`, for
+/// predictive admission: an interactive arrival only queues behind other
+/// interactive jobs, a batch arrival behind everything.
+pub fn queue_ahead(pending: &[JobMeta], class: RequestClass) -> usize {
     match class {
-        // An interactive arrival only queues behind other interactive jobs.
         RequestClass::Interactive => class_weight(pending, RequestClass::Interactive),
-        RequestClass::Batch => total_weight(pending),
-    }
-}
-
-/// Arrival-order drains with an unconditional gather window — the
-/// pre-redesign executor behaviour, kept as the baseline.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fifo;
-
-impl QueueDiscipline for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn decide(&self, pending: &[JobMeta], ctx: &DisciplineCtx) -> Decision {
-        if total_weight(pending) < ctx.max_block {
-            let remaining = gather_remaining(pending, ctx);
-            if !remaining.is_zero() {
-                return Decision::Wait(remaining);
-            }
-        }
-        Decision::Drain(DrainPlan {
-            order: DrainOrder::Arrival,
-            max_weight: ctx.max_block,
-            max_batch_weight: ctx.max_block,
-        })
-    }
-}
-
-/// Interactive jobs preempt the queue order and skip the gather window
-/// entirely; batch-only backlogs behave like [`Fifo`]. The bluntest
-/// latency-first policy — minimal interactive queueing delay, but batch
-/// coalescing (and batch progress under sustained interactive load)
-/// suffers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StrictPriority;
-
-impl QueueDiscipline for StrictPriority {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn decide(&self, pending: &[JobMeta], ctx: &DisciplineCtx) -> Decision {
-        let any_interactive = pending.iter().any(|m| m.class == RequestClass::Interactive);
-        if !any_interactive && total_weight(pending) < ctx.max_block {
-            let remaining = gather_remaining(pending, ctx);
-            if !remaining.is_zero() {
-                return Decision::Wait(remaining);
-            }
-        }
-        Decision::Drain(DrainPlan {
-            order: DrainOrder::InteractiveFirst,
-            max_weight: ctx.max_block,
-            max_batch_weight: ctx.max_block,
-        })
-    }
-
-    fn queue_ahead(&self, pending: &[JobMeta], class: RequestClass) -> usize {
-        priority_ahead(pending, class)
-    }
-}
-
-/// The SLO-aware batch former: holds the gather window **only while no
-/// queued interactive request would miss its deadline** — slack is each
-/// interactive job's `deadline - now`, discounted by the predicted sweep
-/// duration so the sweep finishes (not merely starts) inside the SLO.
-/// Drains interactive-first, and batch work may only fill the sweep
-/// capacity left over after every queued interactive job, so a batch
-/// flood never displaces interactive vectors from a block.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SloAware;
-
-impl QueueDiscipline for SloAware {
-    fn name(&self) -> &'static str {
-        "slo"
-    }
-
-    fn decide(&self, pending: &[JobMeta], ctx: &DisciplineCtx) -> Decision {
-        let mut hold = gather_remaining(pending, ctx);
-        if total_weight(pending) >= ctx.max_block {
-            hold = Duration::ZERO;
-        }
-        // Shrink the hold to the tightest interactive slack.
-        for m in pending.iter().filter(|m| m.class == RequestClass::Interactive) {
-            let slack = m.deadline.saturating_duration_since(ctx.now).saturating_sub(ctx.est_block);
-            hold = hold.min(slack);
-        }
-        if !hold.is_zero() {
-            return Decision::Wait(hold);
-        }
-        let interactive = class_weight(pending, RequestClass::Interactive).min(ctx.max_block);
-        Decision::Drain(DrainPlan {
-            order: DrainOrder::InteractiveFirst,
-            max_weight: ctx.max_block,
-            max_batch_weight: ctx.max_block - interactive,
-        })
-    }
-
-    fn queue_ahead(&self, pending: &[JobMeta], class: RequestClass) -> usize {
-        priority_ahead(pending, class)
-    }
-}
-
-/// The disciplines this crate ships, by [`QueueDiscipline::name`].
-pub const DISCIPLINES: [&str; 3] = ["fifo", "priority", "slo"];
-
-/// Parses a discipline name (CLI / bench knob).
-pub fn parse_discipline(name: &str) -> Result<std::sync::Arc<dyn QueueDiscipline>, String> {
-    match name {
-        "fifo" => Ok(std::sync::Arc::new(Fifo)),
-        "priority" => Ok(std::sync::Arc::new(StrictPriority)),
-        "slo" => Ok(std::sync::Arc::new(SloAware)),
-        other => Err(format!("unknown queue discipline {other:?} (expected fifo|priority|slo)")),
+        RequestClass::Batch => pending.iter().map(|m| m.weight).sum(),
     }
 }
 
@@ -206,109 +85,68 @@ pub fn parse_discipline(name: &str) -> Result<std::sync::Arc<dyn QueueDiscipline
 mod tests {
     use super::*;
 
-    fn meta(class: RequestClass, weight: usize, age: Duration, slack: Duration) -> JobMeta {
-        let now = Instant::now();
-        JobMeta { class, weight, enqueued: now - age, deadline: now + slack, seq: 0 }
-    }
-
-    fn ctx(gather_ms: u64, max_block: usize, est_block: Duration) -> DisciplineCtx {
-        DisciplineCtx {
-            now: Instant::now(),
-            gather: Duration::from_millis(gather_ms),
-            max_block,
-            est_block,
-        }
-    }
-
     const LONG: Duration = Duration::from_secs(5);
 
-    #[test]
-    fn fifo_waits_out_the_gather_window_then_drains_in_arrival_order() {
-        let ctx = ctx(10, 32, Duration::ZERO);
-        let fresh = [meta(RequestClass::Interactive, 1, Duration::ZERO, LONG)];
-        match Fifo.decide(&fresh, &ctx) {
-            // Bounded by the gather window (small epsilon: the meta was
-            // stamped a hair after ctx.now).
-            Decision::Wait(d) => assert!(d <= Duration::from_millis(11) && !d.is_zero()),
-            other => panic!("expected Wait, got {other:?}"),
-        }
-        let aged = [meta(RequestClass::Interactive, 1, Duration::from_millis(20), LONG)];
-        assert_eq!(
-            Fifo.decide(&aged, &ctx),
-            Decision::Drain(DrainPlan {
-                order: DrainOrder::Arrival,
-                max_weight: 32,
-                max_batch_weight: 32,
-            })
-        );
-        // A full block's worth of weight never waits.
-        let heavy = [meta(RequestClass::Batch, 32, Duration::ZERO, LONG)];
-        assert!(matches!(Fifo.decide(&heavy, &ctx), Decision::Drain(_)));
+    fn meta(
+        now: Instant,
+        class: RequestClass,
+        weight: usize,
+        age: Duration,
+        slack: Duration,
+    ) -> JobMeta {
+        JobMeta { class, weight, enqueued: now - age, deadline: now + slack }
+    }
+
+    fn ctx(now: Instant, gather_ms: u64, max_block: usize, est_block: Duration) -> DisciplineCtx {
+        DisciplineCtx { now, gather: Duration::from_millis(gather_ms), max_block, est_block }
     }
 
     #[test]
-    fn strict_priority_skips_the_gather_window_for_interactive() {
-        let ctx = ctx(10, 32, Duration::ZERO);
-        let mixed = [
-            meta(RequestClass::Batch, 4, Duration::ZERO, LONG),
-            meta(RequestClass::Interactive, 1, Duration::ZERO, LONG),
-        ];
-        match StrictPriority.decide(&mixed, &ctx) {
-            Decision::Drain(plan) => assert_eq!(plan.order, DrainOrder::InteractiveFirst),
-            other => panic!("expected Drain, got {other:?}"),
-        }
-        // Batch-only backlogs still coalesce.
-        let batch_only = [meta(RequestClass::Batch, 4, Duration::ZERO, LONG)];
-        assert!(matches!(StrictPriority.decide(&batch_only, &ctx), Decision::Wait(_)));
-    }
-
-    #[test]
-    fn slo_aware_holds_only_while_interactive_slack_allows() {
-        let ctx = ctx(10, 32, Duration::from_millis(2));
-        // Comfortable slack: the window is held.
+    fn holds_only_while_interactive_slack_allows() {
+        // One instant every meta and context is measured from.
+        let now = Instant::now();
+        let ctx = ctx(now, 10, 32, Duration::from_millis(2));
+        // Comfortable slack: the window is held, exactly to its end.
         let relaxed = [
-            meta(RequestClass::Batch, 4, Duration::ZERO, LONG),
-            meta(RequestClass::Interactive, 1, Duration::ZERO, Duration::from_secs(1)),
+            meta(now, RequestClass::Batch, 4, Duration::ZERO, LONG),
+            meta(now, RequestClass::Interactive, 1, Duration::ZERO, Duration::from_secs(1)),
         ];
-        assert!(matches!(SloAware.decide(&relaxed, &ctx), Decision::Wait(_)));
-        // Slack inside the predicted sweep time: drain immediately, and
-        // batch may only fill what interactive leaves free.
+        assert_eq!(decide(&relaxed, &ctx), Decision::Wait(Duration::from_millis(10)));
+        // The window runs from the oldest job.
+        let aging = [meta(now, RequestClass::Batch, 1, Duration::from_millis(7), LONG)];
+        assert_eq!(decide(&aging, &ctx), Decision::Wait(Duration::from_millis(3)));
+        // Slack of 5 ms less the 2 ms sweep cuts the hold to 3 ms.
+        let tight =
+            [meta(now, RequestClass::Interactive, 1, Duration::ZERO, Duration::from_millis(5))];
+        assert_eq!(decide(&tight, &ctx), Decision::Wait(Duration::from_millis(3)));
+        // Slack inside the sweep time: drain now, and batch may only fill
+        // what interactive leaves free.
         let urgent = [
-            meta(RequestClass::Batch, 4, Duration::ZERO, LONG),
-            meta(RequestClass::Interactive, 2, Duration::ZERO, Duration::from_millis(1)),
+            meta(now, RequestClass::Batch, 4, Duration::ZERO, LONG),
+            meta(now, RequestClass::Interactive, 2, Duration::ZERO, Duration::from_millis(1)),
         ];
-        match SloAware.decide(&urgent, &ctx) {
-            Decision::Drain(plan) => {
-                assert_eq!(plan.order, DrainOrder::InteractiveFirst);
-                assert_eq!(plan.max_batch_weight, 30);
-            }
-            other => panic!("expected Drain, got {other:?}"),
-        }
-        // A Wait is never longer than the gather window (plus the stamp
-        // epsilon) even when interactive slack is huge.
-        match SloAware.decide(&relaxed, &ctx) {
-            Decision::Wait(d) => assert!(d <= Duration::from_millis(11)),
-            other => panic!("expected Wait, got {other:?}"),
-        }
+        assert_eq!(
+            decide(&urgent, &ctx),
+            Decision::Drain(DrainPlan { max_weight: 32, max_batch_weight: 30 })
+        );
+        // A lapsed window or a full block's worth of weight never waits.
+        let aged = [meta(now, RequestClass::Batch, 1, Duration::from_millis(20), LONG)];
+        assert!(matches!(decide(&aged, &ctx), Decision::Drain(_)));
+        let heavy = [meta(now, RequestClass::Batch, 32, Duration::ZERO, LONG)];
+        assert_eq!(
+            decide(&heavy, &ctx),
+            Decision::Drain(DrainPlan { max_weight: 32, max_batch_weight: 32 })
+        );
     }
 
     #[test]
-    fn queue_ahead_reflects_each_discipline_ordering() {
+    fn queue_ahead_charges_interactive_only_for_interactive() {
+        let now = Instant::now();
         let pending = [
-            meta(RequestClass::Batch, 10, Duration::ZERO, LONG),
-            meta(RequestClass::Interactive, 2, Duration::ZERO, LONG),
+            meta(now, RequestClass::Batch, 10, Duration::ZERO, LONG),
+            meta(now, RequestClass::Interactive, 2, Duration::ZERO, LONG),
         ];
-        assert_eq!(Fifo.queue_ahead(&pending, RequestClass::Interactive), 12);
-        assert_eq!(StrictPriority.queue_ahead(&pending, RequestClass::Interactive), 2);
-        assert_eq!(SloAware.queue_ahead(&pending, RequestClass::Interactive), 2);
-        assert_eq!(SloAware.queue_ahead(&pending, RequestClass::Batch), 12);
-    }
-
-    #[test]
-    fn discipline_names_parse() {
-        for name in DISCIPLINES {
-            assert_eq!(parse_discipline(name).unwrap().name(), name);
-        }
-        assert!(parse_discipline("lifo").is_err());
+        assert_eq!(queue_ahead(&pending, RequestClass::Interactive), 2);
+        assert_eq!(queue_ahead(&pending, RequestClass::Batch), 12);
     }
 }

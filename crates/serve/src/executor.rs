@@ -1,6 +1,6 @@
 //! The SLO-aware batching executor: classed per-model queues drained by a
-//! worker pool under a pluggable [`QueueDiscipline`], with predictive
-//! admission control in front.
+//! worker pool under one drain rule (`discipline::decide`), with
+//! predictive admission control in front.
 //!
 //! This is where PR 3's blocked kernels get amortised across *clients*:
 //! up to [`MAX_SMSV_BLOCK`] vectors from concurrently queued requests
@@ -10,7 +10,7 @@
 //! ```text
 //! conn thread ──submit──► admission ──try_push──► ClassedQueue
 //!      │            (Busy: queue full, OR the        │
-//!      │             estimator projects a miss)      │ discipline.decide
+//!      │          sweep table projects a miss)       │ discipline::decide
 //!      │                                             ▼
 //!      ◄──reply── worker: drain per DrainPlan, one smsv_block sweep
 //! ```
@@ -31,19 +31,15 @@
 //! another shard (counted in the stats `reactor.steals` gauge), so idle
 //! capacity still flows to the hot model instead of spinning.
 
-use crate::brownout::{BrownoutConfig, BrownoutController, BrownoutTransition, GATHER_DIVISOR};
-use crate::discipline::{Decision, DisciplineCtx, QueueDiscipline, SloAware};
+use crate::brownout::{BrownoutController, BrownoutTransition, GATHER_DIVISOR};
+use crate::discipline::{decide, queue_ahead, Decision, DisciplineCtx};
 use crate::fault::{FaultAction, FaultInjector, FaultSite};
-use crate::latency::{
-    calibrate_model, predict_backlog, AnalyticLatencyEstimator, TreeLatencyEstimator,
-};
 use crate::proto::{RequestClass, Response};
 use crate::queue::{ClassedQueue, DrainPlan, JobMeta, PushError};
 use crate::registry::{ModelHealth, ModelRegistry, ServedModel};
 use crate::stats::{FaultCounters, ServeStats};
 use dls_core::json::JsonValue;
 use dls_core::{LayoutScheduler, SelectionStrategy};
-use dls_learn::{featurize, NUM_FEATURES};
 use dls_sparse::{Format, SparseVec, TripletMatrix, MAX_SMSV_BLOCK};
 use dls_svm::PredictWorkspace;
 use std::collections::HashMap;
@@ -58,6 +54,10 @@ use std::time::{Duration, Instant};
 /// interactive 5 s; batch tolerates much more in exchange for throughput.
 const CLASS_SLO: [Duration; 2] = [Duration::from_secs(5), Duration::from_secs(30)];
 
+/// Fraction of each predict queue's capacity reserved for interactive jobs
+/// (batch admission stops early by this share).
+const INTERACTIVE_RESERVE: f64 = 0.25;
+
 /// Executor tuning knobs.
 #[derive(Clone)]
 pub struct ExecutorConfig {
@@ -66,24 +66,17 @@ pub struct ExecutorConfig {
     /// Capacity of each per-model queue (and the schedule queue); the
     /// backpressure bound.
     pub queue_capacity: usize,
-    /// Fraction of each queue's capacity reserved for interactive jobs
-    /// (batch admission stops early by this share), clamped to `[0, 1]`.
-    pub interactive_reserve: f64,
     /// How long a sweep may linger for more arrivals before launching.
-    /// Zero disables coalescing across requests. Disciplines may cut the
-    /// window short (or skip it) per their policy.
+    /// Zero disables coalescing across requests. The drain rule cuts the
+    /// window short when an interactive deadline needs it.
     pub gather: Duration,
     /// Cap on vectors coalesced into one blocked sweep. Values above
     /// [`MAX_SMSV_BLOCK`] still execute correctly (the kernels chunk
     /// internally) but add no further amortisation.
     pub max_block: usize,
-    /// The queue discipline deciding when and how to drain.
-    pub discipline: Arc<dyn QueueDiscipline>,
-    /// Calibrate a latency estimator at start-up and refuse requests whose
-    /// projected completion already misses their deadline.
-    pub predictive_admission: bool,
-    /// Brown-out thresholds (overload-triggered partial degradation).
-    pub brownout: BrownoutConfig,
+    /// Run the brown-out controller (overload-triggered partial
+    /// degradation, `crate::brownout`); `false` keeps it dormant.
+    pub brownout: bool,
     /// Fault injection for chaos runs; [`FaultInjector::none`] (the
     /// default) costs one branch per injection point.
     pub fault: FaultInjector,
@@ -99,11 +92,8 @@ impl std::fmt::Debug for ExecutorConfig {
         f.debug_struct("ExecutorConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("interactive_reserve", &self.interactive_reserve)
             .field("gather", &self.gather)
             .field("max_block", &self.max_block)
-            .field("discipline", &self.discipline.name())
-            .field("predictive_admission", &self.predictive_admission)
             .field("brownout", &self.brownout)
             .field("fault", &self.fault)
             .field("feedback", &self.feedback.is_some())
@@ -116,12 +106,9 @@ impl Default for ExecutorConfig {
         Self {
             workers: 2,
             queue_capacity: 128,
-            interactive_reserve: 0.25,
             gather: Duration::from_millis(1),
             max_block: MAX_SMSV_BLOCK,
-            discipline: Arc::new(SloAware),
-            predictive_admission: true,
-            brownout: BrownoutConfig::default(),
+            brownout: true,
             fault: FaultInjector::none(),
             feedback: None,
         }
@@ -163,12 +150,10 @@ impl WakeSignal {
     }
 }
 
-/// One served model with its queue and latency fingerprint.
+/// One served model with its queue.
 struct ModelLane {
     served: Arc<ServedModel>,
     queue: Arc<ClassedQueue<PredictJob>>,
-    /// `featurize`d matrix fingerprint; `None` for constant models.
-    feats: Option<[f64; NUM_FEATURES]>,
 }
 
 /// The batching executor. Shared between the acceptor side (submitting)
@@ -181,9 +166,6 @@ pub struct Executor {
     lanes: Vec<ModelLane>,
     model_index: HashMap<String, usize>,
     schedule_queue: Arc<ClassedQueue<ScheduleJob>>,
-    estimator: Option<TreeLatencyEstimator>,
-    /// The closed-form fallback admission uses while browned out.
-    analytic: AnalyticLatencyEstimator,
     /// Overload state machine; the atomic mirror below keeps hot paths
     /// lock-free.
     brownout: Mutex<BrownoutController>,
@@ -199,8 +181,7 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Builds the queues, calibrates the latency estimator (when
-    /// predictive admission is on), and spawns the worker pool.
+    /// Builds the queues and spawns the worker pool.
     pub fn start(
         registry: Arc<ModelRegistry>,
         scheduler: Arc<LayoutScheduler>,
@@ -209,24 +190,13 @@ impl Executor {
     ) -> Arc<Self> {
         let mut lanes = Vec::new();
         let mut model_index = HashMap::new();
-        let mut samples = Vec::new();
-        let mut ws = PredictWorkspace::new();
         for served in registry.iter() {
             model_index.insert(served.name().to_string(), lanes.len());
-            if config.predictive_admission {
-                samples.extend(calibrate_model(served, &mut ws));
-            }
             lanes.push(ModelLane {
                 served: Arc::clone(served),
-                queue: Arc::new(ClassedQueue::new(
-                    config.queue_capacity,
-                    config.interactive_reserve,
-                )),
-                feats: served.matrix_features().map(featurize),
+                queue: Arc::new(ClassedQueue::new(config.queue_capacity, INTERACTIVE_RESERVE)),
             });
         }
-        let estimator =
-            if config.predictive_admission { TreeLatencyEstimator::fit(&samples) } else { None };
         let exec = Arc::new(Self {
             registry,
             scheduler,
@@ -234,9 +204,7 @@ impl Executor {
             schedule_queue: Arc::new(ClassedQueue::new(config.queue_capacity, 0.0)),
             lanes,
             model_index,
-            estimator,
-            analytic: AnalyticLatencyEstimator::default(),
-            brownout: Mutex::new(BrownoutController::new(config.brownout.clone())),
+            brownout: Mutex::new(BrownoutController::new()),
             brownout_active: AtomicBool::new(false),
             wake: Arc::new(WakeSignal { seq: Mutex::new(0), cv: Condvar::new() }),
             paused: AtomicBool::new(false),
@@ -277,21 +245,10 @@ impl Executor {
         &self.stats
     }
 
-    /// The active queue discipline.
-    pub fn discipline(&self) -> &Arc<dyn QueueDiscipline> {
-        &self.config.discipline
-    }
-
     /// The fault injector threaded through the serving path (the server
     /// front end shares it for the connection I/O sites).
     pub fn fault(&self) -> &FaultInjector {
         &self.config.fault
-    }
-
-    /// Whether a latency estimator was calibrated (predictive admission
-    /// can only fire when this is true).
-    pub fn has_estimator(&self) -> bool {
-        self.estimator.is_some()
     }
 
     /// Whether the brown-out controller is currently shedding load.
@@ -324,20 +281,18 @@ impl Executor {
                 self.brownout_active.store(true, Ordering::SeqCst);
                 FaultCounters::bump(&self.stats.degrade.brownout_entries);
                 self.stats.degrade.brownout_active.store(1, Ordering::Relaxed);
-                self.stats.degrade.estimator_analytic.store(1, Ordering::Relaxed);
             }
             BrownoutTransition::Exited => {
                 self.brownout_active.store(false, Ordering::SeqCst);
                 FaultCounters::bump(&self.stats.degrade.brownout_exits);
                 self.stats.degrade.brownout_active.store(0, Ordering::Relaxed);
-                self.stats.degrade.estimator_analytic.store(0, Ordering::Relaxed);
             }
         }
     }
 
     /// Feeds one interactive completion to the brown-out controller.
     fn brownout_observe(&self, violated: bool) {
-        if !self.config.brownout.enabled {
+        if !self.config.brownout {
             return;
         }
         let pressure = self.queue_pressure();
@@ -352,7 +307,7 @@ impl Executor {
     /// Re-evaluates brown-out on queue pressure alone (called at submit,
     /// so a pressure spike engages shedding even while nothing completes).
     fn brownout_evaluate(&self) {
-        if !self.config.brownout.enabled {
+        if !self.config.brownout {
             return;
         }
         let pressure = self.queue_pressure();
@@ -361,8 +316,8 @@ impl Executor {
     }
 
     /// Liveness and degradation summary for the `Health` endpoint: overall
-    /// status, brown-out state, the estimator admission currently trusts,
-    /// and every model's rung on the health ladder.
+    /// status, brown-out state, and every model's rung on the health
+    /// ladder.
     pub fn health_json(&self) -> String {
         let models = self
             .registry
@@ -384,17 +339,9 @@ impl Executor {
         } else {
             "ok"
         };
-        let estimator = if brownout {
-            "analytic"
-        } else if self.estimator.is_some() {
-            "tree"
-        } else {
-            "none"
-        };
         JsonValue::obj([
             ("status", JsonValue::from(status)),
             ("brownout", JsonValue::from(brownout)),
-            ("estimator", JsonValue::from(estimator)),
             ("queue_pressure", JsonValue::from(self.queue_pressure())),
             ("models", JsonValue::Arr(models)),
         ])
@@ -420,9 +367,10 @@ impl Executor {
     }
 
     /// Predictive admission: projected completion is the gather window,
-    /// plus the backlog that runs ahead of this request under the active
-    /// discipline, plus the request's own sweep. `true` means "refuse
-    /// now" — the request is already doomed to miss its deadline.
+    /// plus the backlog that drains ahead of this request, plus the
+    /// request's own sweep, all from the model's measured sweep times.
+    /// `true` means "refuse now" — the request is already doomed to miss
+    /// its deadline.
     fn projected_miss(
         &self,
         lane: &ModelLane,
@@ -431,26 +379,12 @@ impl Executor {
         now: Instant,
         deadline: Instant,
     ) -> bool {
-        let Some(feats) = &lane.feats else {
+        let Some(sweeps) = lane.served.sweeps() else {
             return false;
         };
-        let ahead = self.config.discipline.queue_ahead(&lane.queue.pending(), class);
-        let total = ahead + weight;
-        let sweep = |batch| self.predict_sweep(feats, batch);
-        let Some(service) = predict_backlog(sweep, total, self.lane_block(lane)) else {
-            return false;
-        };
+        let ahead = queue_ahead(&lane.queue.pending(), class);
+        let service = sweeps.backlog(ahead + weight, self.lane_block(lane));
         now + self.effective_gather() + service > deadline
-    }
-
-    /// Predicted duration of one sweep of `batch` vectors; `None` without
-    /// an estimator. While browned out this is the pessimistic closed-form
-    /// estimator instead of the learned tree.
-    fn predict_sweep(&self, feats: &[f64; NUM_FEATURES], batch: usize) -> Option<Duration> {
-        if self.brownout_active.load(Ordering::Relaxed) {
-            return Some(self.analytic.predict_sweep(feats, batch));
-        }
-        self.estimator.as_ref().map(|est| est.predict_sweep(feats, batch))
     }
 
     /// Enqueues a predict request. `Ok` carries the receiver the reply
@@ -505,9 +439,7 @@ impl Executor {
         let now = Instant::now();
         let deadline = self.deadline(now, class, slo_us, deadline_ms);
         let weight = vectors.len().max(1);
-        if self.config.predictive_admission
-            && self.projected_miss(lane, class, weight, now, deadline)
-        {
+        if self.projected_miss(lane, class, weight, now, deadline) {
             self.stats.predict.record_busy();
             self.stats.class(class).record_busy_predicted();
             return Err(Response::Busy);
@@ -603,7 +535,7 @@ impl Executor {
         }
     }
 
-    /// Applies the discipline to one lane and runs any drained batch.
+    /// Applies the drain rule to one lane and runs any drained batch.
     /// Returns whether anything executed.
     fn service_lane(
         &self,
@@ -617,8 +549,8 @@ impl Executor {
             return false;
         }
         let plan = if draining {
-            // Shutdown is a drain, not a drop: skip the discipline's
-            // gather holds entirely.
+            // Shutdown is a drain, not a drop: skip the gather holds
+            // entirely.
             Some(DrainPlan::drain_all())
         } else {
             let ctx = DisciplineCtx {
@@ -627,7 +559,7 @@ impl Executor {
                 max_block: self.lane_block(lane),
                 est_block: self.est_block(lane),
             };
-            match self.config.discipline.decide(&pending, &ctx) {
+            match decide(&pending, &ctx) {
                 Decision::Drain(plan) => Some(plan),
                 Decision::Wait(d) => {
                     *next_wait = (*next_wait).min(d.max(Duration::from_micros(100)));
@@ -675,11 +607,8 @@ impl Executor {
                         }
                     }
                 }
-                for (_, job) in self.schedule_queue.drain(&DrainPlan {
-                    order: crate::queue::DrainOrder::Arrival,
-                    max_weight: 1,
-                    max_batch_weight: 1,
-                }) {
+                let one = DrainPlan { max_weight: 1, max_batch_weight: 1 };
+                for (_, job) in self.schedule_queue.drain(&one) {
                     self.run_schedule(job);
                     self.notify_completions();
                     worked = true;
@@ -694,11 +623,10 @@ impl Executor {
         }
     }
 
-    /// Predicted full-block sweep time for a lane (the SLO discipline's
-    /// slack discount); zero without an estimator.
+    /// Measured full-block sweep time for a lane (the drain rule's slack
+    /// discount); zero for constant models.
     fn est_block(&self, lane: &ModelLane) -> Duration {
-        let feats = lane.feats.as_ref();
-        feats.and_then(|f| self.predict_sweep(f, self.lane_block(lane))).unwrap_or_default()
+        lane.served.sweeps().map_or(Duration::ZERO, |t| t.sweep_time(self.lane_block(lane)))
     }
 
     /// The coalescing cap for one lane: the scheduler's tuned block for the
@@ -862,7 +790,6 @@ pub fn parse_strategy(name: &str) -> Result<Option<SelectionStrategy>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discipline::{Fifo, StrictPriority};
     use crate::registry::ServedModel;
     use dls_svm::{KernelKind, SvmModel};
 
@@ -922,7 +849,6 @@ mod tests {
     fn paused_queues_fill_then_refuse_with_busy() {
         let exec = start(ExecutorConfig {
             queue_capacity: 2,
-            interactive_reserve: 0.0,
             gather: Duration::ZERO,
             ..Default::default()
         });
@@ -943,9 +869,7 @@ mod tests {
     fn batch_backlog_cannot_starve_interactive_submission() {
         let exec = start(ExecutorConfig {
             queue_capacity: 4,
-            interactive_reserve: 0.25,
             gather: Duration::ZERO,
-            predictive_admission: false,
             ..Default::default()
         });
         exec.pause(true);
@@ -1035,17 +959,11 @@ mod tests {
         let model = SvmModel::new(KernelKind::Linear, svs, vec![1.0, -1.0, 0.5], 0.1);
         let registry =
             Arc::new(ModelRegistry::new().with(ServedModel::new("toy", model, &scheduler)));
-        // Predictive admission off: calibration sweeps would otherwise put
-        // full-size probe batches into the histogram being pinned.
         let exec = Executor::start(
             registry,
             Arc::new(LayoutScheduler::new()),
             Arc::new(ServeStats::new()),
-            ExecutorConfig {
-                gather: Duration::ZERO,
-                predictive_admission: false,
-                ..Default::default()
-            },
+            ExecutorConfig { gather: Duration::ZERO, ..Default::default() },
         );
         let served = exec.registry().get("toy").unwrap().clone();
         assert_eq!(served.report().map(|r| r.block), Some(2), "tuned block reaches the lane");
@@ -1070,56 +988,33 @@ mod tests {
         exec.shutdown();
     }
 
-    /// Satellite test (a): under a batch flood, the SLO-aware discipline
-    /// answers the late-arriving interactive request before the earlier
-    /// batch jobs, while FIFO answers it last. With one worker and a
+    /// Under a batch flood the late-arriving interactive request is
+    /// answered before the earlier batch jobs. With one worker and a
     /// paused-then-released executor the completion *order* is
     /// deterministic, so the pin needs no cross-run timing comparisons.
     #[test]
-    fn interactive_jumps_the_batch_flood_under_slo_but_not_fifo() {
-        let flood = |discipline: Arc<dyn QueueDiscipline>| {
-            let exec = start(ExecutorConfig {
-                workers: 1,
-                max_block: 2,
-                gather: Duration::ZERO,
-                discipline,
-                predictive_admission: false,
-                ..Default::default()
-            });
-            exec.pause(true);
-            let batch_rxs: Vec<_> = (0..3)
-                .map(|_| {
-                    let vs = vec![
-                        SparseVec::new(6, vec![0], vec![1.0]),
-                        SparseVec::new(6, vec![1], vec![1.0]),
-                    ];
-                    exec.submit_predict("toy", vs, RequestClass::Batch, 0, 0).unwrap()
-                })
-                .collect();
-            let int_rx =
-                submit_interactive(&exec, vec![SparseVec::new(6, vec![2], vec![1.0])], 0).unwrap();
-            exec.pause(false);
-            (exec, batch_rxs, int_rx)
-        };
-
-        // FIFO: by the time the interactive reply exists, every batch
-        // reply (all enqueued earlier) must already have been sent.
-        let (exec, batch_rxs, int_rx) = flood(Arc::new(Fifo));
-        assert!(matches!(
-            int_rx.recv_timeout(Duration::from_secs(5)),
-            Ok(Response::Predictions(_))
-        ));
-        for rx in &batch_rxs {
-            assert!(
-                matches!(rx.try_recv(), Ok(Response::Predictions(_))),
-                "fifo left batch behind"
-            );
-        }
-        exec.shutdown();
-
-        // SLO-aware: by the time the *last* batch reply exists, the
-        // interactive reply must already have been sent.
-        let (exec, batch_rxs, int_rx) = flood(Arc::new(SloAware));
+    fn interactive_jumps_the_batch_flood() {
+        let exec = start(ExecutorConfig {
+            workers: 1,
+            max_block: 2,
+            gather: Duration::ZERO,
+            ..Default::default()
+        });
+        exec.pause(true);
+        let batch_rxs: Vec<_> = (0..3)
+            .map(|_| {
+                let vs = vec![
+                    SparseVec::new(6, vec![0], vec![1.0]),
+                    SparseVec::new(6, vec![1], vec![1.0]),
+                ];
+                exec.submit_predict("toy", vs, RequestClass::Batch, 0, 0).unwrap()
+            })
+            .collect();
+        let int_rx =
+            submit_interactive(&exec, vec![SparseVec::new(6, vec![2], vec![1.0])], 0).unwrap();
+        exec.pause(false);
+        // By the time the *last* batch reply exists, the interactive reply
+        // must already have been sent.
         for rx in &batch_rxs {
             assert!(matches!(
                 rx.recv_timeout(Duration::from_secs(5)),
@@ -1128,19 +1023,8 @@ mod tests {
         }
         assert!(
             matches!(int_rx.try_recv(), Ok(Response::Predictions(_))),
-            "slo discipline should answer interactive before the batch flood"
+            "interactive should be answered before the batch flood"
         );
-        exec.shutdown();
-
-        // Strict priority behaves like SLO-aware for ordering.
-        let (exec, batch_rxs, int_rx) = flood(Arc::new(StrictPriority));
-        for rx in &batch_rxs {
-            assert!(matches!(
-                rx.recv_timeout(Duration::from_secs(5)),
-                Ok(Response::Predictions(_))
-            ));
-        }
-        assert!(matches!(int_rx.try_recv(), Ok(Response::Predictions(_))));
         exec.shutdown();
     }
 
@@ -1148,9 +1032,8 @@ mod tests {
     /// projected completion (gather + predicted sweep) already misses its
     /// microsecond-scale SLO, before it ever queues.
     #[test]
-    fn predictive_admission_refuses_doomed_requests() {
+    fn admission_refuses_doomed_requests() {
         let exec = start(ExecutorConfig::default());
-        assert!(exec.has_estimator(), "calibration should fit an estimator for toy");
         // 1 µs SLO: the 1 ms gather window alone dooms it.
         let resp = exec
             .submit_predict(
@@ -1182,28 +1065,54 @@ mod tests {
     /// One rule, in the executor: the gather window (what admission adds
     /// to a request's projected completion) divides by `GATHER_DIVISOR`
     /// exactly while browned out. An 80 ms window dooms a 40 ms SLO; once
-    /// queue pressure trips the controller the same request is admitted.
+    /// queue pressure reaches 0.75 (6 of 8 jobs parked) the controller
+    /// trips and the same request is admitted.
     #[test]
     fn effective_gather_shrinks_only_while_active() {
         let gather = Duration::from_millis(80);
-        let exec = start(ExecutorConfig {
-            gather,
-            queue_capacity: 8,
-            brownout: BrownoutConfig { enter_queue_pressure: 0.25, ..Default::default() },
-            ..Default::default()
-        });
+        let exec = start(ExecutorConfig { gather, queue_capacity: 8, ..Default::default() });
         exec.pause(true);
         let x = || vec![SparseVec::new(6, vec![0], vec![1.0])];
         let tight = || exec.submit_predict("toy", x(), RequestClass::Interactive, 40_000, 0);
         assert_eq!(exec.effective_gather(), gather);
         assert_eq!(tight().unwrap_err(), Response::Busy);
-        // Two parked jobs put pressure at 2/8; the next submission's
-        // re-evaluation enters brown-out before admission runs.
-        let _parked = [submit_interactive(&exec, x(), 0), submit_interactive(&exec, x(), 0)];
+        // Five parked jobs put pressure at 5/8: still below the threshold.
+        let mut parked: Vec<_> = (0..5).map(|_| submit_interactive(&exec, x(), 0)).collect();
+        assert_eq!(tight().unwrap_err(), Response::Busy);
+        assert!(!exec.is_browned_out());
+        // The sixth makes it 6/8, and the next submission's re-evaluation
+        // enters brown-out before admission runs.
+        parked.push(submit_interactive(&exec, x(), 0));
         let admitted = tight();
         assert!(exec.is_browned_out());
         assert_eq!(exec.effective_gather(), gather / 8);
-        assert!(admitted.is_ok(), "10 ms window + analytic sweep fits a 40 ms SLO");
+        assert!(admitted.is_ok(), "10 ms window + measured sweeps fit a 40 ms SLO");
+        exec.shutdown();
+    }
+
+    /// With the brown-out switch off, the same pressure sheds nothing.
+    #[test]
+    fn brownout_off_never_sheds() {
+        let exec = start(ExecutorConfig {
+            queue_capacity: 8,
+            gather: Duration::ZERO,
+            brownout: false,
+            ..Default::default()
+        });
+        exec.pause(true);
+        let x = || vec![SparseVec::new(6, vec![0], vec![1.0])];
+        let parked: Vec<_> = (0..6).map(|_| submit_interactive(&exec, x(), 0).unwrap()).collect();
+        let batch = exec.submit_predict("toy", x(), RequestClass::Batch, 0, 0);
+        assert!(batch.is_ok(), "batch shed with brown-out off");
+        assert!(!exec.is_browned_out());
+        exec.pause(false);
+        for rx in parked.iter().chain(batch.as_ref().ok()) {
+            assert!(matches!(
+                rx.recv_timeout(Duration::from_secs(5)),
+                Ok(Response::Predictions(_))
+            ));
+        }
+        assert_eq!(exec.stats().degrade.brownout_entries.load(Ordering::Relaxed), 0);
         exec.shutdown();
     }
 

@@ -13,17 +13,15 @@
 //!
 //! Coalescing is great for throughput but blind to urgency, so requests
 //! carry a *class* ([`proto::RequestClass`]: interactive or batch) and an
-//! optional per-request SLO on the wire. A pluggable
-//! [`discipline::QueueDiscipline`] decides when the gather window breaks
-//! and in what order classed queues drain — FIFO, strict priority, or the
-//! default [`discipline::SloAware`], which holds the window only while no
-//! queued interactive request would miss its deadline. A latency estimator
-//! ([`latency::TreeLatencyEstimator`], a `dls-learn` CART regression over
-//! the paper's nine influencing parameters plus batch size, calibrated
-//! against real sweeps at start-up) feeds both that slack computation and
-//! predictive admission control: requests whose projected completion
-//! already overshoots their deadline are refused with `Busy` at submit
-//! time instead of timing out in the queue.
+//! optional per-request SLO on the wire. One drain rule decides when the
+//! gather window breaks: it is held only while no queued interactive
+//! request would miss its deadline, and queues drain interactive first.
+//! Each served model's sweep times are measured when it is registered
+//! ([`latency::SweepTable`]: real blocked sweeps of its own scheduled
+//! matrix at six batch sizes), and that table feeds both the slack
+//! computation and predictive admission control: requests whose projected
+//! completion already overshoots their deadline are refused with `Busy` at
+//! submit time instead of timing out in the queue.
 //!
 //! The service is std-only: a hand-rolled length-prefixed wire protocol
 //! ([`proto`]), bounded per-model classed queues with reject-don't-buffer
@@ -41,10 +39,9 @@
 //! analytically-selected fallback layout → quarantined); the client side
 //! classifies failures ([`client::ClientError`]) and
 //! [`client::RetryClient`] reconnects with jittered exponential backoff
-//! under a retry budget; and a brown-out controller sheds batch load,
-//! shrinks the gather window, and swaps in the pessimistic
-//! [`latency::AnalyticLatencyEstimator`] when the interactive SLO
-//! violation rate or queue pressure crosses its threshold. Every fault
+//! under a retry budget; and a brown-out controller sheds batch load and
+//! shrinks the gather window when the interactive SLO violation rate or
+//! queue pressure crosses its threshold. Every fault
 //! and degradation event is counted in the stats JSON, and a `Health`
 //! request reports the live ladder.
 //!
@@ -73,12 +70,13 @@
 //!    |                          v
 //!    |                       executor (sharded worker pool + stealing,
 //!    |                          |       per-model ClassedQueues,
-//!    |                          |       QueueDiscipline, catch_unwind
+//!    |                          |       drain rule, catch_unwind
 //!    |                          |       panic isolation, BrownoutController)
 //!    |                          |  coalesce <= MAX_SMSV_BLOCK vectors
 //!    |                          v
 //!    |                       registry (ServedModel: scheduled +
 //!    |                          |       instrumented support matrix,
+//!    |                          |       measured sweep table,
 //!    |                          |       health ladder + fallback layout)
 //!    |                          v
 //!    '--- typed errors      svm::predict_batch_with -> sparse::smsv_block
@@ -86,7 +84,7 @@
 
 pub mod brownout;
 pub mod client;
-pub mod discipline;
+mod discipline;
 pub mod executor;
 pub mod fault;
 pub mod feedback;
@@ -98,25 +96,20 @@ pub mod registry;
 pub mod server;
 pub mod stats;
 
-pub use brownout::{BrownoutConfig, BrownoutController, BrownoutTransition};
+pub use brownout::{BrownoutController, BrownoutTransition};
 pub use client::{
     ClientError, PipelinedClient, PredictRequest, RetryClient, RetryPolicy, ScheduleRequest,
-};
-pub use discipline::{
-    parse_discipline, Decision, DisciplineCtx, Fifo, QueueDiscipline, SloAware, StrictPriority,
-    DISCIPLINES,
 };
 pub use executor::{Executor, ExecutorConfig};
 pub use fault::{
     FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultStream, SplitMix64,
 };
 pub use feedback::{retrain_outcome_name, FeedbackConfig, FeedbackHub, RetrainOutcome};
-pub use latency::{AnalyticLatencyEstimator, TreeLatencyEstimator};
 pub use proto::{
     decode_request_framed, decode_response_framed, encode_request_framed, encode_response_framed,
     proto_error_of, ProtoError, Request, RequestClass, Response, MAX_FRAME_LEN, PROTO_VERSION,
 };
-pub use queue::{ClassedQueue, DrainOrder, DrainPlan, JobMeta, PushError};
+pub use queue::{ClassedQueue, DrainPlan, JobMeta, PushError};
 pub use registry::{ModelHealth, ModelRegistry, ServedModel, QUARANTINE_PANICS};
 pub use server::{start, Frontend, ServerConfig, ServerHandle};
 pub use stats::{

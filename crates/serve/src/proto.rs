@@ -34,7 +34,7 @@ pub const PROTO_VERSION: u8 = 3;
 /// The traffic class a predict request belongs to. Classes are the unit
 /// SLOs attach to: interactive requests expect sub-millisecond-to-
 /// millisecond answers, batch scoring tolerates much more in exchange for
-/// throughput. The queue disciplines in `serve::discipline` key on this.
+/// throughput. The executor's drain rule keys on this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RequestClass {
     /// Latency-sensitive traffic (the default).
@@ -135,7 +135,7 @@ pub enum Request {
         /// queued past their effective deadline get
         /// [`Response::TimedOut`] instead of occupying a worker.
         deadline_ms: u32,
-        /// Traffic class the SLO and queue discipline key on.
+        /// Traffic class the SLO and the drain rule key on.
         class: RequestClass,
         /// Per-request SLO in microseconds from arrival; `0` falls back to
         /// `deadline_ms`, then to the server's per-class default.

@@ -1,14 +1,11 @@
 //! Classed, bounded job storage with explicit backpressure.
 //!
 //! [`ClassedQueue`] is *pure storage*: it admits, counts, and drains jobs
-//! but holds **no scheduling policy**. When to drain, in what order, and
-//! how much batch work may ride along all live in the
-//! [`crate::discipline::QueueDiscipline`] implementations — the queue just
-//! executes a [`DrainPlan`] it is handed. (Before protocol v2 this module
-//! owned the gather-window policy; moving it out is what lets disciplines
-//! be swapped without touching storage.)
+//! but holds **no scheduling policy**. When to drain and how much batch
+//! work may ride along is the executor's drain rule; the queue just
+//! executes a [`DrainPlan`] it is handed.
 //!
-//! Two invariants are the queue's own:
+//! Three invariants are the queue's own:
 //!
 //! * **Reject, don't buffer** — [`ClassedQueue::try_push`] never blocks; a
 //!   full queue hands the job back so the caller can answer `Busy`.
@@ -16,6 +13,8 @@
 //!   `capacity - reserved` slots, so a batch-scoring flood can never
 //!   starve interactive admission (the latent unfairness of the old
 //!   single-lane `BoundedQueue`). Interactive jobs may use every slot.
+//! * **Interactive first** — a drain visits every queued interactive job
+//!   (by arrival) before any batch job.
 
 use crate::proto::RequestClass;
 use std::collections::VecDeque;
@@ -31,8 +30,8 @@ pub enum PushError<T> {
     Closed(T),
 }
 
-/// Scheduling-relevant facts about one queued job, visible to disciplines
-/// through [`ClassedQueue::pending`] without touching the job itself.
+/// Scheduling-relevant facts about one queued job, visible to the drain
+/// rule through [`ClassedQueue::pending`] without touching the job itself.
 #[derive(Debug, Clone, Copy)]
 pub struct JobMeta {
     /// Traffic class the job arrived with.
@@ -43,38 +42,25 @@ pub struct JobMeta {
     pub enqueued: Instant,
     /// When the job's answer stops being useful.
     pub deadline: Instant,
-    /// Global arrival number (lower = earlier), total across both lanes.
-    pub seq: u64,
 }
 
-/// The order a [`DrainPlan`] visits candidates in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainOrder {
-    /// Strict arrival order across both classes (FIFO).
-    Arrival,
-    /// Every queued interactive job (by arrival) before any batch job.
-    InteractiveFirst,
-}
-
-/// A discipline's instruction for one drain sweep.
+/// The drain rule's instruction for one interactive-first drain sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainPlan {
-    /// Candidate visiting order.
-    pub order: DrainOrder,
     /// Total weight budget for the sweep (the first job is always taken,
     /// so an oversized job still makes progress).
     pub max_weight: usize,
     /// Weight budget batch-class jobs may consume within `max_weight`. A
     /// value `>= max_weight` puts no extra limit on batch; `0` excludes
-    /// batch jobs from the sweep (unless a batch job is first in order and
-    /// nothing else is taken).
+    /// batch jobs from the sweep (unless no interactive job is queued and
+    /// the first batch job is taken alone).
     pub max_batch_weight: usize,
 }
 
 impl DrainPlan {
-    /// An unbounded arrival-order plan — what shutdown drains use.
+    /// An unbounded plan — what shutdown drains use.
     pub fn drain_all() -> Self {
-        Self { order: DrainOrder::Arrival, max_weight: usize::MAX, max_batch_weight: usize::MAX }
+        Self { max_weight: usize::MAX, max_batch_weight: usize::MAX }
     }
 }
 
@@ -82,7 +68,6 @@ struct Inner<T> {
     /// One FIFO lane per class, indexed by [`RequestClass::index`].
     lanes: [VecDeque<(JobMeta, T)>; 2],
     closed: bool,
-    next_seq: u64,
 }
 
 /// A fixed-capacity two-lane queue connecting connection handlers to
@@ -104,11 +89,7 @@ impl<T> ClassedQueue<T> {
         let reserved = ((capacity as f64) * interactive_reserve.clamp(0.0, 1.0)).ceil() as usize;
         let batch_capacity = capacity.saturating_sub(reserved).max(1).min(capacity);
         Self {
-            inner: Mutex::new(Inner {
-                lanes: [VecDeque::new(), VecDeque::new()],
-                closed: false,
-                next_seq: 0,
-            }),
+            inner: Mutex::new(Inner { lanes: [VecDeque::new(), VecDeque::new()], closed: false }),
             capacity,
             batch_capacity,
         }
@@ -161,48 +142,35 @@ impl<T> ClassedQueue<T> {
         if class == RequestClass::Batch && inner.lanes[class.index()].len() >= self.batch_capacity {
             return Err(PushError::Full(job));
         }
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let meta = JobMeta { class, weight: weight.max(1), enqueued, deadline, seq };
+        let meta = JobMeta { class, weight: weight.max(1), enqueued, deadline };
         inner.lanes[class.index()].push_back((meta, job));
         Ok(())
     }
 
-    /// A snapshot of every queued job's metadata, in arrival order — what
-    /// a discipline's `decide` sees.
+    /// A snapshot of every queued job's metadata, interactive jobs first,
+    /// each class in arrival order — what the drain rule sees.
     pub fn pending(&self) -> Vec<JobMeta> {
         let inner = self.inner.lock().expect("queue poisoned");
-        let mut out: Vec<JobMeta> = inner.lanes.iter().flatten().map(|(meta, _)| *meta).collect();
-        out.sort_by_key(|m| m.seq);
-        out
+        inner.lanes.iter().flatten().map(|(meta, _)| *meta).collect()
     }
 
-    /// Executes one drain sweep per `plan`: visits candidates in the
-    /// plan's order, takes jobs while they fit the total budget (batch
-    /// jobs must also fit the batch budget), and stops at the first job
-    /// that does not fit — no reordering *within* the chosen order. The
-    /// very first candidate is always taken so oversized jobs progress.
-    /// Returns an empty vec when nothing is queued.
+    /// Executes one drain sweep per `plan`: visits interactive jobs then
+    /// batch jobs, each in arrival order, takes jobs while they fit the
+    /// total budget (batch jobs must also fit the batch budget), and stops
+    /// at the first job that does not fit. The very first candidate is
+    /// always taken so oversized jobs progress. Returns the jobs in that
+    /// order, or an empty vec when nothing is queued.
     pub fn drain(&self, plan: &DrainPlan) -> Vec<(JobMeta, T)> {
         let mut inner = self.inner.lock().expect("queue poisoned");
-        // Count how many to take from each lane front. Both orders take a
+        // Count how many to take from each lane front: the sweep takes a
         // prefix of each lane, so selection reduces to two counts.
         let mut take = [0usize; 2];
         let mut used = 0usize;
         let mut batch_used = 0usize;
         let mut taken_any = false;
         loop {
-            // Peek the next candidate per the plan's order.
             let next_of = |lane: usize| inner.lanes[lane].get(take[lane]).map(|(m, _)| *m);
-            let (ia, ba) = (next_of(0), next_of(1));
-            let candidate = match plan.order {
-                DrainOrder::InteractiveFirst => ia.or(ba),
-                DrainOrder::Arrival => match (ia, ba) {
-                    (Some(a), Some(b)) => Some(if a.seq < b.seq { a } else { b }),
-                    (a, b) => a.or(b),
-                },
-            };
-            let Some(meta) = candidate else { break };
+            let Some(meta) = next_of(0).or_else(|| next_of(1)) else { break };
             let w = meta.weight;
             if taken_any {
                 if used.saturating_add(w) > plan.max_weight {
@@ -226,14 +194,8 @@ impl<T> ClassedQueue<T> {
         }
         let mut out: Vec<(JobMeta, T)> = Vec::with_capacity(take[0] + take[1]);
         for (lane, &count) in take.iter().enumerate() {
-            for _ in 0..count {
-                out.push(inner.lanes[lane].pop_front().expect("counted above"));
-            }
+            out.extend(inner.lanes[lane].drain(..count));
         }
-        out.sort_by_key(|(m, _)| match plan.order {
-            DrainOrder::Arrival => (0, m.seq),
-            DrainOrder::InteractiveFirst => (m.class.index(), m.seq),
-        });
         out
     }
 
@@ -298,23 +260,12 @@ mod tests {
     }
 
     #[test]
-    fn arrival_order_interleaves_classes_by_seq() {
-        let q = ClassedQueue::new(8, 0.25);
-        push(&q, 0, RequestClass::Batch, 1);
-        push(&q, 1, RequestClass::Interactive, 1);
-        push(&q, 2, RequestClass::Batch, 1);
-        let plan = DrainPlan { order: DrainOrder::Arrival, max_weight: 8, max_batch_weight: 8 };
-        assert_eq!(drained(&q, &plan), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn interactive_first_reorders_across_classes() {
         let q = ClassedQueue::new(8, 0.25);
         push(&q, 0, RequestClass::Batch, 1);
         push(&q, 1, RequestClass::Batch, 1);
         push(&q, 2, RequestClass::Interactive, 1);
-        let plan =
-            DrainPlan { order: DrainOrder::InteractiveFirst, max_weight: 8, max_batch_weight: 8 };
+        let plan = DrainPlan { max_weight: 8, max_batch_weight: 8 };
         assert_eq!(drained(&q, &plan), vec![2, 0, 1]);
     }
 
@@ -326,11 +277,11 @@ mod tests {
         }
         // Budget 5 with each job weighing 2: jobs 0 and 1 fit, job 2 would
         // exceed, 4 stay queued.
-        let plan = DrainPlan { order: DrainOrder::Arrival, max_weight: 5, max_batch_weight: 5 };
+        let plan = DrainPlan { max_weight: 5, max_batch_weight: 5 };
         assert_eq!(drained(&q, &plan), vec![0, 1]);
         assert_eq!(q.len(), 4);
         // An oversized first job is still taken alone.
-        let plan = DrainPlan { order: DrainOrder::Arrival, max_weight: 1, max_batch_weight: 0 };
+        let plan = DrainPlan { max_weight: 1, max_batch_weight: 0 };
         assert_eq!(drained(&q, &plan), vec![2]);
         // A batch budget below a job's weight stops the sweep after any
         // interactive prefix.
@@ -338,23 +289,27 @@ mod tests {
         push(&q2, 0, RequestClass::Interactive, 1);
         push(&q2, 1, RequestClass::Batch, 3);
         push(&q2, 2, RequestClass::Batch, 3);
-        let plan =
-            DrainPlan { order: DrainOrder::InteractiveFirst, max_weight: 16, max_batch_weight: 3 };
+        let plan = DrainPlan { max_weight: 16, max_batch_weight: 3 };
         assert_eq!(drained(&q2, &plan), vec![0, 1]);
         assert_eq!(q2.len(), 1);
     }
 
     #[test]
-    fn pending_reports_arrival_order_metadata() {
+    fn pending_reports_interactive_first_metadata() {
         let q = ClassedQueue::new(8, 0.25);
         push(&q, 0, RequestClass::Batch, 4);
         push(&q, 1, RequestClass::Interactive, 1);
+        push(&q, 2, RequestClass::Interactive, 2);
         let pending = q.pending();
-        assert_eq!(pending.len(), 2);
-        assert_eq!(pending[0].class, RequestClass::Batch);
-        assert_eq!(pending[0].weight, 4);
-        assert_eq!(pending[1].class, RequestClass::Interactive);
-        assert!(pending[0].seq < pending[1].seq);
+        let seen: Vec<_> = pending.iter().map(|m| (m.class, m.weight)).collect();
+        assert_eq!(
+            seen,
+            [
+                (RequestClass::Interactive, 1),
+                (RequestClass::Interactive, 2),
+                (RequestClass::Batch, 4)
+            ]
+        );
     }
 
     #[test]

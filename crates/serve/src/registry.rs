@@ -6,8 +6,11 @@
 //! heterogeneous layouts, the paper's thesis applied across requests), and
 //! the matrix is wrapped in an [`InstrumentedMatrix`] so every predict
 //! batch feeds per-model [`SmsvCounters`] — including the block-size
-//! histogram the `Stats` endpoint exposes.
+//! histogram the `Stats` endpoint exposes. Before the wrap, the bare matrix
+//! is timed into the model's [`SweepTable`], so those probes stay out of
+//! the counters.
 
+use crate::latency::SweepTable;
 use dls_core::{LayoutScheduler, SelectionReport, SelectionStrategy};
 use dls_sparse::{
     Format, InstrumentedMatrix, MatrixFeatures, MatrixFormat, SmsvCounters, SparseVec,
@@ -61,9 +64,11 @@ pub struct ServedModel {
     matrix: Option<InstrumentedMatrix>,
     counters: Arc<SmsvCounters>,
     report: Option<SelectionReport>,
-    /// The support matrix's nine influencing parameters — the latency
-    /// estimator's per-model fingerprint.
+    /// The support matrix's nine influencing parameters, recorded with
+    /// every sweep the feedback hub observes.
     features: Option<MatrixFeatures>,
+    /// Measured sweep times of the scheduled matrix.
+    sweeps: Option<SweepTable>,
     dim: usize,
     /// Current [`ModelHealth`] rung (atomic so the hot path reads it with
     /// one relaxed load).
@@ -76,26 +81,30 @@ pub struct ServedModel {
 
 impl ServedModel {
     /// Prepares `model` for serving: lowers the support vectors, runs the
-    /// scheduler on them, and wires up fresh counters.
+    /// scheduler on them, times the scheduled matrix, and wires up fresh
+    /// counters.
     pub fn new(name: impl Into<String>, model: SvmModel, scheduler: &LayoutScheduler) -> Self {
         let counters = SmsvCounters::shared();
         let sv_rows = model.support_matrix(PredictWorkspace::CACHE_FORMAT);
-        let (matrix, report, features, dim) = match sv_rows {
+        let (matrix, report, features, sweeps, dim) = match sv_rows {
             Some(m) => {
                 let t = m.to_triplets().compact();
                 let features = MatrixFeatures::from_triplets(&t);
                 let scheduled = scheduler.schedule(&t);
                 let report = scheduled.report().clone();
                 let dim = m.cols();
+                let matrix = scheduled.into_matrix();
+                let sweeps = SweepTable::measure(&model, &matrix, dim);
                 (
-                    Some(InstrumentedMatrix::new(scheduled.into_matrix(), Arc::clone(&counters))),
+                    Some(InstrumentedMatrix::new(matrix, Arc::clone(&counters))),
                     Some(report),
                     Some(features),
+                    Some(sweeps),
                     dim,
                 )
             }
             // A model with no support vectors predicts a constant.
-            None => (None, None, None, 0),
+            None => (None, None, None, None, 0),
         };
         Self {
             name: name.into(),
@@ -104,6 +113,7 @@ impl ServedModel {
             counters,
             report,
             features,
+            sweeps,
             dim,
             health: AtomicU8::new(ModelHealth::Healthy as u8),
             panics: AtomicU64::new(0),
@@ -140,6 +150,12 @@ impl ServedModel {
     /// `None` for constant models.
     pub fn matrix_features(&self) -> Option<&MatrixFeatures> {
         self.features.as_ref()
+    }
+
+    /// The scheduled matrix's measured sweep times, `None` for constant
+    /// models (nothing to sweep, nothing worth admission-controlling).
+    pub fn sweeps(&self) -> Option<&SweepTable> {
+        self.sweeps.as_ref()
     }
 
     /// This model's live SMSV counters.
@@ -318,8 +334,10 @@ mod tests {
         for (x, &g) in xs.iter().zip(&got) {
             assert_eq!(g.to_bits(), served.model().decision_function(x).to_bits());
         }
-        // Predictions were metered into this model's counters.
-        assert!(served.counters().snapshot().total_calls() >= 2);
+        // Predictions were metered into this model's counters, and nothing
+        // else was: the sweep-table probes ran on the bare matrix.
+        assert!(served.sweeps().is_some());
+        assert_eq!(served.counters().snapshot().total_calls(), 2);
     }
 
     #[test]
@@ -328,6 +346,7 @@ mod tests {
         let model = SvmModel::new(KernelKind::Linear, vec![], vec![], -1.5);
         let served = ServedModel::new("const", model, &scheduler);
         assert_eq!(served.format(), None);
+        assert!(served.sweeps().is_none());
         let mut ws = PredictWorkspace::new();
         assert_eq!(served.predict(&[SparseVec::zeros(3)], &mut ws), vec![-1.5]);
         assert!(served.check_dim(&SparseVec::zeros(99)).is_ok());

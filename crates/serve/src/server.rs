@@ -168,20 +168,26 @@ impl ServerHandle {
 
 /// Starts a server: binds, spawns the executor's worker pool and the
 /// acceptor thread, returns immediately. A zero `read_timeout`,
-/// `write_timeout` or `idle_timeout` is `InvalidInput` under either front
-/// end.
+/// `write_timeout`, `idle_timeout` or feedback retrain `interval` is
+/// `InvalidInput` under either front end.
 pub fn start(
     registry: ModelRegistry,
     scheduler: LayoutScheduler,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     // A zero budget can only mean "close everything", and the two front
-    // ends would not even agree on when: refuse it before binding.
+    // ends would not even agree on when; a zero retrain interval turns the
+    // retrainer into a polling loop. Refuse them before binding.
+    let retrain =
+        config.executor.feedback.as_ref().map(|hub| ("feedback interval", hub.config().interval));
     for (name, budget) in [
         ("read_timeout", config.read_timeout),
         ("write_timeout", config.write_timeout),
         ("idle_timeout", config.idle_timeout),
-    ] {
+    ]
+    .into_iter()
+    .chain(retrain)
+    {
         if budget.is_zero() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,

@@ -148,8 +148,9 @@ pub struct ClassStats {
     /// Completions that missed the request's effective deadline — timeouts
     /// plus answers delivered late.
     pub slo_violations: AtomicU64,
-    /// Requests refused by predictive admission (the estimator projected a
-    /// miss before queueing). A subset of the global `busy` count.
+    /// Requests refused by predictive admission (the measured sweep times
+    /// projected a miss before queueing). A subset of the global `busy`
+    /// count.
     pub busy_predicted: AtomicU64,
     /// Enqueue-to-reply latency of successful requests of this class.
     pub latency: LatencyHistogram,
@@ -276,9 +277,6 @@ pub struct DegradeCounters {
     pub models_quarantined: AtomicU64,
     /// Gauge: 1 while the brown-out controller is active.
     pub brownout_active: AtomicU64,
-    /// Gauge: 1 while admission uses the analytic estimator instead of the
-    /// learned tree.
-    pub estimator_analytic: AtomicU64,
 }
 
 impl DegradeCounters {
@@ -291,7 +289,6 @@ impl DegradeCounters {
             ("models_degraded", get(&self.models_degraded)),
             ("models_quarantined", get(&self.models_quarantined)),
             ("brownout_active", get(&self.brownout_active)),
-            ("estimator_analytic", get(&self.estimator_analytic)),
         ])
     }
 }

@@ -14,8 +14,9 @@ use dls_serve::proto::{
     read_frame, write_frame, Request, RequestClass, Response, PROTO_VERSION,
 };
 use dls_serve::{
-    start, ClientError, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient, PredictRequest,
-    RetryClient, RetryPolicy, ServedModel, ServerConfig, ServerHandle,
+    start, ClientError, ExecutorConfig, FeedbackConfig, FeedbackHub, Frontend, ModelRegistry,
+    PipelinedClient, PredictRequest, RetryClient, RetryPolicy, ServedModel, ServerConfig,
+    ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -350,6 +351,25 @@ fn zero_time_budgets_are_refused_by_both_front_ends() {
             let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
             assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput), "{frontend}");
         }
+    }
+}
+
+/// A zero retrain interval turns the background retrainer into a polling
+/// loop that holds a core while the server is idle: refused the same way.
+#[test]
+fn zero_retrain_interval_is_refused_by_both_front_ends() {
+    for frontend in [Frontend::Threads, Frontend::Reactor] {
+        let hub = FeedbackHub::new(FeedbackConfig {
+            interval: Duration::ZERO,
+            background: false,
+            ..Default::default()
+        });
+        let executor = ExecutorConfig { feedback: Some(hub), ..Default::default() };
+        let config = ServerConfig { executor, frontend, ..Default::default() };
+        let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
+        let err = err.unwrap_or_else(|| panic!("{frontend}: a zero retrain interval was accepted"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{frontend}");
+        assert!(err.to_string().contains("feedback interval"), "{frontend}: {err}");
     }
 }
 

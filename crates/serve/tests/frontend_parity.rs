@@ -1,13 +1,12 @@
 //! The two front ends are interchangeable: a fixed smoke sequence (one of
 //! every request kind, then a Shutdown frame) lands the same counters on
-//! `threads` and `reactor` under every queue discipline.
+//! `threads` and `reactor`.
 
 use dls_core::json::JsonValue;
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    parse_discipline, start, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient,
-    PredictRequest, Request, RequestClass, Response, ScheduleRequest, ServedModel, ServerConfig,
-    DISCIPLINES,
+    start, Frontend, ModelRegistry, PipelinedClient, PredictRequest, Request, RequestClass,
+    Response, ScheduleRequest, ServedModel, ServerConfig,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -27,17 +26,13 @@ const PARITY: [&str; 9] = [
 ];
 
 /// Runs the smoke sequence and returns the [`PARITY`] counters.
-fn smoke(frontend: Frontend, discipline: &str) -> Vec<u64> {
+fn smoke(frontend: Frontend) -> Vec<u64> {
     let svs: Vec<SparseVec> =
         (0..5).map(|i| SparseVec::new(12, vec![i, i + 6], vec![1.0 + i as f64, -0.5])).collect();
     let model = SvmModel::new(KernelKind::Linear, svs, vec![1.0, -1.0, 0.5, -0.5, 0.25], 0.125);
     let registry =
         ModelRegistry::new().with(ServedModel::new("m", model.clone(), &LayoutScheduler::new()));
-    let executor = ExecutorConfig {
-        discipline: parse_discipline(discipline).expect("known discipline"),
-        ..Default::default()
-    };
-    let config = ServerConfig { executor, frontend, ..Default::default() };
+    let config = ServerConfig { frontend, ..Default::default() };
     let handle = start(registry, LayoutScheduler::new(), config).expect("bind loopback");
     let addr = handle.local_addr();
     let mut c = PipelinedClient::connect(addr).expect("connect");
@@ -51,7 +46,7 @@ fn smoke(frontend: Frontend, discipline: &str) -> Vec<u64> {
         .build();
     match c.send(&predict).expect("predict") {
         Response::Predictions(v) => assert_eq!((v.len(), v[0].to_bits()), (1, want)),
-        other => panic!("{frontend}/{discipline}: unexpected predict response {other:?}"),
+        other => panic!("{frontend}: unexpected predict response {other:?}"),
     }
     let sched = ScheduleRequest::builder(4, 4).entries([(0u64, 0u64, 1.0), (3, 3, 2.0)]).build();
     assert!(matches!(c.send(&sched).expect("schedule"), Response::Scheduled { .. }));
@@ -66,7 +61,7 @@ fn smoke(frontend: Frontend, discipline: &str) -> Vec<u64> {
             let health = dls_core::json::parse(&json).expect("valid health json");
             assert_eq!(health.get("status").and_then(JsonValue::as_str), Some("ok"));
         }
-        other => panic!("{frontend}/{discipline}: unexpected health response {other:?}"),
+        other => panic!("{frontend}: unexpected health response {other:?}"),
     }
     assert_eq!(c.shutdown().expect("shutdown"), Response::ShuttingDown);
     drop(c);
@@ -80,10 +75,8 @@ fn smoke(frontend: Frontend, discipline: &str) -> Vec<u64> {
 
 #[test]
 fn smoke_sequence_lands_the_same_counters_on_both_front_ends() {
-    for discipline in DISCIPLINES {
-        let threads = smoke(Frontend::Threads, discipline);
-        let reactor = smoke(Frontend::Reactor, discipline);
-        assert_eq!(threads, reactor, "{discipline}: stats-counter parity broken");
-        assert_eq!(threads[..3], [1, 1, 1], "{discipline}: predict, schedule, interactive ok");
-    }
+    let threads = smoke(Frontend::Threads);
+    let reactor = smoke(Frontend::Reactor);
+    assert_eq!(threads, reactor, "stats-counter parity broken");
+    assert_eq!(threads[..3], [1, 1, 1], "predict, schedule, interactive ok");
 }

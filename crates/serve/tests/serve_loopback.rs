@@ -97,6 +97,23 @@ fn wait_for_depth(addr: SocketAddr, want: u64) {
     }
 }
 
+/// Registration times each model's sweeps on the bare matrix, so a server
+/// that has answered nothing has metered nothing: no calls, an all-zero
+/// block histogram.
+#[test]
+fn a_fresh_server_reports_no_kernel_calls() {
+    let handle = serve(ServerConfig::default());
+    let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
+    let json = c.stats().expect("stats");
+    let doc = dls_core::json::parse(&json).expect("valid stats json");
+    let calls = doc.get("aggregate").and_then(|a| a.get("total_calls")).and_then(|v| v.as_u64());
+    assert_eq!(calls, Some(0), "{json}");
+    let hist = parse_block_hist(&json).expect("block hist");
+    assert!(hist.iter().all(|&n| n == 0), "block histogram of a fresh server: {hist:?}");
+    drop(c);
+    handle.shutdown();
+}
+
 #[test]
 fn concurrent_singles_coalesce_and_match_per_vector_predict() {
     let handle = serve(ServerConfig::default());

@@ -1,10 +1,10 @@
 //! Loopback tests for SLO-aware serving: classed requests with per-class
-//! telemetry, and each shipped queue discipline serving end to end.
+//! telemetry, and mixed-class traffic served end to end.
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    parse_discipline, start, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient,
-    PredictRequest, RequestClass, Response, ServedModel, ServerConfig, ServerHandle, DISCIPLINES,
+    start, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient, PredictRequest, RequestClass,
+    Response, ServedModel, ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -58,37 +58,29 @@ fn classes_land_on_their_own_ledgers() {
     handle.shutdown();
 }
 
-/// Every shipped discipline serves mixed-class traffic end to end under
-/// either front end (the scheduling *order* contracts live in the executor
-/// unit tests; this pins that each pairing is wireable and drains).
+/// Mixed-class traffic is served end to end under either front end (the
+/// scheduling *order* contracts live in the executor unit tests; this pins
+/// that each front end is wired to the drain rule and drains).
 #[test]
-fn every_discipline_serves_mixed_traffic() {
+fn mixed_traffic_serves_on_both_front_ends() {
     for frontend in [Frontend::Threads, Frontend::Reactor] {
-        for name in DISCIPLINES {
-            let executor = ExecutorConfig {
-                discipline: parse_discipline(name).expect("known discipline"),
-                gather: Duration::from_micros(200),
-                ..Default::default()
-            };
-            let handle = serve(executor, frontend);
-            assert_eq!(handle.executor().discipline().name(), name);
-            let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
-            for i in 0..4 {
-                let class =
-                    if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };
-                let req = PredictRequest::builder("m").vector(query(i)).class(class).build();
-                assert!(
-                    matches!(c.send(&req).expect("predict"), Response::Predictions(_)),
-                    "{frontend}/{name} failed request {i}"
-                );
-            }
-            let mut completed = 0;
-            for class in RequestClass::ALL {
-                completed += handle.stats().class(class).completed();
-            }
-            assert_eq!(completed, 4, "{frontend}/{name} lost requests");
-            drop(c);
-            handle.shutdown();
+        let executor = ExecutorConfig { gather: Duration::from_micros(200), ..Default::default() };
+        let handle = serve(executor, frontend);
+        let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
+        for i in 0..4 {
+            let class = if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };
+            let req = PredictRequest::builder("m").vector(query(i)).class(class).build();
+            assert!(
+                matches!(c.send(&req).expect("predict"), Response::Predictions(_)),
+                "{frontend} failed request {i}"
+            );
         }
+        let mut completed = 0;
+        for class in RequestClass::ALL {
+            completed += handle.stats().class(class).completed();
+        }
+        assert_eq!(completed, 4, "{frontend} lost requests");
+        drop(c);
+        handle.shutdown();
     }
 }

@@ -77,5 +77,7 @@ if grep -rnE 'Bcs[r]|Hy[b]|Jd[s]|include_derive[d]|with_derive[d]|has_blocked_ke
 if grep -rnE 'vendor/criterio[n]|criterio[n]:[:]|cargo benc[h]|repro_serv[e]|BENCH_serv[e]|bench\.s[h]|class_sl[o]|gather_diviso[r]|enter_violation_rat[e]|exit_violation_rat[e]|ring_capacit[y]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted in ISSUE 25 (SMO is Algorithm 1: five SmoParams fields, the SMSV pool and multiclass gone).
 if grep -rnE 'WorkingSetSelectio[n]|SecondOrde[r]|SmsvPoo[l]|par_smsv[_]|dls_sparse::paralle[l]|positive_weigh[t]|shrinkin[g]|block_siz[e]|Multiclas[s]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with the move to one serving policy (the queue disciplines, the latency tree and its analytic fallback, the brown-out knobs).
+if grep -rnE 'QueueDisciplin[e]|StrictPriorit[y]|parse_disciplin[e]|TreeLatencyEstimato[r]|AnalyticLatencyEstimato[r]|estimator_analyti[c]|BrownoutConfi[g]|predictive_admissio[n]|--disciplin[e]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 
 echo "==> ci OK"

@@ -14,7 +14,6 @@
 //!                                                   decisions across runs
 //! dls scale     <in.libsvm> <out.libsvm> [01|pm1]   feature scaling
 //! dls serve     [addr] [--models a,b]               host quick-trained models
-//!               [--discipline fifo|priority|slo]    (queue discipline, default slo)
 //!               [--frontend threads|reactor]        I/O front end: thread-per-conn
 //!               [--read-timeout-ms N]               or the epoll event loop with
 //!               [--idle-timeout-ms N]               out-of-order pipelining;
@@ -22,9 +21,11 @@
 //!                                                   fault-injection plan (demo)
 //!               [--online [--retrain-ms N]]         online learning: telemetry
 //!                                                   feeds a background retrainer
-//!                                                   that hot-swaps the selector
-//!                                                   (learned picks under 0.75
-//!                                                   confidence defer to the rules)
+//!                                                   (every N > 0 ms, default
+//!                                                   30 s) that hot-swaps the
+//!                                                   selector (learned picks under
+//!                                                   0.75 confidence defer to the
+//!                                                   rules)
 //! dls stats     --serve <addr> [--health]           live telemetry snapshot (or
 //!                                                   health ladder) from a
 //!                                                   running server, with an
@@ -269,13 +270,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.split(',').map(str::to_string).collect())
         .unwrap_or_else(|| vec!["adult".to_string(), "mnist".to_string()]);
-    let discipline = args
-        .iter()
-        .position(|a| a == "--discipline")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("slo");
-    let discipline = dls::serve::parse_discipline(discipline)?;
     let frontend: dls::serve::Frontend = args
         .iter()
         .position(|a| a == "--frontend")
@@ -286,28 +280,26 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         })
         .transpose()?
         .unwrap_or(dls::serve::Frontend::Threads);
+    // A zero budget closes every connection, and a zero retrain interval
+    // turns the retrainer into a polling loop; `dls_serve::start` refuses
+    // both, and the flag says so before any model is trained.
     let millis_flag = |name: &str| -> Result<Option<std::time::Duration>, String> {
         args.iter()
             .position(|a| a == name)
             .map(|i| {
                 args.get(i + 1)
                     .and_then(|v| v.parse::<u64>().ok())
+                    .filter(|&ms| ms > 0)
                     .map(std::time::Duration::from_millis)
-                    .ok_or_else(|| format!("serve: {name} needs a millisecond count"))
+                    .ok_or_else(|| {
+                        format!("serve: {name} needs a millisecond count greater than zero")
+                    })
             })
             .transpose()
     };
-    // A zero budget closes every connection; `dls_serve::start` refuses it,
-    // and the flag says so before any model is trained.
-    let timeout_flag = |name: &str| match millis_flag(name)? {
-        Some(d) if d.is_zero() => {
-            Err(format!("serve: {name} needs a millisecond count greater than zero"))
-        }
-        other => Ok(other),
-    };
-    let read_timeout = timeout_flag("--read-timeout-ms")?;
-    let write_timeout = timeout_flag("--write-timeout-ms")?;
-    let idle_timeout = timeout_flag("--idle-timeout-ms")?;
+    let read_timeout = millis_flag("--read-timeout-ms")?;
+    let write_timeout = millis_flag("--write-timeout-ms")?;
+    let idle_timeout = millis_flag("--idle-timeout-ms")?;
     let no_brownout = args.iter().any(|a| a == "--no-brownout");
     let chaos_seed: Option<u64> = args
         .iter()
@@ -320,6 +312,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .transpose()?;
     let online = args.iter().any(|a| a == "--online");
     let retrain_interval = millis_flag("--retrain-ms")?;
+    if retrain_interval.is_some() && !online {
+        return Err("serve: --retrain-ms needs --online".to_string());
+    }
 
     let scheduler = LayoutScheduler::new();
     let mut registry = dls::serve::ModelRegistry::new();
@@ -353,8 +348,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         })
     });
     let executor = dls::serve::ExecutorConfig {
-        discipline,
-        brownout: dls::serve::BrownoutConfig { enabled: !no_brownout, ..Default::default() },
+        brownout: !no_brownout,
         fault,
         feedback: hub.clone(),
         ..Default::default()
@@ -383,10 +377,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "listening on {} (frontend: {}, queue discipline: {}, brown-out {})",
+        "listening on {} (frontend: {}, brown-out {})",
         handle.local_addr(),
         frontend,
-        handle.executor().discipline().name(),
         if no_brownout { "off" } else { "on" }
     );
     println!("telemetry: dls stats --serve {}  (add --health for the ladder)", handle.local_addr());

@@ -108,6 +108,21 @@ fn serve_rejects_zero_timeouts_under_either_frontend() {
     }
 }
 
+/// A zero retrain interval turns the retrainer into a polling loop, and a
+/// retrain interval without `--online` used to be ignored without a word:
+/// both are usage errors, before any model is trained.
+#[test]
+fn serve_refuses_a_zero_or_orphan_retrain_interval() {
+    let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--online", "--retrain-ms", "0"]);
+    assert!(!ok, "--retrain-ms 0 must not serve");
+    assert!(err.contains("--retrain-ms") && err.contains("greater than zero"), "{err}");
+    assert!(!out.contains("training"), "refused before training: {out}");
+    let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--retrain-ms", "500"]);
+    assert!(!ok, "--retrain-ms without --online must not serve");
+    assert!(err.contains("--retrain-ms needs --online"), "{err}");
+    assert!(!out.contains("training"), "refused before training: {out}");
+}
+
 /// A NaN or ±∞ feature value used to "converge" to a garbage model and
 /// exit 0: training refuses the file and names the row (0-based).
 #[test]
