@@ -9,11 +9,11 @@
 //!
 //! Usage: `repro_selector_learned [--quick] [--analytic] [--seed N]`
 
-use dls_core::{LayoutScheduler, SelectionStrategy};
-use dls_learn::{
-    evaluate, training_grid, DecisionTree, GridConfig, LabelMode, LabelSource, LearnedSelector,
-    ModelMeta, TrainedModel, TreeParams, HOLDOUT_STRIDE,
+use dls_core::{
+    DecisionTree, LayoutScheduler, LearnedSelector, ModelMeta, SelectionStrategy, TrainedModel,
+    TreeParams,
 };
+use dls_learn::{evaluate, training_grid, GridConfig, LabelMode, LabelSource, HOLDOUT_STRIDE};
 use dls_sparse::Format;
 
 fn main() {

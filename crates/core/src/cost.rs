@@ -15,48 +15,26 @@ use dls_sparse::{Format, MatrixFeatures, Scalar, TripletMatrix, MAX_SMSV_BLOCK};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostModelSelector {
     /// Per-format effective bandwidth used as the denominator of Eq. (7).
-    pub bandwidth: BandwidthProfile,
-    /// Kernel block size the consumer will use for batched SMSV
-    /// (`smsv_block`). `0` or `1` models the unblocked per-vector kernel;
-    /// larger values amortise the matrix stream over `block` right-hand
-    /// sides.
-    pub block: usize,
-    /// Learned per-format tuned block sizes, indexed by each format's
-    /// position in [`Format::ALL`]. A present non-zero entry overrides the
-    /// uniform `block` when pricing that format, so amortisation is priced
-    /// at the block size the kernel will actually run with rather than a
-    /// fixed engine-wide constant.
-    pub blocks: Option<[usize; Format::ALL.len()]>,
+    bandwidth: BandwidthProfile,
+}
+
+/// Index of the smallest score; ties go to the earlier index. The cost and
+/// empirical selectors and `dls-learn`'s labels all pick their winner here.
+pub fn argmin(scores: impl IntoIterator<Item = f64>) -> usize {
+    let mut scores = scores.into_iter().enumerate();
+    let Some((mut best, mut min)) = scores.next() else { return 0 };
+    for (i, s) in scores {
+        if s < min {
+            (best, min) = (i, s);
+        }
+    }
+    best
 }
 
 impl CostModelSelector {
     /// Creates a selector with a custom bandwidth profile.
     pub fn with_bandwidth(bandwidth: BandwidthProfile) -> Self {
-        Self { bandwidth, ..Default::default() }
-    }
-
-    /// Models a consumer that batches `block` SMSVs per matrix sweep.
-    pub fn with_block(mut self, block: usize) -> Self {
-        self.block = block;
-        self
-    }
-
-    /// Supplies learned per-format tuned block sizes (indexed by each
-    /// format's position in [`Format::ALL`]); a zero entry keeps the
-    /// uniform `block` for that format.
-    pub fn with_block_hints(mut self, blocks: [usize; Format::ALL.len()]) -> Self {
-        self.blocks = Some(blocks);
-        self
-    }
-
-    /// The block size used to price `format`: the tuned per-format hint
-    /// when one is present, the uniform consumer `block` otherwise.
-    pub fn effective_block(&self, format: Format) -> usize {
-        let hint = self.blocks.and_then(|bs| {
-            let k = Format::ALL.iter().position(|&f| f == format)?;
-            (bs[k] > 0).then_some(bs[k])
-        });
-        hint.unwrap_or(self.block).max(1)
+        Self { bandwidth }
     }
 
     /// Predicted seconds for one SMSV sweep in `format`.
@@ -64,54 +42,41 @@ impl CostModelSelector {
     /// Storage *elements* are converted to bytes: the value array streams
     /// 8-byte scalars and index arrays 8-byte words, so elements × 8 is the
     /// transferred volume Equation (7) divides by bandwidth.
-    /// With `block > 1` the matrix stream is amortised over the block: per
-    /// SMSV the transferred volume drops to `storage / block` plus the
-    /// per-vector workspace traffic (scatter + gather of one dense column
-    /// vector, `2·n` words) that cannot be amortised.
     pub fn predicted_time(&self, format: Format, f: &MatrixFeatures) -> f64 {
-        let elems = predicted_storage_elems(format, f);
-        let bytes = elems * std::mem::size_of::<Scalar>() as f64;
-        let b = self.effective_block(format);
-        if b > 1 {
-            let vector_bytes = 2.0 * f.n as f64 * std::mem::size_of::<Scalar>() as f64;
-            (bytes / b as f64 + vector_bytes) / self.bandwidth.bytes_per_sec(format)
-        } else {
-            bytes / self.bandwidth.bytes_per_sec(format)
-        }
+        let bytes = predicted_storage_elems(format, f) * std::mem::size_of::<Scalar>() as f64;
+        bytes / self.bandwidth.bytes_per_sec(format)
     }
 
-    /// Predicted times for every basic format (lower is better).
+    /// Predicted times for every basic format, in [`Format::BASIC`] order
+    /// (lower is better): the one place analytic per-format scores are
+    /// computed.
+    pub fn basic_times(&self, f: &MatrixFeatures) -> [f64; Format::BASIC.len()] {
+        Format::BASIC.map(|fmt| self.predicted_time(fmt, f))
+    }
+
+    /// [`CostModelSelector::basic_times`] as report scores.
     pub fn score_all(&self, f: &MatrixFeatures) -> Vec<FormatScore> {
         Format::BASIC
             .iter()
-            .map(|&fmt| FormatScore::new(fmt, self.predicted_time(fmt, f)))
+            .zip(self.basic_times(f))
+            .map(|(&fmt, t)| FormatScore::new(fmt, t))
             .collect()
     }
 }
 
 impl FormatSelector for CostModelSelector {
-    fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
-        let _ = t;
+    fn select(&self, _t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
         let scores = self.score_all(f);
-        let FormatScore { format: chosen, score: best } = scores
-            .iter()
-            .min_by(|a, b| a.score.partial_cmp(&b.score).expect("finite times"))
-            .copied()
-            .expect("five candidates");
-        // Batching consumers run the chosen format at the block the model
-        // priced; a selector that never priced blocking still reports the
-        // engine default so downstream coalescing is not throttled.
-        let block = if self.block > 1 || self.blocks.is_some() {
-            self.effective_block(chosen)
-        } else {
-            MAX_SMSV_BLOCK
-        };
+        let best = scores[argmin(scores.iter().map(|s| s.score))];
         SelectionReport {
-            chosen,
-            block,
+            chosen: best.format,
+            block: MAX_SMSV_BLOCK,
             features: *f,
             scores,
-            reason: format!("cost model: {:.2e} s predicted via Eq. (7) storage/bandwidth", best),
+            reason: format!(
+                "cost model: {:.2e} s predicted via Eq. (7) storage/bandwidth",
+                best.score
+            ),
         }
     }
 }
@@ -186,46 +151,19 @@ mod tests {
     }
 
     #[test]
-    fn blocking_cheapens_formats_with_blocked_kernels() {
+    fn basic_times_follow_basic_order_and_argmin_keeps_the_first_tie() {
         let f = features_of("adult", 1);
-        let flat = CostModelSelector::with_bandwidth(BandwidthProfile::FLAT);
-        let blocked = flat.with_block(8);
-        // Every format has a true blocked kernel, CSC included (its merged
-        // column sweep streams shared columns once per block).
-        for fmt in Format::ALL {
-            assert!(
-                blocked.predicted_time(fmt, &f) < flat.predicted_time(fmt, &f),
-                "{fmt}: amortised sweep must be cheaper"
-            );
+        let sel = CostModelSelector::with_bandwidth(BandwidthProfile::FLAT);
+        let times = sel.basic_times(&f);
+        for (fmt, (t, s)) in Format::BASIC.iter().zip(times.iter().zip(sel.score_all(&f))) {
+            assert_eq!(*t, sel.predicted_time(*fmt, &f), "{fmt}");
+            assert_eq!(s, FormatScore::new(*fmt, *t));
         }
-        // block = 1 must be exactly the unblocked model.
-        assert_eq!(
-            flat.with_block(1).predicted_time(Format::Csr, &f),
-            flat.predicted_time(Format::Csr, &f)
-        );
-    }
-
-    #[test]
-    fn block_hints_override_uniform_block_per_format() {
-        let f = features_of("adult", 1);
-        let flat = CostModelSelector::with_bandwidth(BandwidthProfile::FLAT);
-        let mut hints = [0usize; Format::ALL.len()];
-        let csr_at = Format::ALL.iter().position(|&x| x == Format::Csr).unwrap();
-        hints[csr_at] = 4;
-        let sel = flat.with_block(32).with_block_hints(hints);
-        assert_eq!(sel.effective_block(Format::Csr), 4);
-        // Zero entries fall back to the uniform block.
-        assert_eq!(sel.effective_block(Format::Ell), 32);
-        // Pricing CSR at block 4 must cost more than at block 32.
-        assert!(
-            sel.predicted_time(Format::Csr, &f)
-                > flat.with_block(32).predicted_time(Format::Csr, &f)
-        );
-        // The report carries the tuned block of the chosen format.
-        use crate::scheduler::FormatSelector;
-        let spec = dls_data::DatasetSpec::by_name("adult").unwrap();
-        let t = dls_data::generate(spec, 1);
-        let r = sel.select(&t, &f);
-        assert_eq!(r.block, sel.effective_block(r.chosen));
+        assert_eq!(argmin([3.0, 1.0, 2.0, 1.0]), 1);
+        assert_eq!(argmin([f64::NAN, 1.0]), 0, "nothing compares below NaN");
+        assert_eq!(argmin([]), 0);
+        // The report always carries the engine's default block.
+        let t = generate(DatasetSpec::by_name("adult").unwrap(), 1);
+        assert_eq!(sel.select(&t, &f).block, MAX_SMSV_BLOCK);
     }
 }

@@ -17,77 +17,58 @@ use crate::report::{rank_by_storage, SelectionReport};
 use crate::scheduler::FormatSelector;
 use dls_sparse::{Format, MatrixFeatures};
 
-/// Tunable thresholds of the rule system. Defaults are calibrated so the
-/// Table V datasets route to the paper's Table VI selections.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RuleThresholds {
-    /// DIA fires when `dnnz / min(M, N) >= dia_fill` (diagonals well
-    /// filled) — equivalently the DIA padding ratio is small.
-    pub dia_fill: f64,
-    /// DIA also requires `ndig <= dia_max_ndig_frac * (M + N - 1)`.
-    pub dia_max_ndig_frac: f64,
-    /// DEN fires when `density >= den_density`.
-    pub den_density: f64,
-    /// ELL fires when the padding ratio `1 - adim/mdim <= ell_max_padding`…
-    pub ell_max_padding: f64,
-    /// …and the row-length variance stays below `ell_max_vdim`.
-    pub ell_max_vdim: f64,
-    /// COO beats CSR when the index of dispersion `vdim / adim` exceeds
-    /// this (Fig. 4's crossover).
-    pub coo_dispersion: f64,
-}
+/// DIA fires when `dnnz / min(M, N)` reaches this (diagonals well filled,
+/// i.e. little DIA padding) …
+const DIA_FILL: f64 = 0.5;
+/// … and `ndig <= DIA_MAX_NDIG_FRAC * (M + N - 1)`.
+const DIA_MAX_NDIG_FRAC: f64 = 0.05;
+/// DEN fires at this density.
+const DEN_DENSITY: f64 = 0.30;
+/// ELL fires when the padding ratio `1 - adim/mdim` is at most this …
+const ELL_MAX_PADDING: f64 = 0.20;
+/// … and the row-length variance stays at most this.
+const ELL_MAX_VDIM: f64 = 25.0;
+/// COO beats lockstep CSR when the index of dispersion `vdim / adim`
+/// exceeds this (Fig. 4's crossover).
+const COO_DISPERSION: f64 = 5.0;
 
-impl Default for RuleThresholds {
-    fn default() -> Self {
-        Self {
-            dia_fill: 0.5,
-            dia_max_ndig_frac: 0.05,
-            den_density: 0.30,
-            ell_max_padding: 0.20,
-            ell_max_vdim: 25.0,
-            coo_dispersion: 5.0,
-        }
-    }
-}
-
-/// The paper's decision system over the nine influencing parameters.
-#[derive(Debug, Clone, Copy, Default)]
+/// The paper's decision system over the nine influencing parameters. The
+/// thresholds are calibrated so the Table V datasets route to the paper's
+/// Table VI selections.
+#[derive(Debug, Clone, Copy)]
 pub struct RuleBasedSelector {
-    /// Decision thresholds.
-    pub thresholds: RuleThresholds,
-    /// Target machine: the COO-over-CSR rule is a SIMD effect (Fig. 4)
-    /// and only fires on lane-lockstep machines.
-    pub machine: crate::MachineProfile,
+    /// Whether the target's CSR kernel runs rows in SIMD lockstep. The
+    /// COO-over-CSR rule (Fig. 4) exists because the paper's Ivy Bridge/MIC
+    /// CSR kernels do, and row-length imbalance starves their lanes; a
+    /// scalar CSR kernel has no lanes to starve.
+    lockstep_csr: bool,
+}
+
+impl Default for RuleBasedSelector {
+    /// The rules as the paper runs them, on its vectorised testbed (AVX
+    /// Ivy Bridge + 512-bit Xeon Phi): lockstep CSR.
+    fn default() -> Self {
+        Self { lockstep_csr: true }
+    }
 }
 
 impl RuleBasedSelector {
-    /// Creates a selector with custom thresholds.
-    pub fn with_thresholds(thresholds: RuleThresholds) -> Self {
-        Self { thresholds, ..Default::default() }
-    }
-
-    /// Creates a selector tuned for a specific machine profile. On scalar
-    /// machines the high-`vdim` rule keeps CSR (no lanes to starve);
-    /// on vectorised ones it prefers COO, like the paper.
-    pub fn for_machine(machine: crate::MachineProfile) -> Self {
-        Self { thresholds: RuleThresholds::default(), machine }
-    }
-
-    /// Selector adapted to the host this binary runs on.
+    /// The rules for the host this binary runs on. `dls_sparse`'s CSR SMSV
+    /// is a scalar scatter-gather loop whatever the ISA, so the high-`vdim`
+    /// rule keeps CSR instead of switching to COO.
     pub fn for_host() -> Self {
-        Self::for_machine(crate::MachineProfile::host())
+        Self { lockstep_csr: false }
     }
 
     /// Applies the ordered rules, returning the chosen format and reason.
     pub fn decide(&self, f: &MatrixFeatures) -> (Format, String) {
-        let th = &self.thresholds;
         if f.nnz == 0 {
             return (Format::Csr, "empty matrix: CSR by convention".into());
         }
         let min_mn = f.m.min(f.n) as f64;
         let diag_fill = if min_mn > 0.0 { f.dnnz / min_mn } else { 0.0 };
         let ndig_frac = f.ndig as f64 / (f.m + f.n - 1) as f64;
-        if diag_fill >= th.dia_fill && ndig_frac <= th.dia_max_ndig_frac {
+        if diag_fill >= DIA_FILL && ndig_frac <= DIA_MAX_NDIG_FRAC {
             return (
                 Format::Dia,
                 format!(
@@ -97,13 +78,13 @@ impl RuleBasedSelector {
                 ),
             );
         }
-        if f.density >= th.den_density {
+        if f.density >= DEN_DENSITY {
             return (
                 Format::Den,
                 format!("dense data: density {:.2} makes index arrays pure overhead", f.density),
             );
         }
-        if f.ell_padding_ratio() <= th.ell_max_padding && f.vdim <= th.ell_max_vdim {
+        if f.ell_padding_ratio() <= ELL_MAX_PADDING && f.vdim <= ELL_MAX_VDIM {
             return (
                 Format::Ell,
                 format!(
@@ -114,7 +95,7 @@ impl RuleBasedSelector {
             );
         }
         let dispersion = if f.adim > 0.0 { f.vdim / f.adim } else { 0.0 };
-        if dispersion > th.coo_dispersion && self.machine.csr_is_lane_lockstep() {
+        if dispersion > COO_DISPERSION && self.lockstep_csr {
             (
                 Format::Coo,
                 format!("imbalanced rows: vdim/adim {:.1} starves lockstep CSR lanes", dispersion),
@@ -224,10 +205,9 @@ mod tests {
         // switch mnist/sector to COO.
         for name in ["mnist", "sector"] {
             let f = features_of(name, 1);
-            let scalar = RuleBasedSelector::for_machine(crate::MachineProfile::SCALAR);
-            let (fmt, reason) = scalar.decide(&f);
+            let (fmt, reason) = RuleBasedSelector::for_host().decide(&f);
             assert_eq!(fmt, Format::Csr, "{name}: {reason}");
-            let paper = RuleBasedSelector::for_machine(crate::MachineProfile::PAPER_TESTBED);
+            let paper = RuleBasedSelector::default();
             assert_eq!(paper.decide(&f).0, Format::Coo, "{name} on the testbed");
         }
     }
@@ -237,18 +217,5 @@ mod tests {
         let f = features_of("adult", 4);
         let (fmt, _) = RuleBasedSelector::for_host().decide(&f);
         assert!(Format::BASIC.contains(&fmt));
-    }
-
-    #[test]
-    fn custom_thresholds_change_decisions() {
-        let f = features_of("connect-4", 1);
-        // Raising the density gate past 0.336 pushes connect-4 to ELL
-        // (its rows are perfectly uniform).
-        let strict = RuleBasedSelector::with_thresholds(RuleThresholds {
-            den_density: 0.9,
-            ..Default::default()
-        });
-        let (fmt, _) = strict.decide(&f);
-        assert_eq!(fmt, Format::Ell);
     }
 }

@@ -7,7 +7,7 @@
 //! influencing parameters of Table IV, and selects the storage format —
 //! DEN, CSR, COO, ELL or DIA — that the SMO kernels should run on.
 //!
-//! Three interchangeable selection strategies are provided:
+//! Every selection strategy lives here:
 //!
 //! * [`RuleBasedSelector`] — the paper's decision system: ordered rules over
 //!   the influencing parameters (DIA fitness, density, ELL padding, row
@@ -16,6 +16,9 @@
 //!   the per-format effective bandwidth (Equation 7 of the paper).
 //! * [`EmpiricalSelector`] — micro-benchmark: materialise each candidate on
 //!   a row sample and time real SMSV products, pick the fastest.
+//! * [`LearnedSelector`] — a trained CART model ([`tree`]) over the
+//!   featurised parameters ([`features`]), loaded from its JSON document
+//!   ([`persist`]). `dls-learn` builds the training data and trains it.
 //!
 //! [`LayoutScheduler`] wires a strategy to the conversion machinery and
 //! produces a [`ScheduledMatrix`] ready for `dls_svm::train`.
@@ -24,21 +27,28 @@ pub mod bandwidth;
 pub mod cost;
 pub mod decision;
 pub mod empirical;
+pub mod features;
 pub mod json;
-pub mod machine;
+pub mod learned;
 pub mod monitor;
+pub mod persist;
 pub mod reactive;
 pub mod report;
 pub mod scheduler;
 pub mod swap;
+pub mod tree;
 pub mod tuning_cache;
 
 pub use bandwidth::BandwidthProfile;
 pub use cost::CostModelSelector;
 pub use decision::RuleBasedSelector;
 pub use empirical::EmpiricalSelector;
-pub use machine::MachineProfile;
+pub use features::{featurize, FEATURE_NAMES, NUM_FEATURES};
+pub use learned::{LearnedSelector, DEFAULT_MIN_CONFIDENCE};
 pub use monitor::{FormatTelemetry, KernelMonitor, TelemetrySnapshot, WindowRecord};
+pub use persist::{
+    BlockModel, BlockSample, ModelError, ModelMeta, TrainedModel, MIN_MODEL_VERSION, MODEL_VERSION,
+};
 pub use reactive::{
     MispredictDetector, ReactiveConfig, ReactiveReport, ReactiveScheduler, SwitchEvent,
 };
@@ -47,4 +57,5 @@ pub use scheduler::{
     FixedSelector, FormatSelector, LayoutScheduler, ScheduledMatrix, SelectionStrategy,
 };
 pub use swap::SwappableSelector;
-pub use tuning_cache::{FeatureFingerprint, TuningCache};
+pub use tree::{gini, DecisionTree, Node, RegressionTree, Target, Tree, TreeParams};
+pub use tuning_cache::TuningCache;

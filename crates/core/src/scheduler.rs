@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 /// A pluggable selection policy.
 ///
-/// `Send + Sync` so schedulers can be shared across training threads and
-/// held by the reactive monitor.
+/// `Send + Sync` so one scheduler can be shared across training and
+/// serving threads (a `ReactiveScheduler` holds a [`LayoutScheduler`]).
 pub trait FormatSelector: Send + Sync {
     /// Chooses a format for the matrix, returning the full report.
     fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport;
@@ -42,8 +42,9 @@ pub enum SelectionStrategy {
     /// tuned for the paper's vectorised testbed).
     #[default]
     RuleBased,
-    /// The same rules instantiated for the machine this binary runs on
-    /// (SIMD-conditional COO rule — see [`crate::MachineProfile`]).
+    /// The same rules for the machine this binary runs on, whose scalar
+    /// CSR kernel keeps the SIMD-conditional COO rule from firing (see
+    /// [`RuleBasedSelector::for_host`]).
     RuleBasedHost,
     /// Analytic storage/bandwidth model (Equation 7).
     CostModel,
@@ -62,7 +63,7 @@ impl SelectionStrategy {
             SelectionStrategy::RuleBased => Box::new(RuleBasedSelector::default()),
             SelectionStrategy::RuleBasedHost => Box::new(RuleBasedSelector::for_host()),
             SelectionStrategy::CostModel => Box::new(CostModelSelector::default()),
-            SelectionStrategy::Empirical => Box::new(EmpiricalSelector::default()),
+            SelectionStrategy::Empirical => Box::new(EmpiricalSelector),
             SelectionStrategy::Fixed(fmt) => Box::new(FixedSelector(fmt)),
         }
     }
@@ -164,12 +165,6 @@ impl LayoutScheduler {
         Self { strategy: None, selector: Arc::new(selector) }
     }
 
-    /// The named strategy, when the scheduler was built from one. `None`
-    /// for custom selectors installed via [`LayoutScheduler::with_selector`].
-    pub fn strategy(&self) -> Option<SelectionStrategy> {
-        self.strategy
-    }
-
     /// The active selection policy.
     pub fn selector(&self) -> &dyn FormatSelector {
         &*self.selector
@@ -213,7 +208,7 @@ mod tests {
         let spec = DatasetSpec::by_name("trefethen").unwrap();
         let t = generate(spec, 1);
         let sched = LayoutScheduler::new();
-        assert_eq!(sched.strategy(), Some(SelectionStrategy::RuleBased));
+        assert_eq!(sched.strategy, Some(SelectionStrategy::RuleBased));
         let s = sched.schedule(&t);
         assert_eq!(s.format(), Format::Dia);
         assert_eq!(s.matrix().format(), Format::Dia);
@@ -328,7 +323,7 @@ mod tests {
         let spec = DatasetSpec::by_name("trefethen").unwrap();
         let t = generate(spec, 1);
         let sched = LayoutScheduler::with_selector(SmallestStorage);
-        assert_eq!(sched.strategy(), None);
+        assert_eq!(sched.strategy, None);
         let s = sched.schedule(&t);
         // Trefethen is diagonal: DIA stores the least by a wide margin.
         assert_eq!(s.format(), Format::Dia);

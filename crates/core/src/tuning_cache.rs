@@ -21,7 +21,7 @@ use std::path::Path;
 /// that "the same dataset, resampled" collides, and fine enough that
 /// different Table V datasets do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FeatureFingerprint {
+struct FeatureFingerprint {
     /// log2 bucket of the row count.
     m_log2: u32,
     /// log2 bucket of the column count.
@@ -40,7 +40,7 @@ pub struct FeatureFingerprint {
 
 impl FeatureFingerprint {
     /// Builds the fingerprint from extracted features.
-    pub fn of(f: &MatrixFeatures) -> Self {
+    fn of(f: &MatrixFeatures) -> Self {
         let log2 = |v: usize| -> u32 { (v.max(1) as f64).log2().round() as u32 };
         let dispersion = if f.adim > 0.0 { f.vdim / f.adim } else { 0.0 };
         Self {
@@ -179,18 +179,25 @@ fn fingerprint_json(fp: &FeatureFingerprint) -> String {
     )
 }
 
+/// Reads the fingerprint back, refusing any field outside the range
+/// [`FeatureFingerprint::of`] produces: a truncated value would file one
+/// matrix class's decision under another's key.
 fn parse_fingerprint(v: &JsonValue) -> Result<FeatureFingerprint, String> {
-    let u32_of = |key: &str| -> Result<u32, String> {
-        v.req(key)?.as_u64().map(|x| x as u32).ok_or_else(|| format!("\"{key}\" must be a number"))
+    let field = |key: &str, max: u64| -> Result<u64, String> {
+        match v.req(key)?.as_u64() {
+            Some(x) if x <= max => Ok(x),
+            _ => Err(format!("\"{key}\" must be an integer in 0..={max}")),
+        }
     };
+    let log2 = |key: &str| field(key, u32::MAX.into()).map(|x| x as u32);
     Ok(FeatureFingerprint {
-        m_log2: u32_of("m_log2")?,
-        n_log2: u32_of("n_log2")?,
-        nnz_log2: u32_of("nnz_log2")?,
-        density_pct: u32_of("density_pct")? as u8,
-        ndig_log2: u32_of("ndig_log2")?,
-        ell_padding_20th: u32_of("ell_padding_20th")? as u8,
-        dispersion_log2: u32_of("dispersion_log2")?,
+        m_log2: log2("m_log2")?,
+        n_log2: log2("n_log2")?,
+        nnz_log2: log2("nnz_log2")?,
+        density_pct: field("density_pct", 100)? as u8,
+        ndig_log2: log2("ndig_log2")?,
+        ell_padding_20th: field("ell_padding_20th", 20)? as u8,
+        dispersion_log2: log2("dispersion_log2")?,
     })
 }
 
@@ -378,6 +385,22 @@ mod tests {
         assert!(cache.load_json("{\"version\":99,\"entries\":[]}").is_err());
         assert!(cache.load_json("{\"version\":1}").is_err());
         assert!(cache.load_json("{\"version\":1,\"entries\":[{\"fingerprint\":{}}]}").is_err());
+        // Each fingerprint field out of its range is refused by name, not
+        // truncated into another matrix class's key.
+        let mut donor = TuningCache::new(RuleBasedSelector::default());
+        let t = generate(DatasetSpec::by_name("adult").unwrap(), 1);
+        let _ = donor.select(&t, &MatrixFeatures::from_triplets(&t));
+        let doc = donor.to_json();
+        assert_eq!(TuningCache::new(RuleBasedSelector::default()).load_json(&doc), Ok(1));
+        for (key, bad) in
+            [("density_pct", 300), ("ell_padding_20th", 277), ("m_log2", 4_294_967_299u64)]
+        {
+            let start = doc.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+            let end = start + doc[start..].find([',', '}']).unwrap();
+            let corrupt = format!("{}{bad}{}", &doc[..start], &doc[end..]);
+            let err = cache.load_json(&corrupt).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
         assert!(
             cache.is_empty(),
             "failed loads must not partially corrupt the map beyond parsed entries"

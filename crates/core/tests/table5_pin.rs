@@ -1,15 +1,19 @@
 //! Pin: the nine influencing parameters and the rule-based pick for the
-//! eleven Table V twins, bit for bit.
+//! eleven Table V twins, bit for bit, and every other deterministic
+//! strategy's pick beside it.
 //!
-//! The values were recorded at commit b1e9d95, before the feature scan was
-//! fused into one pass and the constructors stopped cloning their input.
-//! A rewrite of that path must leave every decision, and every float the
-//! decision rests on, exactly where it was.
+//! The parameters and rule picks were recorded at commit b1e9d95, before
+//! the feature scan was fused into one pass and the constructors stopped
+//! cloning their input. The other strategies' picks were recorded at
+//! commit 936b5f0, before learned inference moved into this crate and the
+//! selector knobs became constants. A rewrite of either path must leave
+//! every decision, and every float the decision rests on, exactly where it
+//! was.
 
-use dls_core::LayoutScheduler;
+use dls_core::{FormatSelector, LayoutScheduler, LearnedSelector, SelectionStrategy, TrainedModel};
 use dls_data::specs::PAPER_DATASETS;
 use dls_data::synth::generate;
-use dls_sparse::{Format, MatrixFeatures};
+use dls_sparse::{Format, MatrixFeatures, MAX_SMSV_BLOCK};
 
 /// The per-dataset scaling the bench harness uses (dense giants shrink).
 fn scale_of(name: &str) -> usize {
@@ -52,5 +56,47 @@ fn table5_twins_keep_their_parameters_and_picks() {
         assert_eq!(scheduled.format(), pick, "{name}");
         assert_eq!(rules.select_only(&t).chosen, pick, "{name}");
         assert_eq!(*scheduled.features(), f, "{name}");
+    }
+}
+
+/// `(dataset, picks, bits of the sum of every score in each report)` at
+/// seed 42, for `[RuleBasedHost, CostModel, Fixed(Csr), learned]`; the
+/// learned selector runs the committed `quick_analytic.json` model.
+#[rustfmt::skip]
+const STRATEGY_PICKS: [(&str, [Format; 4], [u64; 4]); 11] = [
+    ("adult", [Format::Ell, Format::Csr, Format::Csr, Format::Ell], [0x402e000000000000, 0x3f53f89e66d9853f, 0x402e000000000000, 0x3f4eb28a63c12489]),
+    ("breast_cancer", [Format::Den, Format::Den, Format::Csr, Format::Den], [0x402e000000000000, 0x3f3cf1e72d035f7a, 0x402e000000000000, 0x3f39a7e35daec40e]),
+    ("aloi", [Format::Csr, Format::Csr, Format::Csr, Format::Csr], [0x402e000000000000, 0x3f354a24f7c53cb0, 0x402e000000000000, 0x3f305e91efa2d8e7]),
+    ("gisette", [Format::Den, Format::Den, Format::Csr, Format::Den], [0x402e000000000000, 0x3f4cdb825e9bf459, 0x402e000000000000, 0x3f4913216fe7439c]),
+    ("mnist", [Format::Csr, Format::Csr, Format::Csr, Format::Csr], [0x402e000000000000, 0x3f3327322b6be3cb, 0x402e000000000000, 0x3f2f1ef3180ca789]),
+    ("sector", [Format::Csr, Format::Csr, Format::Csr, Format::Csr], [0x402e000000000000, 0x3f7a8127217bd12a, 0x402e000000000000, 0x3f778edba73a7ef2]),
+    ("epsilon", [Format::Den, Format::Den, Format::Csr, Format::Den], [0x402e000000000000, 0x3f2b7e7479fa2f5f, 0x402e000000000000, 0x3f24e0714b45187b]),
+    ("leukemia", [Format::Den, Format::Den, Format::Csr, Format::Den], [0x402e000000000000, 0x3f3cf1e72d035f7a, 0x402e000000000000, 0x3f39a7e35daec40e]),
+    ("connect-4", [Format::Den, Format::Csr, Format::Csr, Format::Ell], [0x402e000000000000, 0x3f4c42be5b28bda2, 0x402e000000000000, 0x3f4612fe97c58dfa]),
+    ("trefethen", [Format::Dia, Format::Dia, Format::Csr, Format::Dia], [0x402e000000000000, 0x3f44df68718428a8, 0x402e000000000000, 0x3f45efafeb8a910a]),
+    ("dna", [Format::Den, Format::Den, Format::Csr, Format::Den], [0x402e000000000000, 0x3f46eb67f16d6fa5, 0x402e000000000000, 0x3f41560c7bb74f18]),
+];
+
+#[test]
+fn table5_twins_keep_every_deterministic_strategys_pick() {
+    let doc = include_str!("../../learn/tests/fixtures/quick_analytic.json");
+    let learned = LearnedSelector::new(TrainedModel::from_json(doc).unwrap());
+    let strategies = [
+        SelectionStrategy::RuleBasedHost,
+        SelectionStrategy::CostModel,
+        SelectionStrategy::Fixed(Format::Csr),
+    ]
+    .map(LayoutScheduler::with_strategy);
+    for (spec, (name, picks, score_sums)) in PAPER_DATASETS.iter().zip(STRATEGY_PICKS) {
+        assert_eq!(spec.name, name);
+        let t = generate(&spec.scaled(scale_of(name)), 42);
+        let f = MatrixFeatures::from_triplets(&t);
+        let [host, cost, fixed] = strategies.each_ref().map(|s| s.select_only(&t));
+        for (k, r) in [host, cost, fixed, learned.select(&t, &f)].iter().enumerate() {
+            assert_eq!(r.chosen, picks[k], "{name}, strategy {k}: {}", r.reason);
+            assert_eq!(r.block, MAX_SMSV_BLOCK, "{name}, strategy {k}");
+            let sum: f64 = r.scores.iter().map(|s| s.score).sum();
+            assert_eq!(sum.to_bits(), score_sums[k], "{name}, strategy {k}");
+        }
     }
 }

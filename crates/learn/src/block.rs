@@ -6,15 +6,14 @@
 //! and the balance point moves with the matrix's shape and the format's
 //! storage layout. This module labels each training-grid cell with the best
 //! block size from [`BLOCK_CANDIDATES`] — measured with real `smsv_block`
-//! sweeps, or analytically from a cache-residency bound — and fits one
-//! regression tree per format over the same nine-parameter feature vector
-//! the format classifier uses. The trained [`BlockModel`] rides inside
-//! `TrainedModel` and is consumed by `LearnedSelector` (selection reports)
-//! and transitively by the `dls-serve` batching executor (gather cap).
+//! sweeps, or analytically from a cache-residency bound. `dls_core`'s
+//! [`BlockModel`](dls_core::BlockModel) fits one regression tree per format
+//! to these labels over the same nine-parameter feature vector the format
+//! classifier uses; it rides inside `TrainedModel` and is consumed by
+//! `LearnedSelector` (selection reports) and transitively by the
+//! `dls-serve` batching executor (gather cap).
 
-use crate::features::NUM_FEATURES;
 use crate::label::LabelMode;
-use crate::tree::{RegressionTree, TreeParams};
 use dls_sparse::{
     AnyMatrix, Format, MatrixFeatures, MatrixFormat, SparseVec, TripletMatrix, MAX_SMSV_BLOCK,
 };
@@ -27,18 +26,6 @@ pub const BLOCK_CANDIDATES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// Working-set budget, in scalars, for the analytic block bound — sized to
 /// a typical per-core L2 (256 KiB of 8-byte scalars).
 const CACHE_BUDGET_SCALARS: usize = 32_768;
-
-/// One labelled block-tuning sample: the best block for `format` on a
-/// matrix with feature vector `x`.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockSample {
-    /// Format the sweep ran in.
-    pub format: Format,
-    /// The matrix's feature vector (same schema as the format classifier).
-    pub x: [f64; NUM_FEATURES],
-    /// Winning block size (a member of [`BLOCK_CANDIDATES`]).
-    pub block: usize,
-}
 
 /// Analytic tuned block: the largest candidate whose interleaved blocked
 /// workspace (scatter lanes over `n` columns plus `m` accumulator lanes)
@@ -109,50 +96,10 @@ pub fn block_for_case(
     }
 }
 
-/// Learned per-format block-size model: one regression tree per format,
-/// fitted to `log2(best block)` over the nine influencing parameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockModel {
-    /// `(format, tree)` pairs in [`Format::ALL`] order; a format absent
-    /// from the training set carries no tree and falls back to the engine
-    /// default block.
-    pub trees: Vec<(Format, RegressionTree)>,
-}
-
-impl BlockModel {
-    /// Fits one tree per format present in `samples`.
-    pub fn train(samples: &[BlockSample]) -> Self {
-        let mut trees = Vec::new();
-        for &fmt in &Format::ALL {
-            let of_fmt = || samples.iter().filter(|s| s.format == fmt);
-            let xs: Vec<&[f64; NUM_FEATURES]> = of_fmt().map(|s| &s.x).collect();
-            let ys: Vec<f64> = of_fmt().map(|s| (s.block.max(1) as f64).log2()).collect();
-            if xs.is_empty() {
-                continue;
-            }
-            trees.push((fmt, RegressionTree::train(&xs, &ys, TreeParams::REGRESSOR)));
-        }
-        Self { trees }
-    }
-
-    /// Tuned block for `format` on feature vector `x`: the tree's predicted
-    /// `log2(block)` rounded to the nearest candidate. Formats without a
-    /// tree fall back to the engine default, [`MAX_SMSV_BLOCK`].
-    pub fn tuned_block(&self, format: Format, x: &[f64; NUM_FEATURES]) -> usize {
-        match self.trees.iter().find(|(f, _)| *f == format) {
-            Some((_, tree)) => {
-                let exp = tree.predict(x).round().clamp(0.0, 5.0) as u32;
-                (1usize << exp).min(MAX_SMSV_BLOCK)
-            }
-            None => MAX_SMSV_BLOCK,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::featurize;
+    use dls_core::{featurize, BlockModel, BlockSample};
     use dls_data::controlled::diag_matrix;
 
     #[test]
@@ -175,30 +122,6 @@ mod tests {
             let b = measured_block(fmt, &t, 1);
             assert!(BLOCK_CANDIDATES.contains(&b), "{fmt}: {b}");
         }
-    }
-
-    #[test]
-    fn block_model_learns_a_shape_dependent_block() {
-        // Small matrices tune to 32, huge ones to something smaller: the
-        // tree must reproduce both regions.
-        let mut samples = Vec::new();
-        for k in 0..12 {
-            let small = k < 6;
-            let mut x = [0.0; NUM_FEATURES];
-            x[0] = if small { 7.0 } else { 16.0 }; // log2_m
-            samples.push(BlockSample { format: Format::Csr, x, block: if small { 32 } else { 2 } });
-        }
-        let model = BlockModel::train(&samples);
-        let mut small = [0.0; NUM_FEATURES];
-        small[0] = 7.0;
-        let mut big = [0.0; NUM_FEATURES];
-        big[0] = 16.0;
-        assert_eq!(model.tuned_block(Format::Csr, &small), 32);
-        assert_eq!(model.tuned_block(Format::Csr, &big), 2);
-        // No tree for CSC in this training set: engine default cap.
-        assert_eq!(model.tuned_block(Format::Csc, &small), MAX_SMSV_BLOCK);
-        // No tree for ELL either in this training set: default cap.
-        assert_eq!(model.tuned_block(Format::Ell, &small), MAX_SMSV_BLOCK);
     }
 
     #[test]

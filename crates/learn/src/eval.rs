@@ -94,8 +94,8 @@ pub fn split_holdout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::NUM_FEATURES;
     use crate::label::LabelSource;
+    use dls_core::NUM_FEATURES;
     use dls_sparse::MatrixFeatures;
 
     fn sample(label: Format, scores: [f64; 5]) -> LabelledSample {

@@ -13,10 +13,9 @@
 //! storage volume under a flat bandwidth profile — fully deterministic,
 //! used by tests and `--analytic` CI smoke runs.
 
-use crate::features::{featurize, NUM_FEATURES};
-use dls_core::{BandwidthProfile, CostModelSelector};
-use dls_sparse::{AnyMatrix, Format, MatrixFeatures, MatrixFormat, TripletMatrix};
-use std::time::Instant;
+use dls_core::cost::argmin;
+use dls_core::{empirical, featurize, BandwidthProfile, CostModelSelector, NUM_FEATURES};
+use dls_sparse::{Format, MatrixFeatures, TripletMatrix};
 
 /// How labels are produced.
 #[derive(Debug, Clone, Copy)]
@@ -97,57 +96,14 @@ impl LabelledSample {
     }
 }
 
-/// Times `reps` SMSV sweeps of `t` materialised in `fmt` (mean seconds).
-fn time_format(fmt: Format, t: &TripletMatrix, reps: usize) -> f64 {
-    let m = AnyMatrix::from_triplets(fmt, t);
-    let rows = m.rows();
-    let mut out = vec![0.0; rows];
-    let probes: Vec<_> = (0..4).map(|k| m.row_sparse(k * rows.saturating_sub(1) / 3)).collect();
-    m.smsv(&probes[0], &mut out); // warm-up
-    let start = Instant::now();
-    for r in 0..reps.max(1) {
-        m.smsv(&probes[r % probes.len()], &mut out);
-    }
-    start.elapsed().as_secs_f64() / reps.max(1) as f64
-}
-
-/// One full measurement pass over the basic formats.
-fn measure_pass(t: &TripletMatrix, reps: usize) -> [f64; Format::BASIC.len()] {
-    let mut scores = [0.0; Format::BASIC.len()];
-    for (i, &fmt) in Format::BASIC.iter().enumerate() {
-        scores[i] = time_format(fmt, t, reps);
-    }
-    scores
-}
-
-fn argmin(scores: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &s) in scores.iter().enumerate() {
-        if s < scores[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Analytic per-format scores (predicted seconds).
-fn analytic_scores(f: &MatrixFeatures, bandwidth: BandwidthProfile) -> [f64; Format::BASIC.len()] {
-    let sel = CostModelSelector::with_bandwidth(bandwidth);
-    let mut scores = [0.0; Format::BASIC.len()];
-    for (i, &fmt) in Format::BASIC.iter().enumerate() {
-        scores[i] = sel.predicted_time(fmt, f);
-    }
-    scores
-}
-
 /// Labels one matrix under `mode`.
 pub fn label_case(desc: &str, t: &TripletMatrix, mode: LabelMode) -> LabelledSample {
     let features = MatrixFeatures::from_triplets(t);
     let x = featurize(&features);
     let (scores, label_idx, source) = match mode {
         LabelMode::Analytic { bandwidth } => {
-            let scores = analytic_scores(&features, bandwidth);
-            let best = argmin(&scores);
+            let scores = CostModelSelector::with_bandwidth(bandwidth).basic_times(&features);
+            let best = argmin(scores);
             (scores, best, LabelSource::Analytic)
         }
         LabelMode::Measured { reps, passes, min_margin } => {
@@ -157,13 +113,15 @@ pub fn label_case(desc: &str, t: &TripletMatrix, mode: LabelMode) -> LabelledSam
             let mut scores = [f64::INFINITY; Format::BASIC.len()];
             let mut winners = Vec::with_capacity(passes);
             for _ in 0..passes {
-                let pass = measure_pass(t, reps);
-                winners.push(argmin(&pass));
+                // One measurement pass: every basic format timed with
+                // `EmpiricalSelector`'s probe.
+                let pass = Format::BASIC.map(|fmt| empirical::measure(fmt, t, reps));
+                winners.push(argmin(pass));
                 for (s, &p) in scores.iter_mut().zip(&pass) {
                     *s = s.min(p);
                 }
             }
-            let best = argmin(&scores);
+            let best = argmin(scores);
             let votes = winners.iter().filter(|&&w| w == best).count();
             let mut runner_up = f64::INFINITY;
             for (i, &s) in scores.iter().enumerate() {
@@ -175,8 +133,9 @@ pub fn label_case(desc: &str, t: &TripletMatrix, mode: LabelMode) -> LabelledSam
             if 2 * votes > passes && margin_ok {
                 (scores, best, LabelSource::Measured)
             } else {
-                let fallback = analytic_scores(&features, BandwidthProfile::FLAT);
-                let best = argmin(&fallback);
+                let fallback = CostModelSelector::with_bandwidth(BandwidthProfile::FLAT)
+                    .basic_times(&features);
+                let best = argmin(fallback);
                 (fallback, best, LabelSource::AnalyticFallback)
             }
         }

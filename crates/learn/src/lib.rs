@@ -2,12 +2,11 @@
 
 //! # dls-learn
 //!
-//! Learned format selection: replaces the hand-written decision rules with
-//! a decision tree trained on labelled synthetic matrices, following the
-//! paper's observation that the influencing parameters (Table IV) predict
-//! the fastest format.
-//!
-//! The pipeline has four layers:
+//! Training data and the trainer for `dls_core`'s learned format selector,
+//! following the paper's observation that the influencing parameters
+//! (Table IV) predict the fastest format. The model itself — features,
+//! the CART inducer, the model document and [`LearnedSelector`] — lives in
+//! `dls-core`, beside the other strategies the scheduler runs.
 //!
 //! 1. **Grid** ([`grid`]) — sweep the synthetic generators over the nine
 //!    structural parameters, producing a cloud of small matrices around
@@ -15,50 +14,39 @@
 //! 2. **Labels** ([`label`]) — for each matrix, find the fastest of the
 //!    five basic formats, either by timing real SMSV sweeps (with an
 //!    agreement-and-margin gate against timer noise) or analytically from
-//!    Table II storage under a flat bandwidth profile.
-//! 3. **Tree** ([`tree`]) — one pure-Rust CART inducer (depth/leaf/gain
-//!    pruning, fully deterministic), generic over what it predicts:
-//!    [`DecisionTree`] classifies formats by Gini impurity,
-//!    [`RegressionTree`] fits a response by variance reduction (block-size
-//!    tuning here, `dls-serve`'s latency predictor). No external ML
-//!    dependency; models persist as hand-rolled JSON ([`persist`]).
-//! 4. **Selector** ([`selector`]) — [`LearnedSelector`] implements
-//!    `dls_core::FormatSelector`, so a trained model drops into
-//!    `LayoutScheduler::with_selector`, composes with `TuningCache`
-//!    memoisation and `ReactiveScheduler` re-scheduling, and is graded
-//!    against the rules and the empirical oracle by [`eval`]. With a
-//!    confidence gate it falls back to the analytic rules when unsure.
-//! 5. **Online** ([`online`]) — closes the loop: production telemetry
+//!    Table II storage under a flat bandwidth profile. [`block`] labels the
+//!    best kernel block size per (format, matrix) the same two ways.
+//! 3. **Fit** ([`train_selector`]) — one `DecisionTree` over the labels plus
+//!    one block-size `RegressionTree` per format, packed into a
+//!    `TrainedModel`, and graded against the rules and the empirical oracle
+//!    by [`eval`].
+//! 4. **Online** ([`online`]) — closes the loop: production telemetry
 //!    ([`LabeledObservation`], [`ObservationRing`]) feeds background
 //!    retraining ([`retrain_online`]) — the same trainer as
 //!    [`train_selector`] with measured production labels merged into the
-//!    synthetic grid — and upgrades to a bagged forest
-//!    ([`TrainedModel::ensemble`]) when a single tree plateaus. The
-//!    serve-side recording/swap half lives in `dls-serve::feedback`.
+//!    synthetic grid — and upgrades to a bagged forest ([`bag`]) when a
+//!    single tree plateaus. The serve-side recording/swap half lives in
+//!    `dls-serve::feedback`.
 
 pub mod block;
 pub mod eval;
-pub mod features;
 pub mod grid;
 pub mod label;
 pub mod online;
-pub mod persist;
-pub mod selector;
-pub mod tree;
 
-pub use block::{analytic_block, measured_block, BlockModel, BlockSample, BLOCK_CANDIDATES};
+pub use block::{analytic_block, measured_block, BLOCK_CANDIDATES};
+pub use dls_core::LearnedSelector;
 pub use eval::{evaluate, split_holdout, EvalSummary};
-pub use features::{featurize, FEATURE_NAMES, NUM_FEATURES};
 pub use grid::{training_grid, GridCase, GridConfig};
 pub use label::{label_case, LabelMode, LabelSource, LabelledSample};
 pub use online::{
-    bag, model_regret, observations_from_reactive, observations_to_samples, retrain_online,
-    LabeledObservation, ObservationRing, OnlineOutcome, OnlineTrainConfig,
+    bag, model_regret, observations_to_samples, retrain_online, LabeledObservation,
+    ObservationRing, OnlineOutcome, OnlineTrainConfig,
 };
-pub use persist::{ModelError, ModelMeta, TrainedModel, MIN_MODEL_VERSION, MODEL_VERSION};
-pub use selector::{LearnedSelector, DEFAULT_MIN_CONFIDENCE};
-pub use tree::{gini, DecisionTree, Node, RegressionTree, Target, Tree, TreeParams};
 
+use dls_core::{
+    BlockModel, BlockSample, DecisionTree, ModelMeta, TrainedModel, TreeParams, NUM_FEATURES,
+};
 use dls_sparse::Format;
 
 /// Every `HOLDOUT_STRIDE`-th grid sample is held out of training and used

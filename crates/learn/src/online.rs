@@ -8,8 +8,8 @@
 //!    production (the nine influencing parameters, the format that ran,
 //!    the tuned block, the coalesced batch size, measured nanoseconds).
 //! 2. **[`ObservationRing`]** — a bounded, thread-safe ring the serve
-//!    executor and `ReactiveScheduler` telemetry append into; when full
-//!    the oldest observation is overwritten. A retrainer drains it.
+//!    executor appends into; when full the oldest observation is
+//!    overwritten. A retrainer drains it.
 //! 3. **[`observations_to_samples`]** — observations grouped by matrix
 //!    fingerprint become [`LabelledSample`]s: measured seconds-per-vector
 //!    for formats production actually ran, analytic estimates (rescaled to
@@ -19,18 +19,20 @@
 //!    forest ([`bag`]) when single-tree holdout accuracy plateaus.
 //!
 //! The published model serves behind a confidence-gated
-//! [`crate::LearnedSelector`]; the serve-side half (recording site,
-//! background thread, regret-guarded hot swap) lives in
+//! [`LearnedSelector`](dls_core::LearnedSelector); the serve-side half
+//! (recording site, background thread, regret-guarded hot swap) lives in
 //! `dls-serve::feedback`.
 
 use crate::eval::{evaluate, EvalSummary};
-use crate::features::{featurize, NUM_FEATURES};
 use crate::grid::GridConfig;
 use crate::label::{LabelMode, LabelSource, LabelledSample};
-use crate::persist::TrainedModel;
-use crate::tree::{arg_max, DecisionTree, TreeParams};
 use crate::{TrainConfig, TrainOutcome};
-use dls_core::{BandwidthProfile, CostModelSelector, ReactiveReport};
+use dls_core::cost::argmin;
+use dls_core::tree::arg_max;
+use dls_core::{
+    featurize, BandwidthProfile, CostModelSelector, DecisionTree, TrainedModel, TreeParams,
+    NUM_FEATURES,
+};
 use dls_sparse::{Format, MatrixFeatures};
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -136,28 +138,6 @@ impl ObservationRing {
     }
 }
 
-/// Mines a [`ReactiveReport`] for observations: every format the reactive
-/// run actually executed becomes one observation carrying that format's
-/// mean measured time per call. Lives here (not in `dls-core`) so the core
-/// crate stays free of learning dependencies; callers append the result to
-/// an [`ObservationRing`].
-pub fn observations_from_reactive(report: &ReactiveReport) -> Vec<LabeledObservation> {
-    report
-        .telemetry
-        .per_format
-        .iter()
-        .filter(|t| t.calls > 0 && t.nanos > 0)
-        .map(|t| LabeledObservation {
-            seq: 0, // assigned on append
-            features: report.initial.features,
-            format: t.format,
-            block: report.initial.block,
-            batch: 1, // SMO kernel rows are single-vector sweeps
-            nanos: (t.nanos / t.calls).max(1),
-        })
-        .collect()
-}
-
 /// Quantised fingerprint: observations of the same matrix group together.
 fn fingerprint(f: &MatrixFeatures) -> [u64; 9] {
     [
@@ -171,25 +151,6 @@ fn fingerprint(f: &MatrixFeatures) -> [u64; 9] {
         f.vdim.to_bits(),
         f.density.to_bits(),
     ]
-}
-
-fn analytic_scores(f: &MatrixFeatures) -> [f64; Format::BASIC.len()] {
-    let sel = CostModelSelector::with_bandwidth(BandwidthProfile::FLAT);
-    let mut scores = [0.0; Format::BASIC.len()];
-    for (i, &fmt) in Format::BASIC.iter().enumerate() {
-        scores[i] = sel.predicted_time(fmt, f);
-    }
-    scores
-}
-
-fn argmin(scores: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &s) in scores.iter().enumerate() {
-        if s < scores[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 /// Converts production observations into labelled training samples.
@@ -233,7 +194,8 @@ pub fn observations_to_samples(obs: &[LabeledObservation]) -> Vec<LabelledSample
     order
         .into_iter()
         .map(|g| {
-            let analytic = analytic_scores(&g.features);
+            let analytic =
+                CostModelSelector::with_bandwidth(BandwidthProfile::FLAT).basic_times(&g.features);
             // Reference: the most-observed format (ties as `arg_max` breaks
             // them) anchors the analytic→measured rescale.
             let reference = arg_max(&g.sums.map(|(_, count)| count));
@@ -253,7 +215,7 @@ pub fn observations_to_samples(obs: &[LabeledObservation]) -> Vec<LabelledSample
                     scores[i] = analytic[i] * ratio;
                 }
             }
-            let best = argmin(&scores);
+            let best = argmin(scores);
             LabelledSample {
                 desc: format!("online#{}", g.first_seq),
                 features: g.features,

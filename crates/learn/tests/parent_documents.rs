@@ -8,10 +8,11 @@
 //! `dls train-selector --quick --analytic` / `--analytic`, and
 //! `retrain_online` twice over [`observations`] on the quick grid.
 
+use dls_core::{featurize, TrainedModel};
 use dls_data::controlled::mdim_matrix;
 use dls_learn::{
-    featurize, retrain_online, train_selector, training_grid, GridConfig, LabelMode,
-    LabeledObservation, OnlineTrainConfig, TrainConfig, TrainedModel,
+    retrain_online, train_selector, training_grid, GridConfig, LabelMode, LabeledObservation,
+    OnlineTrainConfig, TrainConfig,
 };
 use dls_sparse::{Format, MatrixFeatures};
 

@@ -8,10 +8,12 @@
 //! oracle the tree was trained against) — the point of the pin is to make
 //! any future drift in either selector loud, not to hide it.
 
-use dls_core::{BandwidthProfile, CostModelSelector, LayoutScheduler, SelectionStrategy};
+use dls_core::{
+    BandwidthProfile, CostModelSelector, LayoutScheduler, LearnedSelector, SelectionStrategy,
+};
 use dls_data::specs::PAPER_DATASETS;
 use dls_data::synth::generate;
-use dls_learn::{train_selector, LabelMode, LearnedSelector, TrainConfig};
+use dls_learn::{train_selector, LabelMode, TrainConfig};
 use dls_sparse::{Format, MatrixFeatures};
 
 /// Same per-dataset scaling the bench harness uses: dense giants shrink,

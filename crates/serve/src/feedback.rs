@@ -28,10 +28,12 @@
 //! model version" surfaced by `Stats` and the CLI.
 
 use crate::stats::ServeStats;
-use dls_core::{FormatSelector, RuleBasedSelector, SwappableSelector};
+use dls_core::{
+    FormatSelector, LearnedSelector, RuleBasedSelector, SwappableSelector, TrainedModel,
+    DEFAULT_MIN_CONFIDENCE,
+};
 use dls_learn::{
-    model_regret, retrain_online, LabeledObservation, LearnedSelector, ObservationRing,
-    OnlineTrainConfig, TrainedModel, DEFAULT_MIN_CONFIDENCE,
+    model_regret, retrain_online, LabeledObservation, ObservationRing, OnlineTrainConfig,
 };
 use dls_sparse::{Format, MatrixFeatures};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -240,14 +242,6 @@ impl FeedbackHub {
             batch,
             nanos: nanos.max(1),
         });
-    }
-
-    /// Appends pre-built observations (the `ReactiveScheduler` mining path
-    /// and the poisoning tests).
-    pub fn record_observations(&self, obs: impl IntoIterator<Item = LabeledObservation>) {
-        for o in obs {
-            self.ring.append(o);
-        }
     }
 
     /// Runs one retrain cycle synchronously: drain, retrain, guard, swap

@@ -79,5 +79,9 @@ if grep -rnE 'vendor/criterio[n]|criterio[n]:[:]|cargo benc[h]|repro_serv[e]|BEN
 if grep -rnE 'WorkingSetSelectio[n]|SecondOrde[r]|SmsvPoo[l]|par_smsv[_]|dls_sparse::paralle[l]|positive_weigh[t]|shrinkin[g]|block_siz[e]|Multiclas[s]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted with the move to one serving policy (the queue disciplines, the latency tree and its analytic fallback, the brown-out knobs).
 if grep -rnE 'QueueDisciplin[e]|StrictPriorit[y]|parse_disciplin[e]|TreeLatencyEstimato[r]|AnalyticLatencyEstimato[r]|estimator_analyti[c]|BrownoutConfi[g]|predictive_admissio[n]|--disciplin[e]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with the move to one decision layer in dls-core (selector knobs became constants; one analytic-score and one probe-timing loop).
+if grep -rnE 'RuleThreshold[s]|MachineProfil[e]|with_block_hint[s]|effective_bloc[k]|observations_from_reactiv[e]|record_observation[s]|fn analytic_score[s]|fn time_forma[t]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Every FormatSelector lives in dls-core; dls-learn only builds training data and trains.
+if grep -rn 'impl FormatSelector' crates/learn/src; then echo "a selector is back in dls-learn" >&2; exit 1; fi
 
 echo "==> ci OK"

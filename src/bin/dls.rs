@@ -638,8 +638,8 @@ fn cmd_selector_info(args: &[String]) -> Result<(), String> {
         .unwrap_or(0);
     println!(
         "model: {path} (document v{doc_version}, this build reads v{}..=v{})",
-        dls::learn::MIN_MODEL_VERSION,
-        dls::learn::MODEL_VERSION
+        dls::core::MIN_MODEL_VERSION,
+        dls::core::MODEL_VERSION
     );
     println!(
         "trained on {} samples (grid={}, seed={}): {} measured, {} analytic fallback, {} analytic",
@@ -676,7 +676,7 @@ fn cmd_selector_info(args: &[String]) -> Result<(), String> {
     println!("\nsplits per feature:");
     let counts = model.tree.feature_split_counts();
     let mut ranked: Vec<(usize, &str)> =
-        counts.iter().copied().zip(dls::learn::FEATURE_NAMES).collect();
+        counts.iter().copied().zip(dls::core::FEATURE_NAMES).collect();
     ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(b.1)));
     for (count, name) in ranked {
         if count > 0 {

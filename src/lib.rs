@@ -44,14 +44,14 @@ pub use dls_svm as svm;
 pub mod prelude {
     pub use dls_core::{
         CostModelSelector, EmpiricalSelector, FixedSelector, FormatScore, FormatSelector,
-        KernelMonitor, LayoutScheduler, ReactiveConfig, ReactiveReport, ReactiveScheduler,
-        RuleBasedSelector, ScheduledMatrix, SelectionReport, SelectionStrategy, TelemetrySnapshot,
-        TuningCache,
+        KernelMonitor, LayoutScheduler, LearnedSelector, ReactiveConfig, ReactiveReport,
+        ReactiveScheduler, RuleBasedSelector, ScheduledMatrix, SelectionReport, SelectionStrategy,
+        TelemetrySnapshot, TrainedModel, TuningCache,
     };
     pub use dls_data::{controlled, specs, synth::generate, DatasetSpec};
     pub use dls_dnn::{Network, SgdConfig, Trainer};
     pub use dls_hw::{Platform, PriceModel};
-    pub use dls_learn::{train_selector, LabelMode, LearnedSelector, TrainConfig, TrainedModel};
+    pub use dls_learn::{train_selector, LabelMode, TrainConfig};
     pub use dls_sparse::{
         AnyMatrix, CooMatrix, CsrMatrix, DenseMatrix, DiaMatrix, EllMatrix, Format,
         InstrumentedMatrix, MatrixFeatures, MatrixFormat, SmsvCounters, SparseVec, TripletMatrix,
