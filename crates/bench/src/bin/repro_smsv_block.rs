@@ -14,8 +14,10 @@
 //! Usage: `repro_smsv_block [reps] [out.json] [--check]`
 //! (defaults: 15, `BENCH_smsv.json` in the current directory).
 //! `--check` exits non-zero unless every format's geomean blocked speedup
-//! stays at or above 0.95x and the COO path clears 1.0x — the CI
-//! smoke gate against blocked-kernel regressions.
+//! stays at or above 0.95x, the COO path clears 1.0x, and CSR's and ELL's
+//! B=2 cost per product (geomean over the three twins) stays at or below
+//! their B=1 cost — the CI smoke gate against blocked-kernel regressions,
+//! a lane loop at a runtime width among them.
 
 use dls_bench::workload;
 use dls_core::json::JsonValue;
@@ -28,21 +30,27 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
+// SAFETY: every method forwards to `System` with the caller's pointer and
+// layout unchanged, so `System`'s `GlobalAlloc` guarantees carry over.
 unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: forwards to `System` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
+    // SAFETY: forwards to `System` with the caller's pointer and layout unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
 
+    // SAFETY: forwards to `System` with the caller's pointer, layout and size unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
+    // SAFETY: forwards to `System` with the caller's layout unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)
@@ -186,10 +194,10 @@ fn main() {
                     *slot = slot.min(call_ns(|| m.smsv_block(vs, dst, &mut ws)) / b as f64);
                 }
             }
-            // A width-1 chunk delegates to `smsv_view` inside every
-            // blocked kernel, so the view series is one more sample set
-            // of the exact same code path — pool it into the B=1
-            // candidate for a tighter minimum.
+            // `smsv_view` and a B=1 `smsv_block` run the same width-1
+            // sweep, so the view series is one more sample set of the
+            // same code path — pool it into the B=1 candidate for a
+            // tighter minimum.
             sweep_ns[0] = sweep_ns[0].min(view_ns);
             // Argmin with ties going to the larger block: deeper coalescing
             // amortises scheduling overhead the timer cannot see.
@@ -295,8 +303,18 @@ fn main() {
                 failures.push(format!("{} geomean {:.3}x < {:.2}x", fmt.name(), g, floor));
             }
         }
+        for fmt in [Format::Csr, Format::Ell] {
+            let at =
+                |k: usize| geomean(rows.iter().filter(|r| r.format == fmt).map(|r| r.sweep_ns[k]));
+            let (b1, b2) = (at(0), at(1));
+            println!("#   {:<5} B=2 / B=1 per product {:.2}", fmt.name(), b2 / b1);
+            if b2 > b1 {
+                failures
+                    .push(format!("{} B=2 costs {b2:.0} ns per product > B=1 {b1:.0}", fmt.name()));
+            }
+        }
         if failures.is_empty() {
-            println!("# --check passed: every format clears its blocked-speedup floor.");
+            println!("# --check passed: every format clears its floors.");
         } else {
             eprintln!("# --check FAILED:");
             for f in &failures {

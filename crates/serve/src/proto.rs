@@ -293,6 +293,11 @@ impl<'a> Reader<'a> {
         if indices.last().is_some_and(|&last| last >= dim) {
             return Err(ProtoError::Malformed("sparse index out of bounds"));
         }
+        // A NaN or infinity would make the answer depend on the layout:
+        // DEN and DIA multiply stored zeros by every scattered slot.
+        if values.iter().any(|x| !x.is_finite()) {
+            return Err(ProtoError::Malformed("sparse value not finite"));
+        }
         Ok(SparseVec::new(dim, indices, values))
     }
 

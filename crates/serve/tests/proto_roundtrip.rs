@@ -175,6 +175,26 @@ fn oversized_length_prefix_is_refused_before_reading() {
 }
 
 #[test]
+fn non_finite_feature_values_are_refused() {
+    // DEN and DIA multiply stored zeros by every scattered slot, so an
+    // infinity in a column no support vector touches would answer NaN on
+    // those layouts and a finite value on the others.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let payload = encode(&Request::Predict {
+            model: "m".into(),
+            deadline_ms: 0,
+            class: RequestClass::Interactive,
+            slo_us: 0,
+            vectors: vec![SparseVec::new(4, vec![1, 3], vec![0.5, bad])],
+        });
+        assert!(
+            matches!(decode_request_framed(&payload), Err(dls_serve::ProtoError::Malformed(_))),
+            "{bad} accepted"
+        );
+    }
+}
+
+#[test]
 fn lying_interior_count_cannot_oversize_an_allocation() {
     // A Predict payload whose vector count claims far more elements than
     // the frame carries must fail before allocating for them.

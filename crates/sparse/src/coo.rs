@@ -6,7 +6,7 @@
 //! row-length imbalance (`vdim`). This is why COO overtakes CSR as `vdim`
 //! grows (paper Fig. 4).
 
-use crate::format::{ensure_workspace, MAX_SMSV_BLOCK};
+use crate::format::{add_lanes, smsv_sweep, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// Coordinate-format matrix with entries sorted row-major.
@@ -57,31 +57,6 @@ impl CooMatrix {
         let end = self.row_idx.partition_point(|&r| r <= i);
         start..end
     }
-
-    /// SMSV with an explicit scatter workspace (all zeros on entry/exit).
-    pub fn smsv_with(&self, v: &SparseVec, out: &mut [Scalar], workspace: &mut [Scalar]) {
-        self.smsv_view_with(v.as_view(), out, workspace);
-    }
-
-    /// Borrowed-view SMSV kernel behind both [`CooMatrix::smsv_with`] and
-    /// [`MatrixFormat::smsv_view`] (workspace all zeros on entry/exit).
-    pub fn smsv_view_with(
-        &self,
-        v: SparseVecView<'_>,
-        out: &mut [Scalar],
-        workspace: &mut [Scalar],
-    ) {
-        assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SMSV output length mismatch");
-        debug_assert!(workspace.iter().all(|&w| w == 0.0));
-        v.scatter(workspace);
-        out.fill(0.0);
-        // One flat pass over all nnz entries: perfectly balanced work.
-        for k in 0..self.values.len() {
-            out[self.row_idx[k]] += self.values[k] * workspace[self.col_idx[k]];
-        }
-        v.unscatter(workspace);
-    }
 }
 
 impl MatrixFormat for CooMatrix {
@@ -121,79 +96,12 @@ impl MatrixFormat for CooMatrix {
         SparseVecView::new(self.cols, &self.col_idx[range.clone()], &self.values[range])
     }
 
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
-        let mut workspace = vec![0.0; self.cols];
-        self.smsv_with(v, out, &mut workspace);
-    }
-
     fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        let ws = ensure_workspace(workspace, self.cols);
-        self.smsv_view_with(v, out, ws);
+        smsv_sweep(self, &[v], out, workspace);
     }
 
     fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        assert_eq!(out.len(), self.rows * vs.len(), "smsv_block output length mismatch");
-        // Blocked kernel via segmented accumulation: entries are row-major
-        // sorted, so each row is a contiguous run of the flat entry pass.
-        // A cb-lane stack accumulator rides the run and flushes on the row
-        // boundary, so the three COO arrays are streamed exactly once per
-        // chunk instead of once per right-hand side, and the inner lane
-        // loop (one value broadcast against cb scattered lanes) is
-        // straight-line code the autovectorizer can fuse.
-        let mut b0 = 0;
-        while b0 < vs.len() {
-            let cb = (vs.len() - b0).min(MAX_SMSV_BLOCK);
-            if cb == 1 {
-                // A single lane degenerates to the per-vector sweep; skip
-                // the interleaved workspace and its writeback entirely.
-                let dst = &mut out[b0 * self.rows..(b0 + 1) * self.rows];
-                self.smsv_view(vs[b0].as_view(), dst, workspace);
-                b0 += 1;
-                continue;
-            }
-            let chunk = &vs[b0..b0 + cb];
-            let ws = ensure_workspace(workspace, self.cols * cb);
-            debug_assert!(ws.iter().all(|&w| w == 0.0));
-            for (bi, v) in chunk.iter().enumerate() {
-                assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-                for (j, x) in v.iter() {
-                    ws[j * cb + bi] = x;
-                }
-            }
-            out[b0 * self.rows..(b0 + cb) * self.rows].fill(0.0);
-            let mut acc = [0.0 as Scalar; MAX_SMSV_BLOCK];
-            let mut cur = usize::MAX;
-            for k in 0..self.values.len() {
-                let r = self.row_idx[k];
-                if r != cur {
-                    if cur != usize::MAX {
-                        for (bi, a) in acc[..cb].iter_mut().enumerate() {
-                            out[(b0 + bi) * self.rows + cur] = *a;
-                            *a = 0.0;
-                        }
-                    }
-                    cur = r;
-                }
-                let x = self.values[k];
-                let c = self.col_idx[k];
-                let lane = &ws[c * cb..(c + 1) * cb];
-                for (a, &w) in acc[..cb].iter_mut().zip(lane) {
-                    *a += x * w;
-                }
-            }
-            if cur != usize::MAX {
-                for (bi, a) in acc[..cb].iter_mut().enumerate() {
-                    out[(b0 + bi) * self.rows + cur] = *a;
-                    *a = 0.0;
-                }
-            }
-            for (bi, v) in chunk.iter().enumerate() {
-                for &j in v.indices() {
-                    ws[j * cb + bi] = 0.0;
-                }
-            }
-            b0 += cb;
-        }
+        smsv_sweep(self, vs, out, workspace);
     }
 
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
@@ -229,6 +137,26 @@ impl MatrixFormat for CooMatrix {
     fn storage_elems(&self) -> usize {
         // Table II: three arrays of nnz elements each (max 3MN when dense).
         3 * self.nnz()
+    }
+}
+
+impl Sweep for CooMatrix {
+    /// One flat pass over all nnz entries: perfectly balanced work.
+    /// Entries are row-major sorted, so each row is a contiguous run; a
+    /// stack accumulator rides the run and is stored once at its end.
+    fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
+        acc.fill(0.0);
+        let (scat, acc) = (scat.as_chunks::<CB>().0, acc.as_chunks_mut::<CB>().0);
+        let mut k = 0;
+        while k < self.values.len() {
+            let r = self.row_idx[k];
+            let mut a = [0.0; CB];
+            while k < self.values.len() && self.row_idx[k] == r {
+                add_lanes(&mut a, self.values[k], &scat[self.col_idx[k]]);
+                k += 1;
+            }
+            acc[r] = a;
+        }
     }
 }
 

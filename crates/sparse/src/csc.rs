@@ -10,7 +10,7 @@
 // clearest statement of the per-column sweep.
 #![allow(clippy::needless_range_loop)]
 
-use crate::format::MAX_SMSV_BLOCK;
+use crate::format::{for_each_chunk, Rhs, MAX_SMSV_BLOCK};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// Compressed Sparse Column matrix.
@@ -59,6 +59,39 @@ impl CscMatrix {
     pub fn col_view(&self, j: usize) -> (&[usize], &[Scalar]) {
         let (s, e) = (self.col_ptr[j], self.col_ptr[j + 1]);
         (&self.row_idx[s..e], &self.values[s..e])
+    }
+
+    /// CSC's one SMSV kernel. No scatter: the right-hand sides' indices
+    /// select columns directly, and only those columns contribute,
+    /// `out_b += X[:, j] * v_b[j]`. A chunk k-way-merges its lanes'
+    /// ascending column lists, so each union column's rows and values are
+    /// fetched once and stay cache-hot for every lane holding that column.
+    /// A lane still sees its columns in ascending order with rows in
+    /// storage order, so every chunk width, one lane included, yields the
+    /// same bits.
+    fn column_merge<V: Rhs>(&self, vs: &[V], out: &mut [Scalar]) {
+        let rows = self.rows;
+        for_each_chunk(rows, self.cols, vs, out, |chunk, outs| {
+            outs.fill(0.0);
+            let mut cur = [0usize; MAX_SMSV_BLOCK];
+            loop {
+                let next = chunk.iter().zip(&cur).filter_map(|(v, &k)| v.view().indices().get(k));
+                let Some(&j) = next.min() else { break };
+                let (ridx, vals) = self.col_view(j);
+                for (b, (v, k)) in chunk.iter().zip(&mut cur).enumerate() {
+                    let v = v.view();
+                    if v.indices().get(*k) != Some(&j) {
+                        continue;
+                    }
+                    let x = v.values()[*k];
+                    *k += 1;
+                    let out = &mut outs[b * rows..(b + 1) * rows];
+                    for (&r, &a) in ridx.iter().zip(vals) {
+                        out[r] += a * x;
+                    }
+                }
+            }
+        });
     }
 }
 
@@ -115,81 +148,12 @@ impl MatrixFormat for CscMatrix {
         scratch.view(self.cols)
     }
 
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
-        let mut workspace = Vec::new();
-        self.smsv_view(v.as_view(), out, &mut workspace);
+    fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], _workspace: &mut Vec<Scalar>) {
+        self.column_merge(&[v], out);
     }
 
-    fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SMSV output length mismatch");
-        // No dense scatter needed: v's indices select columns directly.
-        let _ = workspace;
-        out.fill(0.0);
-        // Only columns selected by v contribute: out += X[:, j] * v_j.
-        for (j, x) in v.iter() {
-            let (rows, vals) = self.col_view(j);
-            for (&r, &a) in rows.iter().zip(vals) {
-                out[r] += a * x;
-            }
-        }
-    }
-
-    fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        let rows = self.rows;
-        assert_eq!(out.len(), rows * vs.len(), "smsv_block output length mismatch");
-        let mut b0 = 0;
-        while b0 < vs.len() {
-            let cb = (vs.len() - b0).min(MAX_SMSV_BLOCK);
-            if cb == 1 {
-                // A single lane degenerates to the per-vector sweep.
-                let dst = &mut out[b0 * rows..(b0 + 1) * rows];
-                self.smsv_view(vs[b0].as_view(), dst, workspace);
-                b0 += 1;
-                continue;
-            }
-            let chunk = &vs[b0..b0 + cb];
-            for v in chunk {
-                assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-            }
-            let outs = &mut out[b0 * rows..(b0 + cb) * rows];
-            outs.fill(0.0);
-            // K-way merge of the lanes' ascending column lists: each union
-            // column's row/value data is streamed exactly once and fed to
-            // every lane holding that column, instead of once per lane. A
-            // fixed lane still sees its own columns in ascending order with
-            // rows in storage order inside a column — exactly the
-            // per-vector sweep's order — so blocked results stay
-            // bit-identical to `smsv_view`.
-            let mut cur = [0usize; MAX_SMSV_BLOCK];
-            let mut active = [(0usize, 0.0 as Scalar); MAX_SMSV_BLOCK];
-            loop {
-                let mut j = usize::MAX;
-                for (bi, v) in chunk.iter().enumerate() {
-                    if let Some(&ji) = v.indices().get(cur[bi]) {
-                        j = j.min(ji);
-                    }
-                }
-                if j == usize::MAX {
-                    break;
-                }
-                let mut nact = 0;
-                for (bi, v) in chunk.iter().enumerate() {
-                    if v.indices().get(cur[bi]) == Some(&j) {
-                        active[nact] = (bi * rows, v.values()[cur[bi]]);
-                        nact += 1;
-                        cur[bi] += 1;
-                    }
-                }
-                let (ridx, vals) = self.col_view(j);
-                for (&r, &a) in ridx.iter().zip(vals) {
-                    for &(base, x) in &active[..nact] {
-                        outs[base + r] += a * x;
-                    }
-                }
-            }
-            b0 += cb;
-        }
+    fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], _workspace: &mut Vec<Scalar>) {
+        self.column_merge(vs, out);
     }
 
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {

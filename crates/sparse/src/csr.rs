@@ -12,7 +12,7 @@
 // indexed form is the clearest statement of the per-row sweep.
 #![allow(clippy::needless_range_loop)]
 
-use crate::format::{ensure_workspace, MAX_SMSV_BLOCK};
+use crate::format::{add_lanes, smsv_sweep, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// Compressed Sparse Row matrix.
@@ -119,66 +119,6 @@ impl CsrMatrix {
         self.row_ptr[i + 1] - self.row_ptr[i]
     }
 
-    /// SMSV with an explicit scatter workspace, avoiding the per-call
-    /// allocation of [`MatrixFormat::smsv`]. `workspace` must be all zeros
-    /// on entry and is restored to all zeros on exit.
-    pub fn smsv_with(&self, v: &SparseVec, out: &mut [Scalar], workspace: &mut [Scalar]) {
-        self.smsv_view_with(v.as_view(), out, workspace);
-    }
-
-    /// Borrowed-view SMSV kernel behind both [`CsrMatrix::smsv_with`] and
-    /// [`MatrixFormat::smsv_view`]. `workspace` must be all zeros on entry
-    /// and is restored to all zeros on exit.
-    pub fn smsv_view_with(
-        &self,
-        v: SparseVecView<'_>,
-        out: &mut [Scalar],
-        workspace: &mut [Scalar],
-    ) {
-        assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SMSV output length mismatch");
-        debug_assert!(workspace.iter().all(|&w| w == 0.0));
-        // Scatter-gather: v lands in a dense workspace once, then each row
-        // gathers in Θ(dim_i); total Θ(nnz + nnz(v)).
-        //
-        // Rows are gathered in pairs: each row keeps its own accumulator
-        // chain (so every row still sums in ascending-column order,
-        // preserving bit-parity with the blocked kernels), but the two
-        // chains interleave in the lockstep prefix, doubling the
-        // instruction-level parallelism of the serial `acc += x * w`
-        // dependency that otherwise bounds the gather.
-        v.scatter(workspace);
-        let mut i = 0;
-        while i + 2 <= self.rows {
-            let (c0, v0) = self.row_view(i);
-            let (c1, v1) = self.row_view(i + 1);
-            let n = c0.len().min(c1.len());
-            let (mut a0, mut a1) = (0.0 as Scalar, 0.0 as Scalar);
-            for k in 0..n {
-                a0 += v0[k] * workspace[c0[k]];
-                a1 += v1[k] * workspace[c1[k]];
-            }
-            for k in n..c0.len() {
-                a0 += v0[k] * workspace[c0[k]];
-            }
-            for k in n..c1.len() {
-                a1 += v1[k] * workspace[c1[k]];
-            }
-            out[i] = a0;
-            out[i + 1] = a1;
-            i += 2;
-        }
-        if i < self.rows {
-            let (cols, vals) = self.row_view(i);
-            let mut acc = 0.0;
-            for (&c, &x) in cols.iter().zip(vals) {
-                acc += x * workspace[c];
-            }
-            out[i] = acc;
-        }
-        v.unscatter(workspace);
-    }
-
     /// Row-lockstep "vectorised" SMSV processing `LANES` rows at a time,
     /// mirroring a fixed-width SIMD kernel (e.g. on Intel MIC): each lane
     /// group executes `max(dim_i)` steps, so short rows in a group pay for
@@ -254,62 +194,12 @@ impl MatrixFormat for CsrMatrix {
         SparseVecView::new(self.cols, cols, vals)
     }
 
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
-        let mut workspace = vec![0.0; self.cols];
-        self.smsv_with(v, out, &mut workspace);
-    }
-
     fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        let ws = ensure_workspace(workspace, self.cols);
-        self.smsv_view_with(v, out, ws);
+        smsv_sweep(self, &[v], out, workspace);
     }
 
     fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        assert_eq!(out.len(), self.rows * vs.len(), "smsv_block output length mismatch");
-        // Blocked kernel: the B right-hand sides are scattered into an
-        // interleaved workspace (`ws[c * cb + bi]` = vs[bi][c]) so one
-        // traversal of the matrix feeds all B accumulators; traffic over
-        // the CSR arrays is amortised B-fold versus B smsv calls.
-        let mut b0 = 0;
-        while b0 < vs.len() {
-            let cb = (vs.len() - b0).min(MAX_SMSV_BLOCK);
-            if cb == 1 {
-                // A single lane degenerates to the per-vector sweep; skip
-                // the interleaved workspace and its writeback entirely.
-                let dst = &mut out[b0 * self.rows..(b0 + 1) * self.rows];
-                self.smsv_view(vs[b0].as_view(), dst, workspace);
-                b0 += 1;
-                continue;
-            }
-            let chunk = &vs[b0..b0 + cb];
-            let ws = ensure_workspace(workspace, self.cols * cb);
-            debug_assert!(ws.iter().all(|&w| w == 0.0));
-            for (bi, v) in chunk.iter().enumerate() {
-                assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-                for (j, x) in v.iter() {
-                    ws[j * cb + bi] = x;
-                }
-            }
-            for i in 0..self.rows {
-                let (cols, vals) = self.row_view(i);
-                let mut acc = [0.0 as Scalar; MAX_SMSV_BLOCK];
-                for (&c, &x) in cols.iter().zip(vals) {
-                    let lane = &ws[c * cb..(c + 1) * cb];
-                    for (a, &w) in acc[..cb].iter_mut().zip(lane) {
-                        *a += x * w;
-                    }
-                }
-                for (bi, &a) in acc[..cb].iter().enumerate() {
-                    out[(b0 + bi) * self.rows + i] = a;
-                }
-            }
-            for (bi, v) in chunk.iter().enumerate() {
-                for &j in v.indices() {
-                    ws[j * cb + bi] = 0.0;
-                }
-            }
-            b0 += cb;
-        }
+        smsv_sweep(self, vs, out, workspace);
     }
 
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
@@ -350,6 +240,52 @@ impl MatrixFormat for CsrMatrix {
         // Table II: data + indices arrays have nnz elements each, ptr has
         // M + 1; dense worst case is 2MN + M.
         2 * self.nnz() + self.rows + 1
+    }
+}
+
+/// Widths at or below this gather two rows per step.
+const PAIRED_WIDTH: usize = 8;
+
+impl Sweep for CsrMatrix {
+    /// Scatter-gather: each row gathers its lanes in Θ(dim_i), so a sweep
+    /// costs Θ(nnz · CB) plus the scatter.
+    ///
+    /// At narrow widths a row's `CB` accumulator chains are too few to
+    /// hide the add latency, so rows are gathered in pairs: each row keeps
+    /// its own chains (still summing in ascending-column order), but the
+    /// two rows interleave over their common prefix. Wide widths have
+    /// enough independent chains already, and pairing only spills them.
+    fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
+        let (scat, acc) = (scat.as_chunks::<CB>().0, acc.as_chunks_mut::<CB>().0);
+        let mut i = 0;
+        if CB <= PAIRED_WIDTH {
+            while i + 2 <= self.rows {
+                let (c0, v0) = self.row_view(i);
+                let (c1, v1) = self.row_view(i + 1);
+                let n = c0.len().min(c1.len());
+                let (mut a0, mut a1) = ([0.0; CB], [0.0; CB]);
+                for k in 0..n {
+                    add_lanes(&mut a0, v0[k], &scat[c0[k]]);
+                    add_lanes(&mut a1, v1[k], &scat[c1[k]]);
+                }
+                for k in n..c0.len() {
+                    add_lanes(&mut a0, v0[k], &scat[c0[k]]);
+                }
+                for k in n..c1.len() {
+                    add_lanes(&mut a1, v1[k], &scat[c1[k]]);
+                }
+                (acc[i], acc[i + 1]) = (a0, a1);
+                i += 2;
+            }
+        }
+        for i in i..self.rows {
+            let (cols, vals) = self.row_view(i);
+            let mut a = [0.0; CB];
+            for (&c, &x) in cols.iter().zip(vals) {
+                add_lanes(&mut a, x, &scat[c]);
+            }
+            acc[i] = a;
+        }
     }
 }
 
@@ -418,17 +354,6 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.smsv(&v, &mut out);
         assert_eq!(out, vec![2.0, 0.0, 11.0]);
-    }
-
-    #[test]
-    fn smsv_with_reusable_workspace_restores_zeros() {
-        let m = sample();
-        let v = SparseVec::new(4, vec![1], vec![10.0]);
-        let mut out = vec![0.0; 3];
-        let mut ws = vec![0.0; 4];
-        m.smsv_with(&v, &mut out, &mut ws);
-        assert_eq!(out, vec![0.0, 0.0, 40.0]);
-        assert!(ws.iter().all(|&w| w == 0.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! machine learning (gisette, epsilon, leukemia, dna in Table V), where the
 //! index arrays of sparse formats double or triple the memory traffic.
 
-use crate::format::{ensure_workspace, MAX_SMSV_BLOCK};
+use crate::format::{add_lanes, smsv_sweep, Rhs, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// A dense row-major matrix.
@@ -96,112 +96,12 @@ impl MatrixFormat for DenseMatrix {
         scratch.view(self.cols)
     }
 
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
-        let mut workspace = Vec::new();
-        self.smsv_view(v.as_view(), out, &mut workspace);
-    }
-
     fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SMSV output length mismatch");
-        // Dense-row x sparse-vector: the gather over v's nnz indices is the
-        // natural kernel; cost is M * nnz(v) regardless of matrix sparsity.
-        // When v is (near-)dense — the common case for the dense ML datasets
-        // DEN is chosen for — skip the index gather entirely and run a
-        // straight dot product, the layout's whole advantage.
-        if v.nnz() * 4 >= 3 * self.cols {
-            let ws = ensure_workspace(workspace, self.cols);
-            debug_assert!(ws.iter().all(|&w| w == 0.0));
-            v.scatter(ws);
-            for (i, o) in out.iter_mut().enumerate() {
-                let row = &self.data[i * self.cols..(i + 1) * self.cols];
-                // Explicit fold from +0.0, not `.sum()`: std's float Sum
-                // keeps a lone -0.0 term as -0.0, which would break the
-                // bit-parity contract with the blocked kernel's +0.0-seeded
-                // accumulators (an empty row times a negative RHS entry).
-                let mut acc = 0.0;
-                for (a, b) in row.iter().zip(ws.iter()) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-            v.unscatter(ws);
-            return;
-        }
-        let idx = v.indices();
-        let val = v.values();
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let mut acc = 0.0;
-            for (&j, &x) in idx.iter().zip(val) {
-                acc += row[j] * x;
-            }
-            *o = acc;
-        }
+        smsv_sweep(self, &[v], out, workspace);
     }
 
     fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        assert_eq!(out.len(), self.rows * vs.len(), "smsv_block output length mismatch");
-        // Blocked kernel: stream each dense row once and feed all B
-        // accumulators from it, instead of re-reading the M*N buffer B
-        // times. Right-hand sides sit in an interleaved scatter workspace
-        // (`ws[j * cb + bi]`) when dense enough, or are gathered per-index
-        // when sparse.
-        let mut b0 = 0;
-        while b0 < vs.len() {
-            let cb = (vs.len() - b0).min(MAX_SMSV_BLOCK);
-            if cb == 1 {
-                // A single lane degenerates to the per-vector sweep; skip
-                // the interleaved workspace and its writeback entirely.
-                let dst = &mut out[b0 * self.rows..(b0 + 1) * self.rows];
-                self.smsv_view(vs[b0].as_view(), dst, workspace);
-                b0 += 1;
-                continue;
-            }
-            let chunk = &vs[b0..b0 + cb];
-            for v in chunk {
-                assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-            }
-            let total_nnz: usize = chunk.iter().map(|v| v.nnz()).sum();
-            if total_nnz * 4 >= 3 * self.cols * cb {
-                let ws = ensure_workspace(workspace, self.cols * cb);
-                debug_assert!(ws.iter().all(|&w| w == 0.0));
-                for (bi, v) in chunk.iter().enumerate() {
-                    for (j, x) in v.iter() {
-                        ws[j * cb + bi] = x;
-                    }
-                }
-                for i in 0..self.rows {
-                    let row = self.row(i);
-                    let mut acc = [0.0 as Scalar; MAX_SMSV_BLOCK];
-                    for (j, &x) in row.iter().enumerate() {
-                        let lane = &ws[j * cb..(j + 1) * cb];
-                        for (a, &w) in acc[..cb].iter_mut().zip(lane) {
-                            *a += x * w;
-                        }
-                    }
-                    for (bi, &a) in acc[..cb].iter().enumerate() {
-                        out[(b0 + bi) * self.rows + i] = a;
-                    }
-                }
-                for (bi, v) in chunk.iter().enumerate() {
-                    for &j in v.indices() {
-                        ws[j * cb + bi] = 0.0;
-                    }
-                }
-            } else {
-                // Sparse gather: the per-row read count is so low that the
-                // interleaved accumulators cost more than they save, and
-                // scattered output writes would dominate. Run each product
-                // through the single-vector kernel — same access pattern,
-                // sequential writes, never slower than unblocked.
-                for (bi, v) in chunk.iter().enumerate() {
-                    let dst = &mut out[(b0 + bi) * self.rows..(b0 + bi + 1) * self.rows];
-                    self.smsv_view(v.as_view(), dst, workspace);
-                }
-            }
-            b0 += cb;
-        }
+        smsv_sweep(self, vs, out, workspace);
     }
 
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
@@ -231,6 +131,44 @@ impl MatrixFormat for DenseMatrix {
     fn storage_elems(&self) -> usize {
         // Table II: DEN stores exactly M * N elements, min and max alike.
         self.rows * self.cols
+    }
+}
+
+impl Sweep for DenseMatrix {
+    /// A straight dot product of each row against every lane, the
+    /// layout's whole advantage when the right-hand sides are (near-)dense,
+    /// the common case for the dense ML datasets DEN is chosen for.
+    fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
+        let scat = scat.as_chunks::<CB>().0;
+        for (i, out) in acc.as_chunks_mut::<CB>().0.iter_mut().enumerate() {
+            let mut a = [0.0; CB];
+            for (&x, w) in self.row(i).iter().zip(scat) {
+                add_lanes(&mut a, x, w);
+            }
+            *out = a;
+        }
+    }
+
+    /// Sparse right-hand sides gather over their own indices instead, at
+    /// M · nnz(v) per product whatever the matrix holds: below 3/4 density
+    /// the interleaved scatter costs more than it saves.
+    fn gather<V: Rhs>(&self, chunk: &[V], out: &mut [Scalar]) -> bool {
+        let nnz: usize = chunk.iter().map(|v| v.view().nnz()).sum();
+        if nnz * 4 >= 3 * self.cols * chunk.len() {
+            return false;
+        }
+        for (b, v) in chunk.iter().enumerate() {
+            let v = v.view();
+            for (i, o) in out[b * self.rows..(b + 1) * self.rows].iter_mut().enumerate() {
+                let row = self.row(i);
+                let mut acc = 0.0;
+                for (&j, &x) in v.indices().iter().zip(v.values()) {
+                    acc += row[j] * x;
+                }
+                *o = acc;
+            }
+        }
+        true
     }
 }
 

@@ -8,7 +8,7 @@
 //! multiply (paper Fig. 3: performance degrades as `mdim` grows at fixed
 //! nnz).
 
-use crate::format::{ensure_workspace, MAX_SMSV_BLOCK};
+use crate::format::{add_lanes, smsv_sweep, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// Sentinel column index marking a padded slot.
@@ -71,69 +71,6 @@ impl EllMatrix {
     pub fn slot_val(&self, i: usize, k: usize) -> Scalar {
         self.val[k * self.rows + i]
     }
-
-    /// SMSV with an explicit scatter workspace (all zeros on entry/exit).
-    pub fn smsv_with(&self, v: &SparseVec, out: &mut [Scalar], workspace: &mut [Scalar]) {
-        self.smsv_view_with(v.as_view(), out, workspace);
-    }
-
-    /// One blocked column-major sweep of the padded slot arrays into an
-    /// interleaved accumulator: the inner loop of [`MatrixFormat::smsv_block`].
-    ///
-    /// `scat` is the `(cols + 1) * cb` interleaved scatter of the chunk's
-    /// right-hand sides: lane `bi` of column `j` lives at `scat[j*cb+bi]`,
-    /// and the extra column slot at index `cols` stays all-zero so padded
-    /// slots read from it. `acc` is the `rows * cb` interleaved accumulator
-    /// the products land in. The pad remap is a select, not a branch, so
-    /// the inner lane loop is straight-line code the autovectorizer can
-    /// turn into FMAs (a padded slot contributes `0.0 * 0.0`, leaving the
-    /// accumulator bit-identical to skipping it).
-    fn blocked_slab_sweep(&self, cb: usize, scat: &[Scalar], acc: &mut [Scalar]) {
-        debug_assert_eq!(scat.len(), (self.cols + 1) * cb);
-        debug_assert_eq!(acc.len(), self.rows * cb);
-        for k in 0..self.width {
-            let idx = &self.idx[k * self.rows..(k + 1) * self.rows];
-            let val = &self.val[k * self.rows..(k + 1) * self.rows];
-            for i in 0..self.rows {
-                let c = idx[i];
-                let c = if c == PAD { self.cols } else { c };
-                let x = val[i];
-                let lane = &scat[c * cb..(c + 1) * cb];
-                let a = &mut acc[i * cb..(i + 1) * cb];
-                for (ab, &w) in a.iter_mut().zip(lane) {
-                    *ab += x * w;
-                }
-            }
-        }
-    }
-
-    /// Borrowed-view SMSV kernel behind both [`EllMatrix::smsv_with`] and
-    /// [`MatrixFormat::smsv_view`] (workspace all zeros on entry/exit).
-    pub fn smsv_view_with(
-        &self,
-        v: SparseVecView<'_>,
-        out: &mut [Scalar],
-        workspace: &mut [Scalar],
-    ) {
-        assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SMSV output length mismatch");
-        debug_assert!(workspace.iter().all(|&w| w == 0.0));
-        v.scatter(workspace);
-        out.fill(0.0);
-        // Column-major sweep: slot k of all rows before slot k+1, the memory
-        // order ELL is designed for. Padded slots execute a masked FMA —
-        // the cost the paper attributes to large mdim.
-        for k in 0..self.width {
-            let idx = &self.idx[k * self.rows..(k + 1) * self.rows];
-            let val = &self.val[k * self.rows..(k + 1) * self.rows];
-            for i in 0..self.rows {
-                let c = idx[i];
-                let x = if c == PAD { 0.0 } else { workspace[c] };
-                out[i] += val[i] * x;
-            }
-        }
-        v.unscatter(workspace);
-    }
 }
 
 impl MatrixFormat for EllMatrix {
@@ -194,59 +131,12 @@ impl MatrixFormat for EllMatrix {
         scratch.view(self.cols)
     }
 
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
-        let mut workspace = vec![0.0; self.cols];
-        self.smsv_with(v, out, &mut workspace);
-    }
-
     fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        let ws = ensure_workspace(workspace, self.cols);
-        self.smsv_view_with(v, out, ws);
+        smsv_sweep(self, &[v], out, workspace);
     }
 
     fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
-        assert_eq!(out.len(), self.rows * vs.len(), "smsv_block output length mismatch");
-        // Blocked kernel: one column-major sweep over the padded slot
-        // arrays feeds all B right-hand sides. The workspace carves out an
-        // interleaved scatter region (`(cols + 1) * cb`, the extra all-zero
-        // column absorbing padded slots branch-free) followed by an
-        // interleaved accumulator region (`rows * cb`); both are restored
-        // to zero before the chunk ends.
-        let mut b0 = 0;
-        while b0 < vs.len() {
-            let cb = (vs.len() - b0).min(MAX_SMSV_BLOCK);
-            if cb == 1 {
-                // A single lane degenerates to the per-vector sweep; skip
-                // the interleaved workspace and its writeback entirely.
-                let dst = &mut out[b0 * self.rows..(b0 + 1) * self.rows];
-                self.smsv_view(vs[b0].as_view(), dst, workspace);
-                b0 += 1;
-                continue;
-            }
-            let chunk = &vs[b0..b0 + cb];
-            let ws = ensure_workspace(workspace, (self.cols + 1 + self.rows) * cb);
-            debug_assert!(ws.iter().all(|&w| w == 0.0));
-            let (scat, acc) = ws.split_at_mut((self.cols + 1) * cb);
-            for (bi, v) in chunk.iter().enumerate() {
-                assert_eq!(v.dim(), self.cols, "SMSV vector dimension mismatch");
-                for (j, x) in v.iter() {
-                    scat[j * cb + bi] = x;
-                }
-            }
-            self.blocked_slab_sweep(cb, scat, acc);
-            for i in 0..self.rows {
-                for bi in 0..cb {
-                    out[(b0 + bi) * self.rows + i] = acc[i * cb + bi];
-                    acc[i * cb + bi] = 0.0;
-                }
-            }
-            for (bi, v) in chunk.iter().enumerate() {
-                for &j in v.indices() {
-                    scat[j * cb + bi] = 0.0;
-                }
-            }
-            b0 += cb;
-        }
+        smsv_sweep(self, vs, out, workspace);
     }
 
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
@@ -297,6 +187,29 @@ impl MatrixFormat for EllMatrix {
     fn storage_elems(&self) -> usize {
         // Table II: two M x mdim arrays (max 2MN when a row is full).
         2 * self.rows * self.width
+    }
+}
+
+impl Sweep for EllMatrix {
+    /// Padded slots point at the all-zero column `cols`.
+    const PAD_COLS: usize = 1;
+
+    /// Column-major sweep: slot k of all rows before slot k+1, the memory
+    /// order ELL is designed for. A padded slot runs a masked multiply
+    /// (`0.0 * 0.0`, which leaves the sum's bits alone), the cost the
+    /// paper attributes to large mdim; its remap is a select, not a
+    /// branch, so the lane loop stays straight-line code.
+    fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
+        acc.fill(0.0);
+        let (scat, acc) = (scat.as_chunks::<CB>().0, acc.as_chunks_mut::<CB>().0);
+        for k in 0..self.width {
+            let idx = &self.idx[k * self.rows..(k + 1) * self.rows];
+            let val = &self.val[k * self.rows..(k + 1) * self.rows];
+            for ((&c, &x), a) in idx.iter().zip(val).zip(acc.iter_mut()) {
+                let c = if c == PAD { self.cols } else { c };
+                add_lanes(a, x, &scat[c]);
+            }
+        }
     }
 }
 

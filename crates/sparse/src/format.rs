@@ -1,4 +1,5 @@
-//! The [`MatrixFormat`] trait and the [`AnyMatrix`] runtime-dispatch enum.
+//! The [`MatrixFormat`] trait, the [`AnyMatrix`] runtime-dispatch enum, and
+//! the chunked SMSV loop every format's one kernel runs under.
 //!
 //! The layout scheduler picks a [`Format`] at runtime, so the solver needs a
 //! single type that can hold any of the six concrete formats. Enum
@@ -109,11 +110,14 @@ pub trait MatrixFormat {
     /// over it.
     fn row_view_in<'a>(&'a self, i: usize, scratch: &'a mut RowScratch) -> SparseVecView<'a>;
 
-    /// Sparse-matrix × sparse-vector: `out[i] = X_i · v` for every row.
+    /// Sparse-matrix × sparse-vector: `out[i] = X_i · v` for every row,
+    /// through a fresh workspace ([`MatrixFormat::smsv_view`] reuses one).
     ///
     /// # Panics
     /// Panics if `v.dim() != self.cols()` or `out.len() != self.rows()`.
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]);
+    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
+        self.smsv_view(v.as_view(), out, &mut Vec::new());
+    }
 
     /// Zero-allocation SMSV over a borrowed right-hand side.
     ///
@@ -123,6 +127,10 @@ pub trait MatrixFormat {
     /// and [`MatrixFormat::smsv_block`]. Callers must hand in a buffer
     /// whose contents are all zero (a fresh `Vec` qualifies); in steady
     /// state the capacity is stable and no allocation happens.
+    ///
+    /// Operands must be finite: DEN and DIA multiply stored zeros by every
+    /// scattered slot, so a NaN or infinity would make the answer depend
+    /// on the layout.
     fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>);
 
     /// Multi-vector SMSV: computes `vs.len()` products in one call, with
@@ -133,7 +141,7 @@ pub trait MatrixFormat {
     /// [`MAX_SMSV_BLOCK`] right-hand sides (CSC merges the lanes' column
     /// lists, so a column shared by several right-hand sides is streamed
     /// once), with results bit-identical to one [`MatrixFormat::smsv_view`]
-    /// sweep per vector. `workspace` follows the
+    /// call per vector. `workspace` follows the
     /// [`MatrixFormat::smsv_view`] contract.
     ///
     /// # Panics
@@ -158,15 +166,147 @@ pub trait MatrixFormat {
     fn storage_elems(&self) -> usize;
 }
 
-/// Grows `workspace` to at least `len` slots (new slots zeroed, existing
-/// contents untouched) and returns the first `len` as a slice. The shared
-/// helper behind every format's `smsv_view`/`smsv_block` scratch handling:
-/// growth happens once, after which the same buffer is reused forever.
-pub(crate) fn ensure_workspace(workspace: &mut Vec<Scalar>, len: usize) -> &mut [Scalar] {
-    if workspace.len() < len {
-        workspace.resize(len, 0.0);
+/// A right-hand side [`smsv_sweep`] reads: an owned [`SparseVec`]
+/// (`smsv_block`) or a borrowed view (`smsv_view`).
+pub(crate) trait Rhs {
+    fn view(&self) -> SparseVecView<'_>;
+}
+
+impl Rhs for SparseVec {
+    #[inline]
+    fn view(&self) -> SparseVecView<'_> {
+        self.as_view()
     }
-    &mut workspace[..len]
+}
+
+impl Rhs for SparseVecView<'_> {
+    #[inline]
+    fn view(&self) -> SparseVecView<'_> {
+        *self
+    }
+}
+
+/// A row format's one SMSV kernel, generic over the lane width `CB`: the
+/// number of right-hand sides a single pass over the matrix serves.
+/// [`smsv_sweep`] runs it at width 1 for `smsv_view` and at each chunk's
+/// width for `smsv_block`.
+pub(crate) trait Sweep: MatrixFormat {
+    /// All-zero scatter columns past `cols()` that the sweep reads (ELL
+    /// points its padded slots at one).
+    const PAD_COLS: usize = 0;
+
+    /// Writes `acc[i * CB + b] = X_i · v_b` for every row `i`, where lane
+    /// `b` of column `j` is `scat[j * CB + b]`. `acc` may hold anything on
+    /// entry. Each lane folds its row from +0.0 in ascending column order,
+    /// so every width yields the same bits.
+    fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]);
+
+    /// Serves a chunk without the scatter when the format has a cheaper
+    /// path for these right-hand sides (DEN's sparse gather); `false`
+    /// leaves the chunk to [`Sweep::sweep`].
+    fn gather<V: Rhs>(&self, _chunk: &[V], _out: &mut [Scalar]) -> bool {
+        false
+    }
+}
+
+/// `a[b] += x * w[b]` across the lanes: one multiply and one add per lane,
+/// never fused, so the result matches a scalar loop bit for bit.
+#[inline(always)]
+pub(crate) fn add_lanes<const CB: usize>(a: &mut [Scalar; CB], x: Scalar, w: &[Scalar; CB]) {
+    for b in 0..CB {
+        a[b] += x * w[b];
+    }
+}
+
+/// Checks every dimension once, then hands `f` each chunk of at most
+/// [`MAX_SMSV_BLOCK`] right-hand sides with that chunk's vector-major
+/// slice of `out`.
+pub(crate) fn for_each_chunk<V: Rhs>(
+    rows: usize,
+    cols: usize,
+    vs: &[V],
+    out: &mut [Scalar],
+    mut f: impl FnMut(&[V], &mut [Scalar]),
+) {
+    assert_eq!(out.len(), rows * vs.len(), "SMSV output length mismatch");
+    for v in vs {
+        assert_eq!(v.view().dim(), cols, "SMSV vector dimension mismatch");
+    }
+    for (k, chunk) in vs.chunks(MAX_SMSV_BLOCK).enumerate() {
+        let start = k * MAX_SMSV_BLOCK * rows;
+        f(chunk, &mut out[start..start + chunk.len() * rows]);
+    }
+}
+
+/// The SMSV loop behind `smsv_view` (one right-hand side) and
+/// `smsv_block` of every [`Sweep`] format. Per chunk it scatters the
+/// right-hand sides interleaved (`scat[j * cb + b]`, plus the format's
+/// all-zero pad columns) into `workspace`, runs the sweep instance for the
+/// chunk's exact width into an interleaved accumulator, writes that back
+/// vector-major, and restores every touched slot to zero. At width 1 the
+/// accumulator is `out` itself and there is nothing to write back.
+pub(crate) fn smsv_sweep<M: Sweep, V: Rhs>(
+    m: &M,
+    vs: &[V],
+    out: &mut [Scalar],
+    workspace: &mut Vec<Scalar>,
+) {
+    let (rows, cols) = (m.rows(), m.cols());
+    for_each_chunk(rows, cols, vs, out, |chunk, out| {
+        if m.gather(chunk, out) {
+            return;
+        }
+        let cb = chunk.len();
+        let scat_len = (cols + M::PAD_COLS) * cb;
+        let acc_len = if cb == 1 { 0 } else { rows * cb };
+        if workspace.len() < scat_len + acc_len {
+            workspace.resize(scat_len + acc_len, 0.0);
+        }
+        let ws = &mut workspace[..scat_len + acc_len];
+        debug_assert!(ws.iter().all(|&w| w == 0.0));
+        let (scat, acc) = ws.split_at_mut(scat_len);
+        for (b, v) in chunk.iter().enumerate() {
+            for (j, x) in v.view().iter() {
+                scat[j * cb + b] = x;
+            }
+        }
+        if cb == 1 {
+            sweep_at(m, 1, scat, out);
+        } else {
+            sweep_at(m, cb, scat, acc);
+            for i in 0..rows {
+                for b in 0..cb {
+                    out[b * rows + i] = acc[i * cb + b];
+                    acc[i * cb + b] = 0.0;
+                }
+            }
+        }
+        for (b, v) in chunk.iter().enumerate() {
+            for &j in v.view().indices() {
+                scat[j * cb + b] = 0.0;
+            }
+        }
+    });
+}
+
+/// Runs `m`'s sweep instance for a chunk of `cb` lanes. Every width up to
+/// [`MAX_SMSV_BLOCK`] has its own instance, so no lane loop runs at a
+/// runtime width, where a block of two would cost more per product than
+/// a single vector. Kept out of line so both callers of a format's
+/// [`smsv_sweep`] (`smsv_view` and `smsv_block`) share one copy of its 32
+/// instances.
+#[inline(never)]
+fn sweep_at<M: Sweep>(m: &M, cb: usize, scat: &[Scalar], acc: &mut [Scalar]) {
+    const _: () = assert!(MAX_SMSV_BLOCK == 32, "instantiate every width below");
+    macro_rules! widths {
+        ($($w:literal)+) => {
+            match cb {
+                $($w => m.sweep::<$w>(scat, acc),)+
+                _ => unreachable!("chunk width {cb} outside 1..={MAX_SMSV_BLOCK}"),
+            }
+        };
+    }
+    widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
 }
 
 /// A matrix in any of the supported formats, produced by the runtime
@@ -247,10 +387,6 @@ impl MatrixFormat for AnyMatrix {
 
     fn row_view_in<'a>(&'a self, i: usize, scratch: &'a mut RowScratch) -> SparseVecView<'a> {
         dispatch!(self, m => m.row_view_in(i, scratch))
-    }
-
-    fn smsv(&self, v: &SparseVec, out: &mut [Scalar]) {
-        dispatch!(self, m => m.smsv(v, out))
     }
 
     fn smsv_view(&self, v: SparseVecView<'_>, out: &mut [Scalar], workspace: &mut Vec<Scalar>) {

@@ -1,8 +1,7 @@
 //! Property-based tests: every storage format must be an exact,
-//! loss-free re-encoding of the same matrix, and every kernel must agree
-//! with the reference implementation on arbitrary sparsity patterns.
+//! loss-free re-encoding of the same matrix on arbitrary sparsity
+//! patterns. The SMSV kernels' oracle is `triplet_properties.rs`.
 
-use dls_sparse::ops::smsv_reference;
 use dls_sparse::{
     AnyMatrix, CsrMatrix, Format, MatrixFeatures, MatrixFormat, RowScratch, SparseVec,
     TripletMatrix,
@@ -57,21 +56,6 @@ proptest! {
                 for j in 0..t.cols() {
                     prop_assert_eq!(m.get(i, j), dense[i * t.cols() + j], "{} at ({},{})", fmt, i, j);
                 }
-            }
-        }
-    }
-
-    /// SMSV agrees with the merge-join reference for every format.
-    #[test]
-    fn smsv_agrees_with_reference((t, v) in arb_matrix_and_vec()) {
-        let csr = CsrMatrix::from_triplets(&t);
-        let reference = smsv_reference(&csr, &v);
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let mut out = vec![0.0; t.rows()];
-            m.smsv(&v, &mut out);
-            for (a, b) in out.iter().zip(&reference) {
-                prop_assert!((a - b).abs() < 1e-9, "{}: {:?} vs {:?}", fmt, out, reference);
             }
         }
     }
@@ -150,84 +134,6 @@ proptest! {
                 prop_assert_eq!(view.indices(), owned.indices(), "{} row {}", fmt, i);
                 prop_assert_eq!(view.values(), owned.values(), "{} row {}", fmt, i);
             }
-        }
-    }
-
-    /// The workspace-reusing SMSV agrees with the allocating one for every
-    /// format — sharing one workspace across all formats and calls.
-    #[test]
-    fn smsv_view_matches_smsv((t, v) in arb_matrix_and_vec()) {
-        let csr = CsrMatrix::from_triplets(&t);
-        let reference = smsv_reference(&csr, &v);
-        let mut ws = Vec::new();
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let mut out = vec![1.0; t.rows()]; // pre-polluted: must overwrite
-            m.smsv_view(v.as_view(), &mut out, &mut ws);
-            for (a, b) in out.iter().zip(&reference) {
-                prop_assert!((a - b).abs() < 1e-9, "{}: {:?} vs {:?}", fmt, out, reference);
-            }
-            // The shared workspace must be restored to all-zero.
-            prop_assert!(ws.iter().all(|&w| w == 0.0), "{} left workspace dirty", fmt);
-        }
-    }
-
-    /// Blocked SMSV equals per-vector reference products for every format
-    /// and any block width — including B > rows and B > MAX_SMSV_BLOCK.
-    #[test]
-    fn smsv_block_matches_reference((t, v) in arb_matrix_and_vec(), b in 0usize..40) {
-        let csr = CsrMatrix::from_triplets(&t);
-        // Block of B right-hand sides: matrix rows cycled, plus the
-        // arbitrary vector interleaved so not every RHS is a matrix row.
-        let vs: Vec<SparseVec> = (0..b)
-            .map(|k| if k % 3 == 2 { v.clone() } else { t.row_sparse(k % t.rows()) })
-            .collect();
-        let mut ws = Vec::new();
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let mut out = vec![1.0; t.rows() * b];
-            m.smsv_block(&vs, &mut out, &mut ws);
-            for (k, rhs) in vs.iter().enumerate() {
-                let expect = smsv_reference(&csr, rhs);
-                let got = &out[k * t.rows()..(k + 1) * t.rows()];
-                for (a, bb) in got.iter().zip(&expect) {
-                    prop_assert!((a - bb).abs() < 1e-9, "{} block {}/{}", fmt, k, b);
-                }
-            }
-            prop_assert!(ws.iter().all(|&w| w == 0.0), "{} left workspace dirty", fmt);
-        }
-    }
-
-    /// Blocked SMSV is BIT-identical to the per-vector kernel for every
-    /// format — not merely close. Each lane of the blocked kernels
-    /// accumulates its row sums in exactly the per-vector order, which is
-    /// what lets `predict_batch` swap kernels without changing decisions.
-    /// The strategy space covers the hard shapes: empty rows (arbitrary
-    /// matrices produce them), single-row matrices (`rows` starts at 1),
-    /// B above any tuned block, and B > MAX_SMSV_BLOCK (chunking path,
-    /// including size-1 tail chunks at B = 33).
-    #[test]
-    fn smsv_block_is_bit_identical_to_per_vector((t, v) in arb_matrix_and_vec(), b in 1usize..40) {
-        let vs: Vec<SparseVec> = (0..b)
-            .map(|k| if k % 3 == 2 { v.clone() } else { t.row_sparse(k % t.rows()) })
-            .collect();
-        let mut ws = Vec::new();
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let mut blocked = vec![1.0; t.rows() * b];
-            m.smsv_block(&vs, &mut blocked, &mut ws);
-            let mut single = vec![1.0; t.rows()];
-            for (k, rhs) in vs.iter().enumerate() {
-                m.smsv_view(rhs.as_view(), &mut single, &mut ws);
-                let got = &blocked[k * t.rows()..(k + 1) * t.rows()];
-                for (i, (a, bb)) in got.iter().zip(&single).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), bb.to_bits(),
-                        "{} rhs {}/{} row {}: {} vs {}", fmt, k, b, i, a, bb
-                    );
-                }
-            }
-            prop_assert!(ws.iter().all(|&w| w == 0.0), "{} left workspace dirty", fmt);
         }
     }
 

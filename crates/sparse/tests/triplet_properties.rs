@@ -179,16 +179,30 @@ proptest! {
 
     /// Every format builds the same matrix from raw pushes as from their
     /// compacted form, and all three of its kernels multiply like the
-    /// reference, bit for bit: `smsv`, `smsv_view`, and `smsv_block` at one
-    /// lane, two, a full chunk and a chunk plus one.
+    /// reference, bit for bit: `smsv`, `smsv_view`, and `smsv_block` at
+    /// every kind of width the chunked SMSV loop dispatches (one lane, two,
+    /// odd and power-of-two widths, a full chunk, and past it into a tail
+    /// chunk). Outputs start as NaN, so a lane left unwritten fails.
     #[test]
     fn builders_agree_on_raw_and_compacted_input(raw in arb_raw_matrix(), pick in 0usize..64) {
         let compact = raw.clone().compact();
         let csr = CsrMatrix::from_triplets(&compact);
-        // Right-hand sides: rows of the matrix itself, empty ones included.
-        let vs: Vec<SparseVec> =
-            (0..33).map(|b| compact.row_sparse((pick + b) % compact.rows())).collect();
+        // Right-hand sides: rows of the matrix itself, empty ones included,
+        // and every third one a 4/5-dense vector that no row need match.
+        let vs: Vec<SparseVec> = (0..39)
+            .map(|b| {
+                if b % 3 == 2 {
+                    let dense: Vec<f64> =
+                        (0..compact.cols()).map(|j| ((j + b) % 5) as f64 / 2.0 - 1.0).collect();
+                    SparseVec::from_dense(&dense)
+                } else {
+                    compact.row_sparse((pick + b) % compact.rows())
+                }
+            })
+            .collect();
         let want: Vec<Vec<f64>> = vs.iter().map(|v| smsv_reference(&csr, v)).collect();
+        // One workspace for every format and call, as a solver shares it.
+        let mut ws = Vec::new();
         for fmt in Format::ALL {
             let built = AnyMatrix::from_triplets(fmt, &raw);
             prop_assert!(built == AnyMatrix::from_triplets(fmt, &compact), "{}", fmt);
@@ -200,14 +214,14 @@ proptest! {
                 prop_assert_eq!(den.nnz(), den.data().iter().filter(|&&x| x != 0.0).count());
             }
             let rows = built.rows();
-            let mut out = vec![0.0; rows];
-            let mut ws = Vec::new();
+            let mut out = vec![f64::NAN; rows];
             built.smsv(&vs[0], &mut out);
             prop_assert_eq!(bits_of(&out), bits_of(&want[0]), "{} smsv", fmt);
+            out.fill(f64::NAN);
             built.smsv_view(vs[0].as_view(), &mut out, &mut ws);
             prop_assert_eq!(bits_of(&out), bits_of(&want[0]), "{} smsv_view", fmt);
-            for b in [1, 2, 32, 33] {
-                let mut out = vec![0.0; rows * b];
+            for b in [1, 2, 3, 7, 16, 17, 31, 32, 33, 39] {
+                let mut out = vec![f64::NAN; rows * b];
                 built.smsv_block(&vs[..b], &mut out, &mut ws);
                 prop_assert_eq!(bits_of(&out), bits_of(&want[..b].concat()), "{} B={}", fmt, b);
             }

@@ -21,21 +21,27 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
+// SAFETY: every method forwards to `System` with the caller's pointer and
+// layout unchanged, so `System`'s `GlobalAlloc` guarantees carry over.
 unsafe impl GlobalAlloc for CountingAlloc {
+    // SAFETY: forwards to `System` with the caller's layout unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
+    // SAFETY: forwards to `System` with the caller's pointer and layout unchanged.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
 
+    // SAFETY: forwards to `System` with the caller's pointer, layout and size unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
+    // SAFETY: forwards to `System` with the caller's layout unchanged.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)

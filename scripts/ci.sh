@@ -37,7 +37,7 @@ cargo run --release -q --bin dls -- selector-info "$model"
 cargo run --release -q --bin dls -- selector-info crates/learn/tests/fixtures/quick_analytic.json
 cargo run --release -q --bin dls -- schedule @trefethen "learned:$model"
 
-echo "==> blocked-kernel smoke (block-size sweep; geomean floors 0.95x, COO 1.0x)"
+echo "==> blocked-kernel smoke (block-size sweep; geomean floors 0.95x, COO 1.0x; CSR and ELL B=2 per product <= B=1)"
 bench_json="$(mktemp -t dls_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json"' EXIT
 cargo run --release -q -p dls-bench --bin repro_smsv_block -- 5 "$bench_json" --check
@@ -81,6 +81,8 @@ if grep -rnE 'WorkingSetSelectio[n]|SecondOrde[r]|SmsvPoo[l]|par_smsv[_]|dls_spa
 if grep -rnE 'QueueDisciplin[e]|StrictPriorit[y]|parse_disciplin[e]|TreeLatencyEstimato[r]|AnalyticLatencyEstimato[r]|estimator_analyti[c]|BrownoutConfi[g]|predictive_admissio[n]|--disciplin[e]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted with the move to one decision layer in dls-core (selector knobs became constants; one analytic-score and one probe-timing loop).
 if grep -rnE 'RuleThreshold[s]|MachineProfil[e]|with_block_hint[s]|effective_bloc[k]|observations_from_reactiv[e]|record_observation[s]|fn analytic_score[s]|fn time_forma[t]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with the move to one SMSV sweep per format (the per-format view kernels and runtime-width lane loops).
+if grep -rnE 'smsv_wit[h]|smsv_view_wit[h]|blocked_slab_swee[p]|blocked_band_sweep_an[y]' crates src examples; then echo "a retired name is back" >&2; exit 1; fi
 # Every FormatSelector lives in dls-core; dls-learn only builds training data and trains.
 if grep -rn 'impl FormatSelector' crates/learn/src; then echo "a selector is back in dls-learn" >&2; exit 1; fi
 
