@@ -325,8 +325,7 @@ fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tall
 fn brownout_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
     let plan = Arc::new(FaultPlan::new(seed));
     plan.disarm();
-    let executor =
-        ExecutorConfig { queue_capacity: 8, gather: Duration::ZERO, ..Default::default() };
+    let executor = ExecutorConfig { queue_capacity: 8, ..Default::default() };
     let handle = serve(Arc::clone(&plan), executor, frontend);
     let addr = handle.local_addr();
     let exec = handle.executor();

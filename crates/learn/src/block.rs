@@ -11,7 +11,7 @@
 //! to these labels over the same nine-parameter feature vector the format
 //! classifier uses; it rides inside `TrainedModel` and is consumed by
 //! `LearnedSelector` (selection reports) and transitively by the
-//! `dls-serve` batching executor (gather cap).
+//! `dls-serve` batching executor (coalescing cap).
 
 use crate::label::LabelMode;
 use dls_sparse::{

@@ -1,16 +1,10 @@
 //! Brown-out: planned partial degradation under overload.
 //!
 //! When the interactive SLO violation rate or queue pressure crosses its
-//! threshold, the controller activates and the executor responds on two
-//! axes at once:
-//!
-//! 1. **Shed batch-class load** — new batch submissions are refused with
-//!    `Busy` at admission, freeing queue capacity and worker time for
-//!    interactive traffic (batch callers are built to retry).
-//! 2. **Shrink the gather window** — coalescing trades latency for
-//!    throughput; under overload that trade is backwards, so the window
-//!    divides by `GATHER_DIVISOR`. Predictive admission adds the window to
-//!    every projection, so it turns less pessimistic in the same step.
+//! threshold, the controller activates and the executor **sheds
+//! batch-class load**: new batch submissions are refused with `Busy` at
+//! admission, freeing queue capacity and worker time for interactive
+//! traffic (batch callers are built to retry).
 //!
 //! Entry and exit use separate thresholds (hysteresis) plus a minimum
 //! dwell time, so a violation burst cannot flap the controller on and off
@@ -36,8 +30,6 @@ const EXIT_QUEUE_PRESSURE: f64 = 0.25;
 const WINDOW: usize = 64;
 /// Minimum time in either state before switching again.
 const MIN_DWELL: Duration = Duration::from_millis(50);
-/// While browned out, the executor's gather window divides by this.
-pub(crate) const GATHER_DIVISOR: u32 = 8;
 
 /// What changed on one [`BrownoutController::observe`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

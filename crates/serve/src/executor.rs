@@ -4,8 +4,10 @@
 //!
 //! This is where PR 3's blocked kernels get amortised across *clients*:
 //! up to [`MAX_SMSV_BLOCK`] vectors from concurrently queued requests
-//! share one traversal of the model's support-vector matrix. The pipeline
-//! per request is
+//! share one traversal of the model's support-vector matrix. Draining is
+//! work-conserving — a free worker takes a ready lane at once — so
+//! requests coalesce only when they queue behind a running sweep. The
+//! pipeline per request is
 //!
 //! ```text
 //! conn thread ──submit──► admission ──try_push──► ClassedQueue
@@ -31,8 +33,8 @@
 //! another shard (counted in the stats `reactor.steals` gauge), so idle
 //! capacity still flows to the hot model instead of spinning.
 
-use crate::brownout::{BrownoutController, BrownoutTransition, GATHER_DIVISOR};
-use crate::discipline::{decide, queue_ahead, Decision, DisciplineCtx};
+use crate::brownout::{BrownoutController, BrownoutTransition};
+use crate::discipline::{decide, queue_ahead};
 use crate::fault::{FaultAction, FaultInjector, FaultSite};
 use crate::proto::{RequestClass, Response};
 use crate::queue::{ClassedQueue, DrainPlan, JobMeta, PushError};
@@ -66,10 +68,6 @@ pub struct ExecutorConfig {
     /// Capacity of each per-model queue (and the schedule queue); the
     /// backpressure bound.
     pub queue_capacity: usize,
-    /// How long a sweep may linger for more arrivals before launching.
-    /// Zero disables coalescing across requests. The drain rule cuts the
-    /// window short when an interactive deadline needs it.
-    pub gather: Duration,
     /// Cap on vectors coalesced into one blocked sweep. Values above
     /// [`MAX_SMSV_BLOCK`] still execute correctly (the kernels chunk
     /// internally) but add no further amortisation.
@@ -92,7 +90,6 @@ impl std::fmt::Debug for ExecutorConfig {
         f.debug_struct("ExecutorConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("gather", &self.gather)
             .field("max_block", &self.max_block)
             .field("brownout", &self.brownout)
             .field("fault", &self.fault)
@@ -106,7 +103,6 @@ impl Default for ExecutorConfig {
         Self {
             workers: 2,
             queue_capacity: 128,
-            gather: Duration::from_millis(1),
             max_block: MAX_SMSV_BLOCK,
             brownout: true,
             fault: FaultInjector::none(),
@@ -263,17 +259,6 @@ impl Executor {
         self.lanes.iter().map(|l| l.queue.len()).max().unwrap_or(0) as f64 / cap
     }
 
-    /// The gather window currently in force (shrunk while browned out:
-    /// coalescing trades latency for throughput, and under overload that
-    /// trade is backwards).
-    fn effective_gather(&self) -> Duration {
-        if self.brownout_active.load(Ordering::Relaxed) {
-            self.config.gather / GATHER_DIVISOR
-        } else {
-            self.config.gather
-        }
-    }
-
     fn apply_brownout_transition(&self, t: BrownoutTransition) {
         match t {
             BrownoutTransition::None => {}
@@ -366,9 +351,9 @@ impl Executor {
         }
     }
 
-    /// Predictive admission: projected completion is the gather window,
-    /// plus the backlog that drains ahead of this request, plus the
-    /// request's own sweep, all from the model's measured sweep times.
+    /// Predictive admission: projected completion is the backlog that
+    /// drains ahead of this request plus the request's own sweep, both
+    /// from the model's measured sweep times.
     /// `true` means "refuse now" — the request is already doomed to miss
     /// its deadline.
     fn projected_miss(
@@ -384,7 +369,7 @@ impl Executor {
         };
         let ahead = queue_ahead(&lane.queue.pending(), class);
         let service = sweeps.backlog(ahead + weight, self.lane_block(lane));
-        now + self.effective_gather() + service > deadline
+        now + service > deadline
     }
 
     /// Enqueues a predict request. `Ok` carries the receiver the reply
@@ -535,47 +520,22 @@ impl Executor {
         }
     }
 
-    /// Applies the drain rule to one lane and runs any drained batch.
+    /// Drains one sweep from a lane under the drain rule and runs it.
     /// Returns whether anything executed.
-    fn service_lane(
-        &self,
-        lane: &ModelLane,
-        draining: bool,
-        next_wait: &mut Duration,
-        ws: &mut PredictWorkspace,
-    ) -> bool {
-        let pending = lane.queue.pending();
-        if pending.is_empty() {
+    fn service_lane(&self, lane: &ModelLane, draining: bool, ws: &mut PredictWorkspace) -> bool {
+        let plan = if draining {
+            // Shutdown is a drain, not a drop: no block cap.
+            DrainPlan::drain_all()
+        } else {
+            decide(&lane.queue.pending(), self.lane_block(lane))
+        };
+        let batch = lane.queue.drain(&plan);
+        if batch.is_empty() {
             return false;
         }
-        let plan = if draining {
-            // Shutdown is a drain, not a drop: skip the gather holds
-            // entirely.
-            Some(DrainPlan::drain_all())
-        } else {
-            let ctx = DisciplineCtx {
-                now: Instant::now(),
-                gather: self.effective_gather(),
-                max_block: self.lane_block(lane),
-                est_block: self.est_block(lane),
-            };
-            match decide(&pending, &ctx) {
-                Decision::Drain(plan) => Some(plan),
-                Decision::Wait(d) => {
-                    *next_wait = (*next_wait).min(d.max(Duration::from_micros(100)));
-                    None
-                }
-            }
-        };
-        if let Some(plan) = plan {
-            let batch = lane.queue.drain(&plan);
-            if !batch.is_empty() {
-                self.run_predict(&lane.served, batch, ws);
-                self.notify_completions();
-                return true;
-            }
-        }
-        false
+        self.run_predict(&lane.served, batch, ws);
+        self.notify_completions();
+        true
     }
 
     fn worker_loop(&self, worker: usize) {
@@ -586,11 +546,10 @@ impl Executor {
         let mut seen = 0;
         loop {
             let mut worked = false;
-            let mut next_wait = Duration::from_millis(2);
             if !self.paused.load(Ordering::SeqCst) {
                 let draining = self.draining.load(Ordering::SeqCst);
                 for &i in &home {
-                    worked |= self.service_lane(&self.lanes[i], draining, &mut next_wait, &mut ws);
+                    worked |= self.service_lane(&self.lanes[i], draining, &mut ws);
                 }
                 // Work stealing: only an otherwise-idle worker crosses
                 // shards (every worker helps during the shutdown drain),
@@ -598,7 +557,7 @@ impl Executor {
                 // any other model's home worker.
                 if !worked || draining {
                     for &i in &away {
-                        if self.service_lane(&self.lanes[i], draining, &mut next_wait, &mut ws) {
+                        if self.service_lane(&self.lanes[i], draining, &mut ws) {
                             FaultCounters::bump(&self.stats.reactor.steals);
                             worked = true;
                             if !draining {
@@ -618,15 +577,11 @@ impl Executor {
                 if self.draining.load(Ordering::SeqCst) && self.all_drained() {
                     return;
                 }
-                seen = self.wake.wait(seen, next_wait);
+                // Every submit, pause change and shutdown notifies the
+                // signal; the timeout is only a safety net.
+                seen = self.wake.wait(seen, Duration::from_millis(2));
             }
         }
-    }
-
-    /// Measured full-block sweep time for a lane (the drain rule's slack
-    /// discount); zero for constant models.
-    fn est_block(&self, lane: &ModelLane) -> Duration {
-        lane.served.sweeps().map_or(Duration::ZERO, |t| t.sweep_time(self.lane_block(lane)))
     }
 
     /// The coalescing cap for one lane: the scheduler's tuned block for the
@@ -790,6 +745,7 @@ pub fn parse_strategy(name: &str) -> Result<Option<SelectionStrategy>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::registry::ServedModel;
     use dls_svm::{KernelKind, SvmModel};
 
@@ -820,7 +776,7 @@ mod tests {
 
     #[test]
     fn predict_round_trip_through_the_pool() {
-        let exec = start(ExecutorConfig { gather: Duration::ZERO, ..Default::default() });
+        let exec = start(ExecutorConfig::default());
         let x = SparseVec::new(6, vec![0], vec![2.0]);
         let rx = submit_interactive(&exec, vec![x.clone()], 0).unwrap();
         let resp = rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -847,11 +803,7 @@ mod tests {
 
     #[test]
     fn paused_queues_fill_then_refuse_with_busy() {
-        let exec = start(ExecutorConfig {
-            queue_capacity: 2,
-            gather: Duration::ZERO,
-            ..Default::default()
-        });
+        let exec = start(ExecutorConfig { queue_capacity: 2, ..Default::default() });
         exec.pause(true);
         let x = || vec![SparseVec::new(6, vec![1], vec![1.0])];
         let rx1 = submit_interactive(&exec, x(), 0).unwrap();
@@ -867,11 +819,7 @@ mod tests {
 
     #[test]
     fn batch_backlog_cannot_starve_interactive_submission() {
-        let exec = start(ExecutorConfig {
-            queue_capacity: 4,
-            gather: Duration::ZERO,
-            ..Default::default()
-        });
+        let exec = start(ExecutorConfig { queue_capacity: 4, ..Default::default() });
         exec.pause(true);
         let x = || vec![SparseVec::new(6, vec![1], vec![1.0])];
         let mut rxs = Vec::new();
@@ -897,7 +845,7 @@ mod tests {
 
     #[test]
     fn expired_deadlines_get_timed_out_not_executed() {
-        let exec = start(ExecutorConfig { gather: Duration::ZERO, ..Default::default() });
+        let exec = start(ExecutorConfig::default());
         exec.pause(true);
         let rx = submit_interactive(&exec, vec![SparseVec::new(6, vec![0], vec![1.0])], 1).unwrap();
         std::thread::sleep(Duration::from_millis(10)); // let the 1 ms deadline lapse
@@ -912,7 +860,7 @@ mod tests {
 
     #[test]
     fn paused_batch_coalesces_into_one_block() {
-        let exec = start(ExecutorConfig { gather: Duration::ZERO, ..Default::default() });
+        let exec = start(ExecutorConfig::default());
         exec.pause(true);
         let rxs: Vec<_> = (0..5)
             .map(|i| {
@@ -934,7 +882,7 @@ mod tests {
         exec.shutdown();
     }
 
-    /// The coalescing window clamps to the scheduler's tuned block: with a
+    /// Coalescing clamps to the scheduler's tuned block: with a
     /// selector reporting `block = 2`, five queued singles drain as sweeps
     /// of at most two vectors — the block histogram stays below bucket 2
     /// (B >= 4) while pairs still coalesce.
@@ -963,7 +911,7 @@ mod tests {
             registry,
             Arc::new(LayoutScheduler::new()),
             Arc::new(ServeStats::new()),
-            ExecutorConfig { gather: Duration::ZERO, ..Default::default() },
+            ExecutorConfig::default(),
         );
         let served = exec.registry().get("toy").unwrap().clone();
         assert_eq!(served.report().map(|r| r.block), Some(2), "tuned block reaches the lane");
@@ -994,12 +942,7 @@ mod tests {
     /// deterministic, so the pin needs no cross-run timing comparisons.
     #[test]
     fn interactive_jumps_the_batch_flood() {
-        let exec = start(ExecutorConfig {
-            workers: 1,
-            max_block: 2,
-            gather: Duration::ZERO,
-            ..Default::default()
-        });
+        let exec = start(ExecutorConfig { workers: 1, max_block: 2, ..Default::default() });
         exec.pause(true);
         let batch_rxs: Vec<_> = (0..3)
             .map(|_| {
@@ -1028,77 +971,138 @@ mod tests {
         exec.shutdown();
     }
 
-    /// Satellite test (b): predictive admission refuses a request whose
-    /// projected completion (gather + predicted sweep) already misses its
-    /// microsecond-scale SLO, before it ever queues.
+    /// Predictive admission refuses a request whose projected completion —
+    /// the measured backlog ahead of it plus its own sweep — already misses
+    /// its SLO, before it ever queues. The projection compares
+    /// `now + backlog` with `now + slo`, so the verdict does not depend on
+    /// timing: full-block jobs parked behind the paused pool grow the
+    /// backlog until one more vector no longer fits a 1 µs SLO.
     #[test]
     fn admission_refuses_doomed_requests() {
+        const SLO_US: u32 = 1;
         let exec = start(ExecutorConfig::default());
-        // 1 µs SLO: the 1 ms gather window alone dooms it.
-        let resp = exec
-            .submit_predict(
-                "toy",
-                vec![SparseVec::new(6, vec![0], vec![1.0])],
-                RequestClass::Interactive,
-                1,
-                0,
-            )
-            .unwrap_err();
-        assert_eq!(resp, Response::Busy);
+        let lane = &exec.lanes[0];
+        let sweeps = lane.served.sweeps().expect("a matrix model has a sweep table");
+        let block = exec.lane_block(lane);
+        let x = || SparseVec::new(6, vec![0], vec![1.0]);
+        exec.pause(true);
+        let mut parked = Vec::new();
+        while sweeps.backlog(parked.len() * block + 1, block)
+            <= Duration::from_micros(SLO_US.into())
+        {
+            parked
+                .push(submit_interactive(&exec, vec![x(); block], 0).expect("parked job admitted"));
+        }
+        let resp = exec.submit_predict("toy", vec![x()], RequestClass::Interactive, SLO_US, 0);
+        assert_eq!(resp.unwrap_err(), Response::Busy);
         let class = exec.stats().class(RequestClass::Interactive);
         assert_eq!(class.busy_predicted.load(Ordering::Relaxed), 1);
         assert_eq!(exec.stats().predict.busy.load(Ordering::Relaxed), 1);
-        // A comfortable SLO passes admission and completes on time.
-        let rx = exec
-            .submit_predict(
-                "toy",
-                vec![SparseVec::new(6, vec![0], vec![1.0])],
-                RequestClass::Interactive,
-                2_000_000,
-                0,
-            )
-            .unwrap();
-        assert!(matches!(rx.recv_timeout(Duration::from_secs(5)), Ok(Response::Predictions(_))));
+        // A comfortable SLO passes admission behind the same backlog, and
+        // everything completes once the pool resumes.
+        let rx = exec.submit_predict("toy", vec![x()], RequestClass::Interactive, 2_000_000, 0);
+        parked.push(rx.unwrap());
+        exec.pause(false);
+        for rx in parked {
+            assert!(matches!(
+                rx.recv_timeout(Duration::from_secs(5)),
+                Ok(Response::Predictions(_))
+            ));
+        }
         exec.shutdown();
     }
 
-    /// One rule, in the executor: the gather window (what admission adds
-    /// to a request's projected completion) divides by `GATHER_DIVISOR`
-    /// exactly while browned out. An 80 ms window dooms a 40 ms SLO; once
-    /// queue pressure reaches 0.75 (6 of 8 jobs parked) the controller
-    /// trips and the same request is admitted.
+    /// On an idle lane the projection is the request's own measured sweep
+    /// alone, so an SLO well under a millisecond is admitted. Only
+    /// admission is pinned, so a scheduler pause cannot make it flaky.
     #[test]
-    fn effective_gather_shrinks_only_while_active() {
-        let gather = Duration::from_millis(80);
-        let exec = start(ExecutorConfig { gather, queue_capacity: 8, ..Default::default() });
+    fn idle_executor_admits_a_sub_millisecond_slo() {
+        let exec = start(ExecutorConfig::default());
+        let x = vec![SparseVec::new(6, vec![0], vec![1.0])];
+        let admitted = exec.submit_predict("toy", x, RequestClass::Interactive, 500, 0);
+        assert!(admitted.is_ok(), "500 µs SLO refused on an idle lane: {:?}", admitted.err());
+        exec.shutdown();
+    }
+
+    /// The drain is work-conserving: a lone request dispatches at once, and
+    /// the singles that queue while its sweep runs drain together as one
+    /// multi-vector block. One worker and a scripted delay on the first
+    /// sweep make "while it runs" observable without sleeping in the test.
+    #[test]
+    fn coalesces_what_queues_behind_a_running_sweep() {
+        let held = Duration::from_millis(500);
+        let plan = FaultPlan::new(0).script(FaultSite::Exec, [FaultAction::Delay(held)]);
+        let exec = start(ExecutorConfig {
+            workers: 1,
+            fault: FaultInjector::shared(Arc::new(plan)),
+            ..Default::default()
+        });
+        let block = exec.lane_block(&exec.lanes[0]);
+        assert!(block >= 2, "the toy model's tuned block leaves no room to coalesce");
+        let query = |i: usize| SparseVec::new(6, vec![i], vec![1.0]);
+        let first = submit_interactive(&exec, vec![query(0)], 0).unwrap();
+        // The idle worker takes the lone request without waiting for more.
+        let started = Instant::now();
+        while exec.queue_depths()[0].1 != 0 {
+            assert!(started.elapsed() < Duration::from_secs(5), "the lone request never drained");
+            std::thread::yield_now();
+        }
+        let rxs: Vec<_> =
+            (1..6).map(|i| submit_interactive(&exec, vec![query(i)], 0).unwrap()).collect();
+        assert_eq!(exec.queue_depths()[0].1, 5, "the singles queue behind the held sweep");
+        assert!(first.try_recv().is_err(), "the held sweep ended before the singles queued");
+        let served = exec.registry().get("toy").unwrap().clone();
+        for (i, rx) in std::iter::once(first).chain(rxs).enumerate() {
+            let want = Response::Predictions(vec![served.model().decision_function(&query(i))]);
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), want, "request {i}");
+        }
+        let snap = served.counters().snapshot();
+        let next = 5.min(block);
+        assert!(
+            snap.block_hist[next.ilog2() as usize] >= 1,
+            "the five singles did not drain as a block of {next}: {:?}",
+            snap.block_hist
+        );
+        exec.shutdown();
+    }
+
+    /// Brown-out sheds batch load and nothing else: once queue pressure
+    /// reaches 0.75 (6 of 8 jobs parked) the controller trips, a batch
+    /// submission is refused `Busy` and counted as shed, and interactive
+    /// work is still admitted.
+    #[test]
+    fn brownout_sheds_batch_and_still_admits_interactive() {
+        let exec = start(ExecutorConfig { queue_capacity: 8, ..Default::default() });
         exec.pause(true);
         let x = || vec![SparseVec::new(6, vec![0], vec![1.0])];
-        let tight = || exec.submit_predict("toy", x(), RequestClass::Interactive, 40_000, 0);
-        assert_eq!(exec.effective_gather(), gather);
-        assert_eq!(tight().unwrap_err(), Response::Busy);
         // Five parked jobs put pressure at 5/8: still below the threshold.
-        let mut parked: Vec<_> = (0..5).map(|_| submit_interactive(&exec, x(), 0)).collect();
-        assert_eq!(tight().unwrap_err(), Response::Busy);
+        let mut parked: Vec<_> =
+            (0..5).map(|_| submit_interactive(&exec, x(), 0).unwrap()).collect();
         assert!(!exec.is_browned_out());
         // The sixth makes it 6/8, and the next submission's re-evaluation
         // enters brown-out before admission runs.
-        parked.push(submit_interactive(&exec, x(), 0));
-        let admitted = tight();
+        parked.push(submit_interactive(&exec, x(), 0).unwrap());
+        let batch = exec.submit_predict("toy", x(), RequestClass::Batch, 0, 0);
         assert!(exec.is_browned_out());
-        assert_eq!(exec.effective_gather(), gather / 8);
-        assert!(admitted.is_ok(), "10 ms window + measured sweeps fit a 40 ms SLO");
+        assert_eq!(batch.unwrap_err(), Response::Busy);
+        assert_eq!(exec.stats().degrade.batch_shed.load(Ordering::Relaxed), 1);
+        assert_eq!(exec.stats().predict.busy.load(Ordering::Relaxed), 1);
+        parked.push(submit_interactive(&exec, x(), 0).expect("interactive refused in brown-out"));
+        exec.pause(false);
+        for rx in parked {
+            assert!(matches!(
+                rx.recv_timeout(Duration::from_secs(5)),
+                Ok(Response::Predictions(_))
+            ));
+        }
         exec.shutdown();
     }
 
     /// With the brown-out switch off, the same pressure sheds nothing.
     #[test]
     fn brownout_off_never_sheds() {
-        let exec = start(ExecutorConfig {
-            queue_capacity: 8,
-            gather: Duration::ZERO,
-            brownout: false,
-            ..Default::default()
-        });
+        let exec =
+            start(ExecutorConfig { queue_capacity: 8, brownout: false, ..Default::default() });
         exec.pause(true);
         let x = || vec![SparseVec::new(6, vec![0], vec![1.0])];
         let parked: Vec<_> = (0..6).map(|_| submit_interactive(&exec, x(), 0).unwrap()).collect();
@@ -1146,7 +1150,7 @@ mod tests {
     /// *both* classes.
     #[test]
     fn shutdown_drains_queued_work_per_class_before_refusing() {
-        let exec = start(ExecutorConfig { gather: Duration::ZERO, ..Default::default() });
+        let exec = start(ExecutorConfig::default());
         exec.pause(true);
         let rx_int =
             submit_interactive(&exec, vec![SparseVec::new(6, vec![2], vec![1.0])], 0).unwrap();

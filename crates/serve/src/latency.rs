@@ -7,16 +7,11 @@
 //! probes never show in the served-traffic counters. It is cheap
 //! (microseconds per probe): the probes are single-nnz vectors.
 //!
-//! The table feeds two consumers in the executor:
-//!
-//! * **Predictive admission** — the executor projects a new request's
-//!   completion (queued weight ahead, chunked into sweeps, plus its own
-//!   sweep and the gather window) and refuses with `Busy` *at submit time*
-//!   when the projection already overshoots the deadline, instead of
-//!   letting the request queue up only to time out.
-//! * **The drain rule** (`discipline::decide`) — the full-block sweep time
-//!   discounts interactive slack, so a sweep started "in time" also
-//!   finishes in time.
+//! The table feeds **predictive admission** in the executor: it projects a
+//! new request's completion (queued weight ahead, chunked into sweeps,
+//! plus its own sweep) and refuses with `Busy` *at submit time* when the
+//! projection already overshoots the deadline, instead of letting the
+//! request queue up only to time out.
 
 use dls_sparse::{AnyMatrix, SparseVec};
 use dls_svm::{PredictWorkspace, SvmModel};

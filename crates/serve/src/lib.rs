@@ -6,22 +6,23 @@
 //! clients*: concurrent single-vector `Predict` requests against the same
 //! model are coalesced by a batching executor into one
 //! [`dls_sparse::MatrixFormat::smsv_block`] sweep (up to
-//! [`dls_sparse::MAX_SMSV_BLOCK`] vectors), with a short gather window
-//! trading bounded latency for larger blocks. Because the blocked kernels
-//! accumulate per row in a composition-independent order, coalesced
-//! responses are bit-identical to per-vector evaluation.
+//! [`dls_sparse::MAX_SMSV_BLOCK`] vectors). The drain is work-conserving:
+//! a free worker sweeps a lone request at once, and requests coalesce only
+//! when they queue behind a running sweep, so coalescing costs no latency
+//! at rest and grows with load. Because the blocked kernels accumulate per
+//! row in a composition-independent order, coalesced responses are
+//! bit-identical to per-vector evaluation.
 //!
 //! Coalescing is great for throughput but blind to urgency, so requests
 //! carry a *class* ([`proto::RequestClass`]: interactive or batch) and an
-//! optional per-request SLO on the wire. One drain rule decides when the
-//! gather window breaks: it is held only while no queued interactive
-//! request would miss its deadline, and queues drain interactive first.
-//! Each served model's sweep times are measured when it is registered
-//! ([`latency::SweepTable`]: real blocked sweeps of its own scheduled
-//! matrix at six batch sizes), and that table feeds both the slack
-//! computation and predictive admission control: requests whose projected
-//! completion already overshoots their deadline are refused with `Busy` at
-//! submit time instead of timing out in the queue.
+//! optional per-request SLO on the wire. One drain rule decides what a
+//! sweep may contain: queues drain interactive first, and batch work
+//! fills only the capacity interactive leaves. Each served model's sweep
+//! times are measured when it is registered ([`latency::SweepTable`]: real
+//! blocked sweeps of its own scheduled matrix at six batch sizes), and
+//! that table feeds predictive admission control: requests whose
+//! projected completion already overshoots their deadline are refused
+//! with `Busy` at submit time instead of timing out in the queue.
 //!
 //! The service is std-only: a hand-rolled length-prefixed wire protocol
 //! ([`proto`]), bounded per-model classed queues with reject-don't-buffer
@@ -39,9 +40,9 @@
 //! analytically-selected fallback layout → quarantined); the client side
 //! classifies failures ([`client::ClientError`]) and
 //! [`client::RetryClient`] reconnects with jittered exponential backoff
-//! under a retry budget; and a brown-out controller sheds batch load and
-//! shrinks the gather window when the interactive SLO violation rate or
-//! queue pressure crosses its threshold. Every fault
+//! under a retry budget; and a brown-out controller sheds batch load when
+//! the interactive SLO violation rate or queue pressure crosses its
+//! threshold. Every fault
 //! and degradation event is counted in the stats JSON, and a `Health`
 //! request reports the live ladder.
 //!

@@ -53,11 +53,7 @@ fn serve_faulty(plan: Arc<FaultPlan>, config: ServerConfig) -> ServerHandle {
         .with(ServedModel::new("m", test_model(0), &scheduler))
         .with(ServedModel::new("n", test_model(3), &scheduler));
     let config = ServerConfig {
-        executor: ExecutorConfig {
-            fault: FaultInjector::shared(plan),
-            gather: Duration::ZERO,
-            ..config.executor
-        },
+        executor: ExecutorConfig { fault: FaultInjector::shared(plan), ..config.executor },
         ..config
     };
     start(registry, LayoutScheduler::new(), config).expect("bind loopback")

@@ -210,7 +210,7 @@ fn requests_queued_past_their_deadline_time_out() {
     handle.executor().pause(true);
     let waiter = std::thread::spawn(move || {
         let mut c = PipelinedClient::connect(addr).expect("connect");
-        // 10 ms clears the admission projection (gather + one tiny sweep)
+        // 10 ms clears the admission projection (one tiny measured sweep)
         // but lapses while the pool stays parked below.
         predict(&mut c, "m", vec![query(0)], 10)
     });

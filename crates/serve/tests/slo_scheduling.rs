@@ -64,8 +64,7 @@ fn classes_land_on_their_own_ledgers() {
 #[test]
 fn mixed_traffic_serves_on_both_front_ends() {
     for frontend in [Frontend::Threads, Frontend::Reactor] {
-        let executor = ExecutorConfig { gather: Duration::from_micros(200), ..Default::default() };
-        let handle = serve(executor, frontend);
+        let handle = serve(ExecutorConfig::default(), frontend);
         let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
         for i in 0..4 {
             let class = if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };

@@ -83,6 +83,8 @@ if grep -rnE 'QueueDisciplin[e]|StrictPriorit[y]|parse_disciplin[e]|TreeLatencyE
 if grep -rnE 'RuleThreshold[s]|MachineProfil[e]|with_block_hint[s]|effective_bloc[k]|observations_from_reactiv[e]|record_observation[s]|fn analytic_score[s]|fn time_forma[t]' crates src examples scripts Cargo.toml README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted with the move to one SMSV sweep per format (the per-format view kernels and runtime-width lane loops).
 if grep -rnE 'smsv_wit[h]|smsv_view_wit[h]|blocked_slab_swee[p]|blocked_band_sweep_an[y]' crates src examples; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with the work-conserving drain (the gather window, its brown-out divisor and the drain rule's hold).
+if grep -rnE 'GATHER_DIVISO[R]|effective_gathe[r]|DisciplineCt[x]|Decision::Wai[t]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Every FormatSelector lives in dls-core; dls-learn only builds training data and trains.
 if grep -rn 'impl FormatSelector' crates/learn/src; then echo "a selector is back in dls-learn" >&2; exit 1; fi
 
