@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 // Mirrors dls-svm's solver conventions (paper-shaped conditions, parallel
 // array loops).
 #![allow(clippy::nonminimal_bool, clippy::needless_range_loop)]

@@ -25,19 +25,16 @@
 //! `Health` frame. Any hang trips the watchdog (exit 2); any assertion
 //! failure aborts the run (non-zero exit).
 //!
-//! Usage: `repro_chaos [--seeds N] [--base-seed S] [--smoke]
-//! [--frontend threads|reactor]` (defaults: 32 seeds from base 1 against
-//! the thread-per-connection front end; `--smoke` runs 8 unless
-//! `--seeds` says otherwise and trims the per-scenario request counts
-//! for CI). The same seeds drive the same scenarios against whichever
-//! front end is selected — the PR-7 contract (zero hangs, zero
-//! corrupted responses, clean probes) is frontend-independent.
+//! Usage: `repro_chaos [--seeds N] [--base-seed S] [--smoke]` (defaults:
+//! 32 seeds from base 1; `--smoke` runs 8 unless `--seeds` says otherwise
+//! and trims the per-scenario request counts for CI). The contract is
+//! zero hangs, zero corrupted responses and clean probes on every seed.
 
 use dls_core::json::JsonValue;
 use dls_core::LayoutScheduler;
 use dls_serve::fault::{flip_bit, FaultAction, FaultInjector, FaultPlan, FaultSite, SplitMix64};
 use dls_serve::{
-    ClientError, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient, PredictRequest, Request,
+    ClientError, ExecutorConfig, ModelRegistry, PipelinedClient, PredictRequest, Request,
     RequestClass, Response, RetryClient, RetryPolicy, ServedModel, ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
@@ -72,14 +69,13 @@ fn query(k: usize) -> SparseVec {
     SparseVec::new(DIM, vec![k % DIM], vec![1.0 + (k % 7) as f64 * 0.5])
 }
 
-fn serve(plan: Arc<FaultPlan>, executor: ExecutorConfig, frontend: Frontend) -> ServerHandle {
+fn serve(plan: Arc<FaultPlan>, executor: ExecutorConfig) -> ServerHandle {
     let scheduler = LayoutScheduler::new();
     let registry = ModelRegistry::new()
         .with(ServedModel::new("m", chaos_model(0), &scheduler))
         .with(ServedModel::new("n", chaos_model(3), &scheduler));
     let config = ServerConfig {
         executor: ExecutorConfig { fault: FaultInjector::shared(plan), ..executor },
-        frontend,
         // Chaos runs want prompt failure classification, not long stalls.
         read_timeout: Duration::from_millis(250),
         write_timeout: Duration::from_millis(250),
@@ -148,9 +144,9 @@ fn clean_probe(addr: std::net::SocketAddr, stage: &str) {
 }
 
 /// Scenario 1: seeded fault rates under a retrying client.
-fn io_chaos(seed: u64, requests: usize, frontend: Frontend, tally: &mut Tally) {
+fn io_chaos(seed: u64, requests: usize, tally: &mut Tally) {
     let plan = Arc::new(FaultPlan::from_seed(seed));
-    let handle = serve(Arc::clone(&plan), ExecutorConfig::default(), frontend);
+    let handle = serve(Arc::clone(&plan), ExecutorConfig::default());
     let addr = handle.local_addr();
     let model = chaos_model(0);
     let mut client = retry_client(addr, seed ^ 0xC11E);
@@ -203,10 +199,10 @@ fn io_chaos(seed: u64, requests: usize, frontend: Frontend, tally: &mut Tally) {
 
 /// Scenario 2: scripted exec panics walk the ladder; the sibling stays
 /// bit-exact throughout.
-fn exec_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
+fn exec_chaos(seed: u64, tally: &mut Tally) {
     let script = vec![FaultAction::Panic; 3];
     let plan = Arc::new(FaultPlan::new(seed).script(FaultSite::Exec, script));
-    let handle = serve(Arc::clone(&plan), ExecutorConfig::default(), frontend);
+    let handle = serve(Arc::clone(&plan), ExecutorConfig::default());
     let addr = handle.local_addr();
     let mut c = PipelinedClient::connect(addr).expect("connect");
     c.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
@@ -247,11 +243,11 @@ fn exec_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
 
 /// Scenario 3: raw hostile frames — mutations of a valid request, lying
 /// prefixes, and disconnects — must never take the service down.
-fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tally) {
+fn hostile_client(seed: u64, frames: usize, tally: &mut Tally) {
     use std::io::{Read, Write};
     let plan = Arc::new(FaultPlan::new(seed));
     plan.disarm(); // this scenario's hostility is real bytes, not injection
-    let handle = serve(Arc::clone(&plan), ExecutorConfig::default(), frontend);
+    let handle = serve(Arc::clone(&plan), ExecutorConfig::default());
     let addr = handle.local_addr();
     let mut rng = SplitMix64::new(seed ^ 0x0571_1E11);
 
@@ -322,11 +318,11 @@ fn hostile_client(seed: u64, frames: usize, frontend: Frontend, tally: &mut Tall
 
 /// Scenario 4: queue pressure trips the brown-out controller; batch work
 /// sheds, counters move, and the service recovers once released.
-fn brownout_chaos(seed: u64, frontend: Frontend, tally: &mut Tally) {
+fn brownout_chaos(seed: u64, tally: &mut Tally) {
     let plan = Arc::new(FaultPlan::new(seed));
     plan.disarm();
     let executor = ExecutorConfig { queue_capacity: 8, ..Default::default() };
-    let handle = serve(Arc::clone(&plan), executor, frontend);
+    let handle = serve(Arc::clone(&plan), executor);
     let addr = handle.local_addr();
     let exec = handle.executor();
 
@@ -380,12 +376,6 @@ fn main() {
     };
     let seeds: u64 = flag("--seeds").unwrap_or(if smoke { 8 } else { 32 });
     let base_seed: u64 = flag("--base-seed").unwrap_or(1);
-    let frontend: Frontend = args
-        .iter()
-        .position(|a| a == "--frontend")
-        .and_then(|i| args.get(i + 1))
-        .map_or(Ok(Frontend::Threads), |v| v.parse())
-        .expect("--frontend takes threads|reactor");
     let io_requests = if smoke { 16 } else { 40 };
     let hostile_frames = if smoke { 8 } else { 16 };
 
@@ -423,7 +413,7 @@ fn main() {
     }
 
     println!(
-        "# repro_chaos: {seeds} seeds from {base_seed} ({}, frontend {frontend}), \
+        "# repro_chaos: {seeds} seeds from {base_seed} ({}), \
          watchdog {WATCHDOG:?}",
         if smoke { "smoke" } else { "full" }
     );
@@ -436,12 +426,11 @@ fn main() {
         for (name, run) in [
             (
                 "io",
-                &mut (|t: &mut Tally| io_chaos(seed, io_requests, frontend, t))
-                    as &mut dyn FnMut(&mut Tally),
+                &mut (|t: &mut Tally| io_chaos(seed, io_requests, t)) as &mut dyn FnMut(&mut Tally),
             ),
-            ("exec", &mut |t: &mut Tally| exec_chaos(seed, frontend, t)),
-            ("hostile", &mut |t: &mut Tally| hostile_client(seed, hostile_frames, frontend, t)),
-            ("brownout", &mut |t: &mut Tally| brownout_chaos(seed, frontend, t)),
+            ("exec", &mut |t: &mut Tally| exec_chaos(seed, t)),
+            ("hostile", &mut |t: &mut Tally| hostile_client(seed, hostile_frames, t)),
+            ("brownout", &mut |t: &mut Tally| brownout_chaos(seed, t)),
         ] {
             let at = Instant::now();
             run(&mut tally);

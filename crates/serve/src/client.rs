@@ -301,13 +301,12 @@ impl From<&ScheduleRequest> for Request {
 /// connection.
 ///
 /// [`PipelinedClient::submit`] writes a frame tagged with a fresh
-/// `frame_id` and returns immediately; the reactor front end answers
-/// frames in whatever order the executor completes them, and
-/// [`PipelinedClient::wait`] reassembles by id (stashing responses that
-/// arrive for other frames). Against the `threads` front end responses
-/// simply come back in submission order — the same API works, serially.
-/// [`PipelinedClient::request`] and the calls built on it are the
-/// one-in-flight case: submit, then wait.
+/// `frame_id` and returns immediately; [`PipelinedClient::wait`] returns
+/// the response for one id, stashing any that arrive for other frames
+/// first. The protocol lets a server answer in any order; `dls-serve`
+/// answers each connection's frames in submission order, which is one
+/// such order. [`PipelinedClient::request`] and the calls built on it are
+/// the one-in-flight case: submit, then wait.
 ///
 /// The client is synchronous and single-threaded: no background reader,
 /// no locks. `wait`/`recv` block on the socket only when the wanted

@@ -30,7 +30,7 @@
 //! services its own shard first, so one hot model's long sweeps occupy at
 //! most its home worker while every other model keeps its own. Only when a
 //! worker's shard has nothing ready does it *steal* one ready lane from
-//! another shard (counted in the stats `reactor.steals` gauge), so idle
+//! another shard (counted in the stats `executor.steals` counter), so idle
 //! capacity still flows to the hot model instead of spinning.
 
 use crate::brownout::{BrownoutController, BrownoutTransition};
@@ -170,10 +170,6 @@ pub struct Executor {
     paused: AtomicBool,
     draining: AtomicBool,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Called after a worker answers any batch of jobs. The reactor front
-    /// end installs a wake-fd ping here so completed replies are written
-    /// back without polling.
-    completion_hook: std::sync::OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl Executor {
@@ -206,7 +202,6 @@ impl Executor {
             paused: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
-            completion_hook: std::sync::OnceLock::new(),
             config,
         });
         let mut workers = exec.workers.lock().expect("executor poisoned");
@@ -508,18 +503,6 @@ impl Executor {
         }
     }
 
-    /// Installs the completion hook, called once after every answered
-    /// batch. One-shot: the reactor front end sets it before serving.
-    pub fn set_completion_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        let _ = self.completion_hook.set(hook);
-    }
-
-    fn notify_completions(&self) {
-        if let Some(hook) = self.completion_hook.get() {
-            hook();
-        }
-    }
-
     /// Drains one sweep from a lane under the drain rule and runs it.
     /// Returns whether anything executed.
     fn service_lane(&self, lane: &ModelLane, draining: bool, ws: &mut PredictWorkspace) -> bool {
@@ -534,7 +517,6 @@ impl Executor {
             return false;
         }
         self.run_predict(&lane.served, batch, ws);
-        self.notify_completions();
         true
     }
 
@@ -558,7 +540,7 @@ impl Executor {
                 if !worked || draining {
                     for &i in &away {
                         if self.service_lane(&self.lanes[i], draining, &mut ws) {
-                            FaultCounters::bump(&self.stats.reactor.steals);
+                            FaultCounters::bump(&self.stats.steals);
                             worked = true;
                             if !draining {
                                 break; // one steal per pass, then re-check home
@@ -569,7 +551,6 @@ impl Executor {
                 let one = DrainPlan { max_weight: 1, max_batch_weight: 1 };
                 for (_, job) in self.schedule_queue.drain(&one) {
                     self.run_schedule(job);
-                    self.notify_completions();
                     worked = true;
                 }
             }

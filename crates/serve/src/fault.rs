@@ -376,11 +376,6 @@ impl<S> FaultStream<S> {
         Self { inner, injector, site }
     }
 
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     fn reset_error() -> std::io::Error {
         std::io::Error::new(std::io::ErrorKind::ConnectionReset, "injected connection reset")
     }

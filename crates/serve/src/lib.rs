@@ -46,24 +46,21 @@
 //! and degradation event is counted in the stats JSON, and a `Health`
 //! request reports the live ladder.
 //!
-//! The I/O front end is selectable ([`server::Frontend`]): the classic
-//! thread-per-connection handler, or the readiness-driven [`reactor`] —
-//! one event-loop thread over a hand-rolled epoll wrapper
-//! ([`reactor::poll`]) driving every connection as a nonblocking state
-//! machine. There is one wire format, and every frame carries a
+//! The I/O front end ([`server`]) is thread-per-connection, with a stated
+//! ceiling of [`server::MAX_CONNECTIONS`] open connections; one past it
+//! is closed at accept, which a client sees as a retryable lost
+//! connection. There is one wire format, and every frame carries a
 //! `frame_id`, so the one client ([`client::PipelinedClient`]) can
-//! pipeline many requests on one socket and take responses out of order
-//! as the executor finishes them; a frame of any other protocol version
-//! is refused with a typed error. The executor runs sharded per-model
-//! lanes with idle-worker work stealing, and the reactor's gauges (open
-//! connections, in-flight pipelined frames, steals, wakeups) land in the
-//! stats JSON.
+//! pipeline many requests on one socket and match each response to its
+//! request by id; a frame of any other protocol version is refused with a
+//! typed error. The executor runs sharded per-model lanes with idle-worker
+//! work stealing, counted in the stats JSON's `executor.steals`.
 //!
 //! Layer map:
 //!
 //! ```text
-//! client  ---id'd frames--->   server (threads: acceptor + connection
-//!    |                          |    threads | reactor: epoll event loop,
+//! client  ---id'd frames--->   server (acceptor + one thread per
+//!    |                          |    connection, <= MAX_CONNECTIONS,
 //!    |  PipelinedClient:        |    read/write/idle timeouts,
 //!    |  many frames in flight   |    FaultStream I/O wrapper)
 //!    |  RetryClient: a policy   |  admission: projected miss / queue
@@ -83,6 +80,8 @@
 //!    '--- typed errors      svm::predict_batch_with -> sparse::smsv_block
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod brownout;
 pub mod client;
 mod discipline;
@@ -92,7 +91,6 @@ pub mod feedback;
 pub mod latency;
 pub mod proto;
 pub mod queue;
-pub mod reactor;
 pub mod registry;
 pub mod server;
 pub mod stats;
@@ -112,8 +110,7 @@ pub use proto::{
 };
 pub use queue::{ClassedQueue, DrainPlan, JobMeta, PushError};
 pub use registry::{ModelHealth, ModelRegistry, ServedModel, QUARANTINE_PANICS};
-pub use server::{start, Frontend, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle};
 pub use stats::{
-    parse_block_hist, ClassStats, DegradeCounters, FaultCounters, ReactorCounters,
-    SelectorCounters, ServeStats,
+    parse_block_hist, ClassStats, DegradeCounters, FaultCounters, SelectorCounters, ServeStats,
 };

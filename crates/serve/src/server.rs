@@ -1,17 +1,15 @@
-//! The TCP front ends: acceptor, connection handling, graceful drain.
+//! The TCP front end: acceptor, connection handling, graceful drain.
 //!
-//! Two selectable front ends share this module's dispatch and hardening
-//! logic ([`ServerConfig::frontend`]):
-//!
-//! * **`threads`** — one thread accepts connections (non-blocking, so it
-//!   can observe the shutdown flag); each connection gets a handler
-//!   thread that reads frames, dispatches to the [`Executor`], and
-//!   writes the reply. A handler serves strictly in order, one request
-//!   at a time — concurrency comes from concurrent connections.
-//! * **`reactor`** — a single event-loop thread drives every connection
-//!   through epoll readiness (see [`crate::reactor`]); clients can
-//!   pipeline many requests per connection and receive responses out of
-//!   order by `frame_id`.
+//! Thread per connection. One thread accepts connections (non-blocking,
+//! so it can observe the shutdown flag); each connection gets a handler
+//! thread that reads frames, dispatches to the [`Executor`], and writes
+//! the reply. A handler serves strictly in order, one request at a time,
+//! so concurrency comes from concurrent connections. A client may still
+//! pipeline frames on one socket: they are answered in order, each under
+//! its own `frame_id`. At most [`MAX_CONNECTIONS`] connections are served
+//! at once. The acceptor closes any connection beyond that as soon as it
+//! is accepted and counts it in `faults.conn_refused`; the client sees a
+//! retryable lost connection.
 //!
 //! Shutdown (a `Shutdown` frame, or [`ServerHandle::shutdown`], which the
 //! CLI wires to its exit path as the stand-in for SIGTERM/ctrl-c in this
@@ -45,37 +43,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which I/O front end serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// Thread-per-connection: simple, serial per connection, one stack
-    /// per open socket.
-    Threads,
-    /// Readiness-driven event loop: one thread for all connections,
-    /// pipelined requests answered out of order.
-    Reactor,
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Frontend::Threads),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!("unknown frontend '{other}' (expected threads|reactor)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Frontend::Threads => "threads",
-            Frontend::Reactor => "reactor",
-        })
-    }
-}
+/// The most connections served at once. Each one holds a handler thread
+/// (and its stack) for as long as it stays open. 256 is the largest count
+/// measured at no cost on a 2-vCPU host (EXPERIMENTS.md, "The connection
+/// ceiling"). With one request in flight per connection, throughput was
+/// flat from 64 to 256 connections (47.6k and 46.6k req/s) and only fell
+/// past it (44.2k at 512, 39.5k at 1024, where the default queues also
+/// began to answer `Busy`). Connections left idle cost nothing measurable
+/// at 256, but 512 of them took 14% off two active callers' throughput.
+/// A connection beyond the ceiling is closed at accept, so a flood of
+/// sockets costs a refusal each instead of a thread each; an idle one
+/// gives its slot back when it is reaped after
+/// [`ServerConfig::idle_timeout`].
+pub const MAX_CONNECTIONS: u64 = 256;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -93,8 +73,6 @@ pub struct ServerConfig {
     /// How long a connection may sit idle *between* frames before it is
     /// reaped. Reaping at the boundary is safe: no state is in flight.
     pub idle_timeout: Duration,
-    /// Which I/O front end to run.
-    pub frontend: Frontend,
 }
 
 impl Default for ServerConfig {
@@ -105,7 +83,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
-            frontend: Frontend::Threads,
         }
     }
 }
@@ -169,15 +146,15 @@ impl ServerHandle {
 /// Starts a server: binds, spawns the executor's worker pool and the
 /// acceptor thread, returns immediately. A zero `read_timeout`,
 /// `write_timeout`, `idle_timeout` or feedback retrain `interval` is
-/// `InvalidInput` under either front end.
+/// `InvalidInput`.
 pub fn start(
     registry: ModelRegistry,
     scheduler: LayoutScheduler,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    // A zero budget can only mean "close everything", and the two front
-    // ends would not even agree on when; a zero retrain interval turns the
-    // retrainer into a polling loop. Refuse them before binding.
+    // A zero budget can only mean "close everything", and a zero retrain
+    // interval turns the retrainer into a polling loop. Refuse them before
+    // binding.
     let retrain =
         config.executor.feedback.as_ref().map(|hub| ("feedback interval", hub.config().interval));
     for (name, budget) in [
@@ -210,32 +187,11 @@ pub fn start(
         write_timeout: config.write_timeout,
         idle_timeout: config.idle_timeout,
     };
-    if config.frontend == Frontend::Reactor {
-        let acceptor = {
-            let executor = Arc::clone(&executor);
-            let shutdown = Arc::clone(&shutdown);
-            let active = Arc::clone(&active_connections);
-            std::thread::Builder::new()
-                .name("dls-serve-reactor".to_string())
-                .spawn(move || {
-                    let _ =
-                        crate::reactor::serve_reactor(listener, executor, shutdown, active, limits);
-                })
-                .expect("spawn reactor")
-        };
-        return Ok(ServerHandle {
-            executor,
-            shutdown,
-            local_addr,
-            acceptor: Mutex::new(Some(acceptor)),
-            active_connections,
-        });
-    }
-
     let acceptor = {
         let executor = Arc::clone(&executor);
         let shutdown = Arc::clone(&shutdown);
         let active = Arc::clone(&active_connections);
+        let stats = Arc::clone(executor.stats());
         std::thread::Builder::new()
             .name("dls-serve-acceptor".to_string())
             .spawn(move || loop {
@@ -244,21 +200,29 @@ pub fn start(
                 }
                 match listener.accept() {
                     Ok((stream, _)) => {
+                        // Only this thread takes slots, so the check cannot
+                        // race another taker.
+                        if active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                            FaultCounters::bump(&stats.faults.conn_refused);
+                            continue; // dropping `stream` closes it
+                        }
+                        let slot = ConnSlot::take(&active);
                         let executor = Arc::clone(&executor);
                         let shutdown = Arc::clone(&shutdown);
-                        let active = Arc::clone(&active);
                         let limits = limits.clone();
-                        active.fetch_add(1, Ordering::SeqCst);
-                        let _ = std::thread::Builder::new()
+                        let spawned = std::thread::Builder::new()
                             .name("dls-serve-conn".to_string())
                             .spawn(move || {
+                                let _slot = slot;
                                 let _ = handle_connection(stream, &executor, &shutdown, &limits);
-                                active.fetch_sub(1, Ordering::SeqCst);
                             });
+                        // A failed spawn drops the closure, and with it the
+                        // socket and the slot.
+                        if spawned.is_err() {
+                            FaultCounters::bump(&stats.faults.conn_refused);
+                        }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+                    // Nothing pending (or a transient accept failure).
                     Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
             })
@@ -274,31 +238,41 @@ pub fn start(
     })
 }
 
-/// Per-connection time budgets, shared by both front ends.
+/// One counted connection: taking it bumps the open-connection count and
+/// dropping it gives the slot back, however its handler ends — a return,
+/// a panic, or a spawn that never happened.
+struct ConnSlot(Arc<AtomicU64>);
+
+impl ConnSlot {
+    fn take(active: &Arc<AtomicU64>) -> Self {
+        active.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(active))
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Per-connection time budgets.
 #[derive(Debug, Clone)]
-pub(crate) struct ConnLimits {
-    pub(crate) read_timeout: Duration,
-    pub(crate) write_timeout: Duration,
-    pub(crate) idle_timeout: Duration,
+struct ConnLimits {
+    read_timeout: Duration,
+    write_timeout: Duration,
+    idle_timeout: Duration,
 }
 
 impl ConnLimits {
     /// The socket tick: short enough to observe the tightest budget a few
     /// times over.
-    pub(crate) fn tick(&self) -> Duration {
+    fn tick(&self) -> Duration {
         Duration::from_millis(50)
             .min(self.read_timeout / 4)
             .min(self.idle_timeout / 4)
             .max(Duration::from_millis(1))
     }
-}
-
-/// Why [`read_frame_timed`] stopped without a frame.
-enum FrameEnd {
-    /// Clean EOF at a frame boundary.
-    Eof,
-    /// The connection sat idle at a frame boundary past the idle budget.
-    IdleReaped,
 }
 
 /// Reads whole bytes into `buf[*filled..]`, tolerating the socket tick:
@@ -344,13 +318,13 @@ fn read_exact_timed(
 }
 
 /// Reads one frame under the connection's time budgets, counting every
-/// failure mode in the stats `faults` section. `Err(Frame(_))` carries a
-/// whole frame; the other arms are documented on [`FrameEnd`].
+/// failure mode in the stats `faults` section. `Ok(None)` ends the
+/// connection at a frame boundary: a clean EOF, or idle past the budget.
 fn read_frame_timed(
     r: &mut impl Read,
     limits: &ConnLimits,
     stats: &ServeStats,
-) -> std::io::Result<Result<Vec<u8>, FrameEnd>> {
+) -> std::io::Result<Option<Vec<u8>>> {
     // Phase 1: the length prefix. Waiting for its *first* byte is healthy
     // idling (bounded by idle_timeout); once any byte arrives the frame
     // has started and the tighter read_timeout applies.
@@ -359,11 +333,11 @@ fn read_frame_timed(
     let idle_started = Instant::now();
     match read_exact_timed(r, &mut len_bytes, &mut got, idle_started, limits.idle_timeout) {
         Ok(true) => {}
-        Ok(false) => return Ok(Err(FrameEnd::Eof)),
+        Ok(false) => return Ok(None),
         Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
             if got == 0 {
                 FaultCounters::bump(&stats.faults.conn_idle_reaped);
-                return Ok(Err(FrameEnd::IdleReaped));
+                return Ok(None);
             }
             FaultCounters::bump(&stats.faults.conn_read_timeouts);
             return Err(e);
@@ -380,7 +354,7 @@ fn read_frame_timed(
     let mut filled = 0;
     let frame_started = Instant::now();
     match read_exact_timed(r, &mut payload, &mut filled, frame_started, limits.read_timeout) {
-        Ok(_) if filled == len => Ok(Ok(payload)),
+        Ok(_) if filled == len => Ok(Some(payload)),
         Ok(_) => Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed mid-frame",
@@ -394,7 +368,7 @@ fn read_frame_timed(
 }
 
 /// Counts peer-initiated connection failures before passing them on.
-pub(crate) fn classify_read_error(e: std::io::Error, stats: &ServeStats) -> std::io::Error {
+fn classify_read_error(e: std::io::Error, stats: &ServeStats) -> std::io::Error {
     match e.kind() {
         std::io::ErrorKind::ConnectionReset
         | std::io::ErrorKind::ConnectionAborted
@@ -424,8 +398,8 @@ fn handle_connection(
     let mut writer = BufWriter::new(FaultStream::new(stream, fault, FaultSite::ConnWrite));
     loop {
         let payload = match read_frame_timed(&mut reader, limits, &stats) {
-            Ok(Ok(payload)) => payload,
-            Ok(Err(_)) => return Ok(()), // clean EOF or idle-reaped
+            Ok(Some(payload)) => payload,
+            Ok(None) => return Ok(()), // clean EOF or idle-reaped
             Err(e) => {
                 // A lying length prefix gets a typed refusal before the
                 // connection closes; after a half-read frame the stream
@@ -441,8 +415,8 @@ fn handle_connection(
         };
         // Every reply echoes its request's frame id — an undecodable
         // request's too, when its header parsed, so a pipelining client is
-        // never left waiting on it. This front end answers strictly in
-        // order, which is a valid — if serial — pipelining schedule.
+        // never left waiting on it. Replies go out strictly in order,
+        // which is a valid — if serial — pipelining schedule.
         let (frame_id, response) = match decode_request_framed(&payload) {
             Err(e) => {
                 FaultCounters::bump(&stats.faults.protocol_errors);
@@ -467,45 +441,26 @@ fn handle_connection(
     }
 }
 
-/// The outcome of submitting a request: answered inline, or parked on the
-/// executor with a receiver for the eventual reply. The threads front end
-/// awaits `Pending` immediately; the reactor parks it and keeps serving.
-pub(crate) enum Dispatched {
-    Ready(Response),
-    Pending(std::sync::mpsc::Receiver<Response>),
-}
-
-/// Routes one request without blocking on the executor.
-pub(crate) fn dispatch_async(
-    request: Request,
-    executor: &Executor,
-    shutdown: &AtomicBool,
-) -> Dispatched {
-    match request {
+/// Routes one request and blocks until it is answered. Predict and
+/// Schedule go through the executor's queues; the rest are answered on
+/// the connection thread.
+fn dispatch(request: Request, executor: &Executor, shutdown: &AtomicBool) -> Response {
+    let submitted = match request {
         Request::Predict { model, deadline_ms, class, slo_us, vectors } => {
-            match executor.submit_predict(&model, vectors, class, slo_us, deadline_ms) {
-                Ok(rx) => Dispatched::Pending(rx),
-                Err(refusal) => Dispatched::Ready(refusal),
-            }
+            executor.submit_predict(&model, vectors, class, slo_us, deadline_ms)
         }
         Request::Schedule { strategy, rows, cols, entries } => {
-            let strategy = match parse_strategy(&strategy) {
-                Ok(s) => s,
+            let parsed = parse_strategy(&strategy).and_then(|strategy| {
+                let triplets = entries_to_triplets(rows, cols, &entries)
+                    .map_err(|e| format!("bad matrix: {e}"))?;
+                Ok((triplets, strategy))
+            });
+            match parsed {
+                Ok((triplets, strategy)) => executor.submit_schedule(triplets, strategy, 0),
                 Err(msg) => {
                     executor.stats().schedule.record_error();
-                    return Dispatched::Ready(Response::Error(msg));
+                    return Response::Error(msg);
                 }
-            };
-            let triplets = match entries_to_triplets(rows, cols, &entries) {
-                Ok(t) => t,
-                Err(e) => {
-                    executor.stats().schedule.record_error();
-                    return Dispatched::Ready(Response::Error(format!("bad matrix: {e}")));
-                }
-            };
-            match executor.submit_schedule(triplets, strategy, 0) {
-                Ok(rx) => Dispatched::Pending(rx),
-                Err(refusal) => Dispatched::Ready(refusal),
             }
         }
         Request::Stats => {
@@ -516,31 +471,23 @@ pub(crate) fn dispatch_async(
             let json =
                 executor.stats().snapshot_json(executor.registry(), &executor.queue_depths());
             executor.stats().stats.record_ok(start.elapsed());
-            Dispatched::Ready(Response::Stats(json))
+            return Response::Stats(json);
         }
-        Request::Health => Dispatched::Ready(Response::Health(executor.health_json())),
+        Request::Health => return Response::Health(executor.health_json()),
         Request::Shutdown => {
             // Ack first; ServerHandle::join (or the smoke harness) observes
             // the flag and performs the drain.
             shutdown.store(true, Ordering::SeqCst);
-            Dispatched::Ready(Response::ShuttingDown)
+            return Response::ShuttingDown;
         }
-    }
-}
-
-fn dispatch(request: Request, executor: &Executor, shutdown: &AtomicBool) -> Response {
-    match dispatch_async(request, executor, shutdown) {
-        Dispatched::Ready(resp) => resp,
-        Dispatched::Pending(rx) => await_reply(rx),
-    }
-}
-
-/// Waits for the worker's reply. The executor always answers accepted
-/// jobs (drain included), so a missing reply means a worker died — answer
-/// a clean error rather than wedging the connection.
-fn await_reply(rx: std::sync::mpsc::Receiver<Response>) -> Response {
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(resp) => resp,
-        Err(_) => Response::Error("worker dropped the request".to_string()),
+    };
+    // The executor answers every accepted job (drain included), so a
+    // missing reply means a worker died: answer a clean error rather than
+    // wedging the connection.
+    match submitted {
+        Ok(rx) => rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| Response::Error("worker dropped the request".to_string())),
+        Err(refusal) => refusal,
     }
 }

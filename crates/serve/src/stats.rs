@@ -226,6 +226,9 @@ pub struct FaultCounters {
     pub conn_idle_reaped: AtomicU64,
     /// Connections dropped by the peer (reset / broken pipe) mid-exchange.
     pub conn_resets: AtomicU64,
+    /// Connections closed at accept: the server was at its connection
+    /// ceiling, or could not spawn the connection's handler thread.
+    pub conn_refused: AtomicU64,
     /// Frames rejected at the length prefix (`FrameTooLarge`).
     pub frames_too_large: AtomicU64,
     /// Frames that decoded to a typed protocol error.
@@ -252,6 +255,7 @@ impl FaultCounters {
             ("conn_write_timeouts", get(&self.conn_write_timeouts)),
             ("conn_idle_reaped", get(&self.conn_idle_reaped)),
             ("conn_resets", get(&self.conn_resets)),
+            ("conn_refused", get(&self.conn_refused)),
             ("frames_too_large", get(&self.frames_too_large)),
             ("protocol_errors", get(&self.protocol_errors)),
             ("exec_panics", get(&self.exec_panics)),
@@ -289,35 +293,6 @@ impl DegradeCounters {
             ("models_degraded", get(&self.models_degraded)),
             ("models_quarantined", get(&self.models_quarantined)),
             ("brownout_active", get(&self.brownout_active)),
-        ])
-    }
-}
-
-/// Counters and gauges for the readiness-driven front end
-/// (`serve::reactor`) and the sharded executor's work stealing. All zero
-/// under the thread-per-connection front end (except `steals`, which the
-/// executor owns regardless of front end).
-#[derive(Debug, Default)]
-pub struct ReactorCounters {
-    /// Gauge: connections currently registered with the reactor.
-    pub open_connections: AtomicU64,
-    /// Gauge: pipelined requests currently in flight (submitted to the
-    /// executor, response not yet written back).
-    pub pipelined_in_flight: AtomicU64,
-    /// Times an executor worker drained a lane outside its home shard.
-    pub steals: AtomicU64,
-    /// Readiness wakeups: one per `epoll_wait` return in the event loop.
-    pub wakeups: AtomicU64,
-}
-
-impl ReactorCounters {
-    fn to_json(&self) -> JsonValue {
-        let get = |c: &AtomicU64| JsonValue::from(c.load(Ordering::Relaxed));
-        JsonValue::obj([
-            ("open_connections", get(&self.open_connections)),
-            ("pipelined_in_flight", get(&self.pipelined_in_flight)),
-            ("steals", get(&self.steals)),
-            ("wakeups", get(&self.wakeups)),
         ])
     }
 }
@@ -402,8 +377,8 @@ pub struct ServeStats {
     /// Degradation state: brown-out transitions and the model health
     /// ladder.
     pub degrade: DegradeCounters,
-    /// Readiness front-end gauges and executor steal count.
-    pub reactor: ReactorCounters,
+    /// Times an executor worker drained a lane outside its home shard.
+    pub steals: AtomicU64,
     /// Online-learning selector gauges (version, ensemble, fallbacks,
     /// retrain outcomes).
     pub selector: SelectorCounters,
@@ -513,7 +488,10 @@ impl ServeStats {
             ("stats", self.stats.to_json()),
             ("faults", self.faults.to_json()),
             ("degradation", self.degrade.to_json()),
-            ("reactor", self.reactor.to_json()),
+            (
+                "executor",
+                JsonValue::obj([("steals", JsonValue::from(self.steals.load(Ordering::Relaxed)))]),
+            ),
             ("selector", self.selector.to_json()),
             ("queues", JsonValue::Arr(queues)),
             ("schedule_decisions", JsonValue::Arr(decisions)),
@@ -652,13 +630,10 @@ mod tests {
         let degrade = doc.get("degradation").expect("degradation section");
         assert_eq!(degrade.get("batch_shed").unwrap().as_u64(), Some(5));
         assert_eq!(degrade.get("brownout_active").unwrap().as_u64(), Some(1));
-        stats.reactor.open_connections.store(3, Ordering::Relaxed);
-        stats.reactor.steals.fetch_add(2, Ordering::Relaxed);
+        stats.steals.fetch_add(2, Ordering::Relaxed);
         let doc = dls_core::json::parse(&stats.snapshot_json(&registry, &[])).unwrap();
-        let reactor = doc.get("reactor").expect("reactor section");
-        assert_eq!(reactor.get("open_connections").unwrap().as_u64(), Some(3));
-        assert_eq!(reactor.get("steals").unwrap().as_u64(), Some(2));
-        assert_eq!(reactor.get("pipelined_in_flight").unwrap().as_u64(), Some(0));
+        let executor = doc.get("executor").expect("executor section");
+        assert_eq!(executor.get("steals").unwrap().as_u64(), Some(2));
         // Every model reports its health rung.
         let models = doc.get("models").unwrap().as_arr().unwrap();
         assert_eq!(models[0].get("health").unwrap().as_str(), Some("healthy"));

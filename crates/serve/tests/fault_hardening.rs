@@ -7,44 +7,27 @@
 //! queues) instead of rate rolls, armed only for the phase under test, so
 //! every injected fault lands on a known operation.
 
+mod common;
+
+use common::{query, test_model};
 use dls_core::LayoutScheduler;
 use dls_serve::fault::{flip_bit, FaultAction, FaultInjector, FaultPlan, FaultSite, SplitMix64};
 use dls_serve::proto::{
     decode_request_framed, decode_response_framed, encode_request_framed, encode_response_framed,
     read_frame, write_frame, Request, RequestClass, Response, PROTO_VERSION,
 };
+use dls_serve::server::MAX_CONNECTIONS;
 use dls_serve::{
-    start, ClientError, ExecutorConfig, FeedbackConfig, FeedbackHub, Frontend, ModelRegistry,
+    start, ClientError, ExecutorConfig, FeedbackConfig, FeedbackHub, ModelRegistry,
     PipelinedClient, PredictRequest, RetryClient, RetryPolicy, ServedModel, ServerConfig,
     ServerHandle,
 };
 use dls_sparse::SparseVec;
-use dls_svm::{KernelKind, SvmModel};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const DIM: usize = 16;
-
-fn test_model(salt: usize) -> SvmModel {
-    let svs: Vec<SparseVec> = (0..6)
-        .map(|i| {
-            SparseVec::new(
-                DIM,
-                vec![i, i + 5, i + 10],
-                vec![1.0 + (i + salt) as f64, -0.5 * i as f64 - 1.0, 0.25],
-            )
-        })
-        .collect();
-    let coefs = vec![1.0, -1.0, 0.5, -0.5, 0.75, -0.25];
-    SvmModel::new(KernelKind::Gaussian { gamma: 0.125 }, svs, coefs, 0.375)
-}
-
-fn query(seed: usize) -> SparseVec {
-    SparseVec::new(DIM, vec![seed % DIM], vec![1.0 + (seed % 7) as f64 * 0.5])
-}
 
 /// Serves models "m" and "n" with the given fault plan and timeouts.
 fn serve_faulty(plan: Arc<FaultPlan>, config: ServerConfig) -> ServerHandle {
@@ -332,41 +315,93 @@ fn idle_connections_are_reaped_and_surface_as_connection_lost() {
     handle.shutdown();
 }
 
-/// A zero budget can mean nothing but "close everything" (the reactor's
-/// sweep would reap every connection at once, the threads front end after
-/// its first quiet tick), so `start` refuses it under either front end.
+// ---------------------------------------------------------------------------
+// The connection ceiling: a connection past MAX_CONNECTIONS is closed at
+// accept, which the client sees as a typed, retryable ConnectionLost. The
+// connections already open keep serving, and the refusal holds no slot,
+// so shutdown is not kept waiting by it.
+// ---------------------------------------------------------------------------
+
 #[test]
-fn zero_time_budgets_are_refused_by_both_front_ends() {
-    for frontend in [Frontend::Threads, Frontend::Reactor] {
-        let base = || ServerConfig { frontend, ..Default::default() };
-        for config in [
-            ServerConfig { read_timeout: Duration::ZERO, ..base() },
-            ServerConfig { write_timeout: Duration::ZERO, ..base() },
-            ServerConfig { idle_timeout: Duration::ZERO, ..base() },
-        ] {
-            let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
-            assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput), "{frontend}");
+fn a_connection_past_the_ceiling_is_refused_typed_and_holds_no_slot() {
+    let plan = Arc::new(FaultPlan::new(8));
+    plan.disarm();
+    let handle = serve_faulty(plan, ServerConfig::default());
+    let addr = handle.local_addr();
+    // Raw sockets keep the test at one descriptor per held connection.
+    let health = encode_request_framed(&Request::Health, PROTO_VERSION, 1);
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect under the ceiling"))
+        .collect();
+    // An answer on every one proves each holds a slot before the next
+    // connection arrives.
+    for raw in &mut held {
+        raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        assert!(matches!(raw_exchange(raw, &health), (_, 1, Response::Health(_))));
+    }
+
+    let mut extra = PipelinedClient::connect(addr).expect("the kernel completes the handshake");
+    extra.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    match extra.try_request(&Request::Health) {
+        Err(e @ ClientError::ConnectionLost(_)) => assert!(e.is_retryable()),
+        other => panic!("expected ConnectionLost past the ceiling, got {other:?}"),
+    }
+
+    // The connections under the ceiling still serve, and the refusal is
+    // counted.
+    let predict = Request::from(&PredictRequest::builder("m").vector(query(2)).build());
+    let predict = encode_request_framed(&predict, PROTO_VERSION, 2);
+    let last = held.len() - 1;
+    for i in [0, last] {
+        assert!(matches!(raw_exchange(&mut held[i], &predict), (_, 2, Response::Predictions(_))));
+    }
+    let stats = encode_request_framed(&Request::Stats, PROTO_VERSION, 3);
+    match raw_exchange(&mut held[0], &stats) {
+        (_, 3, Response::Stats(json)) => {
+            let doc = dls_core::json::parse(&json).expect("valid stats json");
+            assert_eq!(fault_counter(&doc, "conn_refused"), 1);
         }
+        other => panic!("stats answered {other:?}"),
+    }
+
+    // Only the held connections had slots: once they close, the drain
+    // returns without waiting out its 5 s window.
+    drop(held);
+    let started = Instant::now();
+    handle.shutdown();
+    assert!(started.elapsed() < Duration::from_secs(2), "shutdown took {:?}", started.elapsed());
+}
+
+/// A zero budget can mean nothing but "close everything" (every connection
+/// would be reaped or cut after its first quiet tick), so `start` refuses
+/// it.
+#[test]
+fn zero_time_budgets_are_refused() {
+    for config in [
+        ServerConfig { read_timeout: Duration::ZERO, ..Default::default() },
+        ServerConfig { write_timeout: Duration::ZERO, ..Default::default() },
+        ServerConfig { idle_timeout: Duration::ZERO, ..Default::default() },
+    ] {
+        let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
+        assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
     }
 }
 
 /// A zero retrain interval turns the background retrainer into a polling
 /// loop that holds a core while the server is idle: refused the same way.
 #[test]
-fn zero_retrain_interval_is_refused_by_both_front_ends() {
-    for frontend in [Frontend::Threads, Frontend::Reactor] {
-        let hub = FeedbackHub::new(FeedbackConfig {
-            interval: Duration::ZERO,
-            background: false,
-            ..Default::default()
-        });
-        let executor = ExecutorConfig { feedback: Some(hub), ..Default::default() };
-        let config = ServerConfig { executor, frontend, ..Default::default() };
-        let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
-        let err = err.unwrap_or_else(|| panic!("{frontend}: a zero retrain interval was accepted"));
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{frontend}");
-        assert!(err.to_string().contains("feedback interval"), "{frontend}: {err}");
-    }
+fn zero_retrain_interval_is_refused() {
+    let hub = FeedbackHub::new(FeedbackConfig {
+        interval: Duration::ZERO,
+        background: false,
+        ..Default::default()
+    });
+    let executor = ExecutorConfig { feedback: Some(hub), ..Default::default() };
+    let config = ServerConfig { executor, ..Default::default() };
+    let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
+    let err = err.expect("a zero retrain interval was accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("feedback interval"), "{err}");
 }
 
 // ---------------------------------------------------------------------------
@@ -431,8 +466,6 @@ fn retry_client_recovers_from_scripted_resets_where_plain_client_errors() {
 // client error (never silently-wrong data, never a hang).
 // ---------------------------------------------------------------------------
 
-const FRONTENDS: [Frontend; 2] = [Frontend::Threads, Frontend::Reactor];
-
 #[test]
 fn corrupted_response_writes_fail_typed_on_the_client() {
     // A response frame is `u32 len | u8 version | u64 frame_id | …` and
@@ -440,11 +473,10 @@ fn corrupted_response_writes_fail_typed_on_the_client() {
     // client's framing desynchronises in a detectable way; bit 40 is the
     // frame id's low bit, so the reply to frame 1 arrives intact — as
     // frame 0.
-    for (frontend, bit) in FRONTENDS.into_iter().flat_map(|f| [(f, 0), (f, 40)]) {
+    for bit in [0, 40] {
         let plan =
             Arc::new(FaultPlan::new(5).script(FaultSite::ConnWrite, [FaultAction::Corrupt(bit)]));
-        let config = ServerConfig { frontend, ..Default::default() };
-        let handle = serve_faulty(Arc::clone(&plan), config);
+        let handle = serve_faulty(Arc::clone(&plan), ServerConfig::default());
         let addr = handle.local_addr();
 
         let mut c = PipelinedClient::connect(addr).expect("connect");
@@ -459,13 +491,13 @@ fn corrupted_response_writes_fail_typed_on_the_client() {
             // A reply under an id that is not in flight is refused at
             // once; stashing it and reading on would end in Timeout.
             (40, Err(ClientError::Protocol(msg))) => assert!(msg.contains("frame 0"), "{msg}"),
-            (_, other) => panic!("{frontend}: corrupted bit {bit} produced {other:?}"),
+            (_, other) => panic!("corrupted bit {bit} produced {other:?}"),
         }
         assert_eq!(plan.injected_at(FaultSite::ConnWrite), 1);
         if bit == 40 {
             // The server kept the connection, and answers the next
             // request under its own id.
-            assert!(matches!(c.try_request(&req), Ok(Response::Predictions(_))), "{frontend}");
+            assert!(matches!(c.try_request(&req), Ok(Response::Predictions(_))));
         }
 
         // The service itself is unharmed.
@@ -480,7 +512,7 @@ fn corrupted_response_writes_fail_typed_on_the_client() {
 // ---------------------------------------------------------------------------
 // One wire format, and every refusal names its request: a frame of another
 // protocol version or with an undecodable body is answered typed, counted,
-// and leaves the connection serving — on both front ends.
+// and leaves the connection serving.
 // ---------------------------------------------------------------------------
 
 /// One frame out, one frame back, on a raw socket.
@@ -509,32 +541,29 @@ fn refused_frames_are_answered_under_their_own_id_and_the_connection_survives() 
         (&bad_tag, 7, "unknown message tag 99"),
         (&cut_short, 8, "truncated frame"),
     ];
-    for frontend in FRONTENDS {
-        let config = ServerConfig { frontend, ..Default::default() };
-        let handle = serve_faulty(Arc::new(FaultPlan::new(6)), config);
-        let mut raw = TcpStream::connect(handle.local_addr()).expect("connect raw");
-        raw.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
-        for (refused, (frame, frame_id, why)) in table.iter().enumerate() {
-            match raw_exchange(&mut raw, frame) {
-                (PROTO_VERSION, id, Response::Error(msg)) if id == *frame_id => {
-                    assert!(msg.contains(why), "{frontend}: {msg:?} does not say {why:?}")
-                }
-                other => panic!("{frontend}: {why}: answered {other:?}"),
+    let handle = serve_faulty(Arc::new(FaultPlan::new(6)), ServerConfig::default());
+    let mut raw = TcpStream::connect(handle.local_addr()).expect("connect raw");
+    raw.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+    for (refused, (frame, frame_id, why)) in table.iter().enumerate() {
+        match raw_exchange(&mut raw, frame) {
+            (PROTO_VERSION, id, Response::Error(msg)) if id == *frame_id => {
+                assert!(msg.contains(why), "{msg:?} does not say {why:?}")
             }
-            // The same connection still serves a good frame, and the
-            // refusal was counted exactly once.
-            let stats_id = 100 + refused as u64;
-            let stats = encode_request_framed(&Request::Stats, PROTO_VERSION, stats_id);
-            match raw_exchange(&mut raw, &stats) {
-                (PROTO_VERSION, id, Response::Stats(json)) if id == stats_id => {
-                    let doc = dls_core::json::parse(&json).expect("valid stats json");
-                    let counted = fault_counter(&doc, "protocol_errors");
-                    assert_eq!(counted, refused as u64 + 1, "{frontend}: after {why}");
-                }
-                other => panic!("{frontend}: good Stats frame after {why} answered {other:?}"),
-            }
+            other => panic!("{why}: answered {other:?}"),
         }
-        drop(raw);
-        handle.shutdown();
+        // The same connection still serves a good frame, and the refusal
+        // was counted exactly once.
+        let stats_id = 100 + refused as u64;
+        let stats = encode_request_framed(&Request::Stats, PROTO_VERSION, stats_id);
+        match raw_exchange(&mut raw, &stats) {
+            (PROTO_VERSION, id, Response::Stats(json)) if id == stats_id => {
+                let doc = dls_core::json::parse(&json).expect("valid stats json");
+                let counted = fault_counter(&doc, "protocol_errors");
+                assert_eq!(counted, refused as u64 + 1, "after {why}");
+            }
+            other => panic!("good Stats frame after {why} answered {other:?}"),
+        }
     }
+    drop(raw);
+    handle.shutdown();
 }

@@ -2,49 +2,24 @@
 //! telemetry observations → forced retrain cycles → hot model swaps —
 //! with zero dropped requests across the swaps.
 
+mod common;
+
+use common::{query, test_model};
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    start, ExecutorConfig, FeedbackConfig, Frontend, ModelRegistry, PipelinedClient,
-    PredictRequest, Response, RetrainOutcome, ScheduleRequest, ServedModel, ServerConfig,
+    start, ExecutorConfig, FeedbackConfig, ModelRegistry, PipelinedClient, PredictRequest,
+    Response, RetrainOutcome, ScheduleRequest, ServedModel, ServerConfig,
 };
-use dls_sparse::SparseVec;
-use dls_svm::{KernelKind, SvmModel};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const DIM: usize = 16;
-
-fn test_model() -> SvmModel {
-    let svs: Vec<SparseVec> = (0..6)
-        .map(|i| {
-            SparseVec::new(
-                DIM,
-                vec![i, i + 5, i + 10],
-                vec![1.0 + i as f64, -0.5 * i as f64 - 1.0, 0.25],
-            )
-        })
-        .collect();
-    SvmModel::new(KernelKind::Linear, svs, vec![1.0, -1.0, 0.5, -0.5, 0.75, -0.25], 0.375)
-}
-
-fn query(seed: usize) -> SparseVec {
-    SparseVec::new(DIM, vec![seed % DIM], vec![1.0 + (seed % 7) as f64 * 0.5])
-}
-
 /// Serving → telemetry log → retrain → hot swap, with traffic in flight
 /// the whole time. Pins the acceptance criterion directly: every request
 /// sent during the swaps is answered with predictions (no drops, no
-/// errors, no refusals), and the active model version bumps — under
-/// either front end.
+/// errors, no refusals), and the active model version bumps.
 #[test]
 fn hot_swap_under_live_traffic_drops_nothing() {
-    for frontend in [Frontend::Threads, Frontend::Reactor] {
-        hot_swap_on(frontend);
-    }
-}
-
-fn hot_swap_on(frontend: Frontend) {
     let hub = dls_serve::FeedbackHub::new(FeedbackConfig {
         min_observations: 0,
         background: false, // cycles forced below, deterministically
@@ -54,10 +29,9 @@ fn hot_swap_on(frontend: Frontend) {
     // accepted retrains take effect on the very next schedule request.
     let scheduler = LayoutScheduler::with_selector(hub.selector());
     let registry =
-        ModelRegistry::new().with(ServedModel::new("m", test_model(), &LayoutScheduler::new()));
+        ModelRegistry::new().with(ServedModel::new("m", test_model(0), &LayoutScheduler::new()));
     let config = ServerConfig {
         executor: ExecutorConfig { feedback: Some(Arc::clone(&hub)), ..Default::default() },
-        frontend,
         ..Default::default()
     };
     let handle = start(registry, scheduler, config).expect("bind loopback");

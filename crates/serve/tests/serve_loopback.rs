@@ -3,48 +3,22 @@
 //! executor, blocked kernels, telemetry.
 //!
 //! Determinism strategy: the executor's `pause` drain control lets tests
-//! park the worker pool, build a known queue state (polling depths via the
-//! `Stats` endpoint, which is served inline on connection threads), and
-//! then release it — so queue-full and coalescing behaviour is asserted,
-//! not hoped for.
+//! park the worker pool, build a known queue state (polling its depths),
+//! and then release it — so queue-full and coalescing behaviour is
+//! asserted, not hoped for.
 
-use dls_core::LayoutScheduler;
+mod common;
+
+use common::{query, serve, test_model, wait_for_depth, DIM};
 use dls_serve::stats::parse_block_hist;
 use dls_serve::{
-    start, ModelRegistry, PipelinedClient, PredictRequest, Response, ScheduleRequest, ServedModel,
-    ServerConfig, ServerHandle,
+    FaultAction, FaultInjector, FaultPlan, FaultSite, PipelinedClient, PredictRequest, Request,
+    Response, ScheduleRequest, ServerConfig,
 };
 use dls_sparse::SparseVec;
-use dls_svm::{KernelKind, SvmModel};
-use std::net::SocketAddr;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const DIM: usize = 16;
-
-/// A small but non-trivial Gaussian-kernel model.
-fn test_model() -> SvmModel {
-    let svs: Vec<SparseVec> = (0..6)
-        .map(|i| {
-            SparseVec::new(
-                DIM,
-                vec![i, i + 5, i + 10],
-                vec![1.0 + i as f64, -0.5 * i as f64 - 1.0, 0.25],
-            )
-        })
-        .collect();
-    let coefs = vec![1.0, -1.0, 0.5, -0.5, 0.75, -0.25];
-    SvmModel::new(KernelKind::Gaussian { gamma: 0.125 }, svs, coefs, 0.375)
-}
-
-fn query(seed: usize) -> SparseVec {
-    SparseVec::new(DIM, vec![seed % DIM], vec![1.0 + (seed % 7) as f64 * 0.5])
-}
-
-fn serve(config: ServerConfig) -> ServerHandle {
-    let registry =
-        ModelRegistry::new().with(ServedModel::new("m", test_model(), &LayoutScheduler::new()));
-    start(registry, LayoutScheduler::new(), config).expect("bind loopback")
-}
 
 /// Sends one predict through the builder API (deadline 0 = server-default
 /// class SLO).
@@ -72,34 +46,9 @@ fn schedule(
         .expect("schedule")
 }
 
-/// Polls the predict queue depth via the wire Stats endpoint until it
-/// reaches `want` (inline handling keeps this live while workers pause).
-fn wait_for_depth(addr: SocketAddr, want: u64) {
-    let mut stats = PipelinedClient::connect(addr).expect("connect stats");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let json = stats.stats().expect("stats");
-        let doc = dls_core::json::parse(&json).expect("valid stats json");
-        let depth = doc
-            .get("queues")
-            .and_then(|q| q.as_arr())
-            .and_then(|qs| {
-                qs.iter().find(|q| q.get("queue").and_then(|n| n.as_str()) == Some("predict:m"))
-            })
-            .and_then(|q| q.get("depth"))
-            .and_then(|d| d.as_u64())
-            .expect("queue depth");
-        if depth >= want {
-            return;
-        }
-        assert!(Instant::now() < deadline, "queue never reached depth {want}");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// Registration times each model's sweeps on the bare matrix, so a server
 /// that has answered nothing has metered nothing: no calls, an all-zero
-/// block histogram.
+/// block histogram. And a fresh server is healthy.
 #[test]
 fn a_fresh_server_reports_no_kernel_calls() {
     let handle = serve(ServerConfig::default());
@@ -110,6 +59,11 @@ fn a_fresh_server_reports_no_kernel_calls() {
     assert_eq!(calls, Some(0), "{json}");
     let hist = parse_block_hist(&json).expect("block hist");
     assert!(hist.iter().all(|&n| n == 0), "block histogram of a fresh server: {hist:?}");
+    let Response::Health(health) = c.request(&Request::Health).expect("health") else {
+        panic!("Health answered with another response kind");
+    };
+    let doc = dls_core::json::parse(&health).expect("valid health json");
+    assert_eq!(doc.get("status").and_then(|s| s.as_str()), Some("ok"), "{health}");
     drop(c);
     handle.shutdown();
 }
@@ -118,7 +72,7 @@ fn a_fresh_server_reports_no_kernel_calls() {
 fn concurrent_singles_coalesce_and_match_per_vector_predict() {
     let handle = serve(ServerConfig::default());
     let addr = handle.local_addr();
-    let model = test_model();
+    let model = test_model(0);
 
     // Park the workers, let 8 independent connections each queue one
     // single-vector predict, then release the pool: the drain must fuse
@@ -133,7 +87,7 @@ fn concurrent_singles_coalesce_and_match_per_vector_predict() {
             })
         })
         .collect();
-    wait_for_depth(addr, CLIENTS as u64);
+    wait_for_depth(&handle, CLIENTS);
     handle.executor().pause(false);
 
     for client in clients {
@@ -183,7 +137,7 @@ fn full_queue_refuses_with_busy_immediately() {
             })
         })
         .collect();
-    wait_for_depth(addr, 2);
+    wait_for_depth(&handle, 2);
 
     // The third client must get Busy back immediately — not a hang, not a
     // queued wait.
@@ -214,7 +168,7 @@ fn requests_queued_past_their_deadline_time_out() {
         // but lapses while the pool stays parked below.
         predict(&mut c, "m", vec![query(0)], 10)
     });
-    wait_for_depth(addr, 1);
+    wait_for_depth(&handle, 1);
     std::thread::sleep(Duration::from_millis(30)); // sail past the 10 ms deadline
     handle.executor().pause(false);
     assert_eq!(waiter.join().expect("join"), Response::TimedOut);
@@ -281,4 +235,42 @@ fn shutdown_frame_drains_gracefully() {
     let gone = PipelinedClient::connect(addr)
         .and_then(|mut c| c.send(&PredictRequest::builder("m").vector(query(5)).build()));
     assert!(gone.is_err(), "server still serving after drain");
+}
+
+/// With two workers and all load on one model lane, the second worker's
+/// home shard is empty: it can only contribute by stealing. Several
+/// connections each queue one predict behind the paused pool, and
+/// scripted `Exec` delays hold every sweep for 5 ms once it is released,
+/// so the idle worker finds ready work to take even on a one-core host.
+#[test]
+fn idle_workers_steal_from_loaded_shards() {
+    const CLIENTS: usize = 16;
+    let plan = FaultPlan::new(7).script(
+        FaultSite::Exec,
+        std::iter::repeat_n(FaultAction::Delay(Duration::from_millis(5)), CLIENTS),
+    );
+    let mut config = ServerConfig::default();
+    config.executor.workers = 2;
+    config.executor.max_block = 1; // one vector per sweep: plenty of chances to steal
+    config.executor.fault = FaultInjector::shared(Arc::new(plan));
+    let handle = serve(config);
+    let addr = handle.local_addr();
+
+    handle.executor().pause(true);
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let mut c = PipelinedClient::connect(addr).expect("connect");
+                predict(&mut c, "m", vec![query(i)], 0)
+            })
+        })
+        .collect();
+    wait_for_depth(&handle, CLIENTS);
+    handle.executor().pause(false);
+    for client in clients {
+        let resp = client.join().expect("client thread");
+        assert!(matches!(resp, Response::Predictions(_)), "got {resp:?}");
+    }
+    assert!(handle.stats().steals.load(Ordering::Relaxed) > 0, "worker 1 never stole");
+    handle.shutdown();
 }

@@ -3,8 +3,8 @@
 
 use dls_core::LayoutScheduler;
 use dls_serve::{
-    start, ExecutorConfig, Frontend, ModelRegistry, PipelinedClient, PredictRequest, RequestClass,
-    Response, ServedModel, ServerConfig, ServerHandle,
+    start, ModelRegistry, PipelinedClient, PredictRequest, RequestClass, Response, ServedModel,
+    ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
 use dls_svm::{KernelKind, SvmModel};
@@ -18,11 +18,10 @@ fn test_model() -> SvmModel {
     SvmModel::new(KernelKind::Linear, svs, vec![1.0, -1.0, 0.5, -0.5, 0.25], 0.125)
 }
 
-fn serve(executor: ExecutorConfig, frontend: Frontend) -> ServerHandle {
+fn serve() -> ServerHandle {
     let registry =
         ModelRegistry::new().with(ServedModel::new("m", test_model(), &LayoutScheduler::new()));
-    let config = ServerConfig { executor, frontend, ..Default::default() };
-    start(registry, LayoutScheduler::new(), config).expect("bind loopback")
+    start(registry, LayoutScheduler::new(), ServerConfig::default()).expect("bind loopback")
 }
 
 fn query(seed: usize) -> SparseVec {
@@ -33,7 +32,7 @@ fn query(seed: usize) -> SparseVec {
 /// with per-class SLO fields in the snapshot.
 #[test]
 fn classes_land_on_their_own_ledgers() {
-    let handle = serve(ExecutorConfig::default(), Frontend::Threads);
+    let handle = serve();
     let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
 
     let interactive =
@@ -58,28 +57,24 @@ fn classes_land_on_their_own_ledgers() {
     handle.shutdown();
 }
 
-/// Mixed-class traffic is served end to end under either front end (the
-/// scheduling *order* contracts live in the executor unit tests; this pins
-/// that each front end is wired to the drain rule and drains).
+/// Mixed-class traffic is served end to end (the scheduling *order*
+/// contracts live in the executor unit tests; this pins that the server is
+/// wired to the drain rule and drains).
 #[test]
-fn mixed_traffic_serves_on_both_front_ends() {
-    for frontend in [Frontend::Threads, Frontend::Reactor] {
-        let handle = serve(ExecutorConfig::default(), frontend);
-        let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
-        for i in 0..4 {
-            let class = if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };
-            let req = PredictRequest::builder("m").vector(query(i)).class(class).build();
-            assert!(
-                matches!(c.send(&req).expect("predict"), Response::Predictions(_)),
-                "{frontend} failed request {i}"
-            );
-        }
-        let mut completed = 0;
-        for class in RequestClass::ALL {
-            completed += handle.stats().class(class).completed();
-        }
-        assert_eq!(completed, 4, "{frontend} lost requests");
-        drop(c);
-        handle.shutdown();
+fn mixed_traffic_serves() {
+    let handle = serve();
+    let mut c = PipelinedClient::connect(handle.local_addr()).expect("connect");
+    for i in 0..4 {
+        let class = if i % 2 == 0 { RequestClass::Interactive } else { RequestClass::Batch };
+        let req = PredictRequest::builder("m").vector(query(i)).class(class).build();
+        assert!(
+            matches!(c.send(&req).expect("predict"), Response::Predictions(_)),
+            "failed request {i}"
+        );
     }
+    let completed: u64 =
+        RequestClass::ALL.iter().map(|&c| handle.stats().class(c).completed()).sum();
+    assert_eq!(completed, 4, "lost requests");
+    drop(c);
+    handle.shutdown();
 }

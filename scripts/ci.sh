@@ -53,15 +53,13 @@ cmp "$selector_json" BENCH_selector.json \
   || { echo "BENCH_selector.json no longer regenerates byte-identically" >&2; exit 1; }
 echo "BENCH_selector.json regenerates byte-identically"
 
-echo "==> chaos smoke (seeded fault injection, watchdog-guarded, per frontend)"
+echo "==> chaos smoke (seeded fault injection, watchdog-guarded)"
 # The harness itself exits 2 on any hang and non-zero on any corrupted
 # response, untyped failure, or failed clean probe.
-for frontend in threads reactor; do
-  out="$(cargo run --release -q -p dls-bench --bin repro_chaos -- --smoke --seeds 8 --frontend "$frontend")"
-  echo "$out"
-  echo "$out" | grep -q "zero hangs, zero corrupted responses" \
-    || { echo "chaos smoke ($frontend): missing clean-run summary" >&2; exit 1; }
-done
+out="$(cargo run --release -q -p dls-bench --bin repro_chaos -- --smoke --seeds 8)"
+echo "$out"
+echo "$out" | grep -q "zero hangs, zero corrupted responses" \
+  || { echo "chaos smoke: missing clean-run summary" >&2; exit 1; }
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -85,6 +83,13 @@ if grep -rnE 'RuleThreshold[s]|MachineProfil[e]|with_block_hint[s]|effective_blo
 if grep -rnE 'smsv_wit[h]|smsv_view_wit[h]|blocked_slab_swee[p]|blocked_band_sweep_an[y]' crates src examples; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted with the work-conserving drain (the gather window, its brown-out divisor and the drain rule's hold).
 if grep -rnE 'GATHER_DIVISO[R]|effective_gathe[r]|DisciplineCt[x]|Decision::Wai[t]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with the move to one front end (the epoll reactor, its switch and its completion hook).
+if grep -rnE 'Fronten[d]|ReactorCounter[s]|--fronten[d]|serve_reacto[r]|set_completion_hoo[k]|WakeF[d]|epoll_creat[e]|dispatch_asyn[c]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# No product library may hold `unsafe`: each crate root forbids it (the bench crate's counting allocator is measurement tooling).
+for lib in src/lib.rs crates/*/src/lib.rs; do
+  [ "$lib" = crates/bench/src/lib.rs ] || grep -q '^#!\[forbid(unsafe_code)\]' "$lib" \
+    || { echo "$lib does not forbid unsafe_code" >&2; exit 1; }
+done
 # Every FormatSelector lives in dls-core; dls-learn only builds training data and trains.
 if grep -rn 'impl FormatSelector' crates/learn/src; then echo "a selector is back in dls-learn" >&2; exit 1; fi
 

@@ -13,10 +13,10 @@
 //!                                                   --cache persists tuning
 //!                                                   decisions across runs
 //! dls scale     <in.libsvm> <out.libsvm> [01|pm1]   feature scaling
-//! dls serve     [addr] [--models a,b]               host quick-trained models
-//!               [--frontend threads|reactor]        I/O front end: thread-per-conn
-//!               [--read-timeout-ms N]               or the epoll event loop with
-//!               [--idle-timeout-ms N]               out-of-order pipelining;
+//! dls serve     [addr] [--models a,b]               host quick-trained models,
+//!               [--read-timeout-ms N]               one thread per connection
+//!               [--write-timeout-ms N]              (at most 256 open); any
+//!               [--idle-timeout-ms N]               other --flag is refused;
 //!               [--no-brownout] [--chaos-seed N]    --chaos-seed arms the seeded
 //!                                                   fault-injection plan (demo)
 //!               [--online [--retrain-ms N]]         online learning: telemetry
@@ -259,59 +259,47 @@ fn quick_served_model(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let addr = args
-        .iter()
-        .find(|a| !a.starts_with("--") && a.contains(':'))
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let models: Vec<String> = args
-        .iter()
-        .position(|a| a == "--models")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.split(',').map(str::to_string).collect())
-        .unwrap_or_else(|| vec!["adult".to_string(), "mnist".to_string()]);
-    let frontend: dls::serve::Frontend = args
-        .iter()
-        .position(|a| a == "--frontend")
-        .map(|i| {
-            args.get(i + 1)
-                .ok_or_else(|| "serve: --frontend needs threads|reactor".to_string())
-                .and_then(|v| v.parse())
-        })
-        .transpose()?
-        .unwrap_or(dls::serve::Frontend::Threads);
     // A zero budget closes every connection, and a zero retrain interval
     // turns the retrainer into a polling loop; `dls_serve::start` refuses
     // both, and the flag says so before any model is trained.
-    let millis_flag = |name: &str| -> Result<Option<std::time::Duration>, String> {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| {
-                args.get(i + 1)
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&ms| ms > 0)
-                    .map(std::time::Duration::from_millis)
-                    .ok_or_else(|| {
-                        format!("serve: {name} needs a millisecond count greater than zero")
-                    })
-            })
-            .transpose()
+    let millis = |name: &str, value: Option<&String>| {
+        value
+            .and_then(|v| v.parse::<u64>().ok())
+            .filter(|&ms| ms > 0)
+            .map(std::time::Duration::from_millis)
+            .ok_or_else(|| format!("serve: {name} needs a millisecond count greater than zero"))
     };
-    let read_timeout = millis_flag("--read-timeout-ms")?;
-    let write_timeout = millis_flag("--write-timeout-ms")?;
-    let idle_timeout = millis_flag("--idle-timeout-ms")?;
-    let no_brownout = args.iter().any(|a| a == "--no-brownout");
-    let chaos_seed: Option<u64> = args
-        .iter()
-        .position(|a| a == "--chaos-seed")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| "serve: --chaos-seed needs an integer seed".to_string())
-        })
-        .transpose()?;
-    let online = args.iter().any(|a| a == "--online");
-    let retrain_interval = millis_flag("--retrain-ms")?;
+    let mut addr = None;
+    let mut models = vec!["adult".to_string(), "mnist".to_string()];
+    let (mut read_timeout, mut write_timeout, mut idle_timeout) = (None, None, None);
+    let (mut no_brownout, mut online) = (false, false);
+    let (mut chaos_seed, mut retrain_interval) = (None, None);
+    // One pass over the arguments. A flag this command does not know is a
+    // usage error, raised before any model is trained: ignoring it would
+    // serve without what it asked for.
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--models" => {
+                let list = rest.next().ok_or("serve: --models needs a comma-separated list")?;
+                models = list.split(',').map(str::to_string).collect();
+            }
+            "--read-timeout-ms" => read_timeout = Some(millis(arg, rest.next())?),
+            "--write-timeout-ms" => write_timeout = Some(millis(arg, rest.next())?),
+            "--idle-timeout-ms" => idle_timeout = Some(millis(arg, rest.next())?),
+            "--retrain-ms" => retrain_interval = Some(millis(arg, rest.next())?),
+            "--chaos-seed" => {
+                let seed = rest.next().and_then(|v| v.parse::<u64>().ok());
+                chaos_seed = Some(seed.ok_or("serve: --chaos-seed needs an integer seed")?);
+            }
+            "--no-brownout" => no_brownout = true,
+            "--online" => online = true,
+            flag if flag.starts_with("--") => return Err(format!("serve: unknown flag {flag}")),
+            bind if bind.contains(':') && addr.is_none() => addr = Some(bind.to_string()),
+            _ => {}
+        }
+    }
+    let addr = addr.unwrap_or_else(|| "127.0.0.1:0".to_string());
     if retrain_interval.is_some() && !online {
         return Err("serve: --retrain-ms needs --online".to_string());
     }
@@ -360,7 +348,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         read_timeout: read_timeout.unwrap_or(defaults.read_timeout),
         write_timeout: write_timeout.unwrap_or(defaults.write_timeout),
         idle_timeout: idle_timeout.unwrap_or(defaults.idle_timeout),
-        frontend,
     };
     let serving_scheduler = match &hub {
         Some(hub) => LayoutScheduler::with_selector(hub.selector()),
@@ -377,9 +364,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "listening on {} (frontend: {}, brown-out {})",
+        "listening on {} (brown-out {})",
         handle.local_addr(),
-        frontend,
         if no_brownout { "off" } else { "on" }
     );
     println!("telemetry: dls stats --serve {}  (add --health for the ladder)", handle.local_addr());

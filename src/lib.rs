@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # dls — Data Layout Scheduling for machine learning datasets
 //!

@@ -93,19 +93,27 @@ fn unknown_synthetic_dataset_fails_cleanly() {
     assert!(err.contains("unknown synthetic dataset"), "{err}");
 }
 
-/// A zero time budget would close every connection (at once under the
-/// reactor, after the first quiet tick under threads): refused as a usage
-/// error under either front end, before any model is trained.
+/// A zero time budget would close every connection after its first quiet
+/// tick: refused as a usage error, before any model is trained.
 #[test]
-fn serve_rejects_zero_timeouts_under_either_frontend() {
-    for frontend in ["threads", "reactor"] {
-        for flag in ["--read-timeout-ms", "--write-timeout-ms", "--idle-timeout-ms"] {
-            let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--frontend", frontend, flag, "0"]);
-            assert!(!ok, "{frontend} {flag} 0 must not serve");
-            assert!(err.contains(flag) && err.contains("greater than zero"), "{err}");
-            assert!(!out.contains("training"), "refused before training: {out}");
-        }
+fn serve_rejects_zero_timeouts() {
+    for flag in ["--read-timeout-ms", "--write-timeout-ms", "--idle-timeout-ms"] {
+        let (ok, out, err) = run(&["serve", "127.0.0.1:0", flag, "0"]);
+        assert!(!ok, "{flag} 0 must not serve");
+        assert!(err.contains(flag) && err.contains("greater than zero"), "{err}");
+        assert!(!out.contains("training"), "refused before training: {out}");
     }
+}
+
+/// A flag `serve` does not know is a usage error that names it, before
+/// any model is trained: ignoring it would serve without what it asked
+/// for (here, a front end that no longer exists).
+#[test]
+fn serve_refuses_unknown_flags() {
+    let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--frontend", "reactor"]);
+    assert!(!ok, "an unknown flag must not serve");
+    assert!(err.contains("unknown flag --frontend"), "{err}");
+    assert!(!out.contains("training"), "refused before training: {out}");
 }
 
 /// A zero retrain interval turns the retrainer into a polling loop, and a
