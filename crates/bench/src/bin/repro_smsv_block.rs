@@ -14,10 +14,11 @@
 //! Usage: `repro_smsv_block [reps] [out.json] [--check]`
 //! (defaults: 15, `BENCH_smsv.json` in the current directory).
 //! `--check` exits non-zero unless every format's geomean blocked speedup
-//! stays at or above 0.95x, the COO path clears 1.0x, and CSR's and ELL's
-//! B=2 cost per product (geomean over the three twins) stays at or below
-//! their B=1 cost — the CI smoke gate against blocked-kernel regressions,
-//! a lane loop at a runtime width among them.
+//! stays at or above 0.95x, the COO path clears 1.0x, and CSR's, ELL's and
+//! COO's B=2 cost per product (geomean over the three twins) stays at or
+//! below their B=1 cost — the CI smoke gate against blocked-kernel
+//! regressions, a lane loop at a runtime width among them. DEN's ratio is
+//! printed beside them.
 
 use dls_bench::workload;
 use dls_core::json::JsonValue;
@@ -59,6 +60,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Formats whose B=2 cost per product `--check` holds at or below B=1's.
+/// DEN is printed but not floored: on these sparse twins both widths take
+/// its per-vector gather, so the ratio sits at 1.00 ± 0.03.
+const B2_FLOORED: [Format; 3] = [Format::Csr, Format::Ell, Format::Coo];
 
 /// Candidate block sizes, mirroring `dls_learn::BLOCK_CANDIDATES`.
 const BLOCKS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -303,12 +309,12 @@ fn main() {
                 failures.push(format!("{} geomean {:.3}x < {:.2}x", fmt.name(), g, floor));
             }
         }
-        for fmt in [Format::Csr, Format::Ell] {
+        for fmt in [Format::Csr, Format::Ell, Format::Den, Format::Coo] {
             let at =
                 |k: usize| geomean(rows.iter().filter(|r| r.format == fmt).map(|r| r.sweep_ns[k]));
             let (b1, b2) = (at(0), at(1));
             println!("#   {:<5} B=2 / B=1 per product {:.2}", fmt.name(), b2 / b1);
-            if b2 > b1 {
+            if B2_FLOORED.contains(&fmt) && b2 > b1 {
                 failures
                     .push(format!("{} B=2 costs {b2:.0} ns per product > B=1 {b1:.0}", fmt.name()));
             }

@@ -6,7 +6,7 @@
 //! row-length imbalance (`vdim`). This is why COO overtakes CSR as `vdim`
 //! grows (paper Fig. 4).
 
-use crate::format::{add_lanes, smsv_sweep, Sweep};
+use crate::format::{add_lanes, interleave, smsv_sweep, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// Coordinate-format matrix with entries sorted row-major.
@@ -141,12 +141,18 @@ impl MatrixFormat for CooMatrix {
 }
 
 impl Sweep for CooMatrix {
+    const INTERLEAVE: usize = 2;
+
     /// One flat pass over all nnz entries: perfectly balanced work.
     /// Entries are row-major sorted, so each row is a contiguous run; a
     /// stack accumulator rides the run and is stored once at its end.
+    /// Narrow widths split the pass between [`interleave`] cursors.
     fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
         acc.fill(0.0);
         let (scat, acc) = (scat.as_chunks::<CB>().0, acc.as_chunks_mut::<CB>().0);
+        if interleave::<Self>(CB) > 1 {
+            return self.cursors::<{ <CooMatrix as Sweep>::INTERLEAVE }, CB>(scat, acc);
+        }
         let mut k = 0;
         while k < self.values.len() {
             let r = self.row_idx[k];
@@ -156,6 +162,57 @@ impl Sweep for CooMatrix {
                 k += 1;
             }
             acc[r] = a;
+        }
+    }
+}
+
+impl CooMatrix {
+    /// `C` cursors in lockstep, cursor `c` from the first row boundary at or
+    /// past entry `c · nnz / C` to where the next starts, so no row is split.
+    /// A cursor stores its row's chain when the next row begins.
+    #[inline(always)]
+    fn cursors<const C: usize, const CB: usize>(
+        &self,
+        scat: &[[Scalar; CB]],
+        acc: &mut [[Scalar; CB]],
+    ) {
+        let (rows, nnz) = (&self.row_idx, self.values.len());
+        let start: [usize; C] = std::array::from_fn(|c| match c * nnz / C {
+            0 => 0,
+            p => rows.partition_point(|&r| r <= rows[p - 1]),
+        });
+        let runs: [_; C] = std::array::from_fn(|c| {
+            let span = start[c]..start.get(c + 1).map_or(nnz, |&s| s);
+            (&rows[span.clone()], &self.col_idx[span.clone()], &self.values[span])
+        });
+        let n = runs.iter().map(|run| run.0.len()).min().unwrap_or(0);
+        let (mut head, mut cur) = (runs, [0; C]);
+        for c in 0..C {
+            let (r, j, v) = runs[c];
+            (head[c], cur[c]) = ((&r[..n], &j[..n], &v[..n]), r.first().map_or(0, |&r| r));
+        }
+        let mut a = [[0.0; CB]; C];
+        let mut fold = |c: usize, r: usize, j: usize, x: Scalar| {
+            if r != cur[c] {
+                acc[cur[c]] = std::mem::replace(&mut a[c], [0.0; CB]);
+                cur[c] = r;
+            }
+            add_lanes(&mut a[c], x, &scat[j]);
+        };
+        for k in 0..n {
+            for (c, (rows, cols, vals)) in head.iter().enumerate() {
+                fold(c, rows[k], cols[k], vals[k]);
+            }
+        }
+        for (c, (rows, cols, vals)) in runs.iter().enumerate() {
+            for k in n..rows.len() {
+                fold(c, rows[k], cols[k], vals[k]);
+            }
+        }
+        for (c, run) in runs.iter().enumerate() {
+            if let Some(&r) = run.0.last() {
+                acc[r] = a[c];
+            }
         }
     }
 }

@@ -8,11 +8,7 @@
 //! [`CsrMatrix::smsv_lanes`] kernel, which mirrors the vectorised row-lockstep
 //! kernels used on Xeon Phi.
 
-// Kernel loops index row_ptr ranges and the output in lockstep; the
-// indexed form is the clearest statement of the per-row sweep.
-#![allow(clippy::needless_range_loop)]
-
-use crate::format::{add_lanes, smsv_sweep, Sweep};
+use crate::format::{fold_rows, smsv_sweep, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// Compressed Sparse Row matrix.
@@ -151,11 +147,6 @@ impl CsrMatrix {
             i += group;
         }
     }
-
-    /// Per-row non-zero counts.
-    pub fn row_counts(&self) -> Vec<usize> {
-        (0..self.rows).map(|i| self.row_nnz(i)).collect()
-    }
 }
 
 impl MatrixFormat for CsrMatrix {
@@ -205,9 +196,9 @@ impl MatrixFormat for CsrMatrix {
     fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
         assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
         assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        for i in 0..self.rows {
+        for (i, o) in out.iter_mut().enumerate() {
             let (cols, vals) = self.row_view(i);
-            out[i] = cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum();
+            *o = cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum();
         }
     }
 
@@ -243,49 +234,15 @@ impl MatrixFormat for CsrMatrix {
     }
 }
 
-/// Widths at or below this gather two rows per step.
-const PAIRED_WIDTH: usize = 8;
-
 impl Sweep for CsrMatrix {
+    const INTERLEAVE: usize = 2;
+
     /// Scatter-gather: each row gathers its lanes in Θ(dim_i), so a sweep
-    /// costs Θ(nnz · CB) plus the scatter.
-    ///
-    /// At narrow widths a row's `CB` accumulator chains are too few to
-    /// hide the add latency, so rows are gathered in pairs: each row keeps
-    /// its own chains (still summing in ascending-column order), but the
-    /// two rows interleave over their common prefix. Wide widths have
-    /// enough independent chains already, and pairing only spills them.
+    /// costs Θ(nnz · CB) plus the scatter. Narrow widths interleave rows
+    /// ([`interleave`](crate::format::interleave)) over their common prefix.
     fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
-        let (scat, acc) = (scat.as_chunks::<CB>().0, acc.as_chunks_mut::<CB>().0);
-        let mut i = 0;
-        if CB <= PAIRED_WIDTH {
-            while i + 2 <= self.rows {
-                let (c0, v0) = self.row_view(i);
-                let (c1, v1) = self.row_view(i + 1);
-                let n = c0.len().min(c1.len());
-                let (mut a0, mut a1) = ([0.0; CB], [0.0; CB]);
-                for k in 0..n {
-                    add_lanes(&mut a0, v0[k], &scat[c0[k]]);
-                    add_lanes(&mut a1, v1[k], &scat[c1[k]]);
-                }
-                for k in n..c0.len() {
-                    add_lanes(&mut a0, v0[k], &scat[c0[k]]);
-                }
-                for k in n..c1.len() {
-                    add_lanes(&mut a1, v1[k], &scat[c1[k]]);
-                }
-                (acc[i], acc[i + 1]) = (a0, a1);
-                i += 2;
-            }
-        }
-        for i in i..self.rows {
-            let (cols, vals) = self.row_view(i);
-            let mut a = [0.0; CB];
-            for (&c, &x) in cols.iter().zip(vals) {
-                add_lanes(&mut a, x, &scat[c]);
-            }
-            acc[i] = a;
-        }
+        let scat = scat.as_chunks::<CB>().0;
+        fold_rows::<Self, _, CB>(acc, |i| self.row_view(i), |_, &c| &scat[c]);
     }
 }
 

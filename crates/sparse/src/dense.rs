@@ -4,7 +4,7 @@
 //! machine learning (gisette, epsilon, leukemia, dna in Table V), where the
 //! index arrays of sparse formats double or triple the memory traffic.
 
-use crate::format::{add_lanes, smsv_sweep, Rhs, Sweep};
+use crate::format::{fold_rows, smsv_sweep, Rhs, Sweep};
 use crate::{Format, MatrixFormat, RowScratch, Scalar, SparseVec, SparseVecView, TripletMatrix};
 
 /// A dense row-major matrix.
@@ -25,11 +25,6 @@ impl DenseMatrix {
         assert_eq!(data.len(), rows * cols, "buffer length mismatch");
         let nnz = data.iter().filter(|&&v| v != 0.0).count();
         Self { rows, cols, data, nnz }
-    }
-
-    /// An all-zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self { rows, cols, data: vec![0.0; rows * cols], nnz: 0 }
     }
 
     /// Builds from the triplet interchange form (duplicates summed),
@@ -135,23 +130,21 @@ impl MatrixFormat for DenseMatrix {
 }
 
 impl Sweep for DenseMatrix {
+    const INTERLEAVE: usize = 4;
+
     /// A straight dot product of each row against every lane, the
     /// layout's whole advantage when the right-hand sides are (near-)dense,
-    /// the common case for the dense ML datasets DEN is chosen for.
+    /// the common case for the dense ML datasets DEN is chosen for. Narrow
+    /// widths step over several rows against the shared scatter
+    /// ([`interleave`](crate::format::interleave)), each row on its own chains.
     fn sweep<const CB: usize>(&self, scat: &[Scalar], acc: &mut [Scalar]) {
-        let scat = scat.as_chunks::<CB>().0;
-        for (i, out) in acc.as_chunks_mut::<CB>().0.iter_mut().enumerate() {
-            let mut a = [0.0; CB];
-            for (&x, w) in self.row(i).iter().zip(scat) {
-                add_lanes(&mut a, x, w);
-            }
-            *out = a;
-        }
+        let scat = &scat.as_chunks::<CB>().0[..self.cols];
+        fold_rows::<Self, _, CB>(acc, |i| (scat, self.row(i)), |_, w| w);
     }
 
     /// Sparse right-hand sides gather over their own indices instead, at
-    /// M · nnz(v) per product whatever the matrix holds: below 3/4 density
-    /// the interleaved scatter costs more than it saves.
+    /// M · nnz(v) per product whatever the matrix holds, interleaving rows
+    /// the same way: below 3/4 density the scatter costs more than it saves.
     fn gather<V: Rhs>(&self, chunk: &[V], out: &mut [Scalar]) -> bool {
         let nnz: usize = chunk.iter().map(|v| v.view().nnz()).sum();
         if nnz * 4 >= 3 * self.cols * chunk.len() {
@@ -159,14 +152,11 @@ impl Sweep for DenseMatrix {
         }
         for (b, v) in chunk.iter().enumerate() {
             let v = v.view();
-            for (i, o) in out[b * self.rows..(b + 1) * self.rows].iter_mut().enumerate() {
-                let row = self.row(i);
-                let mut acc = 0.0;
-                for (&j, &x) in v.indices().iter().zip(v.values()) {
-                    acc += row[j] * x;
-                }
-                *o = acc;
-            }
+            fold_rows::<Self, _, 1>(
+                &mut out[b * self.rows..(b + 1) * self.rows],
+                |_| (v.indices(), v.values()),
+                |i, &j| std::array::from_ref(&self.data[i * self.cols + j]),
+            );
         }
         true
     }

@@ -195,6 +195,9 @@ pub(crate) trait Sweep: MatrixFormat {
     /// points its padded slots at one).
     const PAD_COLS: usize = 0;
 
+    /// Rows (COO: cursors) a narrow sweep folds side by side ([`interleave`]).
+    const INTERLEAVE: usize = 1;
+
     /// Writes `acc[i * CB + b] = X_i · v_b` for every row `i`, where lane
     /// `b` of column `j` is `scat[j * CB + b]`. `acc` may hold anything on
     /// entry. Each lane folds its row from +0.0 in ascending column order,
@@ -215,6 +218,79 @@ pub(crate) trait Sweep: MatrixFormat {
 pub(crate) fn add_lanes<const CB: usize>(a: &mut [Scalar; CB], x: Scalar, w: &[Scalar; CB]) {
     for b in 0..CB {
         a[b] += x * w[b];
+    }
+}
+
+/// The one interleave rule: how many rows a sweep of width `cb` over `M`
+/// folds side by side. Each lane chain waits a full add latency per stored
+/// entry, so at narrow widths a sweep steps over [`Sweep::INTERLEAVE`]
+/// independent rows at once ([`fold_rows`]; COO runs as many cursors)
+/// while their accumulators fit [`ACCUMULATORS`]. Every row keeps its own
+/// chains and folds from +0.0 in ascending column order, so only the
+/// schedule of the adds changes, never the bits.
+pub(crate) const fn interleave<M: Sweep>(cb: usize) -> usize {
+    match M::INTERLEAVE * cb {
+        0..=ACCUMULATORS => M::INTERLEAVE,
+        _ => 1,
+    }
+}
+
+/// Accumulator lanes an interleaved step may hold (measured, DESIGN.md §kernels).
+const ACCUMULATORS: usize = 16;
+
+/// `out[i * CB + b] = X_i · (lanes)[b]` for every row of `M`, [`interleave`]
+/// rows per step: `row(i)` is row `i`'s stored entries in ascending column
+/// order, one key per value, and `lanes(i, key)` the lanes a value
+/// multiplies. A group steps over its rows' common prefix, cut to one
+/// length so that no step checks a bound, then finishes each row alone.
+#[inline(always)]
+pub(crate) fn fold_rows<'m, 'w, M: Sweep, K: 'm, const CB: usize>(
+    out: &mut [Scalar],
+    row: impl Fn(usize) -> (&'m [K], &'m [Scalar]),
+    lanes: impl Fn(usize, &'m K) -> &'w [Scalar; CB],
+) {
+    let out = out.as_chunks_mut::<CB>().0;
+    match interleave::<M>(CB) {
+        4 => fold_groups::<4, K, CB>(out, 0, &row, &lanes),
+        2 => fold_groups::<2, K, CB>(out, 0, &row, &lanes),
+        _ => fold_groups::<1, K, CB>(out, 0, &row, &lanes),
+    }
+}
+
+#[inline(always)]
+fn fold_groups<'m, 'w, const R: usize, K: 'm, const CB: usize>(
+    out: &mut [[Scalar; CB]],
+    first: usize,
+    row: &impl Fn(usize) -> (&'m [K], &'m [Scalar]),
+    lanes: &impl Fn(usize, &'m K) -> &'w [Scalar; CB],
+) {
+    let (groups, rest) = out.as_chunks_mut::<R>();
+    for (g, out) in groups.iter_mut().enumerate() {
+        let i = first + g * R;
+        let mut rows: [(&[K], &[Scalar]); R] = [(&[], &[]); R];
+        for (r, slot) in rows.iter_mut().enumerate() {
+            *slot = row(i + r);
+        }
+        let n = rows.iter().map(|(k, x)| k.len().min(x.len())).min().unwrap_or(0);
+        let mut head = rows;
+        for (h, (k, x)) in head.iter_mut().zip(rows) {
+            *h = (&k[..n], &x[..n]);
+        }
+        let mut a = [[0.0; CB]; R];
+        for j in 0..n {
+            for r in 0..R {
+                add_lanes(&mut a[r], head[r].1[j], lanes(i + r, &head[r].0[j]));
+            }
+        }
+        for (r, (keys, xs)) in rows.iter().enumerate() {
+            for (key, &x) in keys[n..].iter().zip(&xs[n..]) {
+                add_lanes(&mut a[r], x, lanes(i + r, key));
+            }
+        }
+        *out = a;
+    }
+    if R > 1 {
+        fold_groups::<1, K, CB>(rest, first + groups.len() * R, row, lanes);
     }
 }
 

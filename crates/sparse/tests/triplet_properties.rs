@@ -122,6 +122,118 @@ fn one_dense_row_in_a_hypersparse_matrix() {
     assert_eq!(bits(t.compact().entries()), bits(&want));
 }
 
+/// Finite values whose sums depend on the order they are added in.
+const ORDERED: [f64; 7] = [1e16, 1.0, -1e16, 3.5, 0.1, -3.5, f64::MIN_POSITIVE];
+
+/// Every format's `smsv`, `smsv_view` and `smsv_block` (every width from one
+/// to all of `vs`) against the reference on `t`, bit for bit, with outputs
+/// prefilled with NaN and one workspace shared throughout.
+fn assert_kernels_match(label: &str, t: &TripletMatrix, vs: &[SparseVec]) {
+    let csr = CsrMatrix::from_triplets(t);
+    let want: Vec<Vec<f64>> = vs.iter().map(|v| smsv_reference(&csr, v)).collect();
+    let mut ws = Vec::new();
+    for fmt in Format::ALL {
+        let m = AnyMatrix::from_triplets(fmt, t);
+        let rows = m.rows();
+        for (v, want) in vs.iter().zip(&want) {
+            let mut out = vec![f64::NAN; rows];
+            m.smsv(v, &mut out);
+            assert_eq!(bits_of(&out), bits_of(want), "{label}: {fmt} smsv");
+            out.fill(f64::NAN);
+            m.smsv_view(v.as_view(), &mut out, &mut ws);
+            assert_eq!(bits_of(&out), bits_of(want), "{label}: {fmt} smsv_view");
+        }
+        for b in 1..=vs.len() {
+            let mut out = vec![f64::NAN; rows * b];
+            m.smsv_block(&vs[..b], &mut out, &mut ws);
+            assert_eq!(bits_of(&out), bits_of(&want[..b].concat()), "{label}: {fmt} B={b}");
+        }
+        assert!(ws.iter().all(|&w| w == 0.0), "{label}: {fmt} left the workspace dirty");
+    }
+}
+
+/// A `cols`-dimensional right-hand side over `support`, values from `ORDERED`.
+fn rhs(cols: usize, support: &[usize]) -> SparseVec {
+    let values = (0..support.len()).map(|k| ORDERED[(k + 1) % ORDERED.len()]).collect();
+    SparseVec::new(cols, support.to_vec(), values)
+}
+
+/// A matrix from `(row, col)` positions, values cycling through `ORDERED`.
+fn filled(rows: usize, cols: usize, at: impl IntoIterator<Item = (usize, usize)>) -> TripletMatrix {
+    let entries = at.into_iter().enumerate().map(|(k, (r, c))| (r, c, ORDERED[k % ORDERED.len()]));
+    TripletMatrix::from_entries(rows, cols, entries.collect()).unwrap().compact()
+}
+
+#[test]
+fn den_interleave_keeps_every_row_count_and_both_gather_sides() {
+    // Six columns put DEN's gather/scatter threshold (3/4 density) between
+    // four and five non-zeros: the first two right-hand sides gather, the
+    // rest sweep, and blocks of them mix the two.
+    let cols = 6;
+    let vs = [
+        rhs(cols, &[]),
+        rhs(cols, &[0, 2, 3, 5]),
+        rhs(cols, &[0, 1, 2, 4, 5]),
+        rhs(cols, &[0, 1, 2, 3, 4, 5]),
+    ];
+    for rows in [0, 1, 2, 3, 4, 5, 7, 8, 9] {
+        let t = filled(
+            rows,
+            cols,
+            (0..rows * cols).map(|k| (k / cols, k % cols)).filter(|&(r, c)| (r + c) % 4 != 3),
+        );
+        assert_kernels_match(&format!("DEN {rows}x{cols}"), &t, &vs);
+    }
+}
+
+#[test]
+fn coo_cursors_never_split_a_row() {
+    let cols = 12;
+    let row = |r: usize, n: usize| (0..n).map(move |c| (r, c));
+    let cases: [(&str, TripletMatrix); 7] = [
+        (
+            "a row past the midpoint, split at its end",
+            filled(4, cols, row(0, 1).chain(row(2, 10)).chain(row(3, 1))),
+        ),
+        ("more than half of nnz in the last row", filled(3, cols, row(0, 2).chain(row(2, 10)))),
+        (
+            "empty rows straddling the midpoint",
+            filled(10, cols, row(0, 3).chain(row(1, 3)).chain(row(7, 3)).chain(row(8, 3))),
+        ),
+        (
+            "empty rows just past the midpoint",
+            filled(10, cols, row(0, 4).chain(row(1, 3)).chain(row(7, 3)).chain(row(8, 2))),
+        ),
+        ("every entry in the last row", filled(5, cols, row(4, cols))),
+        ("a single entry", filled(3, cols, [(1, 7)])),
+        ("no entry", filled(4, cols, [])),
+    ];
+    // Nine right-hand sides: blocks up to eight lanes run the cursors, nine
+    // the single pass.
+    let supports: [&[usize]; 3] =
+        [&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], &[1, 4, 9], &[0, 5, 6, 7, 11]];
+    let vs: Vec<SparseVec> = (0..9).map(|b| rhs(cols, supports[b % 3])).collect();
+    for (label, t) in &cases {
+        assert_kernels_match(label, t, &vs);
+    }
+}
+
+#[test]
+fn degenerate_and_hypersparse_shapes_multiply_like_the_reference() {
+    let empty_rows = filled(0, 5, []);
+    assert_kernels_match("0x5", &empty_rows, &[rhs(5, &[]), rhs(5, &[0, 3, 4])]);
+    let empty_cols = filled(4, 0, []);
+    assert_kernels_match("4x0", &empty_cols, &[rhs(0, &[]), rhs(0, &[])]);
+    // One dense row of 600 in a 2000-row matrix, beside one entry at each corner.
+    let hyper = filled(
+        2_000,
+        600,
+        [(0, 599)].into_iter().chain((0..600).map(|c| (1_234, c))).chain([(1_999, 0)]),
+    );
+    let vs = [hyper.row_sparse(1_234), rhs(600, &[0, 17, 599]), rhs(600, &[])];
+    assert_kernels_match("dense row in 2000x600", &hyper, &vs);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

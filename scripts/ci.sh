@@ -37,7 +37,7 @@ cargo run --release -q --bin dls -- selector-info "$model"
 cargo run --release -q --bin dls -- selector-info crates/learn/tests/fixtures/quick_analytic.json
 cargo run --release -q --bin dls -- schedule @trefethen "learned:$model"
 
-echo "==> blocked-kernel smoke (block-size sweep; geomean floors 0.95x, COO 1.0x; CSR and ELL B=2 per product <= B=1)"
+echo "==> blocked-kernel smoke (block-size sweep; geomean floors 0.95x, COO 1.0x; CSR, ELL and COO B=2 per product <= B=1)"
 bench_json="$(mktemp -t dls_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json"' EXIT
 cargo run --release -q -p dls-bench --bin repro_smsv_block -- 5 "$bench_json" --check
@@ -83,6 +83,8 @@ if grep -rnE 'RuleThreshold[s]|MachineProfil[e]|with_block_hint[s]|effective_blo
 if grep -rnE 'smsv_wit[h]|smsv_view_wit[h]|blocked_slab_swee[p]|blocked_band_sweep_an[y]' crates src examples; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted with the work-conserving drain (the gather window, its brown-out divisor and the drain rule's hold).
 if grep -rnE 'GATHER_DIVISO[R]|effective_gathe[r]|DisciplineCt[x]|Decision::Wai[t]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with the one interleave rule (CSR's own pairing width).
+if grep -rnE 'PAIRED_WIDT[H]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Deleted with the move to one front end (the epoll reactor, its switch and its completion hook).
 if grep -rnE 'Fronten[d]|ReactorCounter[s]|--fronten[d]|serve_reacto[r]|set_completion_hoo[k]|WakeF[d]|epoll_creat[e]|dispatch_asyn[c]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # No product library may hold `unsafe`: each crate root forbids it (the bench crate's counting allocator is measurement tooling).
