@@ -65,7 +65,6 @@ fn main() {
         },
         tree,
         blocks: None,
-        ensemble: Vec::new(),
     };
     println!(
         "trained on {} samples ({} measured, {} fallback, {} analytic); \

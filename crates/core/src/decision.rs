@@ -56,7 +56,7 @@ impl RuleBasedSelector {
     /// The rules for the host this binary runs on. `dls_sparse`'s CSR SMSV
     /// is a scalar scatter-gather loop whatever the ISA, so the high-`vdim`
     /// rule keeps CSR instead of switching to COO.
-    pub fn for_host() -> Self {
+    pub(crate) fn for_host() -> Self {
         Self { lockstep_csr: false }
     }
 

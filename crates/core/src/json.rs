@@ -40,7 +40,7 @@ impl JsonValue {
     }
 
     /// Serialises compactly (no whitespace). Round-trips through [`parse`]:
-    /// strings are escaped via [`escape`] and finite numbers written in
+    /// strings are escaped via `escape` and finite numbers written in
     /// shortest-exact form via [`number`] (non-finite become `null`).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -137,7 +137,7 @@ impl JsonValue {
     }
 
     /// The value as `usize` if it is a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
+    pub(crate) fn as_usize(&self) -> Option<usize> {
         self.as_u64().map(|v| v as usize)
     }
 
@@ -216,7 +216,7 @@ impl From<String> for JsonValue {
 }
 
 /// Escapes a string for embedding in a JSON document (quotes included).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -6,63 +6,26 @@
 //! with everything else built on the trait — wrap it in a `TuningCache` to
 //! memoise predictions, or hand it to a `ReactiveScheduler` as the
 //! re-scheduling strategy. Models are trained by `dls-learn`.
-//!
-//! With a confidence gate ([`LearnedSelector::with_gate`]) the model only
-//! decides when its confidence (forest vote share, or leaf purity for a
-//! single tree) clears the threshold; below it the paper's analytic rules
-//! decide (cf. SNIPPETS.md `MLLoopOptSelector`), and both outcomes are
-//! counted for telemetry. This is the form `dls-serve`'s online loop
-//! publishes.
 
 use crate::bandwidth::BandwidthProfile;
 use crate::cost::CostModelSelector;
-use crate::decision::RuleBasedSelector;
-use crate::features::{featurize, FEATURE_NAMES, NUM_FEATURES};
+use crate::features::{featurize, FEATURE_NAMES};
 use crate::persist::{ModelError, TrainedModel};
 use crate::report::SelectionReport;
 use crate::scheduler::FormatSelector;
 use dls_sparse::{Format, MatrixFeatures, TripletMatrix, MAX_SMSV_BLOCK};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Confidence gate the online loop publishes with: a forest of 5 needs a
-/// 4-1 vote (or a leaf at 75% purity) for the learned pick to stand on its
-/// own.
-pub const DEFAULT_MIN_CONFIDENCE: f64 = 0.75;
-
-/// The rules fallback of a gated selector, with its counters.
-#[derive(Debug)]
-struct Gate {
-    min_confidence: f64,
-    rules: RuleBasedSelector,
-    decisions: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-/// Format selector backed by a trained CART model (tree or forest).
+/// Format selector backed by a trained CART model.
 #[derive(Debug)]
 pub struct LearnedSelector {
     model: TrainedModel,
-    gate: Option<Gate>,
 }
 
 impl LearnedSelector {
     /// Wraps a trained model; the model decides every selection.
     pub fn new(model: TrainedModel) -> Self {
-        Self { model, gate: None }
-    }
-
-    /// Wraps a trained model behind a confidence gate: selections whose
-    /// confidence is below `min_confidence` fall back to the host-tuned
-    /// analytic rules.
-    pub fn with_gate(model: TrainedModel, min_confidence: f64) -> Self {
-        let gate = Gate {
-            min_confidence,
-            rules: RuleBasedSelector::for_host(),
-            decisions: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-        };
-        Self { model, gate: Some(gate) }
+        Self { model }
     }
 
     /// Loads a model file (as written by `dls train-selector`).
@@ -75,17 +38,7 @@ impl LearnedSelector {
         &self.model
     }
 
-    /// `(selections made, selections that fell back to the rules)` of a
-    /// gated selector; zeros without a gate.
-    pub fn gate_counts(&self) -> (u64, u64) {
-        self.gate.as_ref().map_or((0, 0), |g| {
-            (g.decisions.load(Ordering::Relaxed), g.fallbacks.load(Ordering::Relaxed))
-        })
-    }
-
     /// Predicted format for raw features, without building a report.
-    /// Ensemble-aware: forest models vote, single-tree models walk the
-    /// tree.
     pub fn predict(&self, f: &MatrixFeatures) -> Format {
         self.model.predict(&featurize(f))
     }
@@ -99,20 +52,11 @@ impl LearnedSelector {
             None => MAX_SMSV_BLOCK,
         }
     }
+}
 
-    /// The model's own pick for `f` (featurised as `x`), with its
-    /// explanation.
-    fn learned_report(&self, f: &MatrixFeatures, x: &[f64; NUM_FEATURES]) -> SelectionReport {
-        let (chosen, path) = if self.model.ensemble.is_empty() {
-            self.model.tree.explain(x, &FEATURE_NAMES)
-        } else {
-            // Forest models vote; the explanation is the vote tally rather
-            // than one tree's path.
-            let n = self.model.ensemble.len();
-            let (chosen, confidence) = self.model.predict_with_confidence(x);
-            let votes = (confidence * n as f64).round() as usize;
-            (chosen, format!("forest vote {votes}/{n} for {chosen}"))
-        };
+impl FormatSelector for LearnedSelector {
+    fn select(&self, _t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
+        let (chosen, path) = self.model.tree.explain(&featurize(f), &FEATURE_NAMES);
         // The tree emits a class, not per-format scores; attach the flat
         // storage model's predicted times so downstream consumers (regret
         // reports, telemetry) still see a full ranking. The *chosen* format
@@ -123,36 +67,6 @@ impl LearnedSelector {
             features: *f,
             scores: CostModelSelector::with_bandwidth(BandwidthProfile::FLAT).score_all(f),
             reason: format!("learned tree: {path}"),
-        }
-    }
-}
-
-impl FormatSelector for LearnedSelector {
-    fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport {
-        let x = featurize(f);
-        let Some(gate) = &self.gate else {
-            return self.learned_report(f, &x);
-        };
-        gate.decisions.fetch_add(1, Ordering::Relaxed);
-        let (format, confidence) = self.model.predict_with_confidence(&x);
-        let min = gate.min_confidence;
-        if confidence >= min {
-            let mut report = self.learned_report(f, &x);
-            report.reason = format!(
-                "hybrid learned ({}, confidence {confidence:.2} >= {min:.2}): {}",
-                if self.model.ensemble.is_empty() { "tree" } else { "forest" },
-                report.reason,
-            );
-            report
-        } else {
-            gate.fallbacks.fetch_add(1, Ordering::Relaxed);
-            let mut report = gate.rules.select(t, f);
-            report.block = self.tuned_block(report.chosen, f);
-            report.reason = format!(
-                "hybrid rule fallback (confidence {confidence:.2} < {min:.2} for {format}): {}",
-                report.reason,
-            );
-            report
         }
     }
 }

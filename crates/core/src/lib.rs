@@ -36,7 +36,6 @@ pub mod persist;
 pub mod reactive;
 pub mod report;
 pub mod scheduler;
-pub mod swap;
 pub mod tree;
 pub mod tuning_cache;
 
@@ -45,7 +44,7 @@ pub use cost::CostModelSelector;
 pub use decision::RuleBasedSelector;
 pub use empirical::EmpiricalSelector;
 pub use features::{featurize, FEATURE_NAMES, NUM_FEATURES};
-pub use learned::{LearnedSelector, DEFAULT_MIN_CONFIDENCE};
+pub use learned::LearnedSelector;
 pub use monitor::{FormatTelemetry, KernelMonitor, TelemetrySnapshot, WindowRecord};
 pub use persist::{
     BlockModel, BlockSample, ModelError, ModelMeta, TrainedModel, MIN_MODEL_VERSION, MODEL_VERSION,
@@ -57,6 +56,5 @@ pub use report::{FormatScore, SelectionReport};
 pub use scheduler::{
     FixedSelector, FormatSelector, LayoutScheduler, ScheduledMatrix, SelectionStrategy,
 };
-pub use swap::SwappableSelector;
 pub use tree::{gini, DecisionTree, Node, RegressionTree, Target, Tree, TreeParams};
 pub use tuning_cache::TuningCache;

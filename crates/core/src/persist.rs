@@ -24,23 +24,23 @@
 //!  "params":{"max_depth":8,"min_leaf":3,"min_gain":1e-9},
 //!  "tree":{"split":{"feature":3,"threshold":0.52,
 //!                   "left":{"leaf":{"format":"CSR","counts":[["CSR",12]]}},
-//!                   "right":...}},
-//!  "ensemble":[<tree>, ...]}
+//!                   "right":...}}}
 //! ```
 //!
-//! Every tree in the document — the classifier, each ensemble member, each
-//! per-format block tree under `"blocks"` — is written by one node writer
-//! and read by one node parser; only the inside of `"leaf"` differs
-//! (`format` + `counts` for a class, `value` + `n` for a response).
+//! Every tree in the document — the classifier and each per-format block
+//! tree under `"blocks"` — is written by one node writer and read by one
+//! node parser; only the inside of `"leaf"` differs (`format` + `counts`
+//! for a class, `value` + `n` for a response).
 //!
-//! Version history: v1 = single tree (+ optional `"blocks"`); v2 adds the
-//! optional `"ensemble"` section (bagged forest, PR 10). v1 documents load
-//! unchanged; this build always writes v2.
+//! Version history: v1 = single tree (+ optional `"blocks"`); v2 added an
+//! optional `"ensemble"` section (a bagged forest). This build writes v2,
+//! reads v1 and v2, and refuses a document that carries `"ensemble"` with
+//! a [`ModelError::Field`] naming it: the forest voted, so reading only its
+//! single tree would silently change the document's picks.
 
 use crate::features::{FEATURE_NAMES, NUM_FEATURES};
 use crate::json::{escape, number, parse, JsonValue};
-use crate::tree::{arg_max, ClassCounts, DecisionTree, Node, RegressionTree, Target, TreeParams};
-use dls_sparse::telemetry::format_index;
+use crate::tree::{DecisionTree, Node, RegressionTree, Target, TreeParams};
 use dls_sparse::{Format, MAX_SMSV_BLOCK};
 use std::fmt;
 use std::path::Path;
@@ -161,7 +161,7 @@ fn want_arr<'a>(v: &'a JsonValue, path: &str) -> Result<&'a [JsonValue], ModelEr
 pub struct ModelMeta {
     /// Master seed of the training grid.
     pub seed: u64,
-    /// Grid flavour: `"full"`, `"quick"` or `"online"`.
+    /// Grid flavour: `"full"` or `"quick"`.
     pub grid: String,
     /// Total training samples.
     pub samples: usize,
@@ -178,17 +178,11 @@ pub struct ModelMeta {
 pub struct TrainedModel {
     /// Training provenance.
     pub meta: ModelMeta,
-    /// The decision tree itself (always present; the ensemble's fallback
-    /// single-tree view).
+    /// The decision tree itself.
     pub tree: DecisionTree,
     /// Learned per-format tuned block sizes; `None` for models trained
     /// before the block-calibration sweep existed.
     pub blocks: Option<BlockModel>,
-    /// Bagged forest upgrade: independent CARTs grown on bootstrap
-    /// resamples of the training set; empty for single-tree models. When
-    /// non-empty, [`TrainedModel::predict`] is the forest's majority vote
-    /// and [`TrainedModel::predict_with_confidence`] reports the vote share.
-    pub ensemble: Vec<DecisionTree>,
 }
 
 /// One labelled block-tuning sample: the best block for `format` on a
@@ -434,16 +428,6 @@ impl TrainedModel {
             out.push_str(",\"blocks\":");
             blocks_json(blocks, &mut out);
         }
-        if !self.ensemble.is_empty() {
-            out.push_str(",\"ensemble\":[");
-            for (i, tree) in self.ensemble.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                node_json(tree.root(), &mut out);
-            }
-            out.push(']');
-        }
         out.push('}');
         out
     }
@@ -486,24 +470,15 @@ impl TrainedModel {
             Some(b) => Some(parse_blocks(b, "blocks")?),
             None => None,
         };
-        // "ensemble" is optional: v1 documents and single-tree v2 documents
-        // simply have no forest. Ensemble trees share the main `params`.
-        let mut ensemble = Vec::new();
-        if let Some(e) = v.get("ensemble") {
-            for (i, t) in want_arr(e, "ensemble")?.iter().enumerate() {
-                let root = parse_node(t, &format!("ensemble[{i}]"), NUM_FEATURES)?;
-                ensemble.push(DecisionTree::from_parts(NUM_FEATURES, params, root));
-            }
-            if ensemble.is_empty() {
-                return Err(field_err("ensemble", "must hold at least one tree"));
-            }
+        // A forest voted, so its single tree alone would pick differently:
+        // refuse the section rather than ignore it.
+        if v.get("ensemble").is_some() {
+            return Err(field_err(
+                "ensemble",
+                "bagged forests are no longer supported; retrain with `dls train-selector`",
+            ));
         }
-        Ok(Self {
-            meta,
-            tree: DecisionTree::from_parts(NUM_FEATURES, params, root),
-            blocks,
-            ensemble,
-        })
+        Ok(Self { meta, tree: DecisionTree::from_parts(NUM_FEATURES, params, root), blocks })
     }
 
     /// Writes the model to `path`.
@@ -520,32 +495,9 @@ impl TrainedModel {
         Self::from_json(&doc)
     }
 
-    /// Number of trees voting: ensemble size, or 1 for single-tree models.
-    pub fn ensemble_size(&self) -> usize {
-        self.ensemble.len().max(1)
-    }
-
-    /// Predicted format: forest majority vote when an ensemble is present,
-    /// the single tree otherwise.
+    /// Predicted format: the tree's leaf for `x`.
     pub fn predict(&self, x: &[f64; NUM_FEATURES]) -> Format {
-        self.predict_with_confidence(x).0
-    }
-
-    /// Prediction plus a confidence in `[0, 1]`: the forest's majority vote
-    /// and the winner's vote share (a tied vote goes to the later
-    /// [`Format::ALL`] entry, as a tied leaf histogram does), or
-    /// the single tree's leaf purity (majority-class fraction of the leaf's
-    /// training histogram).
-    pub fn predict_with_confidence(&self, x: &[f64; NUM_FEATURES]) -> (Format, f64) {
-        if self.ensemble.is_empty() {
-            return self.tree.predict_with_confidence(x);
-        }
-        let mut votes = ClassCounts::default();
-        for tree in &self.ensemble {
-            votes[format_index(tree.predict(x))] += 1;
-        }
-        let best = arg_max(&votes);
-        (Format::ALL[best], votes[best] as f64 / self.ensemble.len() as f64)
+        self.tree.predict(x)
     }
 }
 
@@ -581,7 +533,6 @@ mod tests {
             },
             tree,
             blocks: None,
-            ensemble: Vec::new(),
         }
     }
 
@@ -599,23 +550,6 @@ mod tests {
             }
         }
         TrainedModel { blocks: Some(BlockModel::train(&samples)), ..sample_model() }
-    }
-
-    fn sample_model_with_ensemble() -> TrainedModel {
-        // Three trees over different thresholds, each on its own samples.
-        let tree = |cut: f64| {
-            let xs: Vec<[f64; NUM_FEATURES]> = (0..24)
-                .map(|k| {
-                    let mut x = [0.0; NUM_FEATURES];
-                    x[3] = k as f64 / 23.0;
-                    x
-                })
-                .collect();
-            let ys: Vec<Format> =
-                xs.iter().map(|x| if x[3] > cut { Format::Den } else { Format::Csr }).collect();
-            DecisionTree::train(&xs, &ys, TreeParams::CLASSIFIER)
-        };
-        TrainedModel { ensemble: vec![tree(0.4), tree(0.5), tree(0.6)], ..sample_model() }
     }
 
     #[test]
@@ -643,22 +577,6 @@ mod tests {
             for fmt in [Format::Csr, Format::Ell, Format::Coo, Format::Csc] {
                 assert_eq!(orig.tuned_block(fmt, &x), rest.tuned_block(fmt, &x), "{fmt}");
             }
-        }
-    }
-
-    #[test]
-    fn ensemble_round_trips_and_votes_identically() {
-        let model = sample_model_with_ensemble();
-        let doc = model.to_json();
-        assert!(doc.contains("\"ensemble\":["), "forest persisted");
-        let restored = TrainedModel::from_json(&doc).unwrap();
-        assert_eq!(restored, model);
-        assert_eq!(restored.to_json(), doc, "serialisation is canonical");
-        assert_eq!(restored.ensemble_size(), 3);
-        for k in 0..50 {
-            let mut x = [0.0; NUM_FEATURES];
-            x[3] = k as f64 / 49.0;
-            assert_eq!(model.predict_with_confidence(&x), restored.predict_with_confidence(&x));
         }
     }
 
@@ -727,6 +645,13 @@ mod tests {
         // Out-of-range feature index must not panic.
         let bad = doc.replacen("\"feature\":", "\"feature\":97", 1);
         let _ = TrainedModel::from_json(&bad);
+        // A forest section, even an empty one: the document's picks were the
+        // vote's, so it is refused by name rather than read as its tree.
+        let forest = format!("{},\"ensemble\":[]}}", &doc[..doc.len() - 1]);
+        assert!(matches!(
+            TrainedModel::from_json(&forest),
+            Err(ModelError::Field { path, .. }) if path == "ensemble"
+        ));
     }
 
     #[test]
@@ -755,34 +680,11 @@ mod tests {
     }
 
     #[test]
-    fn tied_forest_vote_goes_to_the_later_format() {
-        // Five single-leaf voters: 2 ELL, 2 CSR, 1 DEN. ELL precedes CSR
-        // in `Format::ALL`, so the documented rule picks CSR.
-        assert!(format_index(Format::Ell) < format_index(Format::Csr));
-        let voter = |f: Format| {
-            let root = Node::Leaf { value: f, support: vec![(f, 1)] };
-            DecisionTree::from_parts(NUM_FEATURES, TreeParams::CLASSIFIER, root)
-        };
-        let votes = [Format::Ell, Format::Csr, Format::Den, Format::Csr, Format::Ell];
-        let model =
-            TrainedModel { ensemble: votes.iter().map(|&f| voter(f)).collect(), ..sample_model() };
-        assert_eq!(model.predict_with_confidence(&[0.0; NUM_FEATURES]), (Format::Csr, 0.4));
-        // An explicitly empty ensemble section is refused, not read as "none".
-        let doc = sample_model().to_json();
-        let empty = format!("{},\"ensemble\":[]}}", &doc[..doc.len() - 1]);
-        assert_eq!(
-            TrainedModel::from_json(&empty),
-            Err(field_err("ensemble", "must hold at least one tree"))
-        );
-    }
-
-    #[test]
     fn v1_documents_still_load() {
         let model = sample_model();
         let v1 = model.to_json().replacen("\"version\":2", "\"version\":1", 1);
         let restored = TrainedModel::from_json(&v1).unwrap();
-        assert_eq!(restored.tree, model.tree);
-        assert!(restored.ensemble.is_empty());
+        assert_eq!(restored, model);
     }
 
     #[test]

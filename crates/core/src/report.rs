@@ -53,22 +53,13 @@ impl SelectionReport {
             .map(|s| s.format)
             .expect("reports always carry scores")
     }
-
-    /// The scored candidates restricted to the five basic formats, in
-    /// [`Format::BASIC`] order — the view the paper's tables use.
-    pub fn basic_scores(&self) -> Vec<FormatScore> {
-        Format::BASIC
-            .iter()
-            .filter_map(|&f| self.score_of(f).map(|s| FormatScore::new(f, s)))
-            .collect()
-    }
 }
 
 /// Scores every format by predicted storage footprint, chosen format first
 /// at 0.0, the rest ranked 1, 2, … smallest-storage-first. The fallback
 /// score table for selectors whose decision is not itself score-shaped
 /// (fixed format, rule system).
-pub fn rank_by_storage(chosen: Format, f: &MatrixFeatures) -> Vec<FormatScore> {
+pub(crate) fn rank_by_storage(chosen: Format, f: &MatrixFeatures) -> Vec<FormatScore> {
     let mut ranked: Vec<Format> = Format::ALL.iter().copied().filter(|&x| x != chosen).collect();
     ranked.sort_by(|&a, &b| {
         let sa = dls_sparse::storage::predicted_storage_elems(a, f);
@@ -124,16 +115,6 @@ mod tests {
         assert_eq!(r.score_of(Format::Csr), Some(2.0));
         assert_eq!(r.score_of(Format::Csc), None);
         assert_eq!(r.worst(), Format::Den);
-    }
-
-    #[test]
-    fn basic_scores_follow_basic_order() {
-        let mut r = report();
-        r.scores.push(FormatScore::new(Format::Csc, 2.2));
-        let basics = r.basic_scores();
-        let order: Vec<Format> = basics.iter().map(|s| s.format).collect();
-        assert_eq!(order, Format::BASIC.to_vec());
-        assert!(basics.iter().all(|s| s.format != Format::Csc));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum SelectionStrategy {
     RuleBased,
     /// The same rules for the machine this binary runs on, whose scalar
     /// CSR kernel keeps the SIMD-conditional COO rule from firing (see
-    /// [`RuleBasedSelector::for_host`]).
+    /// `RuleBasedSelector::for_host`).
     RuleBasedHost,
     /// Analytic storage/bandwidth model (Equation 7).
     CostModel,

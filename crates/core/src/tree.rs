@@ -38,7 +38,7 @@ impl TreeParams {
     pub const CLASSIFIER: Self = Self { max_depth: 8, min_leaf: 3, min_gain: 1e-9 };
     /// Limits every regression tree is grown with (`min_gain` is on the
     /// node's total squared-error reduction).
-    pub const REGRESSOR: Self = Self { max_depth: 12, min_leaf: 1, min_gain: 1e-12 };
+    pub(crate) const REGRESSOR: Self = Self { max_depth: 12, min_leaf: 1, min_gain: 1e-12 };
 }
 
 /// Per-class sample counts, indexed by [`format_index`].
@@ -119,10 +119,10 @@ pub fn gini(counts: &ClassCounts) -> f64 {
 
 /// Index of the largest entry. Ties go to the **later** index
 /// (`Iterator::max_by_key` keeps the last maximum): a tied leaf histogram
-/// or a tied forest vote resolves to the later [`Format::ALL`] entry. Every
+/// resolves to the later [`Format::ALL`] entry. Every
 /// committed model and `BENCH_selector.json` were produced under this rule,
 /// so it is pinned by a test rather than "fixed".
-pub fn arg_max<T: Ord>(xs: &[T]) -> usize {
+pub(crate) fn arg_max<T: Ord>(xs: &[T]) -> usize {
     (0..xs.len()).max_by_key(|&k| &xs[k]).expect("arg_max of an empty slice")
 }
 
@@ -216,7 +216,7 @@ impl<Y: Target> Tree<Y> {
     }
 
     /// Rebuilds a tree from deserialised parts (used by model loading).
-    pub fn from_parts(width: usize, params: TreeParams, root: Node<Y>) -> Self {
+    pub(crate) fn from_parts(width: usize, params: TreeParams, root: Node<Y>) -> Self {
         Self { width, params, root }
     }
 
@@ -312,18 +312,9 @@ fn purity(format: Format, counts: &[(Format, usize)]) -> (usize, usize) {
 }
 
 impl Tree<Format> {
-    /// Prediction plus a confidence in `[0, 1]`: the majority-class share
-    /// of the reached leaf's training histogram (1.0 for a pure leaf). The
-    /// single-tree analogue of a forest's vote margin.
-    pub fn predict_with_confidence(&self, x: &[f64]) -> (Format, f64) {
-        let (format, counts) = self.descend(x, |_, _, _| {});
-        let (own, total) = purity(format, counts);
-        (format, if total == 0 { 0.0 } else { own as f64 / total as f64 })
-    }
-
     /// Prediction plus the decision path, rendered with `names` (one per
     /// feature index) — the human-readable "why" for selection reports.
-    pub fn explain(&self, x: &[f64], names: &[&str]) -> (Format, String) {
+    pub(crate) fn explain(&self, x: &[f64], names: &[&str]) -> (Format, String) {
         let mut path = String::new();
         let (format, counts) = self.descend(x, |feature, threshold, went_left| {
             if !path.is_empty() {
@@ -636,7 +627,7 @@ mod tests {
     /// produced): the LATER index wins.
     #[test]
     fn ties_resolve_to_the_later_entry() {
-        assert_eq!(arg_max(&[2, 2, 1]), 1, "2-2-1 vote");
+        assert_eq!(arg_max(&[2, 2, 1]), 1, "2-2-1 histogram");
         assert_eq!(arg_max(&[0, 3, 1, 3]), 3);
         assert_eq!(arg_max(&[5, 1]), 0, "a strict maximum wins wherever it sits");
         // A leaf that cannot be split (max_depth 0) over a 2-2 histogram.
@@ -646,6 +637,7 @@ mod tests {
         let xs = [vecf(0.1, 0.0), vecf(0.2, 0.0), vecf(0.3, 0.0), vecf(0.4, 0.0)];
         let ys = [early, late, late, early];
         let stump = DecisionTree::train(&xs, &ys, TreeParams { max_depth: 0, ..CLASSIFIER });
-        assert_eq!(stump.predict_with_confidence(&xs[0]), (late, 0.5));
+        assert_eq!(stump.predict(&xs[0]), late);
+        assert!(stump.explain(&xs[0], &["a", "b"]).1.ends_with("[2/4 training]"));
     }
 }

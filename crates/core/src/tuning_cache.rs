@@ -132,7 +132,7 @@ impl<S: FormatSelector> TuningCache<S> {
     /// Merges entries from a JSON document produced by
     /// [`TuningCache::to_json`] into this cache, returning how many entries
     /// were loaded. Existing entries with the same fingerprint are replaced.
-    pub fn load_json(&mut self, doc: &str) -> Result<usize, String> {
+    pub(crate) fn load_json(&mut self, doc: &str) -> Result<usize, String> {
         let v = json::parse(doc)?;
         match v.req("version")?.as_u64() {
             Some(1) => {}

@@ -179,7 +179,7 @@ proptest! {
     fn model_json_round_trips((xs, ys) in arb_training_set(), params in arb_params()) {
         let tree = DecisionTree::train(&xs, &ys, params);
         let model =
-            TrainedModel { meta: meta(xs.len()), tree, blocks: None, ensemble: Vec::new() };
+            TrainedModel { meta: meta(xs.len()), tree, blocks: None };
         let doc = model.to_json();
         let restored = TrainedModel::from_json(&doc).expect("own output must parse");
         prop_assert_eq!(&restored, &model);
@@ -210,7 +210,6 @@ proptest! {
             meta: meta(cx.len()),
             tree: DecisionTree::train(&cx, &cy, params),
             blocks: Some(blocks),
-            ensemble: Vec::new(),
         };
         let doc = model.to_json();
         let restored = TrainedModel::from_json(&doc).expect("own output must parse");

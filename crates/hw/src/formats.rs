@@ -12,8 +12,8 @@
 //! platforms with modelled profiles that keep each machine's character:
 //! magnitudes scale with the platform's memory system, and the per-format
 //! *ranking* flips between CPU-like and accelerator-like machines. The
-//! online-selector harness (`repro_selector_online`) trains under one
-//! profile and tests under another, which is exactly the cross-machine
+//! cross-machine selector harness (`repro_selector_cross`) trains under
+//! one profile and tests under another, which is exactly the cross-machine
 //! portability experiment Stylianou et al. call for.
 
 use crate::platform::Platform;

@@ -45,7 +45,7 @@ pub fn analytic_block(f: &MatrixFeatures) -> usize {
 /// returns the argmin. Ties and sub-candidate noise resolve toward the
 /// *larger* block — amortisation wins downstream when per-product times are
 /// indistinguishable.
-pub fn measured_block(format: Format, t: &TripletMatrix, reps: usize) -> usize {
+pub(crate) fn measured_block(format: Format, t: &TripletMatrix, reps: usize) -> usize {
     let m = AnyMatrix::from_triplets(format, t);
     let rows = m.rows();
     // A full chunk of probe vectors: matrix rows cycled, like the labelling
@@ -84,7 +84,7 @@ pub fn measured_block(format: Format, t: &TripletMatrix, reps: usize) -> usize {
 /// Labels one (format, matrix) cell under the training run's label mode:
 /// measured sweeps when format labelling is measured, the analytic bound
 /// when it is analytic.
-pub fn block_for_case(
+pub(crate) fn block_for_case(
     format: Format,
     t: &TripletMatrix,
     f: &MatrixFeatures,

@@ -74,7 +74,7 @@ pub fn evaluate(name: &str, samples: &[LabelledSample], picks: &[Format]) -> Eva
 /// Deterministic train/holdout split: every `k`-th sample (by index) is held
 /// out. Index striding keeps all families represented on both sides because
 /// the grid interleaves families within each variant block.
-pub fn split_holdout(
+pub(crate) fn split_holdout(
     samples: Vec<LabelledSample>,
     k: usize,
 ) -> (Vec<LabelledSample>, Vec<LabelledSample>) {

@@ -21,47 +21,25 @@
 //!    one block-size `RegressionTree` per format, packed into a
 //!    `TrainedModel`, and graded against the rules and the empirical oracle
 //!    by [`eval`].
-//! 4. **Online** ([`online`]) — closes the loop: production telemetry
-//!    ([`LabeledObservation`], [`ObservationRing`]) feeds background
-//!    retraining ([`retrain_online`]) — the same trainer as
-//!    [`train_selector`] with measured production labels merged into the
-//!    synthetic grid — and upgrades to a bagged forest ([`bag`]) when a
-//!    single tree plateaus. The serve-side recording/swap half lives in
-//!    `dls-serve::feedback`.
 
 pub mod block;
 pub mod eval;
 pub mod grid;
 pub mod label;
-pub mod online;
 
-pub use block::{analytic_block, measured_block, BLOCK_CANDIDATES};
+pub use block::{analytic_block, BLOCK_CANDIDATES};
 pub use dls_core::LearnedSelector;
-pub use eval::{evaluate, split_holdout, EvalSummary};
+pub use eval::{evaluate, EvalSummary};
 pub use grid::{training_grid, GridCase, GridConfig};
 pub use label::{label_case, LabelMode, LabelSource, LabelledSample};
-pub use online::{
-    bag, model_regret, observations_to_samples, retrain_online, LabeledObservation,
-    ObservationRing, OnlineOutcome, OnlineTrainConfig,
-};
 
-use dls_core::{
-    BlockModel, BlockSample, DecisionTree, ModelMeta, TrainedModel, TreeParams, NUM_FEATURES,
-};
+use dls_core::{BlockModel, BlockSample, DecisionTree, ModelMeta, TrainedModel, TreeParams};
 use dls_sparse::Format;
+use eval::split_holdout;
 
 /// Every `HOLDOUT_STRIDE`-th grid sample is held out of training and used
-/// only for evaluation (and, online, as the swap guard's trusted replay
-/// slice).
+/// only for evaluation.
 pub const HOLDOUT_STRIDE: usize = 5;
-
-/// Replication weight of each production-derived sample relative to a grid
-/// sample — production evidence is measured on *this* machine and
-/// workload, so it outweighs the synthetic prior.
-const PRODUCTION_WEIGHT: usize = 3;
-
-/// Extra multiplier for the most recent half of production samples.
-const RECENCY_BOOST: usize = 2;
 
 /// End-to-end training configuration for [`train_selector`].
 #[derive(Debug, Clone, Copy)]
@@ -94,84 +72,43 @@ pub struct TrainOutcome {
 /// Runs the full pipeline: generate the grid, label every case, split off a
 /// holdout set, fit the tree. Deterministic whenever `cfg.mode` is analytic.
 pub fn train_selector(cfg: &TrainConfig) -> TrainOutcome {
-    fit(cfg, None).0
-}
-
-/// The one training routine: grid → labels → holdout → fit → provenance.
-/// `production` is `None` offline and the production-derived samples (maybe
-/// none yet) online; an online fit merges them into the grid's training
-/// split, is tagged `"online"` and skips block calibration. Also returns
-/// the exact rows the tree was fitted on, for bagging.
-pub(crate) fn fit(
-    cfg: &TrainConfig,
-    production: Option<&[LabelledSample]>,
-) -> (TrainOutcome, Vec<[f64; NUM_FEATURES]>, Vec<Format>) {
     let grid_cfg = GridConfig { seed: cfg.seed, quick: cfg.quick, ..Default::default() };
     let cases = training_grid(&grid_cfg);
     let samples: Vec<LabelledSample> =
         cases.iter().map(|c| label_case(&c.desc, &c.matrix, cfg.mode)).collect();
 
-    // Offline, block-size calibration rides the same grid: every (format,
-    // cell) is swept over the candidate block sizes and one regression tree
-    // per format learns the winning block from the cell's features.
-    let blocks = production.is_none().then(|| {
-        let mut block_samples = Vec::new();
-        for (case, sample) in cases.iter().zip(&samples) {
-            for &fmt in &Format::ALL {
-                block_samples.push(BlockSample {
-                    format: fmt,
-                    x: sample.x,
-                    block: block::block_for_case(fmt, &case.matrix, &sample.features, cfg.mode),
-                });
-            }
-        }
-        BlockModel::train(&block_samples)
-    });
-
-    let (train, holdout) = split_holdout(samples, HOLDOUT_STRIDE);
-
-    // Weighted merge by replication: the CART trainer is unweighted, so a
-    // sample with weight w appears w times. Production outweighs the
-    // synthetic prior, and the most recent half of production (groups are
-    // ordered by first appearance in the log) gets a further boost.
-    let production_samples = production.unwrap_or_default();
-    let recent_from = production_samples.len() / 2;
-    let weight = |i: usize| PRODUCTION_WEIGHT * if i >= recent_from { RECENCY_BOOST } else { 1 };
-    let production_weighted = production_samples.iter().enumerate().map(|(i, s)| (s, weight(i)));
-    let weighted = train.iter().map(|s| (s, 1)).chain(production_weighted);
-    let (mut xs, mut ys) = (Vec::new(), Vec::new());
-    let (mut measured, mut analytic_fallback, mut analytic) = (0, 0, 0);
-    for (s, weight) in weighted {
-        for _ in 0..weight {
-            xs.push(s.x);
-            ys.push(s.label);
-            match s.source {
-                LabelSource::Measured => measured += 1,
-                LabelSource::AnalyticFallback => analytic_fallback += 1,
-                LabelSource::Analytic => analytic += 1,
-            }
+    // Block-size calibration rides the same grid: every (format, cell) is
+    // swept over the candidate block sizes and one regression tree per
+    // format learns the winning block from the cell's features.
+    let mut block_samples = Vec::new();
+    for (case, sample) in cases.iter().zip(&samples) {
+        for &fmt in &Format::ALL {
+            block_samples.push(BlockSample {
+                format: fmt,
+                x: sample.x,
+                block: block::block_for_case(fmt, &case.matrix, &sample.features, cfg.mode),
+            });
         }
     }
+    let blocks = BlockModel::train(&block_samples);
 
-    let grid = match (production, cfg.quick) {
-        (Some(_), _) => "online",
-        (None, true) => "quick",
-        (None, false) => "full",
-    };
+    let (train, holdout) = split_holdout(samples, HOLDOUT_STRIDE);
+    let xs: Vec<_> = train.iter().map(|s| s.x).collect();
+    let ys: Vec<_> = train.iter().map(|s| s.label).collect();
+    let count = |source: LabelSource| train.iter().filter(|s| s.source == source).count();
     let model = TrainedModel {
         meta: ModelMeta {
             seed: cfg.seed,
-            grid: grid.into(),
-            samples: xs.len(),
-            measured,
-            analytic_fallback,
-            analytic,
+            grid: if cfg.quick { "quick" } else { "full" }.into(),
+            samples: train.len(),
+            measured: count(LabelSource::Measured),
+            analytic_fallback: count(LabelSource::AnalyticFallback),
+            analytic: count(LabelSource::Analytic),
         },
         tree: DecisionTree::train(&xs, &ys, TreeParams::CLASSIFIER),
-        blocks,
-        ensemble: Vec::new(),
+        blocks: Some(blocks),
     };
-    (TrainOutcome { model, train, holdout }, xs, ys)
+    TrainOutcome { model, train, holdout }
 }
 
 #[cfg(test)]

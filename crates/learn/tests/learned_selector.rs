@@ -1,6 +1,6 @@
 //! `dls_core::LearnedSelector` over models trained on this crate's grid:
 //! it slots into the scheduler and the tuning cache, explains its path,
-//! reports the tuned block, and its confidence gate falls back to the rules.
+//! and reports the tuned block.
 
 use dls_core::{
     featurize, BlockModel, BlockSample, DecisionTree, FormatSelector, LayoutScheduler,
@@ -32,7 +32,6 @@ fn quick_model() -> TrainedModel {
         },
         tree,
         blocks: None,
-        ensemble: Vec::new(),
     }
 }
 
@@ -108,27 +107,4 @@ fn predict_agrees_with_select() {
         let f = MatrixFeatures::from_triplets(&case.matrix);
         assert_eq!(sel.predict(&f), sel.select(&case.matrix, &f).chosen, "{}", case.desc);
     }
-}
-
-#[test]
-fn gate_falls_back_to_the_rules_below_its_confidence() {
-    let t = diag_matrix(128, 128, 256, 2, 1);
-    let f = MatrixFeatures::from_triplets(&t);
-
-    // Gate at 0: the learned model always decides.
-    let trusting = LearnedSelector::with_gate(quick_model(), 0.0);
-    let r = trusting.select(&t, &f);
-    assert!(r.reason.starts_with("hybrid learned (tree"), "{}", r.reason);
-    assert_eq!(r.chosen, LearnedSelector::new(quick_model()).select(&t, &f).chosen);
-    assert_eq!(trusting.gate_counts(), (1, 0));
-
-    // Gate above 1: everything falls back to the rules.
-    let skeptical = LearnedSelector::with_gate(quick_model(), 1.1);
-    let r = skeptical.select(&t, &f);
-    assert!(r.reason.starts_with("hybrid rule fallback"), "{}", r.reason);
-    assert_eq!(skeptical.gate_counts(), (1, 1));
-    // The rules know a diagonal matrix when they see one.
-    assert_eq!(r.chosen, Format::Dia, "{}", r.reason);
-    // Ungated selectors count nothing.
-    assert_eq!(LearnedSelector::new(quick_model()).gate_counts(), (0, 0));
 }

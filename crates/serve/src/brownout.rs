@@ -59,13 +59,8 @@ impl BrownoutController {
         Self::default()
     }
 
-    /// Whether the service is currently browned out.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// SLO violation rate over the sliding window (0 while empty).
-    pub fn windowed_violation_rate(&self) -> f64 {
+    pub(crate) fn windowed_violation_rate(&self) -> f64 {
         if self.window.is_empty() {
             0.0
         } else {
@@ -138,17 +133,17 @@ mod tests {
             assert_eq!(c.observe(true, 0.0, t), BrownoutTransition::None);
         }
         assert_eq!(c.observe(true, 0.0, t), BrownoutTransition::Entered);
-        assert!(c.is_active());
+        assert!(c.active);
         // Clean completions flush the violations out of the window, but
         // the state holds for the dwell time.
         for _ in 0..WINDOW {
             assert_eq!(c.observe(false, 0.0, t), BrownoutTransition::None);
         }
         assert_eq!(c.windowed_violation_rate(), 0.0);
-        assert!(c.is_active());
+        assert!(c.active);
         // Once the dwell lapses, the next completion releases it.
         assert_eq!(c.observe(false, 0.0, t + MIN_DWELL), BrownoutTransition::Exited);
-        assert!(!c.is_active());
+        assert!(!c.active);
         assert_eq!(c.windowed_violation_rate(), 0.0, "window cleared on exit");
     }
 
@@ -187,7 +182,7 @@ mod tests {
         // Pressure collapses at once, but the dwell holds the state …
         assert_eq!(c.evaluate(0.0, t), BrownoutTransition::None);
         assert_eq!(c.evaluate(0.0, t + MIN_DWELL / 2), BrownoutTransition::None);
-        assert!(c.is_active());
+        assert!(c.active);
         // … until it lapses; then the exit goes through, and re-entry
         // waits out a dwell of its own.
         assert_eq!(c.evaluate(0.0, t + MIN_DWELL), BrownoutTransition::Exited);

@@ -540,11 +540,6 @@ impl RetryClient {
         self.budget_left
     }
 
-    /// Whether a connection is currently held open.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     fn ensure_connected(&mut self) -> Result<&mut PipelinedClient, ClientError> {
         if self.conn.is_none() {
             let client = PipelinedClient::connect(&self.addr)
@@ -749,6 +744,6 @@ mod tests {
         // the budget stays intact and the error surfaces immediately.
         assert!(matches!(err, ClientError::Io(_)), "got {err:?}");
         assert_eq!(client.retries_left(), 2);
-        assert!(!client.is_connected());
+        assert!(client.conn.is_none());
     }
 }

@@ -19,7 +19,7 @@ fn class_weight(pending: &[JobMeta], class: RequestClass) -> usize {
 
 /// The plan for one sweep of a queue holding `pending`, under a weight
 /// budget of `max_block` vectors.
-pub fn decide(pending: &[JobMeta], max_block: usize) -> DrainPlan {
+pub(crate) fn decide(pending: &[JobMeta], max_block: usize) -> DrainPlan {
     let interactive = class_weight(pending, RequestClass::Interactive).min(max_block);
     DrainPlan { max_weight: max_block, max_batch_weight: max_block - interactive }
 }
@@ -27,7 +27,7 @@ pub fn decide(pending: &[JobMeta], max_block: usize) -> DrainPlan {
 /// The queued weight that would run *before* a new job of `class`, for
 /// predictive admission: an interactive arrival only queues behind other
 /// interactive jobs, a batch arrival behind everything.
-pub fn queue_ahead(pending: &[JobMeta], class: RequestClass) -> usize {
+pub(crate) fn queue_ahead(pending: &[JobMeta], class: RequestClass) -> usize {
     match class {
         RequestClass::Interactive => class_weight(pending, RequestClass::Interactive),
         RequestClass::Batch => pending.iter().map(|m| m.weight).sum(),

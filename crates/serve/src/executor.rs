@@ -78,11 +78,6 @@ pub struct ExecutorConfig {
     /// Fault injection for chaos runs; [`FaultInjector::none`] (the
     /// default) costs one branch per injection point.
     pub fault: FaultInjector,
-    /// The online-learning feedback hub: every successful sweep is
-    /// recorded as a training observation, and the hub's background
-    /// retrainer hot-swaps improved selectors. `None` (the default) costs
-    /// one branch per sweep.
-    pub feedback: Option<Arc<crate::feedback::FeedbackHub>>,
 }
 
 impl std::fmt::Debug for ExecutorConfig {
@@ -93,7 +88,6 @@ impl std::fmt::Debug for ExecutorConfig {
             .field("max_block", &self.max_block)
             .field("brownout", &self.brownout)
             .field("fault", &self.fault)
-            .field("feedback", &self.feedback.is_some())
             .finish()
     }
 }
@@ -106,19 +100,18 @@ impl Default for ExecutorConfig {
             max_block: MAX_SMSV_BLOCK,
             brownout: true,
             fault: FaultInjector::none(),
-            feedback: None,
         }
     }
 }
 
 /// One queued predict request (scheduling metadata lives in [`JobMeta`]).
-pub struct PredictJob {
+pub(crate) struct PredictJob {
     vectors: Vec<SparseVec>,
     reply: Sender<Response>,
 }
 
 /// One queued schedule request.
-pub struct ScheduleJob {
+pub(crate) struct ScheduleJob {
     triplets: TripletMatrix,
     /// `None` uses the server's configured scheduler.
     strategy: Option<SelectionStrategy>,
@@ -215,15 +208,7 @@ impl Executor {
             );
         }
         drop(workers);
-        if let Some(hub) = &exec.config.feedback {
-            hub.spawn_retrainer();
-        }
         exec
-    }
-
-    /// The online-learning feedback hub, when one is configured.
-    pub fn feedback(&self) -> Option<&Arc<crate::feedback::FeedbackHub>> {
-        self.config.feedback.as_ref()
     }
 
     /// The hosted models.
@@ -298,7 +283,7 @@ impl Executor {
     /// Liveness and degradation summary for the `Health` endpoint: overall
     /// status, brown-out state, and every model's rung on the health
     /// ladder.
-    pub fn health_json(&self) -> String {
+    pub(crate) fn health_json(&self) -> String {
         let models = self
             .registry
             .iter()
@@ -441,7 +426,7 @@ impl Executor {
 
     /// Enqueues a schedule request (always interactive-class bookkeeping;
     /// scheduling probes are operator actions, not batch scoring).
-    pub fn submit_schedule(
+    pub(crate) fn submit_schedule(
         &self,
         triplets: TripletMatrix,
         strategy: Option<SelectionStrategy>,
@@ -487,9 +472,6 @@ impl Executor {
     /// Graceful drain: refuse new work, finish everything queued — both
     /// classes — then join the workers. Idempotent.
     pub fn shutdown(&self) {
-        if let Some(hub) = &self.config.feedback {
-            hub.stop();
-        }
         self.draining.store(true, Ordering::SeqCst);
         self.paused.store(false, Ordering::SeqCst);
         for lane in &self.lanes {
@@ -624,7 +606,6 @@ impl Executor {
         if exec_fault.is_some() {
             FaultCounters::bump(&self.stats.faults.injected);
         }
-        let sweep_start = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             match exec_fault {
                 Some(FaultAction::Delay(d)) => std::thread::sleep(d),
@@ -666,18 +647,6 @@ impl Executor {
         };
         let mut offset = 0;
         let done = Instant::now();
-        // Telemetry training log: one observation per executed sweep —
-        // the matrix's influencing parameters, the format that actually
-        // served (fallback layout while degraded), the tuned block, the
-        // coalesced batch size, and the measured sweep time.
-        if let Some(hub) = &self.config.feedback {
-            if let (Some(feats), Some(format)) = (served.matrix_features(), served.serving_format())
-            {
-                let nanos = done.duration_since(sweep_start).as_nanos().min(u64::MAX as u128);
-                let block = served.report().map(|r| r.block).unwrap_or(1);
-                hub.record_sweep(feats, format, block, vectors.len(), nanos as u64);
-            }
-        }
         for ((meta, job), n) in live.iter().zip(counts) {
             let slice = values[offset..offset + n].to_vec();
             offset += n;

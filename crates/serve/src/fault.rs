@@ -136,7 +136,7 @@ impl SplitMix64 {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -153,6 +153,9 @@ impl SplitMix64 {
 const NUM_SITES: usize = FaultSite::ALL.len();
 const NUM_KINDS: usize = FaultKind::ALL.len();
 
+/// Upper bound on an injected delay, in microseconds (20 ms).
+const MAX_DELAY_MICROS: u64 = 20_000;
+
 /// A seeded schedule of injectable failures. Shared (`Arc`) between the
 /// server front end, executor, and registry via [`FaultInjector`].
 pub struct FaultPlan {
@@ -160,8 +163,6 @@ pub struct FaultPlan {
     armed: AtomicBool,
     /// Per-(site, kind) injection probability.
     rates: [[f64; NUM_KINDS]; NUM_SITES],
-    /// Upper bound on injected delays.
-    max_delay: Duration,
     /// Explicit per-site scripts, consumed before any rate roll.
     scripts: [Mutex<std::collections::VecDeque<FaultAction>>; NUM_SITES],
     /// Injections fired per site.
@@ -187,7 +188,6 @@ impl FaultPlan {
             seed,
             armed: AtomicBool::new(true),
             rates: [[0.0; NUM_KINDS]; NUM_SITES],
-            max_delay: Duration::from_millis(20),
             scripts: std::array::from_fn(|_| Mutex::new(std::collections::VecDeque::new())),
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             rng: Mutex::new(SplitMix64::new(seed ^ 0xC4A5_F001)),
@@ -218,12 +218,6 @@ impl FaultPlan {
         self
     }
 
-    /// Bounds injected delays (default 20 ms).
-    pub fn with_max_delay(mut self, max_delay: Duration) -> Self {
-        self.max_delay = max_delay;
-        self
-    }
-
     /// Appends explicit actions for `site`, consumed one `decide` at a
     /// time before any rate roll — deterministic "fault on the nth op".
     pub fn script(self, site: FaultSite, actions: impl IntoIterator<Item = FaultAction>) -> Self {
@@ -244,11 +238,6 @@ impl FaultPlan {
     /// Resumes injection after [`FaultPlan::disarm`].
     pub fn arm(&self) {
         self.armed.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether injection is currently enabled.
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::SeqCst)
     }
 
     /// Total injections fired so far.
@@ -283,10 +272,9 @@ impl FaultPlan {
             let rate = rates[kind.index()];
             if rate > 0.0 && rng.next_f64() < rate {
                 let action = match kind {
-                    FaultKind::Delay => {
-                        let cap = self.max_delay.as_micros().max(1) as u64;
-                        FaultAction::Delay(Duration::from_micros(1 + rng.next_below(cap)))
-                    }
+                    FaultKind::Delay => FaultAction::Delay(Duration::from_micros(
+                        1 + rng.next_below(MAX_DELAY_MICROS),
+                    )),
                     FaultKind::Partial => FaultAction::Partial,
                     FaultKind::Reset => FaultAction::Reset,
                     FaultKind::Corrupt => FaultAction::Corrupt(rng.next_u64()),
@@ -338,11 +326,6 @@ impl FaultInjector {
         self.0.as_ref()
     }
 
-    /// Whether a plan is installed (armed or not).
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// One injection decision at `site` (always `None` without a plan).
     pub fn decide(&self, site: FaultSite) -> Option<FaultAction> {
         self.0.as_ref()?.decide(site)
@@ -350,7 +333,7 @@ impl FaultInjector {
 }
 
 /// Flips one seeded bit in `bytes` (no-op on an empty slice). Used by
-/// [`FaultStream`] for [`FaultAction::Corrupt`] and by the chaos harness's
+/// `FaultStream` for [`FaultAction::Corrupt`] and by the chaos harness's
 /// hostile-client frame mutator.
 pub fn flip_bit(bytes: &mut [u8], which: u64) {
     if bytes.is_empty() {
@@ -364,7 +347,7 @@ pub fn flip_bit(bytes: &mut [u8], which: u64) {
 /// `TcpStream` (under the server's `BufReader`/`BufWriter`), so partial
 /// reads/writes, stalls, resets, and corrupt bytes all happen at the same
 /// place a hostile network would produce them.
-pub struct FaultStream<S> {
+pub(crate) struct FaultStream<S> {
     inner: S,
     injector: FaultInjector,
     site: FaultSite,
@@ -372,7 +355,7 @@ pub struct FaultStream<S> {
 
 impl<S> FaultStream<S> {
     /// Wraps `inner`, injecting at `site`.
-    pub fn new(inner: S, injector: FaultInjector, site: FaultSite) -> Self {
+    pub(crate) fn new(inner: S, injector: FaultInjector, site: FaultSite) -> Self {
         Self { inner, injector, site }
     }
 
@@ -456,7 +439,7 @@ mod tests {
     #[test]
     fn none_injector_never_fires() {
         let inj = FaultInjector::none();
-        assert!(!inj.is_active());
+        assert!(inj.plan().is_none());
         for site in FaultSite::ALL {
             assert_eq!(inj.decide(site), None);
         }
@@ -491,7 +474,7 @@ mod tests {
         let plan = FaultPlan::new(4).with(FaultSite::Exec, FaultKind::Panic, 1.0);
         assert_eq!(plan.decide(FaultSite::Exec), Some(FaultAction::Panic));
         plan.disarm();
-        assert!(!plan.is_armed());
+        assert!(!plan.armed.load(Ordering::SeqCst));
         assert_eq!(plan.decide(FaultSite::Exec), None);
         plan.arm();
         assert_eq!(plan.decide(FaultSite::Exec), Some(FaultAction::Panic));

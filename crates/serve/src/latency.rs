@@ -58,7 +58,7 @@ impl SweepTable {
     /// Predicted duration of one sweep of `batch` vectors: the table entry
     /// of the smallest calibrated size ≥ `batch` (the largest entry beyond
     /// 32, which no lane's block exceeds).
-    pub fn sweep_time(&self, batch: usize) -> Duration {
+    pub(crate) fn sweep_time(&self, batch: usize) -> Duration {
         let k = CALIBRATION_BATCHES.iter().position(|&b| b >= batch);
         self.times[k.unwrap_or(CALIBRATION_BATCHES.len() - 1)]
     }

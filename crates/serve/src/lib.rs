@@ -18,7 +18,7 @@
 //! optional per-request SLO on the wire. One drain rule decides what a
 //! sweep may contain: queues drain interactive first, and batch work
 //! fills only the capacity interactive leaves. Each served model's sweep
-//! times are measured when it is registered ([`latency::SweepTable`]: real
+//! times are measured when it is registered (`latency::SweepTable`: real
 //! blocked sweeps of its own scheduled matrix at six batch sizes), and
 //! that table feeds predictive admission control: requests whose
 //! projected completion already overshoots their deadline are refused
@@ -26,13 +26,13 @@
 //!
 //! The service is std-only: a hand-rolled length-prefixed wire protocol
 //! ([`proto`]), bounded per-model classed queues with reject-don't-buffer
-//! backpressure and an interactive admission reserve ([`queue`]),
+//! backpressure and an interactive admission reserve (`queue`),
 //! per-class SLO accounting, and graceful drain-on-shutdown. Telemetry
 //! ([`stats`]) exposes request latencies, per-class SLO violation rates,
 //! batch-size histograms, queue depths, and each model's scheduled layout.
 //!
 //! The serving path is failure-hardened end to end ([`fault`],
-//! [`brownout`]): a seeded deterministic fault-injection plan can be
+//! `brownout`): a seeded deterministic fault-injection plan can be
 //! threaded through connection I/O, kernel execution, and the registry
 //! (a no-op by default); connections carry read/write timeouts and
 //! self-reap when idle; kernel panics are caught, isolated, and answered
@@ -82,35 +82,27 @@
 
 #![forbid(unsafe_code)]
 
-pub mod brownout;
+mod brownout;
 pub mod client;
 mod discipline;
 pub mod executor;
 pub mod fault;
-pub mod feedback;
-pub mod latency;
+mod latency;
 pub mod proto;
-pub mod queue;
+mod queue;
 pub mod registry;
 pub mod server;
 pub mod stats;
 
-pub use brownout::{BrownoutController, BrownoutTransition};
 pub use client::{
     ClientError, PipelinedClient, PredictRequest, RetryClient, RetryPolicy, ScheduleRequest,
 };
 pub use executor::{Executor, ExecutorConfig};
-pub use fault::{
-    FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultStream, SplitMix64,
-};
-pub use feedback::{retrain_outcome_name, FeedbackConfig, FeedbackHub, RetrainOutcome};
+pub use fault::{FaultAction, FaultInjector, FaultKind, FaultPlan, FaultSite, SplitMix64};
 pub use proto::{
     decode_request_framed, decode_response_framed, encode_request_framed, encode_response_framed,
     proto_error_of, ProtoError, Request, RequestClass, Response, MAX_FRAME_LEN, PROTO_VERSION,
 };
-pub use queue::{ClassedQueue, DrainPlan, JobMeta, PushError};
-pub use registry::{ModelHealth, ModelRegistry, ServedModel, QUARANTINE_PANICS};
+pub use registry::{ModelHealth, ModelRegistry, ServedModel};
 pub use server::{start, ServerConfig, ServerHandle};
-pub use stats::{
-    parse_block_hist, ClassStats, DegradeCounters, FaultCounters, SelectorCounters, ServeStats,
-};
+pub use stats::{parse_block_hist, ClassStats, DegradeCounters, FaultCounters, ServeStats};

@@ -554,7 +554,7 @@ pub fn proto_error_of(err: &std::io::Error) -> Option<&ProtoError> {
 
 /// Converts a submitted `Schedule` body into a triplet matrix, validating
 /// coordinates against the declared shape.
-pub fn entries_to_triplets(
+pub(crate) fn entries_to_triplets(
     rows: u64,
     cols: u64,
     entries: &[(u64, u64, f64)],

@@ -59,7 +59,7 @@ pub struct DrainPlan {
 
 impl DrainPlan {
     /// An unbounded plan — what shutdown drains use.
-    pub fn drain_all() -> Self {
+    pub(crate) fn drain_all() -> Self {
         Self { max_weight: usize::MAX, max_batch_weight: usize::MAX }
     }
 }
@@ -95,25 +95,10 @@ impl<T> ClassedQueue<T> {
         }
     }
 
-    /// The total capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The slots batch-class jobs may occupy.
-    pub fn batch_capacity(&self) -> usize {
-        self.batch_capacity
-    }
-
     /// Jobs currently waiting (both classes).
     pub fn len(&self) -> usize {
         let inner = self.inner.lock().expect("queue poisoned");
         inner.lanes.iter().map(VecDeque::len).sum()
-    }
-
-    /// Jobs of one class currently waiting.
-    pub fn len_class(&self, class: RequestClass) -> usize {
-        self.inner.lock().expect("queue poisoned").lanes[class.index()].len()
     }
 
     /// Whether no jobs are waiting.
@@ -123,7 +108,7 @@ impl<T> ClassedQueue<T> {
 
     /// Non-blocking enqueue. A closed queue, a full queue, or a batch push
     /// beyond the batch share refuses immediately — the backpressure point.
-    pub fn try_push(
+    pub(crate) fn try_push(
         &self,
         job: T,
         class: RequestClass,
@@ -205,11 +190,6 @@ impl<T> ClassedQueue<T> {
     pub fn close(&self) {
         self.inner.lock().expect("queue poisoned").closed = true;
     }
-
-    /// Whether [`ClassedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().expect("queue poisoned").closed
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +220,7 @@ mod tests {
     fn batch_backlog_cannot_starve_interactive_admission() {
         // Capacity 4 with a 25% interactive reserve: batch stops at 3.
         let q = ClassedQueue::new(4, 0.25);
-        assert_eq!(q.batch_capacity(), 3);
+        assert_eq!(q.batch_capacity, 3);
         for j in 0..3 {
             push(&q, j, RequestClass::Batch, 1);
         }
@@ -253,10 +233,8 @@ mod tests {
             q.try_push(11, RequestClass::Interactive, 1, now, now),
             Err(PushError::Full(11))
         );
-        assert_eq!(
-            (q.len_class(RequestClass::Interactive), q.len_class(RequestClass::Batch)),
-            (1, 3)
-        );
+        let queued = |class| q.pending().iter().filter(|m| m.class == class).count();
+        assert_eq!((queued(RequestClass::Interactive), queued(RequestClass::Batch)), (1, 3));
     }
 
     #[test]
@@ -326,6 +304,5 @@ mod tests {
         assert_eq!(drained(&q, &DrainPlan::drain_all()), vec![7]);
         // … and only then is the queue exhausted.
         assert!(q.drain(&DrainPlan::drain_all()).is_empty());
-        assert!(q.is_closed());
     }
 }

@@ -7,21 +7,19 @@
 //! the matrix is wrapped in an [`InstrumentedMatrix`] so every predict
 //! batch feeds per-model [`SmsvCounters`] — including the block-size
 //! histogram the `Stats` endpoint exposes. Before the wrap, the bare matrix
-//! is timed into the model's [`SweepTable`], so those probes stay out of
+//! is timed into the model's `SweepTable`, so those probes stay out of
 //! the counters.
 
 use crate::latency::SweepTable;
 use dls_core::{LayoutScheduler, SelectionReport, SelectionStrategy};
-use dls_sparse::{
-    Format, InstrumentedMatrix, MatrixFeatures, MatrixFormat, SmsvCounters, SparseVec,
-};
+use dls_sparse::{Format, InstrumentedMatrix, MatrixFormat, SmsvCounters, SparseVec};
 use dls_svm::{PredictWorkspace, SvmModel};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Panics before a model is pulled from service entirely.
-pub const QUARANTINE_PANICS: u64 = 3;
+pub(crate) const QUARANTINE_PANICS: u64 = 3;
 
 /// A served model's rung on the degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +30,7 @@ pub enum ModelHealth {
     /// analytic rule-based fallback layout (the cheap selector that cannot
     /// depend on the code path that just failed).
     Degraded = 1,
-    /// Repeated panics ([`QUARANTINE_PANICS`]): the executor refuses new
+    /// Repeated panics (`QUARANTINE_PANICS`): the executor refuses new
     /// submissions for this model with a typed error.
     Quarantined = 2,
 }
@@ -64,9 +62,6 @@ pub struct ServedModel {
     matrix: Option<InstrumentedMatrix>,
     counters: Arc<SmsvCounters>,
     report: Option<SelectionReport>,
-    /// The support matrix's nine influencing parameters, recorded with
-    /// every sweep the feedback hub observes.
-    features: Option<MatrixFeatures>,
     /// Measured sweep times of the scheduled matrix.
     sweeps: Option<SweepTable>,
     dim: usize,
@@ -86,10 +81,9 @@ impl ServedModel {
     pub fn new(name: impl Into<String>, model: SvmModel, scheduler: &LayoutScheduler) -> Self {
         let counters = SmsvCounters::shared();
         let sv_rows = model.support_matrix(PredictWorkspace::CACHE_FORMAT);
-        let (matrix, report, features, sweeps, dim) = match sv_rows {
+        let (matrix, report, sweeps, dim) = match sv_rows {
             Some(m) => {
                 let t = m.to_triplets().compact();
-                let features = MatrixFeatures::from_triplets(&t);
                 let scheduled = scheduler.schedule(&t);
                 let report = scheduled.report().clone();
                 let dim = m.cols();
@@ -98,13 +92,12 @@ impl ServedModel {
                 (
                     Some(InstrumentedMatrix::new(matrix, Arc::clone(&counters))),
                     Some(report),
-                    Some(features),
                     Some(sweeps),
                     dim,
                 )
             }
             // A model with no support vectors predicts a constant.
-            None => (None, None, None, None, 0),
+            None => (None, None, None, 0),
         };
         Self {
             name: name.into(),
@@ -112,7 +105,6 @@ impl ServedModel {
             matrix,
             counters,
             report,
-            features,
             sweeps,
             dim,
             health: AtomicU8::new(ModelHealth::Healthy as u8),
@@ -146,15 +138,9 @@ impl ServedModel {
         self.report.as_ref()
     }
 
-    /// The support matrix's influencing parameters (paper Table IV),
-    /// `None` for constant models.
-    pub fn matrix_features(&self) -> Option<&MatrixFeatures> {
-        self.features.as_ref()
-    }
-
     /// The scheduled matrix's measured sweep times, `None` for constant
     /// models (nothing to sweep, nothing worth admission-controlling).
-    pub fn sweeps(&self) -> Option<&SweepTable> {
+    pub(crate) fn sweeps(&self) -> Option<&SweepTable> {
         self.sweeps.as_ref()
     }
 
@@ -174,7 +160,7 @@ impl ServedModel {
     }
 
     /// Whether new submissions must be refused.
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.health() == ModelHealth::Quarantined
     }
 
@@ -182,9 +168,9 @@ impl ServedModel {
     /// first panic degrades the model onto an analytic rule-based fallback
     /// layout (rebuilt from the support triplets — the cheap selector
     /// keeps serving when the learned-path layout is implicated), and the
-    /// [`QUARANTINE_PANICS`]-th pulls it from service. Returns the new
+    /// `QUARANTINE_PANICS`-th pulls it from service. Returns the new
     /// rung.
-    pub fn note_panic(&self) -> ModelHealth {
+    pub(crate) fn note_panic(&self) -> ModelHealth {
         let panics = self.panics.fetch_add(1, Ordering::SeqCst) + 1;
         let rung = if panics >= QUARANTINE_PANICS {
             ModelHealth::Quarantined
@@ -208,23 +194,6 @@ impl ServedModel {
         rung
     }
 
-    /// Restores the model to the healthy rung (operator action / tests).
-    pub fn reset_health(&self) {
-        self.panics.store(0, Ordering::SeqCst);
-        self.health.store(ModelHealth::Healthy as u8, Ordering::SeqCst);
-    }
-
-    /// The format answers are currently served from: the fallback layout
-    /// while degraded, else the scheduler's choice.
-    pub fn serving_format(&self) -> Option<Format> {
-        if self.health() != ModelHealth::Healthy {
-            if let Some(fb) = self.fallback.lock().expect("fallback poisoned").as_ref() {
-                return Some(fb.format());
-            }
-        }
-        self.format()
-    }
-
     /// Decision values for a batch, through the blocked engine and this
     /// model's instrumented matrix. `ws` is caller-held scratch (one per
     /// worker thread); only its buffers are used, not its matrix cache.
@@ -243,7 +212,7 @@ impl ServedModel {
     }
 
     /// Validates one query vector's dimension.
-    pub fn check_dim(&self, x: &SparseVec) -> Result<(), String> {
+    pub(crate) fn check_dim(&self, x: &SparseVec) -> Result<(), String> {
         if self.matrix.is_some() && x.dim() != self.dim {
             return Err(format!(
                 "model {:?} expects dimension {}, got {}",
@@ -323,7 +292,7 @@ mod tests {
         let served = ServedModel::new("toy", toy_model(), &scheduler);
         assert_eq!(served.dim(), 6);
         assert!(served.format().is_some());
-        let feats = served.matrix_features().expect("support matrix has features");
+        let feats = &served.report().expect("support matrix has a report").features;
         assert_eq!((feats.m, feats.n, feats.nnz), (2, 6, 4));
         let xs = vec![
             SparseVec::new(6, vec![0, 1], vec![2.0, 4.0]),
@@ -376,7 +345,7 @@ mod tests {
         // and still bit-exact, because layout never changes values.
         assert_eq!(served.note_panic(), ModelHealth::Degraded);
         assert_eq!(served.health(), ModelHealth::Degraded);
-        assert!(served.serving_format().is_some());
+        assert!(served.fallback.lock().unwrap().is_some());
         let degraded = served.predict(&xs, &mut ws);
         for (h, d) in healthy.iter().zip(&degraded) {
             assert_eq!(h.to_bits(), d.to_bits());
@@ -387,10 +356,6 @@ mod tests {
         assert_eq!(served.note_panic(), ModelHealth::Quarantined);
         assert!(served.is_quarantined());
         assert_eq!(served.panics(), 3);
-
-        served.reset_health();
-        assert_eq!(served.health(), ModelHealth::Healthy);
-        assert_eq!(served.panics(), 0);
     }
 
     #[test]
@@ -401,7 +366,7 @@ mod tests {
         let mut ws = PredictWorkspace::new();
         // No fallback matrix exists; the bias path still answers.
         assert_eq!(served.predict(&[SparseVec::zeros(3)], &mut ws), vec![-1.5]);
-        assert_eq!(served.serving_format(), None);
+        assert!(served.fallback.lock().unwrap().is_none());
     }
 
     #[test]

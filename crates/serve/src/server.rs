@@ -145,26 +145,19 @@ impl ServerHandle {
 
 /// Starts a server: binds, spawns the executor's worker pool and the
 /// acceptor thread, returns immediately. A zero `read_timeout`,
-/// `write_timeout`, `idle_timeout` or feedback retrain `interval` is
-/// `InvalidInput`.
+/// `write_timeout` or `idle_timeout` is `InvalidInput`.
 pub fn start(
     registry: ModelRegistry,
     scheduler: LayoutScheduler,
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
-    // A zero budget can only mean "close everything", and a zero retrain
-    // interval turns the retrainer into a polling loop. Refuse them before
+    // A zero budget can only mean "close everything". Refuse it before
     // binding.
-    let retrain =
-        config.executor.feedback.as_ref().map(|hub| ("feedback interval", hub.config().interval));
     for (name, budget) in [
         ("read_timeout", config.read_timeout),
         ("write_timeout", config.write_timeout),
         ("idle_timeout", config.idle_timeout),
-    ]
-    .into_iter()
-    .chain(retrain)
-    {
+    ] {
         if budget.is_zero() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -465,9 +458,6 @@ fn dispatch(request: Request, executor: &Executor, shutdown: &AtomicBool) -> Res
         }
         Request::Stats => {
             let start = Instant::now();
-            if let Some(hub) = executor.feedback() {
-                hub.sync_stats(executor.stats());
-            }
             let json =
                 executor.stats().snapshot_json(executor.registry(), &executor.queue_depths());
             executor.stats().stats.record_ok(start.elapsed());

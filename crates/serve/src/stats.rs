@@ -58,7 +58,7 @@ impl LatencyHistogram {
     /// of the bucket holding the q-th observation — within 2× of the true
     /// value, which is the resolution scheduling dashboards need. `None`
     /// with no observations.
-    pub fn quantile_secs(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile_secs(&self, q: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {
             return None;
@@ -75,7 +75,7 @@ impl LatencyHistogram {
     }
 
     /// Mean latency in seconds, `None` with no observations.
-    pub fn mean_secs(&self) -> Option<f64> {
+    pub(crate) fn mean_secs(&self) -> Option<f64> {
         let n = self.count();
         (n > 0).then(|| self.total_nanos.load(Ordering::Relaxed) as f64 * 1e-9 / n as f64)
     }
@@ -102,23 +102,23 @@ impl RequestStats {
     }
 
     /// Records a success with its latency.
-    pub fn record_ok(&self, latency: Duration) {
+    pub(crate) fn record_ok(&self, latency: Duration) {
         Self::bump(&self.ok);
         self.latency.record(latency);
     }
 
     /// Records a `Busy` rejection.
-    pub fn record_busy(&self) {
+    pub(crate) fn record_busy(&self) {
         Self::bump(&self.busy);
     }
 
     /// Records a deadline expiry.
-    pub fn record_timeout(&self) {
+    pub(crate) fn record_timeout(&self) {
         Self::bump(&self.timed_out);
     }
 
     /// Records an error reply.
-    pub fn record_error(&self) {
+    pub(crate) fn record_error(&self) {
         Self::bump(&self.errors);
     }
 
@@ -159,7 +159,7 @@ pub struct ClassStats {
 impl ClassStats {
     /// Records a completed request; `violated` marks an answer delivered
     /// after its effective deadline.
-    pub fn record_ok(&self, latency: Duration, violated: bool) {
+    pub(crate) fn record_ok(&self, latency: Duration, violated: bool) {
         self.ok.fetch_add(1, Ordering::Relaxed);
         if violated {
             self.slo_violations.fetch_add(1, Ordering::Relaxed);
@@ -168,13 +168,13 @@ impl ClassStats {
     }
 
     /// Records a queue-expiry timeout (always an SLO violation).
-    pub fn record_timeout(&self) {
+    pub(crate) fn record_timeout(&self) {
         self.timed_out.fetch_add(1, Ordering::Relaxed);
         self.slo_violations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a predictive-admission refusal.
-    pub fn record_busy_predicted(&self) {
+    pub(crate) fn record_busy_predicted(&self) {
         self.busy_predicted.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -297,69 +297,6 @@ impl DegradeCounters {
     }
 }
 
-/// Gauges for the online-learning feedback loop (`serve::feedback`): the
-/// live model version, ensemble size, confidence-fallback counters, and
-/// retrain outcomes. All store-synced from the [`crate::FeedbackHub`] on
-/// every `Stats` request; all zero when no feedback hub is configured.
-#[derive(Debug, Default)]
-pub struct SelectorCounters {
-    /// Active model version — the hot-swap generation (1 = the selector
-    /// the server started with).
-    pub active_version: AtomicU64,
-    /// Trees in the live model: 0 analytic rules, 1 single CART, 3..=7
-    /// bagged forest.
-    pub ensemble_size: AtomicU64,
-    /// Selections made by the live hybrid selector.
-    pub decisions: AtomicU64,
-    /// Selections that fell below the confidence gate and were decided by
-    /// the analytic rules.
-    pub fallbacks: AtomicU64,
-    /// Observations ever appended to the telemetry ring.
-    pub observations: AtomicU64,
-    /// Observations overwritten before a retrainer drained them.
-    pub observations_dropped: AtomicU64,
-    /// Retrain cycles whose candidate was published.
-    pub retrains_accepted: AtomicU64,
-    /// Retrain cycles rolled back by the regret guard.
-    pub retrains_rolled_back: AtomicU64,
-    /// Last retrain outcome: 0 none, 1 accepted, 2 rolled back (see
-    /// [`crate::feedback::retrain_outcome_name`]).
-    pub last_retrain: AtomicU64,
-}
-
-impl SelectorCounters {
-    /// Fraction of hybrid selections decided by the rule fallback.
-    pub fn fallback_rate(&self) -> f64 {
-        let d = self.decisions.load(Ordering::Relaxed);
-        if d == 0 {
-            0.0
-        } else {
-            self.fallbacks.load(Ordering::Relaxed) as f64 / d as f64
-        }
-    }
-
-    fn to_json(&self) -> JsonValue {
-        let get = |c: &AtomicU64| JsonValue::from(c.load(Ordering::Relaxed));
-        JsonValue::obj([
-            ("active_version", get(&self.active_version)),
-            ("ensemble_size", get(&self.ensemble_size)),
-            ("decisions", get(&self.decisions)),
-            ("fallbacks", get(&self.fallbacks)),
-            ("fallback_rate", JsonValue::from(self.fallback_rate())),
-            ("observations", get(&self.observations)),
-            ("observations_dropped", get(&self.observations_dropped)),
-            ("retrains_accepted", get(&self.retrains_accepted)),
-            ("retrains_rolled_back", get(&self.retrains_rolled_back)),
-            (
-                "last_retrain_outcome",
-                JsonValue::from(crate::feedback::retrain_outcome_name(
-                    self.last_retrain.load(Ordering::Relaxed),
-                )),
-            ),
-        ])
-    }
-}
-
 /// All live counters one server instance keeps.
 #[derive(Default)]
 pub struct ServeStats {
@@ -379,9 +316,6 @@ pub struct ServeStats {
     pub degrade: DegradeCounters,
     /// Times an executor worker drained a lane outside its home shard.
     pub steals: AtomicU64,
-    /// Online-learning selector gauges (version, ensemble, fallbacks,
-    /// retrain outcomes).
-    pub selector: SelectorCounters,
     /// How often the scheduler chose each format, in [`Format::ALL`] order.
     decisions: [AtomicU64; Format::ALL.len()],
     /// Process-wide kernel aggregate, fed by delta-merging every model's
@@ -402,7 +336,7 @@ impl ServeStats {
     }
 
     /// Records one scheduling decision.
-    pub fn record_decision(&self, format: Format) {
+    pub(crate) fn record_decision(&self, format: Format) {
         self.decisions[format_index(format)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -417,7 +351,7 @@ impl ServeStats {
 
     /// Folds every model's *new* kernel activity into the process-wide
     /// aggregate and returns the aggregate's current snapshot.
-    pub fn aggregate_kernels(&self, registry: &ModelRegistry) -> SmsvSnapshot {
+    pub(crate) fn aggregate_kernels(&self, registry: &ModelRegistry) -> SmsvSnapshot {
         let mut last = self.last_per_model.lock().expect("stats poisoned");
         for served in registry.iter() {
             let now = served.counters().snapshot();
@@ -431,7 +365,7 @@ impl ServeStats {
     /// Full service snapshot as a JSON document: request-kind counters,
     /// queue depths (supplied by the executor), per-model kernel telemetry
     /// and the process-wide aggregate.
-    pub fn snapshot_json(
+    pub(crate) fn snapshot_json(
         &self,
         registry: &ModelRegistry,
         queue_depths: &[(String, usize)],
@@ -492,7 +426,6 @@ impl ServeStats {
                 "executor",
                 JsonValue::obj([("steals", JsonValue::from(self.steals.load(Ordering::Relaxed)))]),
             ),
-            ("selector", self.selector.to_json()),
             ("queues", JsonValue::Arr(queues)),
             ("schedule_decisions", JsonValue::Arr(decisions)),
             ("models", JsonValue::Arr(models)),

@@ -18,9 +18,8 @@ use dls_serve::proto::{
 };
 use dls_serve::server::MAX_CONNECTIONS;
 use dls_serve::{
-    start, ClientError, ExecutorConfig, FeedbackConfig, FeedbackHub, ModelRegistry,
-    PipelinedClient, PredictRequest, RetryClient, RetryPolicy, ServedModel, ServerConfig,
-    ServerHandle,
+    start, ClientError, ExecutorConfig, ModelRegistry, PipelinedClient, PredictRequest,
+    RetryClient, RetryPolicy, ServedModel, ServerConfig, ServerHandle,
 };
 use dls_sparse::SparseVec;
 use proptest::prelude::*;
@@ -385,23 +384,6 @@ fn zero_time_budgets_are_refused() {
         let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
         assert_eq!(err.map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
     }
-}
-
-/// A zero retrain interval turns the background retrainer into a polling
-/// loop that holds a core while the server is idle: refused the same way.
-#[test]
-fn zero_retrain_interval_is_refused() {
-    let hub = FeedbackHub::new(FeedbackConfig {
-        interval: Duration::ZERO,
-        background: false,
-        ..Default::default()
-    });
-    let executor = ExecutorConfig { feedback: Some(hub), ..Default::default() };
-    let config = ServerConfig { executor, ..Default::default() };
-    let err = start(ModelRegistry::new(), LayoutScheduler::new(), config).err();
-    let err = err.expect("a zero retrain interval was accepted");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    assert!(err.to_string().contains("feedback interval"), "{err}");
 }
 
 // ---------------------------------------------------------------------------

@@ -104,15 +104,6 @@ impl MatrixFormat for CooMatrix {
         smsv_sweep(self, vs, out, workspace);
     }
 
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        out.fill(0.0);
-        for k in 0..self.values.len() {
-            out[self.row_idx[k]] += self.values[k] * x[self.col_idx[k]];
-        }
-    }
-
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         assert_eq!(out.len(), self.rows);
         out.fill(0.0);
@@ -258,11 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_and_norms() {
+    fn row_norms() {
         let m = sample();
         let mut out = vec![0.0; 3];
-        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 0.0, 12.0]);
         m.row_norms_sq(&mut out);
         assert_eq!(out, vec![5.0, 0.0, 50.0]);
     }

@@ -156,22 +156,6 @@ impl MatrixFormat for CscMatrix {
         self.column_merge(vs, out);
     }
 
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        out.fill(0.0);
-        for j in 0..self.cols {
-            let xj = x[j];
-            if xj == 0.0 {
-                continue;
-            }
-            let (rows, vals) = self.col_view(j);
-            for (&r, &a) in rows.iter().zip(vals) {
-                out[r] += a * xj;
-            }
-        }
-    }
-
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         assert_eq!(out.len(), self.rows);
         out.fill(0.0);
@@ -244,11 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_and_norms() {
+    fn row_norms() {
         let m = sample();
         let mut out = vec![0.0; 3];
-        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 0.0, 12.0]);
         m.row_norms_sq(&mut out);
         assert_eq!(out, vec![5.0, 0.0, 50.0]);
     }

@@ -193,15 +193,6 @@ impl MatrixFormat for CsrMatrix {
         smsv_sweep(self, vs, out, workspace);
     }
 
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            let (cols, vals) = self.row_view(i);
-            *o = cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum();
-        }
-    }
-
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         assert_eq!(out.len(), self.rows);
         for (i, o) in out.iter_mut().enumerate() {
@@ -327,11 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_and_norms() {
+    fn row_norms() {
         let m = sample();
         let mut out = vec![0.0; 3];
-        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 0.0, 12.0]);
         m.row_norms_sq(&mut out);
         assert_eq!(out, vec![5.0, 0.0, 50.0]);
     }

@@ -99,15 +99,6 @@ impl MatrixFormat for DenseMatrix {
         smsv_sweep(self, vs, out, workspace);
     }
 
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *o = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-    }
-
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         assert_eq!(out.len(), self.rows);
         for (i, o) in out.iter_mut().enumerate() {
@@ -204,14 +195,6 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.smsv(&v, &mut out);
         assert_eq!(out, vec![2.0, 0.0, 11.0]);
-    }
-
-    #[test]
-    fn spmv_matches_manual() {
-        let m = sample();
-        let mut out = vec![0.0; 3];
-        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 0.0, 12.0]);
     }
 
     #[test]

@@ -144,20 +144,6 @@ impl MatrixFormat for DiaMatrix {
         smsv_sweep(self, vs, out, workspace);
     }
 
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        out.fill(0.0);
-        for (d, &off) in self.offsets.iter().enumerate() {
-            let diag = &self.data[d * self.rows..(d + 1) * self.rows];
-            let i_lo = if off < 0 { (-off) as usize } else { 0 };
-            let i_hi = self.rows.min((self.cols as isize - off).max(0) as usize);
-            for i in i_lo..i_hi {
-                out[i] += diag[i] * x[(i as isize + off) as usize];
-            }
-        }
-    }
-
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         assert_eq!(out.len(), self.rows);
         out.fill(0.0);
@@ -269,11 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_and_norms() {
+    fn row_norms() {
         let m = sample();
         let mut out = vec![0.0; 3];
-        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 0.0, 12.0]);
         m.row_norms_sq(&mut out);
         assert_eq!(out, vec![5.0, 0.0, 50.0]);
     }

@@ -139,21 +139,6 @@ impl MatrixFormat for EllMatrix {
         smsv_sweep(self, vs, out, workspace);
     }
 
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        assert_eq!(x.len(), self.cols, "SpMV vector dimension mismatch");
-        assert_eq!(out.len(), self.rows, "SpMV output length mismatch");
-        out.fill(0.0);
-        for k in 0..self.width {
-            let idx = &self.idx[k * self.rows..(k + 1) * self.rows];
-            let val = &self.val[k * self.rows..(k + 1) * self.rows];
-            for i in 0..self.rows {
-                let c = idx[i];
-                let xv = if c == PAD { 0.0 } else { x[c] };
-                out[i] += val[i] * xv;
-            }
-        }
-    }
-
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         assert_eq!(out.len(), self.rows);
         out.fill(0.0);
@@ -265,11 +250,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_and_norms() {
+    fn row_norms() {
         let m = sample();
         let mut out = vec![0.0; 3];
-        m.spmv(&[1.0, 1.0, 1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.0, 0.0, 12.0]);
         m.row_norms_sq(&mut out);
         assert_eq!(out, vec![5.0, 0.0, 50.0]);
     }

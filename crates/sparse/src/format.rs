@@ -149,9 +149,6 @@ pub trait MatrixFormat {
     /// `out.len() != self.rows() * vs.len()`.
     fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>);
 
-    /// Classical SpMV against a dense vector: `out = X x`.
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]);
-
     /// Fills `out[i] = ||X_i||^2` (needed by the Gaussian kernel).
     fn row_norms_sq(&self, out: &mut [Scalar]);
 
@@ -471,10 +468,6 @@ impl MatrixFormat for AnyMatrix {
 
     fn smsv_block(&self, vs: &[SparseVec], out: &mut [Scalar], workspace: &mut Vec<Scalar>) {
         dispatch!(self, m => m.smsv_block(vs, out, workspace))
-    }
-
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        dispatch!(self, m => m.spmv(x, out))
     }
 
     fn row_norms_sq(&self, out: &mut [Scalar]) {

@@ -389,11 +389,6 @@ impl MatrixFormat for InstrumentedMatrix {
     }
 
     #[inline]
-    fn spmv(&self, x: &[Scalar], out: &mut [Scalar]) {
-        self.inner.spmv(x, out)
-    }
-
-    #[inline]
     fn row_norms_sq(&self, out: &mut [Scalar]) {
         self.inner.row_norms_sq(out)
     }

@@ -60,22 +60,6 @@ proptest! {
         }
     }
 
-    /// SpMV with the densified vector equals SMSV.
-    #[test]
-    fn spmv_equals_smsv_on_dense_vector((t, v) in arb_matrix_and_vec()) {
-        let dense_v = v.to_dense();
-        for fmt in Format::ALL {
-            let m = AnyMatrix::from_triplets(fmt, &t);
-            let mut a = vec![0.0; t.rows()];
-            let mut b = vec![0.0; t.rows()];
-            m.smsv(&v, &mut a);
-            m.spmv(&dense_v, &mut b);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!((x - y).abs() < 1e-9, "{}", fmt);
-            }
-        }
-    }
-
     /// The lockstep SIMD-style CSR kernel is exactly the scalar kernel.
     #[test]
     fn csr_lanes_kernel_is_exact((t, v) in arb_matrix_and_vec()) {

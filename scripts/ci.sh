@@ -42,13 +42,12 @@ bench_json="$(mktemp -t dls_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json"' EXIT
 cargo run --release -q -p dls-bench --bin repro_smsv_block -- 5 "$bench_json" --check
 
-echo "==> online-selector gate (cross-machine regret: online/ensemble <= frozen CART)"
+echo "==> cross-machine selector table (repro_selector_cross regenerates BENCH_selector.json)"
 selector_json="$(mktemp -t dls_selector_bench_XXXXXX.json)"
 trap 'rm -f "$model" "$bench_json" "$selector_json"' EXIT
-cargo run --release -q -p dls-bench --bin repro_selector_online -- --quick --check "$selector_json"
-# The full run is deterministic (analytic oracles, seeded grid): the
-# committed numbers must regenerate byte for byte.
-cargo run --release -q -p dls-bench --bin repro_selector_online -- "$selector_json" >/dev/null
+# The run is deterministic (analytic oracles, seeded grid): the committed
+# numbers must regenerate byte for byte.
+cargo run --release -q -p dls-bench --bin repro_selector_cross -- "$selector_json" >/dev/null
 cmp "$selector_json" BENCH_selector.json \
   || { echo "BENCH_selector.json no longer regenerates byte-identically" >&2; exit 1; }
 echo "BENCH_selector.json regenerates byte-identically"
@@ -92,6 +91,10 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
   [ "$lib" = crates/bench/src/lib.rs ] || grep -q '^#!\[forbid(unsafe_code)\]' "$lib" \
     || { echo "$lib does not forbid unsafe_code" >&2; exit 1; }
 done
+# Deleted with online retraining (the feedback hub, the swappable selector, the confidence gate, the forest, the serve flags) and with SpMV.
+if grep -rnE 'FeedbackHu[b]|FeedbackConfi[g]|SwappableSelecto[r]|retrain_onlin[e]|ObservationRin[g]|LabeledObservatio[n]|with_gat[e]|DEFAULT_MIN_CONFIDENC[E]|--onlin[e]|--retrain-m[s]|repro_selector_onlin[e]|fn spm[v]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Crate direction: sparse <- svm <- core <- learn, and serve depends on core, not on the trainer.
+if grep -n 'dls-lear[n]' crates/serve/Cargo.toml; then echo "dls-serve depends on dls-learn again" >&2; exit 1; fi
 # Every FormatSelector lives in dls-core; dls-learn only builds training data and trains.
 if grep -rn 'impl FormatSelector' crates/learn/src; then echo "a selector is back in dls-learn" >&2; exit 1; fi
 

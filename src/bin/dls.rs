@@ -19,17 +19,9 @@
 //!               [--idle-timeout-ms N]               other --flag is refused;
 //!               [--no-brownout] [--chaos-seed N]    --chaos-seed arms the seeded
 //!                                                   fault-injection plan (demo)
-//!               [--online [--retrain-ms N]]         online learning: telemetry
-//!                                                   feeds a background retrainer
-//!                                                   (every N > 0 ms, default
-//!                                                   30 s) that hot-swaps the
-//!                                                   selector (learned picks under
-//!                                                   0.75 confidence defer to the
-//!                                                   rules)
 //! dls stats     --serve <addr> [--health]           live telemetry snapshot (or
 //!                                                   health ladder) from a
-//!                                                   running server, with an
-//!                                                   online-selector summary
+//!                                                   running server
 //! dls train-selector [out.json] [--quick] [--analytic] [--seed N]
 //!                    [--reps N] [--passes N] [--margin F]
 //!                                                   fit a decision-tree model on
@@ -37,7 +29,7 @@
 //!                                                   measured-label gate knobs
 //!                                                   tune noise rejection
 //! dls selector-info <model.json>                    inspect a model document:
-//!                                                   tree, forest, block trees
+//!                                                   tree and block trees
 //! ```
 //!
 //! `@name` loads the synthetic twin of a paper dataset (e.g. `@adult`).
@@ -259,9 +251,8 @@ fn quick_served_model(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    // A zero budget closes every connection, and a zero retrain interval
-    // turns the retrainer into a polling loop; `dls_serve::start` refuses
-    // both, and the flag says so before any model is trained.
+    // A zero budget closes every connection; `dls_serve::start` refuses it,
+    // and the flag says so before any model is trained.
     let millis = |name: &str, value: Option<&String>| {
         value
             .and_then(|v| v.parse::<u64>().ok())
@@ -272,8 +263,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut addr = None;
     let mut models = vec!["adult".to_string(), "mnist".to_string()];
     let (mut read_timeout, mut write_timeout, mut idle_timeout) = (None, None, None);
-    let (mut no_brownout, mut online) = (false, false);
-    let (mut chaos_seed, mut retrain_interval) = (None, None);
+    let (mut no_brownout, mut chaos_seed) = (false, None);
     // One pass over the arguments. A flag this command does not know is a
     // usage error, raised before any model is trained: ignoring it would
     // serve without what it asked for.
@@ -287,22 +277,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--read-timeout-ms" => read_timeout = Some(millis(arg, rest.next())?),
             "--write-timeout-ms" => write_timeout = Some(millis(arg, rest.next())?),
             "--idle-timeout-ms" => idle_timeout = Some(millis(arg, rest.next())?),
-            "--retrain-ms" => retrain_interval = Some(millis(arg, rest.next())?),
             "--chaos-seed" => {
                 let seed = rest.next().and_then(|v| v.parse::<u64>().ok());
                 chaos_seed = Some(seed.ok_or("serve: --chaos-seed needs an integer seed")?);
             }
             "--no-brownout" => no_brownout = true,
-            "--online" => online = true,
             flag if flag.starts_with("--") => return Err(format!("serve: unknown flag {flag}")),
             bind if bind.contains(':') && addr.is_none() => addr = Some(bind.to_string()),
             _ => {}
         }
     }
     let addr = addr.unwrap_or_else(|| "127.0.0.1:0".to_string());
-    if retrain_interval.is_some() && !online {
-        return Err("serve: --retrain-ms needs --online".to_string());
-    }
 
     let scheduler = LayoutScheduler::new();
     let mut registry = dls::serve::ModelRegistry::new();
@@ -324,23 +309,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         None => dls::serve::FaultInjector::none(),
     };
-    // With --online the scheduler selects through the feedback hub's
-    // swappable handle: executed sweeps feed the telemetry ring, a
-    // background thread retrains on it, and accepted models are
-    // hot-swapped in without pausing serving.
-    let hub = online.then(|| {
-        let defaults = dls::serve::FeedbackConfig::default();
-        dls::serve::FeedbackHub::new(dls::serve::FeedbackConfig {
-            interval: retrain_interval.unwrap_or(defaults.interval),
-            ..defaults
-        })
-    });
-    let executor = dls::serve::ExecutorConfig {
-        brownout: !no_brownout,
-        fault,
-        feedback: hub.clone(),
-        ..Default::default()
-    };
+    let executor =
+        dls::serve::ExecutorConfig { brownout: !no_brownout, fault, ..Default::default() };
     let defaults = dls::serve::ServerConfig::default();
     let config = dls::serve::ServerConfig {
         addr,
@@ -349,20 +319,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         write_timeout: write_timeout.unwrap_or(defaults.write_timeout),
         idle_timeout: idle_timeout.unwrap_or(defaults.idle_timeout),
     };
-    let serving_scheduler = match &hub {
-        Some(hub) => LayoutScheduler::with_selector(hub.selector()),
-        None => LayoutScheduler::new(),
-    };
     let handle =
-        dls::serve::start(registry, serving_scheduler, config).map_err(|e| format!("bind: {e}"))?;
-    if let Some(hub) = &hub {
-        println!(
-            "online learning: model v{}, retrain every {:?} once {} observations buffer",
-            hub.version(),
-            hub.config().interval,
-            hub.config().min_observations
-        );
-    }
+        dls::serve::start(registry, scheduler, config).map_err(|e| format!("bind: {e}"))?;
     println!(
         "listening on {} (brown-out {})",
         handle.local_addr(),
@@ -390,28 +348,6 @@ fn cmd_stats_serve(addr: &str, health: bool) -> Result<(), String> {
     };
     let doc = dls::core::json::parse(&json)?;
     print!("{}", doc.to_json_pretty());
-    // Surface the online-learning loop in one line: which model is live,
-    // how it votes, how often the confidence gate fell back to the rules,
-    // and how the last retraining cycle ended.
-    if let Some(sel) = doc.get("selector") {
-        let n = |k: &str| sel.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-        println!(
-            "selector: model v{} ({}), confidence fallback {:.1}% ({}/{}), \
-             {} observations ({} dropped), last retrain: {}",
-            n("active_version"),
-            match n("ensemble_size") {
-                0 => "analytic rules".to_string(),
-                1 => "single tree".to_string(),
-                k => format!("{k}-tree forest"),
-            },
-            sel.get("fallback_rate").and_then(|v| v.as_f64()).unwrap_or(0.0) * 100.0,
-            n("fallbacks"),
-            n("decisions"),
-            n("observations"),
-            n("observations_dropped"),
-            sel.get("last_retrain_outcome").and_then(|v| v.as_str()).unwrap_or("none"),
-        );
-    }
     Ok(())
 }
 
@@ -631,12 +567,6 @@ fn cmd_selector_info(args: &[String]) -> Result<(), String> {
         "trained on {} samples (grid={}, seed={}): {} measured, {} analytic fallback, {} analytic",
         m.samples, m.grid, m.seed, m.measured, m.analytic_fallback, m.analytic
     );
-    match model.ensemble.len() {
-        0 => println!("ensemble: none (single tree votes alone)"),
-        n => {
-            println!("ensemble: {n}-tree bagged forest (majority vote with vote-margin confidence)")
-        }
-    }
     let p = model.tree.params();
     println!(
         "tree: depth {} (max {}), {} leaves, min_leaf {}, min_gain {:e}",

@@ -116,19 +116,17 @@ fn serve_refuses_unknown_flags() {
     assert!(!out.contains("training"), "refused before training: {out}");
 }
 
-/// A zero retrain interval turns the retrainer into a polling loop, and a
-/// retrain interval without `--online` used to be ignored without a word:
-/// both are usage errors, before any model is trained.
+/// `--online` and `--retrain-ms` are refused by name, like any flag
+/// `serve` does not know, before any model is trained.
 #[test]
-fn serve_refuses_a_zero_or_orphan_retrain_interval() {
-    let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--online", "--retrain-ms", "0"]);
-    assert!(!ok, "--retrain-ms 0 must not serve");
-    assert!(err.contains("--retrain-ms") && err.contains("greater than zero"), "{err}");
-    assert!(!out.contains("training"), "refused before training: {out}");
-    let (ok, out, err) = run(&["serve", "127.0.0.1:0", "--retrain-ms", "500"]);
-    assert!(!ok, "--retrain-ms without --online must not serve");
-    assert!(err.contains("--retrain-ms needs --online"), "{err}");
-    assert!(!out.contains("training"), "refused before training: {out}");
+fn serve_refuses_the_retired_online_flags() {
+    for args in [&["--online"][..], &["--retrain-ms", "500"][..]] {
+        let argv: Vec<&str> = ["serve", "127.0.0.1:0"].iter().chain(args).copied().collect();
+        let (ok, out, err) = run(&argv);
+        assert!(!ok, "{args:?} must not serve");
+        assert!(err.contains(&format!("unknown flag {}", args[0])), "{err}");
+        assert!(!out.contains("training"), "refused before training: {out}");
+    }
 }
 
 /// A NaN or ±∞ feature value used to "converge" to a garbage model and
