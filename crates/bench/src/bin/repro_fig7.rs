@@ -11,8 +11,9 @@ use dls_bench::{
     csv_dir_from_env, table6_workloads, time_smo_iterations, time_smo_iterations_telemetry,
     CsvWriter,
 };
-use dls_core::{KernelMonitor, LayoutScheduler, TelemetrySnapshot};
-use dls_sparse::{Format, SmsvCounters};
+use dls_core::telemetry::{active, csv_rows, CSV_HEADER};
+use dls_core::LayoutScheduler;
+use dls_sparse::{Format, SmsvCounters, SmsvSnapshot};
 use dls_svm::KernelKind;
 use std::time::Instant;
 
@@ -30,7 +31,7 @@ fn main() {
     let mut own_csr_speedups = Vec::new();
     // Telemetry for the adaptive runs only: what the scheduled format
     // actually delivered, per dataset.
-    let mut telemetry: Vec<(&str, TelemetrySnapshot)> = Vec::new();
+    let mut telemetry: Vec<(&str, SmsvSnapshot)> = Vec::new();
     for w in table6_workloads(42) {
         let selection = scheduler.select_only(&w.matrix).chosen;
 
@@ -48,11 +49,9 @@ fn main() {
         // Adaptive: scheduled format through the tuned solver, with SMSV
         // telemetry recorded behind the timing.
         let counters = SmsvCounters::shared();
-        let mut monitor = KernelMonitor::new(counters.clone());
         let adaptive_secs =
             time_smo_iterations_telemetry(&w.matrix, &w.labels, selection, iters, &counters);
-        monitor.tick();
-        telemetry.push((w.name, monitor.snapshot()));
+        telemetry.push((w.name, counters.snapshot()));
         // Own fixed-CSR: tuned solver, CSR regardless of the data.
         let own_csr_secs = time_smo_iterations(&w.matrix, &w.labels, Format::Csr, iters);
 
@@ -78,22 +77,22 @@ fn main() {
 
     println!("\n# adaptive-run SMSV telemetry (format, calls, s/call)");
     for (name, snap) in &telemetry {
-        for t in snap.active() {
+        for (f, s) in active(snap) {
             println!(
                 "{name:<14} {:<4} {:>8} calls {:>10.2e} s/call",
-                t.format,
-                t.calls,
-                t.nanos as f64 * 1e-9 / t.calls as f64
+                f.name(),
+                s.calls,
+                s.nanos as f64 * 1e-9 / s.calls as f64
             );
         }
     }
     if let Some(dir) = csv_dir_from_env() {
         let mut header = vec!["dataset"];
-        header.extend(TelemetrySnapshot::csv_header().split(','));
+        header.extend(CSV_HEADER.split(','));
         let mut csv =
             CsvWriter::create(&dir, "fig7_telemetry", &header).expect("create telemetry csv");
         for (name, snap) in &telemetry {
-            for row in snap.to_csv_rows() {
+            for row in csv_rows(snap) {
                 let mut cells = vec![*name];
                 cells.extend(row.split(','));
                 csv.row(&cells).expect("write telemetry row");

@@ -17,8 +17,9 @@
 //! | trefethen     | DEN   | DIA       | 1.7× & 4.1×       |
 
 use dls_bench::{csv_dir_from_env, table6_workloads, time_smo_iterations_telemetry, CsvWriter};
-use dls_core::{KernelMonitor, LayoutScheduler, SelectionStrategy, TelemetrySnapshot};
-use dls_sparse::{Format, SmsvCounters};
+use dls_core::telemetry::{active, csv_rows, CSV_HEADER};
+use dls_core::{LayoutScheduler, SelectionStrategy};
+use dls_sparse::{Format, SmsvCounters, SmsvSnapshot};
 
 const PAPER_TABLE6: [(&str, &str, &str, f64, f64); 9] = [
     ("adult", "DIA", "ELL", 3.8, 14.3),
@@ -50,22 +51,17 @@ fn main() {
 
     let mut avg_speedups = Vec::new();
     let mut max_speedups = Vec::new();
-    let mut telemetry: Vec<(&str, TelemetrySnapshot)> = Vec::new();
+    let mut telemetry: Vec<(&str, SmsvSnapshot)> = Vec::new();
     for w in table6_workloads(42) {
         let selection = scheduler.select_only(&w.matrix).chosen;
         // Per-dataset counters: every format's timed run contributes its
         // SMSV telemetry, so the snapshot compares layouts directly.
         let counters = SmsvCounters::shared();
-        let mut monitor = KernelMonitor::new(counters.clone());
         let times: Vec<(Format, f64)> = Format::BASIC
             .iter()
-            .map(|&f| {
-                let secs = time_smo_iterations_telemetry(&w.matrix, &w.labels, f, iters, &counters);
-                monitor.tick();
-                (f, secs)
-            })
+            .map(|&f| (f, time_smo_iterations_telemetry(&w.matrix, &w.labels, f, iters, &counters)))
             .collect();
-        telemetry.push((w.name, monitor.snapshot()));
+        telemetry.push((w.name, counters.snapshot()));
         let sel_time = times.iter().find(|(f, _)| *f == selection).unwrap().1;
         let worst = times.iter().max_by(|a, b| a.1.partial_cmp(&b.1).unwrap()).unwrap();
         let others: Vec<f64> =
@@ -98,19 +94,18 @@ fn main() {
 
     println!("\n# measured SMSV seconds/call (telemetry)");
     for (name, snap) in &telemetry {
-        let cells: Vec<String> = snap
-            .active()
-            .map(|t| format!("{} {:.2e}", t.format, t.nanos as f64 * 1e-9 / t.calls as f64))
+        let cells: Vec<String> = active(snap)
+            .map(|(f, s)| format!("{f} {:.2e}", s.nanos as f64 * 1e-9 / s.calls as f64))
             .collect();
         println!("{name:<14} {}", cells.join("  "));
     }
     if let Some(dir) = csv_dir_from_env() {
         let mut header = vec!["dataset"];
-        header.extend(TelemetrySnapshot::csv_header().split(','));
+        header.extend(CSV_HEADER.split(','));
         let mut csv =
             CsvWriter::create(&dir, "table6_telemetry", &header).expect("create telemetry csv");
         for (name, snap) in &telemetry {
-            for row in snap.to_csv_rows() {
+            for row in csv_rows(snap) {
                 let mut cells = vec![*name];
                 let rest: Vec<&str> = row.split(',').collect();
                 cells.extend(rest);

@@ -1,7 +1,7 @@
 //! Minimal hand-rolled JSON reader/writer.
 //!
 //! The workspace deliberately vendors no serde (see DESIGN.md's dependency
-//! policy), so everything that persists — telemetry snapshots, the tuning
+//! policy), so everything that persists — kernel telemetry, the tuning
 //! cache, trained selector models in `dls-learn` — serialises by hand. This
 //! module centralises the *parsing* side: a small recursive-descent parser
 //! producing a [`JsonValue`] tree, plus the string-escaping helpers both
@@ -486,14 +486,14 @@ mod tests {
 
     #[test]
     fn parses_real_telemetry_output() {
-        // The exact shape TelemetrySnapshot::to_json emits.
-        let doc = r#"{"ticks":2,"formats":[{"format":"CSR","calls":3,"nanos":500,"bytes":128,"recent_secs_per_call":2.5e-7,"recent_bytes_per_sec":null}]}"#;
+        // The exact shape `telemetry::kernel_json` emits.
+        let doc = r#"{"total_calls":3,"allocs_avoided":0,"block_hist":[3,0,0,0,0,0,0,0],"multi_vector_blocks":0,"formats":[{"format":"CSR","calls":3,"nanos":500,"bytes":128}]}"#;
         let v = parse(doc).unwrap();
-        assert_eq!(v.get("ticks").unwrap().as_u64(), Some(2));
+        assert_eq!(v.get("total_calls").unwrap().as_u64(), Some(3));
+        assert_eq!(v.get("block_hist").unwrap().as_arr().unwrap().len(), 8);
         let row = &v.get("formats").unwrap().as_arr().unwrap()[0];
         assert_eq!(row.get("format").unwrap().as_str(), Some("CSR"));
-        assert_eq!(row.get("recent_secs_per_call").unwrap().as_f64(), Some(2.5e-7));
-        assert_eq!(*row.get("recent_bytes_per_sec").unwrap(), JsonValue::Null);
+        assert_eq!(row.get("nanos").unwrap().as_u64(), Some(500));
     }
 
     #[test]

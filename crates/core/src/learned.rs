@@ -4,8 +4,7 @@
 //! Drop-in alternative to the rule-based/cost-model/empirical strategies:
 //! `LayoutScheduler::with_selector(LearnedSelector::new(model))`. Composes
 //! with everything else built on the trait — wrap it in a `TuningCache` to
-//! memoise predictions, or hand it to a `ReactiveScheduler` as the
-//! re-scheduling strategy. Models are trained by `dls-learn`.
+//! memoise predictions. Models are trained by `dls-learn`.
 
 use crate::bandwidth::BandwidthProfile;
 use crate::cost::CostModelSelector;

@@ -31,11 +31,10 @@ pub mod empirical;
 pub mod features;
 pub mod json;
 pub mod learned;
-pub mod monitor;
 pub mod persist;
-pub mod reactive;
 pub mod report;
 pub mod scheduler;
+pub mod telemetry;
 pub mod tree;
 pub mod tuning_cache;
 
@@ -45,12 +44,8 @@ pub use decision::RuleBasedSelector;
 pub use empirical::EmpiricalSelector;
 pub use features::{featurize, FEATURE_NAMES, NUM_FEATURES};
 pub use learned::LearnedSelector;
-pub use monitor::{FormatTelemetry, KernelMonitor, TelemetrySnapshot, WindowRecord};
 pub use persist::{
     BlockModel, BlockSample, ModelError, ModelMeta, TrainedModel, MIN_MODEL_VERSION, MODEL_VERSION,
-};
-pub use reactive::{
-    MispredictDetector, ReactiveConfig, ReactiveReport, ReactiveScheduler, SwitchEvent,
 };
 pub use report::{FormatScore, SelectionReport};
 pub use scheduler::{

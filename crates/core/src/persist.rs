@@ -1,6 +1,6 @@
 //! Hand-rolled JSON persistence for trained models.
 //!
-//! Same approach as `TelemetrySnapshot` and the tuning cache: a per-type
+//! Same approach as the tuning cache: a per-type
 //! writer emitting a versioned document, with parsing delegated to
 //! [`crate::json`]. The document stores the feature schema by name and the
 //! loader rejects models whose schema differs from the running binary's

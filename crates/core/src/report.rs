@@ -43,16 +43,6 @@ impl SelectionReport {
     pub fn score_of(&self, format: Format) -> Option<f64> {
         self.scores.iter().find(|s| s.format == format).map(|s| s.score)
     }
-
-    /// The format with the worst (highest) score — the paper's baseline for
-    /// the "non-adaptive worst case" speedups.
-    pub fn worst(&self) -> Format {
-        self.scores
-            .iter()
-            .max_by(|a, b| a.score.partial_cmp(&b.score).expect("scores are finite"))
-            .map(|s| s.format)
-            .expect("reports always carry scores")
-    }
 }
 
 /// Scores every format by predicted storage footprint, chosen format first
@@ -110,11 +100,10 @@ mod tests {
     }
 
     #[test]
-    fn score_lookup_and_worst() {
+    fn score_lookup() {
         let r = report();
         assert_eq!(r.score_of(Format::Csr), Some(2.0));
         assert_eq!(r.score_of(Format::Csc), None);
-        assert_eq!(r.worst(), Format::Den);
     }
 
     #[test]

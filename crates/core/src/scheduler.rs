@@ -21,7 +21,7 @@ use std::sync::Arc;
 /// A pluggable selection policy.
 ///
 /// `Send + Sync` so one scheduler can be shared across training and
-/// serving threads (a `ReactiveScheduler` holds a [`LayoutScheduler`]).
+/// serving threads.
 pub trait FormatSelector: Send + Sync {
     /// Chooses a format for the matrix, returning the full report.
     fn select(&self, t: &TripletMatrix, f: &MatrixFeatures) -> SelectionReport;

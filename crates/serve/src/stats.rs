@@ -10,6 +10,7 @@
 use crate::proto::RequestClass;
 use crate::registry::ModelRegistry;
 use dls_core::json::JsonValue;
+use dls_core::telemetry::kernel_json;
 use dls_sparse::telemetry::format_index;
 use dls_sparse::{Format, SmsvCounters, SmsvSnapshot, BLOCK_HIST_BUCKETS};
 use std::collections::HashMap;
@@ -433,33 +434,6 @@ impl ServeStats {
         ])
         .to_json()
     }
-}
-
-/// One kernel snapshot as JSON: per-format calls/nanos, the block-size
-/// histogram, and the multi-vector block count that proves coalescing.
-fn kernel_json(snap: &SmsvSnapshot) -> JsonValue {
-    let formats = Format::ALL
-        .iter()
-        .map(|&f| snap.sample(f))
-        .zip(Format::ALL.iter())
-        .filter(|(s, _)| s.calls > 0)
-        .map(|(s, &f)| {
-            JsonValue::obj([
-                ("format", JsonValue::from(f.name())),
-                ("calls", JsonValue::from(s.calls)),
-                ("nanos", JsonValue::from(s.nanos)),
-                ("bytes", JsonValue::from(s.bytes)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    let hist: Vec<JsonValue> = snap.block_hist.iter().map(|&n| JsonValue::from(n)).collect();
-    JsonValue::obj([
-        ("total_calls", JsonValue::from(snap.total_calls())),
-        ("allocs_avoided", JsonValue::from(snap.allocs_avoided)),
-        ("block_hist", JsonValue::Arr(hist)),
-        ("multi_vector_blocks", JsonValue::from(snap.multi_vector_blocks())),
-        ("formats", JsonValue::Arr(formats)),
-    ])
 }
 
 /// Parses the block-size histogram back out of a `Stats` JSON document —

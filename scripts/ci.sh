@@ -93,6 +93,8 @@ for lib in src/lib.rs crates/*/src/lib.rs; do
 done
 # Deleted with online retraining (the feedback hub, the swappable selector, the confidence gate, the forest, the serve flags) and with SpMV.
 if grep -rnE 'FeedbackHu[b]|FeedbackConfi[g]|SwappableSelecto[r]|retrain_onlin[e]|ObservationRin[g]|LabeledObservatio[n]|with_gat[e]|DEFAULT_MIN_CONFIDENC[E]|--onlin[e]|--retrain-m[s]|repro_selector_onlin[e]|fn spm[v]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
+# Deleted with mid-training re-scheduling (the reactive loop, its mispredict detector, the kernel monitor and its snapshot type, the CLI flag and the repro bin).
+if grep -rnE 'ReactiveSchedule[r]|ReactiveConfi[g]|MispredictDetecto[r]|KernelMonito[r]|TelemetrySnapsho[t]|WindowRecor[d]|SwitchEven[t]|--reactiv[e]|repro_reactiv[e]' crates src examples scripts README.md DESIGN.md EXPERIMENTS.md; then echo "a retired name is back" >&2; exit 1; fi
 # Crate direction: sparse <- svm <- core <- learn, and serve depends on core, not on the trainer.
 if grep -n 'dls-lear[n]' crates/serve/Cargo.toml; then echo "dls-serve depends on dls-learn again" >&2; exit 1; fi
 # Every FormatSelector lives in dls-core; dls-learn only builds training data and trains.

@@ -45,9 +45,8 @@ pub use dls_svm as svm;
 pub mod prelude {
     pub use dls_core::{
         CostModelSelector, EmpiricalSelector, FixedSelector, FormatScore, FormatSelector,
-        KernelMonitor, LayoutScheduler, LearnedSelector, ReactiveConfig, ReactiveReport,
-        ReactiveScheduler, RuleBasedSelector, ScheduledMatrix, SelectionReport, SelectionStrategy,
-        TelemetrySnapshot, TrainedModel, TuningCache,
+        LayoutScheduler, LearnedSelector, RuleBasedSelector, ScheduledMatrix, SelectionReport,
+        SelectionStrategy, TrainedModel, TuningCache,
     };
     pub use dls_data::{controlled, specs, synth::generate, DatasetSpec};
     pub use dls_dnn::{Network, SgdConfig, Trainer};
